@@ -47,6 +47,7 @@ from .errors import (
     PreconditionViolationError,
     SearchExhaustedError,
     SizeLimitError,
+    VerificationError,
 )
 from .f2 import BitMatrix, BitVector, kernel_basis, min_weight_nonzero, rank, solve
 from .formats import (
@@ -59,6 +60,7 @@ from .graphs import (
     BipartiteGraph,
     DegreeSplit,
     ExpansionCertificate,
+    GraphAction,
     Regularity,
     cayley_left,
     cayley_right,
@@ -90,7 +92,6 @@ from .groups import (
 )
 from .products import (
     BalancedProductComplex,
-    GraphAction,
     HypergraphProduct,
     OneDSubgraph,
     balanced_product,

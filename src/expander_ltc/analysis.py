@@ -19,6 +19,7 @@ from .errors import (
     DegenerateCodeError,
     InvalidParameterError,
     PreconditionViolationError,
+    VerificationError,
 )
 from .f2 import BitMatrix, BitVector, kernel_basis, min_weight_nonzero, rank
 from .graphs import ExpansionCertificate, unique_neighbors
@@ -50,7 +51,7 @@ class CodeInstance:
 def code_from_complex(bp: BalancedProductComplex) -> CodeInstance:
     """Assemble ``C(H = d2)``: bits on V00, checks on V10 and V01.
 
-    Asserts the structural rate bound ``k/n >= 1 - w_down/w_up -
+    Checks the structural rate bound ``k/n >= 1 - w_down/w_up -
     w_right/w_left`` and that every check row touches at most
     ``max(w_up, w_left)`` bits.
     """
@@ -67,7 +68,8 @@ def code_from_complex(bp: BalancedProductComplex) -> CodeInstance:
                 f"check row {i} has weight {w}, expected {expected}"
             )
     rate_bound = 1 - Fraction(bp.w_down, bp.w_up) - Fraction(bp.w_right, bp.w_left)
-    assert Fraction(k, n) >= rate_bound
+    if Fraction(k, n) < rate_bound:
+        raise VerificationError(f"rate {k}/{n} is below the bound {rate_bound}")
     return CodeInstance(h=h, n=n, m=m, k=k, locality=locality)
 
 
@@ -451,7 +453,11 @@ def square_count(bp: BalancedProductComplex, c1: C1Vector) -> int:
         for (_, i10, i01, _) in bp.faces
         if c1.v10[i10] and c1.v01[i01]
     )
-    assert by_degrees == by_faces, "square counting methods disagree"
+    if by_degrees != by_faces:
+        raise VerificationError(
+            f"square counting methods disagree: {by_degrees} by degrees, "
+            f"{by_faces} by faces"
+        )
     return by_faces
 
 
@@ -583,7 +589,7 @@ def small_set_suite(
 def sharp_example(bp: BalancedProductComplex, x00: int) -> C1Vector:
     """Half-neighborhood vector at ``x00`` attaining the 1 : 1/2 norm ratio.
 
-    Requires both degrees even.  Asserts the three defining facts: unit
+    Requires both degrees even.  Checks the three defining facts: unit
     weighted norm, local minimality, and a boundary matching the explicit
     half-neighborhood square pattern of size ``w_down * w_right / 2``.
     """
@@ -599,8 +605,10 @@ def sharp_example(bp: BalancedProductComplex, x00: int) -> C1Vector:
     n01 = n01_all[: bp.w_right // 2]
     c1 = C1Vector.from_supports(bp, n10, n01)
 
-    assert weighted_norm(c1, bp) == 1
-    assert is_locally_minimal(c1, bp)[0]
+    if weighted_norm(c1, bp) != 1:
+        raise VerificationError("half-neighborhood vector has weighted norm != 1")
+    if not is_locally_minimal(c1, bp)[0]:
+        raise VerificationError("half-neighborhood vector is not locally minimal")
 
     # boundary by the explicit square-completion formula
     expected = set()
@@ -616,8 +624,13 @@ def sharp_example(bp: BalancedProductComplex, x00: int) -> C1Vector:
             "instance is not generic enough: boundary collides outside the "
             "half-neighborhood square pattern"
         )
-    assert c0.weight() == bp.w_down * bp.w_right // 2
-    assert c0_weighted_norm(c0, bp) == Fraction(1, 2)
+    if c0.weight() != bp.w_down * bp.w_right // 2:
+        raise VerificationError(
+            f"boundary has weight {c0.weight()}, expected "
+            f"{bp.w_down * bp.w_right // 2}"
+        )
+    if c0_weighted_norm(c0, bp) != Fraction(1, 2):
+        raise VerificationError("boundary has weighted norm != 1/2")
     return c1
 
 
@@ -656,5 +669,8 @@ def distance_certificate(
         res = min_weight_nonzero(basis, budget=budget)
         if res is not None:
             exact, witness = res
-            assert Fraction(exact) >= bound
+            if exact < bound:
+                raise VerificationError(
+                    f"distance {exact} is below the expansion bound {bound}"
+                )
     return DistanceReport(bound=bound, exact=exact, witness=witness)

@@ -20,6 +20,7 @@ from .errors import (
     ConfigError,
     ExpanderLtcError,
     PreconditionViolationError,
+    VerificationError,
 )
 from .formats import matrix_to_alist, matrix_to_dense_text
 from .graphs import (
@@ -102,6 +103,21 @@ def _fraction(cfg: dict, key: str, default: Fraction | None = None) -> Fraction:
         raise ConfigError(f"config key {key!r} is not a rational number", key)
 
 
+def _soundness_mode(cfg: dict) -> str:
+    """The ``soundness`` key: ``true``/``"exhaustive"``, ``false``/``"none"``
+    or ``"sampled"``."""
+    value = cfg.get("soundness", True)
+    if isinstance(value, bool):
+        return "exhaustive" if value else "none"
+    if value in ("exhaustive", "sampled", "none"):
+        return value
+    raise ConfigError(
+        f"config key 'soundness' must be true, false, \"exhaustive\", "
+        f"\"sampled\" or \"none\", got {value!r}",
+        "soundness",
+    )
+
+
 def _build_complex(cfg: dict) -> BalancedProductComplex:
     construction = cfg.get("construction", "left_right_cayley")
     if construction != "left_right_cayley":
@@ -122,14 +138,19 @@ def build_report(
     c_y: Fraction,
     max_c1_weight: int | None = None,
     budget: int | None = None,
-    run_soundness: bool = True,
+    soundness: str = "exhaustive",
     run_small_set: bool = True,
+    seed: int = 0,
 ) -> dict:
-    """The full analysis record of one complex, as a JSON-ready dict."""
+    """The full analysis record of one complex, as a JSON-ready dict.
+
+    ``soundness`` is ``"exhaustive"``, ``"sampled"`` (seeded by ``seed``) or
+    ``"none"``.
+    """
     enum_budget = budget or analysis.DEFAULT_KERNEL_BUDGET
     code = analysis.code_from_complex(bp)
-    cert_x = certify_expansion(bp.x, c_x)
-    cert_y = certify_expansion(bp.y, c_y)
+    cert_x = certify_expansion(bp.x, c_x, action=bp.ax)
+    cert_y = certify_expansion(bp.y, c_y, action=bp.ay)
     sub_cert = inherited_expansion(bp, cert_x, "*0")
 
     dist = analysis.distance_certificate(code, bp, sub_cert, budget=enum_budget)
@@ -162,16 +183,19 @@ def build_report(
         },
         "expansion": {"x": cert_x.to_json(), "y": cert_y.to_json()},
     }
-    if run_soundness:
-        budget_s = budget or analysis.DEFAULT_SOUNDNESS_BUDGET
-        snd = analysis.soundness_exhaustive(code, budget=budget_s)
+    if soundness == "none":
+        report["soundness"] = None
+    else:
+        if soundness == "sampled":
+            snd = analysis.soundness_sampled(code, seed=seed, kernel_budget=enum_budget)
+        else:
+            budget_s = budget or analysis.DEFAULT_SOUNDNESS_BUDGET
+            snd = analysis.soundness_exhaustive(code, budget=budget_s)
         report["soundness"] = {
             "s": str(snd.s),
             "method": snd.method,
             "witness": snd.witness.support(),
         }
-    else:
-        report["soundness"] = None
     if run_small_set:
         checks = analysis.small_set_suite(bp, cert_x, cert_y)
         report["small_set_checks"] = [
@@ -237,6 +261,7 @@ def _write_outputs(
 
 def cmd_build(args) -> int:
     cfg = _load_config(args.config, _BUILD_KEYS, {"group", "a_set", "b_set"})
+    soundness = _soundness_mode(cfg)
     if args.dry_run:
         group_from_spec(cfg["group"])
         print("config ok")
@@ -248,8 +273,9 @@ def cmd_build(args) -> int:
         c_y=_fraction(cfg, "c_y", Fraction(1, 2)),
         max_c1_weight=cfg.get("max_c1_weight"),
         budget=args.budget,
-        run_soundness=cfg.get("soundness", True),
+        soundness=soundness,
         run_small_set=cfg.get("small_set", True),
+        seed=args.seed,
     )
     _write_outputs(Path(args.out), report, bp, args.deterministic)
     print(f"built n={report['n']} k={report['k']} -> {args.out}")
@@ -303,11 +329,14 @@ def cmd_verify(args) -> int:
                 verify_copy_decomposition(sub),
             )
     if "unique" in suites or "small-set" in suites:
-        cert_x = certify_expansion(bp.x, c_x)
-        cert_y = certify_expansion(bp.y, c_y)
+        cert_x = certify_expansion(bp.x, c_x, action=bp.ax)
+        cert_y = certify_expansion(bp.y, c_y, action=bp.ay)
     if "unique" in suites:
-        for tag, graph, cert in (("x", bp.x, cert_x), ("y", bp.y, cert_y)):
-            ok, worst = check_unique_neighbor_lemma(graph, cert)
+        for tag, graph, cert, act in (
+            ("x", bp.x, cert_x, bp.ax),
+            ("y", bp.y, cert_y, bp.ay),
+        ):
+            ok, worst = check_unique_neighbor_lemma(graph, cert, action=act)
             check(f"unique-neighbor bound on factor {tag}", ok, str(worst))
     if "small-set" in suites:
         checks = analysis.small_set_suite(bp, cert_x, cert_y)
@@ -459,7 +488,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except PreconditionViolationError as exc:
+    except (PreconditionViolationError, VerificationError) as exc:
         print(f"analysis failure: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except ExpanderLtcError as exc:

@@ -82,3 +82,11 @@ class ConfigError(ExpanderLtcError):
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key
+
+
+class VerificationError(ExpanderLtcError):
+    """A check that a theorem guarantees failed on the instance at hand.
+
+    Raised instead of a bare ``assert`` so the check also runs under
+    ``python -O``; it points at a bug, not at a bad input.
+    """

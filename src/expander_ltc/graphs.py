@@ -6,11 +6,10 @@ integer bitmasks so that subset-expansion scans reduce to OR + popcount.
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -18,6 +17,7 @@ from .errors import (
     InvalidParameterError,
     IrregularGraphError,
     PreconditionViolationError,
+    VerificationError,
 )
 from .groups import FiniteGroup, GroupAction
 
@@ -97,6 +97,18 @@ def _mask_to_list(mask: int) -> list[int]:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
+
+
+@dataclass(frozen=True)
+class GraphAction:
+    """A group action on a bipartite graph: one action per side."""
+
+    on_v0: GroupAction
+    on_v1: GroupAction
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.on_v0.group
 
 
 @dataclass(frozen=True)
@@ -230,6 +242,87 @@ def _max_subset_size(c: Fraction, v0_size: int) -> int:
     return min(k, v0_size)
 
 
+def _scan_starts(x: BipartiteGraph, action: GraphAction | None) -> range | list[int]:
+    """Left vertices a subset scan must start from.
+
+    Without an action every vertex.  With one, the action is checked to act by
+    graph automorphisms, and only vertices that no group element moves to a
+    smaller vertex are kept.  Scores that automorphisms preserve (``|N(S)|``,
+    unique-neighbor counts) then lose nothing: if ``S`` is the first subset in
+    lexicographic order with some score and ``g`` maps ``min(S)`` below
+    itself, ``g.S`` has the same score and comes earlier.
+    """
+    if action is None:
+        return range(x.v0_size)
+    if not check_invariance(x, action.on_v0, action.on_v1):
+        raise InvalidParameterError("the action does not preserve the graph's edges")
+    for a in (action.on_v0, action.on_v1):
+        for row in a.table:
+            if sorted(row) != list(range(a.set_size)):
+                raise InvalidParameterError("an action element is not a permutation")
+    rows = action.on_v0.table
+    return [u for u in range(x.v0_size) if all(row[u] >= u for row in rows)]
+
+
+def _scan_subsets(
+    masks: Sequence[int],
+    kmax: int,
+    starts: Iterable[int],
+    unique: bool = False,
+    below: Sequence[int] | None = None,
+) -> tuple[
+    list[int],
+    list[tuple[int, ...] | None],
+    list[tuple[tuple[int, ...], int] | None],
+]:
+    """Exhaustive depth-first scan of the left subsets of sizes ``1..kmax``.
+
+    Only subsets whose smallest vertex is in ``starts`` are visited.  Each
+    subset extends its prefix by one vertex, so the prefix's neighbor masks
+    are carried down instead of recomputed: ``once`` holds the right vertices
+    with exactly one neighbor in the subset, ``more`` those with two or more.
+    The score is ``|N(S)| = |once | more|``, or ``|once|`` (the unique
+    neighbors) when ``unique`` is set.  Depth-first order visits the subsets of
+    each size in lexicographic order.
+
+    Returns three lists indexed by size ``k`` (index 0 unused): the least
+    score, the first subset reaching it, and the first subset scoring below
+    ``below[k]`` together with its score.  Once a subset scores below
+    ``below``, only smaller sizes are scanned further, so only the smallest
+    size with such a subset is final.
+    """
+    n = len(masks)
+    least = [max(masks, default=0).bit_length() + 1] * (kmax + 1)  # above any score
+    least_at: list[tuple[int, ...] | None] = [None] * (kmax + 1)
+    hit: list[tuple[tuple[int, ...], int] | None] = [None] * (kmax + 1)
+    limit = kmax
+    prefix: list[int] = []
+
+    def extend(candidates: Iterable[int], once: int, more: int, k: int) -> None:
+        nonlocal limit
+        for j in candidates:
+            m = masks[j]
+            more_j = more | (once & m)
+            once_j = (once | m) & ~more_j
+            score = once_j.bit_count() if unique else (once_j | more_j).bit_count()
+            if score < least[k]:
+                least[k] = score
+                least_at[k] = (*prefix, j)
+            if below is not None and score < below[k] and hit[k] is None:
+                hit[k] = ((*prefix, j), score)
+                limit = k - 1
+            if k < limit:
+                prefix.append(j)
+                extend(range(j + 1, n), once_j, more_j, k + 1)
+                prefix.pop()
+            elif k > limit:
+                return
+
+    if kmax >= 1:
+        extend(starts, 0, 0, 1)
+    return least, least_at, hit
+
+
 def certify_expansion(
     x: BipartiteGraph,
     c: Fraction,
@@ -237,12 +330,15 @@ def certify_expansion(
     sample_budget: int = 20_000,
     seed: int = 0,
     max_evals: int = DEFAULT_SUBSET_BUDGET,
+    action: GraphAction | None = None,
 ) -> ExpansionCertificate:
     """Tightest epsilon with ``|N(v0)| >= (1-eps) w0 |v0|`` for small subsets.
 
     Exhaustive mode scans every left subset with ``|v0| < c * |V0|`` and the
     returned epsilon is a true certificate.  Sampled mode draws random subsets
-    with a seeded PRNG and never claims certification.
+    with a seeded PRNG and never claims certification.  An ``action`` by graph
+    automorphisms is checked and then lets the exhaustive scan start at one
+    vertex per orbit; the certificate is the same as without it.
     """
     if not 0 < c <= 1:
         raise InvalidParameterError(f"c must lie in (0, 1], got {c}")
@@ -250,18 +346,7 @@ def certify_expansion(
     w0 = reg.w0
     kmax = _max_subset_size(Fraction(c), x.v0_size)
     masks = x.left_masks
-
-    worst_eps = Fraction(0)
-    witness: tuple[frozenset, Fraction] | None = None
-
-    def consider(subset: tuple[int, ...], union: int):
-        nonlocal worst_eps, witness
-        k = len(subset)
-        ratio = Fraction(union.bit_count(), k)
-        eps = 1 - ratio / w0
-        if eps > worst_eps or witness is None:
-            worst_eps = max(eps, Fraction(0))
-            witness = (frozenset(subset), ratio)
+    starts = _scan_starts(x, action)
 
     if mode == "exhaustive":
         total = sum(comb(x.v0_size, k) for k in range(1, kmax + 1))
@@ -271,21 +356,24 @@ def certify_expansion(
                 total,
                 max_evals,
             )
+        least, least_at, _ = _scan_subsets(masks, kmax, starts)
+        # the worst size has the least |N(S)| / k; ties go to the smaller size
+        witness: tuple[frozenset, Fraction] | None = None
         for k in range(1, kmax + 1):
-            for subset in itertools.combinations(range(x.v0_size), k):
-                union = 0
-                for u in subset:
-                    union |= masks[u]
-                consider(subset, union)
+            ratio = Fraction(least[k], k)
+            if witness is None or ratio < witness[1]:
+                witness = (frozenset(least_at[k]), ratio)
         return ExpansionCertificate(
             c=Fraction(c),
-            epsilon=worst_eps,
+            epsilon=1 - witness[1] / w0 if witness else Fraction(0),
             w0=w0,
             mode="exhaustive",
             max_checked_size=kmax,
             worst_witness=witness,
         )
     if mode == "sampled":
+        worst_eps = Fraction(0)
+        witness = None
         rng = random.Random(seed)
         n_samples = 0
         for _ in range(sample_budget):
@@ -296,7 +384,11 @@ def certify_expansion(
             union = 0
             for u in subset:
                 union |= masks[u]
-            consider(subset, union)
+            ratio = Fraction(union.bit_count(), k)
+            eps = 1 - ratio / w0
+            if eps > worst_eps or witness is None:
+                worst_eps = max(eps, Fraction(0))
+                witness = (frozenset(subset), ratio)
             n_samples += 1
         return ExpansionCertificate(
             c=Fraction(c),
@@ -312,24 +404,34 @@ def certify_expansion(
 
 
 def check_unique_neighbor_lemma(
-    x: BipartiteGraph, cert: ExpansionCertificate
+    x: BipartiteGraph,
+    cert: ExpansionCertificate,
+    action: GraphAction | None = None,
 ) -> tuple[bool, tuple[frozenset, int] | None]:
     """Verify ``|unique(v0)| >= (1-2 eps) w0 |v0|`` over all certified subsets.
 
     A ``False`` result signals an implementation bug (the bound is a theorem
-    for certified expanders) and returns the counterexample.
+    for certified expanders) and returns the first counterexample in order of
+    size, then lexicographic order.  Otherwise the result carries the first
+    subset in that order with the least ``|unique(v0)| / |v0|``.  An
+    ``action`` is checked and used as in ``certify_expansion``.
     """
     if not cert.certifies:
         raise PreconditionViolationError("lemma check needs an exhaustive certificate")
     bound_coeff = (1 - 2 * cert.epsilon) * cert.w0
+    kmax = cert.max_checked_size
+    # an integer count u has u < bound_coeff * k exactly when u < ceil(...)
+    below = [ceil(bound_coeff * k) for k in range(kmax + 1)]
+    least, least_at, hit = _scan_subsets(
+        x.left_masks, kmax, _scan_starts(x, action), unique=True, below=below
+    )
+    for found in hit:
+        if found is not None:
+            return False, (frozenset(found[0]), found[1])
     worst: tuple[frozenset, int] | None = None
-    for k in range(1, cert.max_checked_size + 1):
-        for subset in itertools.combinations(range(x.v0_size), k):
-            un = len(unique_neighbors(x, subset))
-            if Fraction(un) < bound_coeff * k:
-                return False, (frozenset(subset), un)
-            if worst is None or Fraction(un, k) < Fraction(worst[1], len(worst[0])):
-                worst = (frozenset(subset), un)
+    for k in range(1, kmax + 1):
+        if worst is None or Fraction(least[k], k) < Fraction(worst[1], len(worst[0])):
+            worst = (frozenset(least_at[k]), least[k])
     return True, worst
 
 
@@ -390,14 +492,17 @@ def degree_split(
 
 
 def _check_split(split: DegreeSplit, cap: Fraction, w1: int, v1_size: int) -> None:
-    assert sum(split.d1) <= v1_size
+    if sum(split.d1) > v1_size:
+        raise VerificationError(f"heavy part sums above |v1| = {v1_size}")
     if cap == 0:
         target: list[Fraction] = []
     else:
         count = -((-w1 * v1_size) // cap)  # ceil(w1 |v1| / (eps w0))
         target = [cap] * int(count)
-    assert all(d <= cap for d in split.d2)
-    assert majorizes(target, list(split.d2))
+    if not all(d <= cap for d in split.d2):
+        raise VerificationError(f"capped part exceeds eps*w0 = {cap}")
+    if not majorizes(target, list(split.d2)):
+        raise VerificationError("capped part is not majorized by the cap vector")
 
 
 def majorizes(a: Sequence, b: Sequence) -> bool:

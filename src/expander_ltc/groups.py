@@ -170,16 +170,6 @@ def group_from_spec(spec: dict) -> FiniteGroup:
     raise InvalidParameterError(f"unknown group kind: {kind!r}")
 
 
-def make_action(group: FiniteGroup, set_size: int, act) -> GroupAction:
-    """Tabulate and validate an action given as a callable ``act(g, x)``."""
-    table = tuple(
-        tuple(act(g, x) for x in range(set_size)) for g in group.elements()
-    )
-    a = GroupAction(group, set_size, table)
-    check_action_axioms(a)
-    return a
-
-
 def check_action_axioms(a: GroupAction) -> None:
     g = a.group
     for x in range(a.set_size):

@@ -24,6 +24,7 @@ from .f2 import BitMatrix
 from .graphs import (
     BipartiteGraph,
     ExpansionCertificate,
+    GraphAction,
     Regularity,
     cayley_right,
     check_invariance,
@@ -31,7 +32,6 @@ from .graphs import (
 )
 from .groups import (
     FiniteGroup,
-    GroupAction,
     OrbitLabeling,
     left_regular_action,
     orbit_labeling,
@@ -40,18 +40,6 @@ from .groups import (
 MAX_PRODUCT_VERTICES = 1 << 20
 
 SubgraphName = Literal["*0", "*1", "0*", "1*"]
-
-
-@dataclass(frozen=True)
-class GraphAction:
-    """A group action on a bipartite graph: one action per side."""
-
-    on_v0: GroupAction
-    on_v1: GroupAction
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.on_v0.group
 
 
 def regular_graph_action(g: FiniteGroup) -> GraphAction:

@@ -192,8 +192,12 @@ def search_pair(spec: SearchSpec) -> SearchResult:
             x, ax, gens_x = layered_cayley(g, layers_x, spec.w_down, rng)
             y, ay, gens_y = layered_cayley(g, layers_y, spec.w_right, rng)
             bp = balanced_product(x, y, ax, ay)
-            cert_x = certify_expansion(x, spec.c_x, max_evals=spec.subset_budget)
-            cert_y = certify_expansion(y, spec.c_y, max_evals=spec.subset_budget)
+            cert_x = certify_expansion(
+                x, spec.c_x, max_evals=spec.subset_budget, action=ax
+            )
+            cert_y = certify_expansion(
+                y, spec.c_y, max_evals=spec.subset_budget, action=ay
+            )
         except MultiplicityViolationError as exc:
             entry["status"] = "degenerate"
             entry["detail"] = str(exc)

@@ -23,13 +23,16 @@ from expander_ltc.analysis import (
     square_count,
     weighted_norm,
 )
+from expander_ltc import analysis
 from expander_ltc.errors import (
     DegenerateCodeError,
     PreconditionViolationError,
+    VerificationError,
 )
 from expander_ltc.f2 import BitMatrix, BitVector
 from expander_ltc.graphs import BipartiteGraph, certify_expansion
 from expander_ltc.groups import make_cyclic, trivial_action
+from expander_ltc.search import layered_cayley
 from expander_ltc.products import (
     GraphAction,
     balanced_product,
@@ -313,7 +316,7 @@ class TestSquareCount:
                 BitVector(bp.n10, rng.getrandbits(bp.n10)),
                 BitVector(bp.n01, rng.getrandbits(bp.n01)),
             )
-            square_count(bp, c1)  # internal cross-check asserts agreement
+            square_count(bp, c1)  # the internal cross-check raises on disagreement
 
 
 class TestSmallSetCheck:
@@ -409,3 +412,77 @@ class TestDistanceCertificate:
             )
             bounds[order] = rep.bound
         assert bounds[12] == 2 * bounds[6]
+
+
+class TestVerificationErrors:
+    """Each theorem check raises ``VerificationError`` when fed a broken input."""
+
+    def test_rate_bound(self, monkeypatch):
+        rng = random.Random(1)
+        g = make_cyclic(5)
+        x, ax, _ = layered_cayley(g, 3, 1, rng)
+        y, ay, _ = layered_cayley(g, 3, 1, rng)
+        bp = balanced_product(x, y, ax, ay)  # rate bound 1 - 1/3 - 1/3 > 0
+        monkeypatch.setattr(analysis, "rank", lambda h: h.cols)  # forces k = 0
+        with pytest.raises(VerificationError, match="rate"):
+            code_from_complex(bp)
+
+    def test_square_count_agreement(self, monkeypatch):
+        bp = left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
+        c1 = sharp_example(bp, 0)
+        monkeypatch.setattr(
+            analysis, "_d2_column_masks", lambda bp: ([0] * bp.n00, [0] * bp.n00)
+        )
+        with pytest.raises(VerificationError, match="disagree"):
+            square_count(bp, c1)
+
+    def _sharp_instance(self):
+        return left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
+
+    def test_sharp_unit_norm(self, monkeypatch):
+        bp = self._sharp_instance()
+        monkeypatch.setattr(analysis, "weighted_norm", lambda c1, bp: Fraction(2))
+        with pytest.raises(VerificationError, match="norm != 1"):
+            sharp_example(bp, 0)
+
+    def test_sharp_local_minimality(self, monkeypatch):
+        bp = self._sharp_instance()
+        monkeypatch.setattr(analysis, "is_locally_minimal", lambda c1, bp: (False, 0))
+        with pytest.raises(VerificationError, match="locally minimal"):
+            sharp_example(bp, 0)
+
+    def test_sharp_boundary_weight(self, monkeypatch):
+        class Heavier(BitVector):
+            def weight(self):
+                return super().weight() + 1
+
+        bp = self._sharp_instance()
+        real = analysis.boundary_1
+
+        def heavier_boundary(bp, c1):
+            c0 = real(bp, c1)
+            return Heavier(c0.length, c0.bits)
+
+        monkeypatch.setattr(analysis, "boundary_1", heavier_boundary)
+        with pytest.raises(VerificationError, match="boundary has weight"):
+            sharp_example(bp, 0)
+
+    def test_sharp_boundary_norm(self, monkeypatch):
+        bp = self._sharp_instance()
+        monkeypatch.setattr(analysis, "c0_weighted_norm", lambda c0, bp: Fraction(1))
+        with pytest.raises(VerificationError, match="norm != 1/2"):
+            sharp_example(bp, 0)
+
+    def test_distance_below_bound(self, monkeypatch):
+        bp = left_right_cayley(make_cyclic(7), [1, 2], [1, 3])
+        code = code_from_complex(bp)
+        sub_cert = inherited_expansion(
+            bp, certify_expansion(bp.x, Fraction(2, 7)), "*0"
+        )
+        assert sub_cert.c * bp.n00 > 0
+        monkeypatch.setattr(
+            analysis, "min_weight_nonzero",
+            lambda basis, budget: (0, BitVector(code.n)),
+        )
+        with pytest.raises(VerificationError, match="below the expansion bound"):
+            distance_certificate(code, bp, sub_cert)

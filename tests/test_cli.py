@@ -1,9 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import expander_ltc
+from expander_ltc import analysis
 from expander_ltc.cli import main
 
 
@@ -148,6 +155,62 @@ class TestDemoSharp:
         )
         assert main(["demo-sharp", "--config", cfg]) == 1
         assert "even" in capsys.readouterr().err
+
+
+class TestSoundnessKey:
+    """Each value of the ``soundness`` config key does what the README says."""
+
+    def _report(self, tmp_path, value):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "soundness": value})
+        out = tmp_path / "out"
+        assert main(["build", "--config", cfg, "--out", str(out),
+                     "--deterministic"]) == 0
+        return json.loads((out / "report.json").read_text())
+
+    def test_true_is_exhaustive(self, tmp_path):
+        assert self._report(tmp_path, True)["soundness"]["method"] == "exhaustive"
+
+    def test_exhaustive(self, tmp_path):
+        snd = self._report(tmp_path, "exhaustive")["soundness"]
+        assert snd["method"] == "exhaustive"
+        assert snd["s"] == "1/2"
+
+    def test_false_skips(self, tmp_path):
+        assert self._report(tmp_path, False)["soundness"] is None
+
+    def test_none_skips(self, tmp_path):
+        assert self._report(tmp_path, "none")["soundness"] is None
+
+    def test_sampled(self, tmp_path):
+        snd = self._report(tmp_path, "sampled")["soundness"]
+        assert snd["method"] == "sampled"
+        # a sampled minimum can only overestimate the exact one (1/2 here)
+        assert Fraction(snd["s"]) >= Fraction(1, 2)
+
+    @pytest.mark.parametrize("value", ["fast", 1, 0, None, ["none"]])
+    def test_other_values_exit_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "soundness": value})
+        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "soundness" in capsys.readouterr().err
+        assert main(["build", "--config", cfg, "--dry-run"]) == 2
+
+
+class TestVerificationFailure:
+    def test_failed_theorem_check_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "weighted_norm", lambda c1, bp: Fraction(2))
+        assert main(["demo-sharp"]) == 1
+        assert "analysis failure" in capsys.readouterr().err
+
+    def test_demo_sharp_under_optimize(self):
+        # the theorem checks are real errors, not asserts, so -O keeps them
+        src = str(Path(expander_ltc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "expander_ltc.cli", "demo-sharp"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ratio = 1/2" in proc.stdout
 
 
 class TestUsage:

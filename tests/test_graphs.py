@@ -3,19 +3,25 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expander_ltc import graphs
 from expander_ltc.errors import (
     BudgetExceededError,
     InvalidParameterError,
     IrregularGraphError,
     PreconditionViolationError,
+    VerificationError,
 )
 from expander_ltc.graphs import (
     BipartiteGraph,
+    DegreeSplit,
+    ExpansionCertificate,
+    GraphAction,
     cayley_left,
     cayley_right,
     certify_expansion,
@@ -30,11 +36,15 @@ from expander_ltc.graphs import (
     unique_neighbors,
 )
 from expander_ltc.groups import (
+    GroupAction,
     left_regular_action,
     make_cyclic,
+    make_direct_product,
     right_regular_action_as_left,
     trivial_action,
 )
+from expander_ltc.search import layered_cayley
+from subset_reference import reference_certificate, reference_unique_lemma
 
 
 def k33():
@@ -278,6 +288,160 @@ class TestDegreeSplit:
         x, cert = self._setup()
         with pytest.raises(PreconditionViolationError):
             degree_split(x, cert, range(5))
+
+
+class TestCheckSplit:
+    """``_check_split`` raises ``VerificationError`` on each broken property."""
+
+    def test_heavy_part_too_large(self):
+        split = DegreeSplit((Fraction(3),), (Fraction(0),))
+        with pytest.raises(VerificationError, match="heavy part"):
+            graphs._check_split(split, Fraction(1), 1, 2)
+
+    def test_capped_part_above_cap(self):
+        split = DegreeSplit((Fraction(0),), (Fraction(2),))
+        with pytest.raises(VerificationError, match="exceeds"):
+            graphs._check_split(split, Fraction(1), 1, 1)
+
+    def test_capped_part_not_majorized(self):
+        split = DegreeSplit((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
+        with pytest.raises(VerificationError, match="majorized"):
+            graphs._check_split(split, Fraction(1), 1, 1)
+
+    def test_fires_from_degree_split(self, monkeypatch):
+        x = cayley_left(make_cyclic(11), [1, 2, 5])
+        cert = certify_expansion(x, Fraction(6, 11))
+        monkeypatch.setattr(graphs, "majorizes", lambda a, b: False)
+        with pytest.raises(VerificationError):
+            degree_split(x, cert, [4])
+
+
+def _cayley_cases():
+    """Cayley graphs with an action by automorphisms on both sides."""
+    z2z4 = make_direct_product(make_cyclic(2), make_cyclic(4))
+    z3z3 = make_direct_product(make_cyclic(3), make_cyclic(3))
+    cases = []
+    for g, gens, c in (
+        (make_cyclic(10), [1, 3], Fraction(1, 2)),
+        (make_cyclic(11), [1, 2, 5], Fraction(1, 3)),
+        (make_cyclic(12), [1, 5, 6], Fraction(1, 4)),
+        (z2z4, [1, 2, 5], Fraction(1, 2)),
+        (z3z3, [1, 3], Fraction(1, 2)),
+    ):
+        left = GraphAction(left_regular_action(g), left_regular_action(g))
+        cases.append((f"right-{g.name}", cayley_right(g, gens), left, c))
+        flip = right_regular_action_as_left(g)
+        right = GraphAction(flip, flip)
+        cases.append((f"left-{g.name}", cayley_left(g, gens), right, c))
+    return cases
+
+
+def _layered_cases():
+    """Layered Cayley graphs: 1-2 layers, degrees 2-3, c in {1/4, 1/3, 1/2}."""
+    cases = []
+    rng = random.Random(2201)
+    groups = [make_cyclic(6), make_direct_product(make_cyclic(2), make_cyclic(3)),
+              make_cyclic(7)]
+    cutoffs = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
+    for i, (layers, degree, c) in enumerate(
+        itertools.product((1, 2), (2, 3), cutoffs)
+    ):
+        g = groups[i % len(groups)]
+        x, action, _ = layered_cayley(g, layers, degree, rng)
+        cases.append((f"layered-{g.name}-{layers}x{degree}-c{c}", x, action, c))
+    return cases
+
+
+KERNEL_CASES = _cayley_cases() + _layered_cases()
+
+
+def _case_id(case):
+    return case[0]
+
+
+class TestSubsetKernel:
+    """The depth-first kernel agrees with the plain combinations scan."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=_case_id)
+    @pytest.mark.parametrize("use_action", [False, True], ids=["all", "orbits"])
+    def test_certificate_matches_reference(self, case, use_action):
+        _, x, action, c = case
+        cert = certify_expansion(x, c, action=action if use_action else None)
+        assert cert == reference_certificate(x, c)
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=_case_id)
+    @pytest.mark.parametrize("use_action", [False, True], ids=["all", "orbits"])
+    def test_unique_lemma_matches_reference(self, case, use_action):
+        _, x, action, c = case
+        act = action if use_action else None
+        cert = certify_expansion(x, c)
+        assert check_unique_neighbor_lemma(x, cert, action=act) == (
+            reference_unique_lemma(x, cert)
+        )
+        # an understated epsilon makes the bound fail, often first at a size
+        # the depth-first scan reaches after a larger counterexample: the
+        # result must still be the reference's first counterexample
+        for shrink in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            strict = ExpansionCertificate(
+                c=c, epsilon=cert.epsilon * shrink, w0=cert.w0,
+                mode="exhaustive", max_checked_size=cert.max_checked_size,
+            )
+            assert check_unique_neighbor_lemma(x, strict, action=act) == (
+                reference_unique_lemma(x, strict)
+            )
+
+    def test_counterexample_found(self):
+        x = cayley_right(make_cyclic(10), [1, 3])
+        cert = certify_expansion(x, Fraction(1, 2))
+        strict = ExpansionCertificate(
+            c=cert.c, epsilon=Fraction(0), w0=cert.w0, mode="exhaustive",
+            max_checked_size=cert.max_checked_size,
+        )
+        ok, (subset, uniq) = check_unique_neighbor_lemma(x, strict)
+        assert not ok
+        assert uniq == len(unique_neighbors(x, subset)) < 2 * len(subset)
+
+    def test_non_invariant_action_rejected(self):
+        g = make_cyclic(7)
+        x = cayley_left(g, [1, 2, 4])
+        negate = GroupAction(
+            make_cyclic(2), 7, (tuple(range(7)), tuple((-u) % 7 for u in range(7)))
+        )
+        assert not check_invariance(x, negate, negate)
+        cert = certify_expansion(x, Fraction(2, 7))
+        with pytest.raises(InvalidParameterError):
+            certify_expansion(x, Fraction(2, 7), action=GraphAction(negate, negate))
+        with pytest.raises(InvalidParameterError):
+            check_unique_neighbor_lemma(x, cert, action=GraphAction(negate, negate))
+
+    def test_non_permutation_action_rejected(self):
+        # every edge of K33 maps to an edge, but the map is not a bijection
+        collapse = GroupAction(make_cyclic(2), 3, ((0, 1, 2), (0, 0, 0)))
+        assert check_invariance(k33(), collapse, collapse)
+        action = GraphAction(collapse, collapse)
+        with pytest.raises(InvalidParameterError):
+            certify_expansion(k33(), Fraction(1), action=action)
+
+    @pytest.mark.parametrize("use_action", [False, True], ids=["all", "orbits"])
+    def test_budget_counts_every_subset(self, use_action):
+        g = make_cyclic(12)
+        x = cayley_right(g, [1, 5])
+        action = GraphAction(left_regular_action(g), left_regular_action(g))
+        act = action if use_action else None
+        total = sum(comb(12, k) for k in range(1, 6))  # sizes below 12 / 2
+        with pytest.raises(BudgetExceededError) as info:
+            certify_expansion(x, Fraction(1, 2), max_evals=total - 1, action=act)
+        assert info.value.required == total
+        certify_expansion(x, Fraction(1, 2), max_evals=total, action=act)
+
+    def test_sampled_mode_ignores_action(self):
+        g = make_cyclic(12)
+        x = cayley_right(g, [1, 5])
+        action = GraphAction(left_regular_action(g), left_regular_action(g))
+        plain = certify_expansion(x, Fraction(1, 2), mode="sampled", seed=3)
+        assert certify_expansion(
+            x, Fraction(1, 2), mode="sampled", seed=3, action=action
+        ) == plain
 
 
 class TestMajorizes:
