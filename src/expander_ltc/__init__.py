@@ -106,7 +106,6 @@ from .products import (
 from .search import (
     SearchResult,
     SearchSpec,
-    combined_epsilon,
     layered_cayley,
     random_cayley,
     random_generating_set,

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -22,7 +24,7 @@ from .errors import (
     VerificationError,
 )
 from .f2 import BitMatrix, BitVector, kernel_basis, min_weight_nonzero, rank
-from .graphs import ExpansionCertificate, unique_neighbors
+from .graphs import ExpansionCertificate
 from .products import BalancedProductComplex, one_d_subgraph
 
 DEFAULT_SOUNDNESS_BUDGET = 1 << 20
@@ -134,37 +136,53 @@ def boundary_1(bp: BalancedProductComplex, c1: C1Vector) -> BitVector:
     return bp.d1.mul_vec(c1.stacked())
 
 
-def _d2_column_masks(bp: BalancedProductComplex) -> tuple[list[int], list[int]]:
-    """Per-bit boundary supports, split into the V10 and V01 check parts."""
-    lo = []
-    hi = []
-    mask10 = (1 << bp.n10) - 1
-    d2t = bp.d2.transpose()
-    for bits in d2t.row_bits:
-        lo.append(bits & mask10)
-        hi.append(bits >> bp.n10)
-    return lo, hi
+def _d2_column_masks(
+    bp: BalancedProductComplex,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-bit boundary supports, split into the V10 and V01 check parts.
+
+    Derived from one transpose of ``d2`` per complex and kept in its ``memo``
+    (complexes are immutable).
+    """
+    masks = bp.memo.get("d2_column_masks")
+    if masks is None:
+        mask10 = (1 << bp.n10) - 1
+        rows = bp.d2.transpose().row_bits
+        masks = (tuple(b & mask10 for b in rows), tuple(b >> bp.n10 for b in rows))
+        bp.memo["d2_column_masks"] = masks
+    return masks
 
 
-def _flip_delta(
-    bp: BalancedProductComplex, c1: C1Vector, col10: int, col01: int
-) -> Fraction:
-    o10 = (col10 & c1.v10.bits).bit_count()
-    o01 = (col01 & c1.v01.bits).bit_count()
-    return Fraction(bp.w_down - 2 * o10, bp.w_down) + Fraction(
-        bp.w_right - 2 * o01, bp.w_right
-    )
+def _overlaps(masks: Sequence[int], bits: int) -> list[int]:
+    """``|masks[j] & bits|`` for every bit ``j`` of C2."""
+    return [(m & bits).bit_count() for m in masks]
+
+
+def _best_flip(
+    bp: BalancedProductComplex, o10: Sequence[int], o01: Sequence[int]
+) -> int | None:
+    """The exact flip test: the bit of C2 whose boundary lowers ``|c1|_w`` most.
+
+    Adding the boundary of bit ``j`` changes ``|c1|_w`` by
+    ``(w_down - 2 o10) / w_down + (w_right - 2 o01) / w_right``, where ``o10``
+    and ``o01`` are the overlaps of that boundary with ``v10`` and ``v01``.
+    Times ``w_down * w_right`` this is the integer compared below, so bit
+    ``j`` improves ``c1`` iff it is negative.  Ties go to the lowest bit;
+    ``None`` means ``c1`` is weighted locally minimal.
+    """
+    wd, wr = bp.w_down, bp.w_right
+    changes = [wr * (wd - 2 * a) + wd * (wr - 2 * b) for a, b in zip(o10, o01)]
+    best = min(changes, default=0)
+    return changes.index(best) if best < 0 else None
 
 
 def is_locally_minimal(
     c1: C1Vector, bp: BalancedProductComplex
 ) -> tuple[bool, int | None]:
-    """Weighted local minimality; returns an improving bit index if not."""
+    """Weighted local minimality; if not, also the bit ``greedy_flip`` would flip."""
     lo, hi = _d2_column_masks(bp)
-    for j in range(bp.n00):
-        if _flip_delta(bp, c1, lo[j], hi[j]) < 0:
-            return False, j
-    return True, None
+    j = _best_flip(bp, _overlaps(lo, c1.v10.bits), _overlaps(hi, c1.v01.bits))
+    return j is None, j
 
 
 @dataclass(frozen=True)
@@ -182,26 +200,16 @@ def greedy_flip(c1: C1Vector, bp: BalancedProductComplex) -> FlipResult:
     ``d1 c1`` is invariant throughout.
     """
     lo, hi = _d2_column_masks(bp)
-    cur = c1
+    v10, v01 = c1.v10.bits, c1.v01.bits
     flips = 0
     steps = 0
-    while True:
-        best_j = None
-        best_delta = Fraction(0)
-        for j in range(bp.n00):
-            delta = _flip_delta(bp, cur, lo[j], hi[j])
-            if delta < best_delta:
-                best_delta = delta
-                best_j = j
-        if best_j is None:
-            break
-        cur = C1Vector(
-            BitVector(bp.n10, cur.v10.bits ^ lo[best_j]),
-            BitVector(bp.n01, cur.v01.bits ^ hi[best_j]),
-        )
-        flips ^= 1 << best_j
+    while (j := _best_flip(bp, _overlaps(lo, v10), _overlaps(hi, v01))) is not None:
+        v10 ^= lo[j]
+        v01 ^= hi[j]
+        flips ^= 1 << j
         steps += 1
-    return FlipResult(final=cur, flips=BitVector(bp.n00, flips), steps=steps)
+    final = C1Vector(BitVector(bp.n10, v10), BitVector(bp.n01, v01))
+    return FlipResult(final=final, flips=BitVector(bp.n00, flips), steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +452,16 @@ def square_count(bp: BalancedProductComplex, c1: C1Vector) -> int:
     enumeration; the two must agree.
     """
     lo, hi = _d2_column_masks(bp)
-    by_degrees = sum(
-        (l & c1.v10.bits).bit_count() * (h & c1.v01.bits).bit_count()
-        for l, h in zip(lo, hi)
-    )
+    by_degrees = sum(map(mul, _overlaps(lo, c1.v10.bits), _overlaps(hi, c1.v01.bits)))
     by_faces = sum(
         1
         for (_, i10, i01, _) in bp.faces
         if c1.v10[i10] and c1.v01[i01]
     )
+    return _agreed_squares(by_degrees, by_faces)
+
+
+def _agreed_squares(by_degrees: int, by_faces: int) -> int:
     if by_degrees != by_faces:
         raise VerificationError(
             f"square counting methods disagree: {by_degrees} by degrees, "
@@ -502,6 +511,104 @@ def small_set_smallness_bounds(
     return bound10, bound01
 
 
+class _Part(NamedTuple):
+    """One corner's part of a c1 (``v10`` or ``v01``) and what it contributes."""
+
+    bits: int
+    weight: int
+    overlaps: list[int]  # with each d2 column's part in this corner
+    syndrome: int  # d1 of this part
+    unique: int  # V11 vertices with exactly one neighbor in this part
+    face_masks: list[int]  # v10 only: V01 ends of the faces on this part
+
+
+class _SmallSet:
+    """Everything the small-set inequality reads that does not depend on c1."""
+
+    def __init__(
+        self,
+        bp: BalancedProductComplex,
+        cert_x: ExpansionCertificate,
+        cert_y: ExpansionCertificate,
+    ):
+        if not (cert_x.certifies and cert_y.certifies):
+            raise PreconditionViolationError("both certificates must be exhaustive")
+        self.bp = bp
+        self.bounds = small_set_smallness_bounds(bp, cert_x, cert_y)
+        self.max_weights = tuple(_strict_floor(b) for b in self.bounds)
+        self.epsilon = small_set_epsilon(bp, cert_x, cert_y)
+        self.factor = Fraction(1, 2) - 8 * self.epsilon
+        self.d2_masks = _d2_column_masks(bp)
+        d1_columns = bp.d1.transpose().row_bits
+        self.d1_columns = (d1_columns[: bp.n10], d1_columns[bp.n10 :])
+        self.neighbor_masks = (
+            one_d_subgraph(bp, "1*").graph.left_masks,
+            one_d_subgraph(bp, "*1").graph.left_masks,
+        )
+        # faces by V10 vertex: its k-th mask holds the V01 vertices that share
+        # more than k faces with it
+        self.faces_by_v10: list[list[int]] = [[] for _ in range(bp.n10)]
+        shared = Counter((i10, i01) for (_, i10, i01, _) in bp.faces)
+        for (i10, i01), count in shared.items():
+            layers = self.faces_by_v10[i10]
+            layers.extend([0] * (count - len(layers)))
+            for k in range(count):
+                layers[k] |= 1 << i01
+        self._values: dict[tuple[int, int, int], tuple[Fraction, Fraction, bool]] = {}
+
+    def part(self, corner: int, support: Sequence[int]) -> _Part:
+        """Corner 0 is ``v10``, corner 1 is ``v01``."""
+        columns = self.d1_columns[corner]
+        neighbors = self.neighbor_masks[corner]
+        bits = syndrome = once = more = 0
+        for i in support:
+            bits |= 1 << i
+            syndrome ^= columns[i]
+            more |= once & neighbors[i]
+            once |= neighbors[i]
+        faces = [m for i in support for m in self.faces_by_v10[i]] if corner == 0 else []
+        return _Part(
+            bits=bits,
+            weight=len(support),
+            overlaps=_overlaps(self.d2_masks[corner], bits),
+            syndrome=syndrome,
+            unique=(once & ~more).bit_count(),
+            face_masks=faces,
+        )
+
+    def check(self, p10: _Part, p01: _Part) -> SmallSetCheck:
+        """The inequality for the locally minimal ``c1 = (p10, p01)``."""
+        for name, part, bound, max_weight in zip(
+            ("v10", "v01"), (p10, p01), self.bounds, self.max_weights
+        ):
+            if part.weight > max_weight:
+                raise PreconditionViolationError(
+                    f"|{name}|={part.weight} not below bound {bound}"
+                )
+        squares = _agreed_squares(
+            sum(map(mul, p10.overlaps, p01.overlaps)),
+            sum((m & p01.bits).bit_count() for m in p10.face_masks),
+        )
+        key = (p10.weight, p01.weight, (p10.syndrome ^ p01.syndrome).bit_count())
+        values = self._values.get(key)
+        if values is None:
+            wd, wr = self.bp.w_down, self.bp.w_right
+            lhs = self.factor * Fraction(key[0] * wr + key[1] * wd, wd * wr)
+            rhs = Fraction(key[2], wd * wr)
+            values = self._values[key] = (lhs, rhs, lhs <= rhs)
+        lhs, rhs, holds = values
+        return SmallSetCheck(
+            lhs=lhs,
+            rhs=rhs,
+            holds=holds,
+            epsilon=self.epsilon,
+            c1_weight=p10.weight + p01.weight,
+            unique_to_v10=p10.unique,
+            unique_to_v01=p01.unique,
+            squares=squares,
+        )
+
+
 def small_set_ltc_check(
     bp: BalancedProductComplex,
     cert_x: ExpansionCertificate,
@@ -509,54 +616,30 @@ def small_set_ltc_check(
     c1: C1Vector,
 ) -> SmallSetCheck:
     """Evaluate ``(1/2 - 8 eps) |c1|_w <= |d1 c1|_w`` for a small minimal c1."""
-    if not (cert_x.certifies and cert_y.certifies):
-        raise PreconditionViolationError("both certificates must be exhaustive")
-    minimal, improving = is_locally_minimal(c1, bp)
-    if not minimal:
+    ss = _SmallSet(bp, cert_x, cert_y)
+    p10 = ss.part(0, c1.v10.support())
+    p01 = ss.part(1, c1.v01.support())
+    improving = _best_flip(bp, p10.overlaps, p01.overlaps)
+    if improving is not None:
         raise PreconditionViolationError(
             f"c1 is not locally minimal (bit {improving} improves it)"
         )
-    bound10, bound01 = small_set_smallness_bounds(bp, cert_x, cert_y)
-    if not Fraction(c1.v10.weight()) < bound10:
-        raise PreconditionViolationError(
-            f"|v10|={c1.v10.weight()} not below bound {bound10}"
-        )
-    if not Fraction(c1.v01.weight()) < bound01:
-        raise PreconditionViolationError(
-            f"|v01|={c1.v01.weight()} not below bound {bound01}"
-        )
-    eps = small_set_epsilon(bp, cert_x, cert_y)
-    lhs = (Fraction(1, 2) - 8 * eps) * weighted_norm(c1, bp)
-    c0 = boundary_1(bp, c1)
-    rhs = c0_weighted_norm(c0, bp)
-
-    sub_1s = one_d_subgraph(bp, "1*")
-    sub_s1 = one_d_subgraph(bp, "*1")
-    uniq10 = len(unique_neighbors(sub_1s.graph, c1.v10.support()))
-    uniq01 = len(unique_neighbors(sub_s1.graph, c1.v01.support()))
-    return SmallSetCheck(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        epsilon=eps,
-        c1_weight=c1.weight(),
-        unique_to_v10=uniq10,
-        unique_to_v01=uniq01,
-        squares=square_count(bp, c1),
-    )
+    return ss.check(p10, p01)
 
 
 def enumerate_small_c1(
     bp: BalancedProductComplex, bound10: Fraction, bound01: Fraction
 ) -> Iterator[C1Vector]:
     """All c1 with component weights strictly below the given bounds."""
-    max10 = max(-1, _strict_floor(bound10))
-    max01 = max(-1, _strict_floor(bound01))
-    for k10 in range(0, max10 + 1):
-        for s10 in itertools.combinations(range(bp.n10), k10):
-            for k01 in range(0, max01 + 1):
-                for s01 in itertools.combinations(range(bp.n01), k01):
-                    yield C1Vector.from_supports(bp, s10, s01)
+    for s10 in _small_supports(bp.n10, _strict_floor(bound10)):
+        for s01 in _small_supports(bp.n01, _strict_floor(bound01)):
+            yield C1Vector.from_supports(bp, s10, s01)
+
+
+def _small_supports(n: int, max_weight: int) -> Iterator[tuple[int, ...]]:
+    """Subsets of ``range(n)`` of size at most ``max_weight``, by size, then lex."""
+    for k in range(max_weight + 1):
+        yield from itertools.combinations(range(n), k)
 
 
 def _strict_floor(bound: Fraction) -> int:
@@ -570,15 +653,23 @@ def small_set_suite(
     cert_y: ExpansionCertificate,
     include_zero: bool = False,
 ) -> list[SmallSetCheck]:
-    """Run the inequality on every enumerable locally minimal small c1."""
-    bound10, bound01 = small_set_smallness_bounds(bp, cert_x, cert_y)
+    """Run the inequality on every enumerable locally minimal small c1.
+
+    The vectors come in the order of ``enumerate_small_c1``.  Each ``v10``
+    and each ``v01`` part is evaluated once, and every pair only combines
+    the two.
+    """
+    ss = _SmallSet(bp, cert_x, cert_y)
+    max10, max01 = ss.max_weights
+    parts01 = [ss.part(1, s) for s in _small_supports(bp.n01, max01)]
     out = []
-    for c1 in enumerate_small_c1(bp, bound10, bound01):
-        if c1.is_zero() and not include_zero:
-            continue
-        if not is_locally_minimal(c1, bp)[0]:
-            continue
-        out.append(small_set_ltc_check(bp, cert_x, cert_y, c1))
+    for s10 in _small_supports(bp.n10, max10):
+        p10 = ss.part(0, s10)
+        for p01 in parts01:
+            if not (include_zero or p10.bits or p01.bits):
+                continue
+            if _best_flip(bp, p10.overlaps, p01.overlaps) is None:
+                out.append(ss.check(p10, p01))
     return out
 
 

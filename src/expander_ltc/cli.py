@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .graphs import (
     check_unique_neighbor_lemma,
     graph_to_edge_list,
 )
-from .groups import group_from_spec
+from .groups import FiniteGroup, group_from_spec
 from .products import (
     BalancedProductComplex,
     complex_manifest,
@@ -97,10 +98,46 @@ def _fraction(cfg: dict, key: str, default: Fraction | None = None) -> Fraction:
         if default is None:
             raise ConfigError(f"missing required config key {key!r}", key)
         return default
+    return _rational(cfg[key], key)
+
+
+def _rational(value, key: str) -> Fraction:
     try:
-        return Fraction(str(cfg[key]))
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"config key {key!r} is not a rational number", key)
+
+
+def _integer(cfg: dict, key: str, minimum: int, default: int | None = None) -> int | None:
+    """``cfg[key]`` as a JSON integer of at least ``minimum``, or ``default``."""
+    if key not in cfg:
+        return default
+    value = cfg[key]
+    if type(value) is not int or value < minimum:
+        raise ConfigError(
+            f"config key {key!r} must be an integer >= {minimum}, got {value!r}", key
+        )
+    return value
+
+
+def _flag(cfg: dict, key: str, default: bool) -> bool:
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(
+            f"config key {key!r} must be true or false, got {value!r}", key
+        )
+    return value
+
+
+def _interval(cfg: dict, key: str) -> tuple[Fraction, Fraction] | None:
+    if key not in cfg:
+        return None
+    value = cfg[key]
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(
+            f"config key {key!r} must be a list [low, high], got {value!r}", key
+        )
+    return (_rational(value[0], key), _rational(value[1], key))
 
 
 def _soundness_mode(cfg: dict) -> str:
@@ -118,18 +155,33 @@ def _soundness_mode(cfg: dict) -> str:
     )
 
 
-def _build_complex(cfg: dict) -> BalancedProductComplex:
+def _complex_inputs(cfg: dict) -> tuple[FiniteGroup, list[int], list[int]]:
+    """The group and the two generator lists of a build config, checked."""
     construction = cfg.get("construction", "left_right_cayley")
     if construction != "left_right_cayley":
         raise ConfigError(
             f"unknown construction {construction!r}", "construction"
         )
     group = group_from_spec(cfg["group"])
-    a_set = cfg.get("a_set")
-    b_set = cfg.get("b_set")
-    if not a_set or not b_set:
-        raise ConfigError("a_set and b_set must be nonempty lists", "a_set")
-    return left_right_cayley(group, list(a_set), list(b_set))
+    sets = []
+    for key in ("a_set", "b_set"):
+        value = cfg[key]
+        if not (
+            isinstance(value, list)
+            and value
+            and all(type(a) is int and 0 <= a < group.order for a in value)
+        ):
+            raise ConfigError(
+                f"config key {key!r} must be a nonempty list of group elements "
+                f"0..{group.order - 1}, got {value!r}",
+                key,
+            )
+        sets.append(value)
+    return group, sets[0], sets[1]
+
+
+def _build_complex(cfg: dict) -> BalancedProductComplex:
+    return left_right_cayley(*_complex_inputs(cfg))
 
 
 def build_report(
@@ -259,25 +311,32 @@ def _write_outputs(
         (graphs_dir / f"sub_{tag}.edges").write_text(graph_to_edge_list(sub.graph))
 
 
+@contextmanager
+def _writing_outputs(out: str):
+    """Map a failure to write under ``--out`` to a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to --out {out!r}: {exc}", "--out")
+
+
 def cmd_build(args) -> int:
     cfg = _load_config(args.config, _BUILD_KEYS, {"group", "a_set", "b_set"})
-    soundness = _soundness_mode(cfg)
+    settings = {
+        "c_x": _fraction(cfg, "c_x", Fraction(1, 2)),
+        "c_y": _fraction(cfg, "c_y", Fraction(1, 2)),
+        "max_c1_weight": _integer(cfg, "max_c1_weight", 0),
+        "soundness": _soundness_mode(cfg),
+        "run_small_set": _flag(cfg, "small_set", True),
+    }
+    inputs = _complex_inputs(cfg)
     if args.dry_run:
-        group_from_spec(cfg["group"])
         print("config ok")
         return EXIT_OK
-    bp = _build_complex(cfg)
-    report = build_report(
-        bp,
-        c_x=_fraction(cfg, "c_x", Fraction(1, 2)),
-        c_y=_fraction(cfg, "c_y", Fraction(1, 2)),
-        max_c1_weight=cfg.get("max_c1_weight"),
-        budget=args.budget,
-        soundness=soundness,
-        run_small_set=cfg.get("small_set", True),
-        seed=args.seed,
-    )
-    _write_outputs(Path(args.out), report, bp, args.deterministic)
+    bp = left_right_cayley(*inputs)
+    report = build_report(bp, budget=args.budget, seed=args.seed, **settings)
+    with _writing_outputs(args.out):
+        _write_outputs(Path(args.out), report, bp, args.deterministic)
     print(f"built n={report['n']} k={report['k']} -> {args.out}")
     if report["small_set_checks"] is not None and not all(
         c["holds"] for c in report["small_set_checks"]
@@ -301,7 +360,7 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {sorted(unknown)[0]!r}", file=sys.stderr)
         return EXIT_USAGE
     if args.dry_run:
-        group_from_spec(cfg["group"])
+        _complex_inputs(cfg)
         print("config ok")
         return EXIT_OK
     bp = _build_complex(cfg)
@@ -353,34 +412,26 @@ def cmd_search(args) -> int:
         _SEARCH_KEYS,
         {"group", "w_down", "w_up", "w_right", "w_left"},
     )
-    if args.dry_run:
-        group_from_spec(cfg["group"])
-        print("config ok")
-        return EXIT_OK
     eps_target = (
         _fraction(cfg, "eps_target") if "eps_target" in cfg else None
     )
-
-    def interval(key):
-        if key not in cfg:
-            return None
-        lo, hi = cfg[key]
-        return (Fraction(str(lo)), Fraction(str(hi)))
-
     spec = SearchSpec(
         group=group_from_spec(cfg["group"]),
-        w_down=int(cfg["w_down"]),
-        w_up=int(cfg["w_up"]),
-        w_right=int(cfg["w_right"]),
-        w_left=int(cfg["w_left"]),
+        w_down=_integer(cfg, "w_down", 1),
+        w_up=_integer(cfg, "w_up", 1),
+        w_right=_integer(cfg, "w_right", 1),
+        w_left=_integer(cfg, "w_left", 1),
         c_x=_fraction(cfg, "c_x", Fraction(1, 2)),
         c_y=_fraction(cfg, "c_y", Fraction(1, 2)),
-        trials=int(cfg.get("trials", 50)),
+        trials=_integer(cfg, "trials", 1, default=50),
         seed=args.seed,
         eps_target=eps_target,
-        ratio_x_interval=interval("ratio_x_interval"),
-        ratio_y_interval=interval("ratio_y_interval"),
+        ratio_x_interval=_interval(cfg, "ratio_x_interval"),
+        ratio_y_interval=_interval(cfg, "ratio_y_interval"),
     )
+    if args.dry_run:
+        print("config ok")
+        return EXIT_OK
     result = search_pair(spec)
     out = {
         "trial": result.trial,
@@ -394,10 +445,11 @@ def cmd_search(args) -> int:
         "log": list(result.log),
     }
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "search_result.json").write_text(
-        json.dumps(out, indent=2, sort_keys=True) + "\n"
-    )
+    with _writing_outputs(args.out):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "search_result.json").write_text(
+            json.dumps(out, indent=2, sort_keys=True) + "\n"
+        )
     print(
         f"best trial {result.trial}: epsilon={result.epsilon} -> {out_dir}"
     )

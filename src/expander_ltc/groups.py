@@ -155,11 +155,20 @@ def group_from_spec(spec: dict) -> FiniteGroup:
         extra = set(spec) - {"kind", "n"}
         if extra:
             raise InvalidParameterError(f"unknown group spec keys: {sorted(extra)}")
-        return make_cyclic(int(spec["n"]))
+        n = spec.get("n")
+        if type(n) is not int:
+            raise InvalidParameterError(
+                f"group spec key 'n' must be an integer, got {n!r}"
+            )
+        return make_cyclic(n)
     if kind == "product":
         extra = set(spec) - {"kind", "factors"}
         if extra:
             raise InvalidParameterError(f"unknown group spec keys: {sorted(extra)}")
+        if not isinstance(spec.get("factors"), list):
+            raise InvalidParameterError(
+                f"group spec key 'factors' must be a list, got {spec.get('factors')!r}"
+            )
         factors = [group_from_spec(f) for f in spec["factors"]]
         if not factors:
             raise InvalidParameterError("product group needs at least one factor")

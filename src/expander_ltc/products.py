@@ -10,7 +10,7 @@ bit matrices, with ``d1 @ d2 == 0`` asserted at construction time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Literal
 
@@ -134,6 +134,8 @@ class BalancedProductComplex:
     d2: BitMatrix
     d1: BitMatrix
     wedge_to_face: dict
+    # values derived from the fields above, stored by the code that derives them
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # --- degree shorthands (down/up from the first factor, right/left second)
     @property

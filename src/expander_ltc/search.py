@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .analysis import small_set_epsilon
 from .errors import (
     InvalidParameterError,
     MultiplicityViolationError,
@@ -163,13 +164,6 @@ class SearchResult:
     inequalities: dict | None = None  # measured conditions vs the eps target
 
 
-def combined_epsilon(
-    w_up: int, cert_x: ExpansionCertificate, cert_y: ExpansionCertificate
-) -> Fraction:
-    """``max(w_up * eps_y, eps_y, eps_x)``, the loss the inequality pays for."""
-    return max(w_up * cert_y.epsilon, cert_y.epsilon, cert_x.epsilon)
-
-
 def search_pair(spec: SearchSpec) -> SearchResult:
     """Random search over generating sets; returns the best certified trial.
 
@@ -203,7 +197,7 @@ def search_pair(spec: SearchSpec) -> SearchResult:
             entry["detail"] = str(exc)
             log.append(entry)
             continue
-        eps = combined_epsilon(spec.w_up, cert_x, cert_y)
+        eps = small_set_epsilon(bp, cert_x, cert_y)
         entry.update(
             status="certified",
             eps_x=str(cert_x.epsilon),

@@ -217,3 +217,114 @@ class TestUsage:
     def test_bad_jobs(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert main(["build", "--config", cfg, "--jobs", "0"]) == 2
+
+
+class TestSmallSetKey:
+    """``small_set`` takes a JSON boolean only."""
+
+    def test_false_skips(self, tmp_path):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "small_set": False})
+        out = tmp_path / "out"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["small_set_checks"] is None
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_other_values_exit_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "small_set": value})
+        out = tmp_path / "o"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+        assert "small_set" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["build", "--config", cfg, "--dry-run"]) == 2
+
+
+class TestBuildInputs:
+    """Mistyped build inputs exit 2 with an error naming the key."""
+
+    def _exit(self, tmp_path, capsys, cfg_data, *extra):
+        cfg = write_config(tmp_path, cfg_data)
+        code = main(["build", "--config", cfg, "--out", str(tmp_path / "o"), *extra])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["a", True, -1, 1.5, None])
+    def test_max_c1_weight(self, tmp_path, capsys, value):
+        code, err = self._exit(tmp_path, capsys, {**BASE_CONFIG, "max_c1_weight": value})
+        assert code == 2
+        assert "max_c1_weight" in err
+        assert "Traceback" not in err
+
+    def test_max_c1_weight_integer_accepted(self, tmp_path, capsys):
+        cfg = {**BASE_CONFIG, "max_c1_weight": 3}
+        assert self._exit(tmp_path, capsys, cfg, "--dry-run")[0] == 0
+
+    def test_group_order_not_integer(self, tmp_path, capsys):
+        cfg = {**BASE_CONFIG, "group": {"kind": "cyclic", "n": "seven"}}
+        code, err = self._exit(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "'n'" in err
+        assert self._exit(tmp_path, capsys, cfg, "--dry-run")[0] == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("a_set", [1, "x"]),
+        ("b_set", [1, 7]),  # outside Z7
+        ("a_set", 5),
+        ("b_set", [True]),
+    ])
+    def test_bad_generators(self, tmp_path, capsys, key, value):
+        code, err = self._exit(tmp_path, capsys, {**BASE_CONFIG, key: value})
+        assert code == 2
+        assert key in err
+        assert self._exit(tmp_path, capsys, {**BASE_CONFIG, key: value}, "--dry-run")[0] == 2
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        for out in (blocker, blocker / "sub"):
+            assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "--out" in err and "Traceback" not in err
+
+
+SEARCH_CONFIG = {
+    "group": {"kind": "cyclic", "n": 6},
+    "w_down": 2,
+    "w_up": 2,
+    "w_right": 2,
+    "w_left": 2,
+    "trials": 2,
+    "c_x": "1/3",
+    "c_y": "1/3",
+}
+
+
+class TestSearchInputs:
+    """Mistyped search inputs exit 2 with an error naming the key."""
+
+    @pytest.mark.parametrize("key", ["w_down", "w_up", "w_right", "w_left", "trials"])
+    def test_non_integer(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, {**SEARCH_CONFIG, key: "x"})
+        assert main(["search", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert key in capsys.readouterr().err
+        assert main(["search", "--config", cfg, "--dry-run"]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("ratio_x_interval", 5),
+        ("ratio_y_interval", [1]),
+        ("ratio_x_interval", ["a", 1]),
+    ])
+    def test_bad_interval(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {**SEARCH_CONFIG, key: value})
+        assert main(["search", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_interval_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {**SEARCH_CONFIG, "ratio_x_interval": ["1/2", 1]})
+        assert main(["search", "--config", cfg, "--dry-run"]) == 0
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, SEARCH_CONFIG)
+        assert main(["search", "--config", cfg, "--out", str(blocker)]) == 2
+        assert "--out" in capsys.readouterr().err

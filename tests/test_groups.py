@@ -159,3 +159,14 @@ class TestOrbitLabeling:
         g_bad, x_bad = exc_info.value.witness
         assert g_bad != 0
         assert a.act(g_bad, x_bad) == x_bad
+
+
+class TestSpecTypes:
+    @pytest.mark.parametrize("n", ["seven", 7.0, True, None])
+    def test_cyclic_order_must_be_integer(self, n):
+        with pytest.raises(InvalidParameterError, match="'n'"):
+            group_from_spec({"kind": "cyclic", "n": n})
+
+    def test_product_factors_must_be_a_list(self):
+        with pytest.raises(InvalidParameterError, match="factors"):
+            group_from_spec({"kind": "product", "factors": 3})
