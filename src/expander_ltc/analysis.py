@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -23,12 +23,19 @@ from .errors import (
     PreconditionViolationError,
     VerificationError,
 )
-from .f2 import BitMatrix, BitVector, kernel_basis, min_weight_nonzero, rank
+from .f2 import (
+    DEFAULT_ENUM_BUDGET,
+    BitMatrix,
+    BitVector,
+    coset_leader,
+    gray_sweep,
+    kernel_basis,
+    min_preimages,
+    min_weight_nonzero,
+    rank,
+)
 from .graphs import ExpansionCertificate
 from .products import BalancedProductComplex, one_d_subgraph
-
-DEFAULT_SOUNDNESS_BUDGET = 1 << 20
-DEFAULT_KERNEL_BUDGET = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +51,7 @@ class CodeInstance:
     m: int
     k: int
     locality: int
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def rate(self) -> Fraction:
@@ -72,7 +80,7 @@ def code_from_complex(bp: BalancedProductComplex) -> CodeInstance:
     rate_bound = 1 - Fraction(bp.w_down, bp.w_up) - Fraction(bp.w_right, bp.w_left)
     if Fraction(k, n) < rate_bound:
         raise VerificationError(f"rate {k}/{n} is below the bound {rate_bound}")
-    return CodeInstance(h=h, n=n, m=m, k=k, locality=locality)
+    return CodeInstance(h=h, n=n, m=m, k=k, locality=locality, memo=bp.memo)
 
 
 # ---------------------------------------------------------------------------
@@ -231,90 +239,83 @@ class SoundnessReport:
         return Fraction(syn.weight() * code.n, code.m * dist)
 
 
-def soundness_exhaustive(
-    code: CodeInstance, budget: int = DEFAULT_SOUNDNESS_BUDGET
-) -> SoundnessReport:
-    """Exact soundness by one Gray-coded sweep of the full space.
+def _preimage_profile(
+    h: BitMatrix, memo: dict, budget: int
+) -> dict[int, tuple[int, int, int]]:
+    """Per image weight ``iw`` of ``h``: the worst least-preimage weight, the
+    smallest image of weight ``iw`` that has it, and that image's least preimage.
 
-    For each syndrome coset the sweep finds the coset-leader weight, which is
-    exactly ``d(x, C)`` for any ``x`` in the coset; the minimum ratio is then
-    taken over nonzero syndromes.  The witness is the coset leader itself.
+    One ``min_preimages`` sweep per matrix; only this reduction (at most
+    ``h.rows`` entries) is kept in ``memo``.  The budget is checked on every
+    call, also when the memo already holds the profile.
+    """
+    if (1 << h.cols) > budget:
+        raise BudgetExceededError(
+            f"2^{h.cols} preimages exceed budget", 1 << h.cols, budget
+        )
+    profile = memo.get("preimage_profile")
+    if profile is None:
+        profile = {}
+        least = min_preimages([c.bits for c in h.columns()], budget)
+        for image, (w, pre) in least.items():
+            iw = image.bit_count()
+            cur = profile.get(iw)
+            if iw and (cur is None or w > cur[0] or (w == cur[0] and image < cur[1])):
+                profile[iw] = (w, image, pre)
+        memo["preimage_profile"] = profile
+    return profile
+
+
+def soundness_exhaustive(
+    code: CodeInstance, budget: int = DEFAULT_ENUM_BUDGET
+) -> SoundnessReport:
+    """Exact soundness from the least preimage of every syndrome.
+
+    A syndrome's least preimage is its coset leader, whose weight is exactly
+    ``d(x, C)`` for any ``x`` in the coset.  For a syndrome weight the ratio
+    is least at the worst coset leader, so the minimum is taken over the
+    per-weight profile that ``lt_profile`` also reads; ties go to the
+    smallest syndrome.  The witness is its coset leader.
     """
     n, m = code.n, code.m
     if m == 0 or rank(code.h) == 0:
         raise DegenerateCodeError("code equals the full space; soundness undefined")
-    if (1 << n) > budget:
-        raise BudgetExceededError(f"2^{n} vectors exceed budget", 1 << n, budget)
-    col_syndromes = [code.h.column(j).bits for j in range(n)]
-    leader: dict[int, tuple[int, int]] = {}  # syndrome -> (weight, x bits)
-    x = 0
-    syn = 0
-    for i in range(1, 1 << n):
-        j = (i & -i).bit_length() - 1
-        x ^= 1 << j
-        syn ^= col_syndromes[j]
-        if syn == 0:
-            continue
-        w = x.bit_count()
-        cur = leader.get(syn)
-        if cur is None or w < cur[0] or (w == cur[0] and x < cur[1]):
-            leader[syn] = (w, x)
-    best: Fraction | None = None
-    best_x = None
-    for syn, (w, xbits) in sorted(leader.items()):
-        ratio = Fraction(syn.bit_count() * n, m * w)
-        if best is None or ratio < best:
-            best = ratio
-            best_x = xbits
-    return SoundnessReport(
-        s=best, witness=BitVector(n, best_x), method="exhaustive"
+    profile = _preimage_profile(code.h, code.memo, budget)
+    s, _, pre = min(
+        (Fraction(iw * n, m * w), image, pre) for iw, (w, image, pre) in profile.items()
     )
+    return SoundnessReport(s=s, witness=BitVector(n, pre), method="exhaustive")
 
 
 def soundness_sampled(
     code: CodeInstance,
     samples: int = 2000,
     seed: int = 0,
-    kernel_budget: int = DEFAULT_KERNEL_BUDGET,
+    kernel_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> SoundnessReport:
-    """Non-certifying upper estimate of soundness from random non-codewords."""
-    from .f2 import nearest_codeword_distance
+    """Non-certifying upper estimate of soundness from random non-codewords.
 
+    Each sample is replaced by its coset leader, so the stored witness
+    reproduces the ratio through ``ratio_of()``.
+    """
     if code.m == 0 or rank(code.h) == 0:
         raise DegenerateCodeError("code equals the full space; soundness undefined")
+    basis = kernel_basis(code.h)
     rng = random.Random(seed)
     best: Fraction | None = None
     best_x = None
     drawn = 0
     while drawn < samples:
-        xbits = rng.getrandbits(code.n)
-        x = BitVector(code.n, xbits)
+        x = BitVector(code.n, rng.getrandbits(code.n))
         syn = code.h.mul_vec(x)
         if syn.bits == 0:
             continue
         drawn += 1
-        dist = nearest_codeword_distance(code.h, x, budget=kernel_budget)
-        ratio = Fraction(syn.weight() * code.n, code.m * dist)
+        leader = coset_leader(basis, x, kernel_budget)
+        ratio = Fraction(syn.weight() * code.n, code.m * leader.weight())
         if best is None or ratio < best:
-            best = ratio
-            # replace the sample by its coset leader so the stored witness
-            # reproduces the ratio through ratio_of()
-            best_x = _coset_leader(code.h, x, kernel_budget)
+            best, best_x = ratio, leader
     return SoundnessReport(s=best, witness=best_x, method="sampled", samples=drawn)
-
-
-def _coset_leader(h: BitMatrix, x: BitVector, budget: int) -> BitVector:
-    basis = kernel_basis(h)
-    best = x.bits
-    cur = x.bits
-    for i in range(1, 1 << len(basis)):
-        j = (i & -i).bit_length() - 1
-        cur ^= basis[j].bits
-        if cur.bit_count() < best.bit_count() or (
-            cur.bit_count() == best.bit_count() and cur < best
-        ):
-            best = cur
-    return BitVector(x.length, best)
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +336,14 @@ class LocallyMinimalDistance:
 
 
 def locally_minimal_distance(
-    bp: BalancedProductComplex, budget: int = DEFAULT_KERNEL_BUDGET
+    bp: BalancedProductComplex, budget: int = DEFAULT_ENUM_BUDGET
 ) -> LocallyMinimalDistance:
-    basis = kernel_basis(bp.d1)
-    if (1 << len(basis)) > budget:
-        raise BudgetExceededError(
-            f"kernel dimension {len(basis)} too large", 1 << len(basis), budget
-        )
+    basis = [v.bits for v in kernel_basis(bp.d1)]
     best_w: int | None = None
     best: C1Vector | None = None
     best_norm: Fraction | None = None
-    cur = 0
     length = bp.n10 + bp.n01
-    for i in range(1, 1 << len(basis)):
-        j = (i & -i).bit_length() - 1
-        cur ^= basis[j].bits
+    for _, cur in gray_sweep(basis, budget):
         w = cur.bit_count()
         if best_w is not None and w > best_w:
             continue
@@ -385,35 +379,15 @@ class LTProfile:
 def lt_profile(
     bp: BalancedProductComplex,
     max_c1_weight: int,
-    budget: int = DEFAULT_KERNEL_BUDGET,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> LTProfile:
     """Profile minimum preimage weights over the full image of ``d2``."""
-    n = bp.n00
-    if (1 << n) > budget:
-        raise BudgetExceededError(f"2^{n} preimages exceed budget", 1 << n, budget)
-    lo, hi = _d2_column_masks(bp)
-    cols = [l | (h << bp.n10) for l, h in zip(lo, hi)]
-    m = bp.n10 + bp.n01
-    minpre: dict[int, tuple[int, int]] = {0: (0, 0)}  # image -> (pre weight, pre bits)
-    c2 = 0
-    img = 0
-    for i in range(1, 1 << n):
-        j = (i & -i).bit_length() - 1
-        c2 ^= 1 << j
-        img ^= cols[j]
-        w = c2.bit_count()
-        cur = minpre.get(img)
-        if cur is None or w < cur[0] or (w == cur[0] and c2 < cur[1]):
-            minpre[img] = (w, c2)
-    table: dict[int, int] = {}
-    witnesses: dict[int, tuple[BitVector, BitVector]] = {}
-    for img, (w, c2bits) in sorted(minpre.items()):
-        iw = img.bit_count()
-        if iw == 0:
-            continue
-        if iw not in table or w > table[iw]:
-            table[iw] = w
-            witnesses[iw] = (BitVector(m, img), BitVector(n, c2bits))
+    profile = sorted(_preimage_profile(bp.d2, bp.memo, budget).items())
+    table = {iw: w for iw, (w, _, _) in profile}
+    witnesses = {
+        iw: (BitVector(bp.n10 + bp.n01, image), BitVector(bp.n00, pre))
+        for iw, (_, image, pre) in profile
+    }
     profiled = [w for w in table if w <= max_c1_weight]
     kappa = max(
         (Fraction(table[w], w) for w in profiled), default=Fraction(0)
@@ -740,7 +714,7 @@ def distance_certificate(
     code: CodeInstance,
     bp: BalancedProductComplex,
     subgraph_cert: ExpansionCertificate,
-    budget: int = DEFAULT_KERNEL_BUDGET,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DistanceReport:
     """Expansion-implied lower bound on distance, with exact value if feasible.
 

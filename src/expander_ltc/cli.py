@@ -23,6 +23,7 @@ from .errors import (
     PreconditionViolationError,
     VerificationError,
 )
+from .f2 import DEFAULT_ENUM_BUDGET
 from .formats import matrix_to_alist, matrix_to_dense_text
 from .graphs import (
     certify_expansion,
@@ -199,7 +200,7 @@ def build_report(
     ``soundness`` is ``"exhaustive"``, ``"sampled"`` (seeded by ``seed``) or
     ``"none"``.
     """
-    enum_budget = budget or analysis.DEFAULT_KERNEL_BUDGET
+    enum_budget = budget or DEFAULT_ENUM_BUDGET
     code = analysis.code_from_complex(bp)
     cert_x = certify_expansion(bp.x, c_x, action=bp.ax)
     cert_y = certify_expansion(bp.y, c_y, action=bp.ay)
@@ -241,8 +242,7 @@ def build_report(
         if soundness == "sampled":
             snd = analysis.soundness_sampled(code, seed=seed, kernel_budget=enum_budget)
         else:
-            budget_s = budget or analysis.DEFAULT_SOUNDNESS_BUDGET
-            snd = analysis.soundness_exhaustive(code, budget=budget_s)
+            snd = analysis.soundness_exhaustive(code, budget=enum_budget)
         report["soundness"] = {
             "s": str(snd.s),
             "method": snd.method,
@@ -491,7 +491,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--deterministic", action="store_true")
         p.add_argument("--dry-run", action="store_true")
@@ -529,9 +528,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except ConfigError as exc:

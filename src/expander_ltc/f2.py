@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InvalidParameterError
 
-DEFAULT_ENUM_DIM = 24
+DEFAULT_ENUM_BUDGET = 1 << 24  # the one default budget of every GF(2) sweep
 
 
 @dataclass(frozen=True)
@@ -267,23 +267,28 @@ def solve(m: BitMatrix, b: BitVector) -> BitVector | None:
     return BitVector(m.cols, x)
 
 
-def gray_code_combinations(basis: Sequence[BitVector]) -> Iterator[tuple[int, BitVector]]:
-    """Yield all 2^k - 1 nonzero combinations, one basis toggle per step.
+def gray_sweep(
+    vectors: Sequence[int], budget: int, start: int = 0
+) -> Iterator[tuple[int, int]]:
+    """Every ``start ^ (xor of a nonempty subset of vectors)``, one toggle per step.
 
-    Yields ``(index, vector)`` where ``index`` enumerates the Gray sequence.
+    Yields ``(i, cur)`` for ``i = 1 .. 2^k - 1``; the subset in ``cur`` is
+    the Gray code ``i ^ (i >> 1)`` (bit ``j`` selects ``vectors[j]``).  The
+    ``2^k <= budget`` check runs once, before the first step.
     """
-    if not basis:
-        return
-    n = basis[0].length
-    cur = 0
-    for i in range(1, 1 << len(basis)):
-        j = (i & -i).bit_length() - 1
-        cur ^= basis[j].bits
-        yield i, BitVector(n, cur)
+    count = 1 << len(vectors)
+    if count > budget:
+        raise BudgetExceededError(
+            f"2^{len(vectors)} combinations exceed budget", count, budget
+        )
+    cur = start
+    for i in range(1, count):
+        cur ^= vectors[(i & -i).bit_length() - 1]
+        yield i, cur
 
 
 def min_weight_nonzero(
-    basis: Sequence[BitVector], budget: int = 1 << DEFAULT_ENUM_DIM
+    basis: Sequence[BitVector], budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[int, BitVector] | None:
     """Exact minimum weight over all nonzero combinations of ``basis``.
 
@@ -293,38 +298,32 @@ def min_weight_nonzero(
     """
     if not basis:
         return None
-    count = 1 << len(basis)
-    if count > budget:
-        raise BudgetExceededError(
-            f"2^{len(basis)} combinations exceed budget", count, budget
-        )
-    best_w = None
-    best = None
-    for _, v in gray_code_combinations(basis):
-        w = v.weight()
-        if best_w is None or w < best_w or (w == best_w and v.bits < best.bits):
-            best_w, best = w, v
-    return best_w, best
+    sweep = gray_sweep([v.bits for v in basis], budget)
+    w, bits = min((cur.bit_count(), cur) for _, cur in sweep)
+    return w, BitVector(basis[0].length, bits)
 
 
-def nearest_codeword_distance(
-    h: BitMatrix, x: BitVector, budget: int = 1 << DEFAULT_ENUM_DIM
-) -> int:
-    """Exact ``d(x, C(h))`` by enumerating the kernel of ``h``."""
-    if x.length != h.cols:
-        raise InvalidParameterError("vector length does not match code length")
-    basis = kernel_basis(h)
-    count = 1 << len(basis)
-    if count > budget:
-        raise BudgetExceededError(
-            f"2^{len(basis)} codewords exceed budget", count, budget
-        )
-    best = x.weight()
-    cur = x.bits
-    for i in range(1, count):
-        j = (i & -i).bit_length() - 1
-        cur ^= basis[j].bits
-        w = cur.bit_count()
-        if w < best:
-            best = w
-    return best
+def coset_leader(
+    basis: Sequence[BitVector], x: BitVector, budget: int = DEFAULT_ENUM_BUDGET
+) -> BitVector:
+    """The least-weight vector of ``x + span(basis)``, ties to the smaller bits.
+
+    With ``basis`` a kernel basis of ``h``, its weight is ``d(x, C(h))``.
+    """
+    best = (x.weight(), x.bits)
+    for _, cur in gray_sweep([v.bits for v in basis], budget, start=x.bits):
+        best = min(best, (cur.bit_count(), cur))
+    return BitVector(x.length, best[1])
+
+
+def min_preimages(columns: Sequence[int], budget: int) -> dict[int, tuple[int, int]]:
+    """Every image of the map with these columns, to its least ``(weight, bits)``
+    preimage; ties go to the smaller bits."""
+    least = {0: (0, 0)}
+    for i, image in gray_sweep(columns, budget):
+        bits = i ^ (i >> 1)
+        pre = (bits.bit_count(), bits)
+        cur = least.get(image)
+        if cur is None or pre < cur:
+            least[image] = pre
+    return least

@@ -26,6 +26,7 @@ from .graphs import (
     ExpansionCertificate,
     GraphAction,
     Regularity,
+    _check_generators,
     cayley_right,
     check_invariance,
     check_regularity,
@@ -399,7 +400,7 @@ def left_right_cayley(
     All four corners biject with ``G`` and the faces are the squares
     ``(g, ag, gb, agb)``.
     """
-    a_inv = [g.inv(a) for a in a_set]
+    a_inv = [g.inv(a) for a in _check_generators(g, a_set)]
     x = cayley_right(g, a_inv)
     y = cayley_right(g, list(b_set))
     return balanced_product(x, y, regular_graph_action(g), regular_graph_action(g))

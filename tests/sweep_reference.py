@@ -1,0 +1,132 @@
+"""Reference sweeps: one hand-written Gray loop per analysis.
+
+These are the straightforward versions of what ``f2.gray_sweep``,
+``f2.min_preimages`` and the shared per-weight profile replace.  Exact
+soundness and the LT profile each sweep the whole space and keep their own
+table, and sampled soundness recomputes the kernel basis for every sample, so
+they serve as an independent oracle.  The reference for the locally minimal
+distance is ``small_set_reference.reference_locally_minimal_distance``.
+"""
+
+import random
+from fractions import Fraction
+
+from expander_ltc.analysis import LTProfile, SoundnessReport
+from expander_ltc.errors import DegenerateCodeError
+from expander_ltc.f2 import BitVector, kernel_basis, rank
+
+
+def _gray(basis_bits, start=0):
+    """``(i, cur)`` for every nonempty combination, in Gray order."""
+    cur = start
+    for i in range(1, 1 << len(basis_bits)):
+        cur ^= basis_bits[(i & -i).bit_length() - 1]
+        yield i, cur
+
+
+def reference_min_weight_nonzero(basis):
+    """Least ``(weight, vector)`` over nonzero combinations, or ``None``."""
+    if not basis:
+        return None
+    best_w = best = None
+    for _, cur in _gray([v.bits for v in basis]):
+        w = cur.bit_count()
+        if best_w is None or w < best_w or (w == best_w and cur < best):
+            best_w, best = w, cur
+    return best_w, BitVector(basis[0].length, best)
+
+
+def reference_coset_leader(h, x):
+    """The lightest vector of ``x + C(h)``, ties to the smaller bits."""
+    basis = kernel_basis(h)
+    best = x.bits
+    for _, cur in _gray([v.bits for v in basis], x.bits):
+        if cur.bit_count() < best.bit_count() or (
+            cur.bit_count() == best.bit_count() and cur < best
+        ):
+            best = cur
+    return BitVector(x.length, best)
+
+
+def reference_soundness_exhaustive(code) -> SoundnessReport:
+    """Coset-leader table over the full space, then the least ratio by syndrome."""
+    n, m = code.n, code.m
+    if m == 0 or rank(code.h) == 0:
+        raise DegenerateCodeError("code equals the full space")
+    columns = [code.h.column(j).bits for j in range(n)]
+    leader = {}  # syndrome -> (weight, x bits)
+    x = syn = 0
+    for i in range(1, 1 << n):
+        j = (i & -i).bit_length() - 1
+        x ^= 1 << j
+        syn ^= columns[j]
+        if syn == 0:
+            continue
+        w = x.bit_count()
+        cur = leader.get(syn)
+        if cur is None or w < cur[0] or (w == cur[0] and x < cur[1]):
+            leader[syn] = (w, x)
+    best = best_x = None
+    for syn, (w, xbits) in sorted(leader.items()):
+        ratio = Fraction(syn.bit_count() * n, m * w)
+        if best is None or ratio < best:
+            best, best_x = ratio, xbits
+    return SoundnessReport(s=best, witness=BitVector(n, best_x), method="exhaustive")
+
+
+def reference_soundness_sampled(code, samples=2000, seed=0) -> SoundnessReport:
+    """Random non-codewords, each with its own kernel basis and coset leader."""
+    if code.m == 0 or rank(code.h) == 0:
+        raise DegenerateCodeError("code equals the full space")
+    rng = random.Random(seed)
+    best = best_x = None
+    drawn = 0
+    while drawn < samples:
+        x = BitVector(code.n, rng.getrandbits(code.n))
+        syn = code.h.mul_vec(x)
+        if syn.bits == 0:
+            continue
+        drawn += 1
+        dist = reference_coset_leader(code.h, x).weight()
+        ratio = Fraction(syn.weight() * code.n, code.m * dist)
+        if best is None or ratio < best:
+            best, best_x = ratio, reference_coset_leader(code.h, x)
+    return SoundnessReport(s=best, witness=best_x, method="sampled", samples=drawn)
+
+
+def reference_lt_profile(bp, max_c1_weight) -> LTProfile:
+    """Least preimage of every image of ``d2``, then the worst one per weight."""
+    n, m = bp.n00, bp.n10 + bp.n01
+    columns = [bp.d2.column(j).bits for j in range(n)]
+    minpre = {0: (0, 0)}  # image -> (weight, preimage bits)
+    c2 = img = 0
+    for i in range(1, 1 << n):
+        j = (i & -i).bit_length() - 1
+        c2 ^= 1 << j
+        img ^= columns[j]
+        w = c2.bit_count()
+        cur = minpre.get(img)
+        if cur is None or w < cur[0] or (w == cur[0] and c2 < cur[1]):
+            minpre[img] = (w, c2)
+    table = {}
+    witnesses = {}
+    for img, (w, c2bits) in sorted(minpre.items()):
+        iw = img.bit_count()
+        if iw and (iw not in table or w > table[iw]):
+            table[iw] = w
+            witnesses[iw] = (BitVector(m, img), BitVector(n, c2bits))
+    profiled = [w for w in table if w <= max_c1_weight]
+    kappa = max((Fraction(table[w], w) for w in profiled), default=Fraction(0))
+    d_lt = (max(table) if table else 0) + 1
+    for w in sorted(table):
+        if kappa == 0 or Fraction(table[w], w) > kappa:
+            d_lt = w
+            break
+    return LTProfile(
+        table=table,
+        witnesses=witnesses,
+        kappa=kappa,
+        d_lt=d_lt,
+        max_weight_profiled=max_c1_weight,
+        image_fully_enumerated=True,
+    )

@@ -215,8 +215,11 @@ class TestVerificationFailure:
 
 class TestUsage:
     def test_bad_jobs(self, tmp_path):
+        # --jobs did nothing and is gone; argparse rejects it with exit 2
         cfg = write_config(tmp_path, BASE_CONFIG)
-        assert main(["build", "--config", cfg, "--jobs", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--config", cfg, "--jobs", "1"])
+        assert exc.value.code == 2
 
 
 class TestSmallSetKey:

@@ -10,9 +10,9 @@ from expander_ltc.errors import BudgetExceededError, InvalidParameterError
 from expander_ltc.f2 import (
     BitMatrix,
     BitVector,
+    coset_leader,
     kernel_basis,
     min_weight_nonzero,
-    nearest_codeword_distance,
     rank,
     solve,
 )
@@ -165,17 +165,22 @@ class TestMinWeight:
 
 
 class TestNearestCodeword:
+    """The coset leader's weight is the distance to the nearest codeword."""
+
     def test_codeword_distance_zero(self):
         h = BitMatrix.from_entries([[1, 1, 0], [0, 1, 1]])
-        assert nearest_codeword_distance(h, BitVector.from_entries([1, 1, 1])) == 0
+        x = BitVector.from_entries([1, 1, 1])
+        assert coset_leader(kernel_basis(h), x).weight() == 0
 
     def test_codeword_plus_one_bit(self):
         h = BitMatrix.from_entries([[1, 1, 0], [0, 1, 1]])
-        assert nearest_codeword_distance(h, BitVector.from_entries([0, 1, 1])) == 1
+        x = BitVector.from_entries([0, 1, 1])
+        assert coset_leader(kernel_basis(h), x).weight() == 1
 
     def test_repetition_length_4_half_flipped(self):
         h = BitMatrix.from_entries([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
-        assert nearest_codeword_distance(h, BitVector.from_entries([1, 1, 0, 0])) == 2
+        x = BitVector.from_entries([1, 1, 0, 0])
+        assert coset_leader(kernel_basis(h), x).weight() == 2
 
 
 bitrows = st.integers(min_value=1, max_value=6)

@@ -65,6 +65,11 @@ class TestBalancedProduct:
             (g, (g + 1) % 5, (g + 2) % 5, (g + 3) % 5) for g in range(5)
         }
 
+    @pytest.mark.parametrize("a_set", [[-1], [9], []])
+    def test_a_set_checked_before_inversion(self, a_set):
+        with pytest.raises(InvalidParameterError):
+            left_right_cayley(make_cyclic(7), a_set, [1, 3])
+
     def test_edge_sets_match_direct_formulas(self):
         g = make_cyclic(5)
         bp = left_right_cayley(g, [1, 2], [1, 3])

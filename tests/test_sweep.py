@@ -1,0 +1,221 @@
+"""The Gray-sweep kernel and the shared min-preimage profile against the references."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from expander_ltc import analysis
+from expander_ltc.analysis import (
+    CodeInstance,
+    code_from_complex,
+    locally_minimal_distance,
+    lt_profile,
+    soundness_exhaustive,
+    soundness_sampled,
+)
+from expander_ltc.cli import build_report
+from expander_ltc.errors import BudgetExceededError, DegenerateCodeError
+from expander_ltc.f2 import (
+    BitMatrix,
+    BitVector,
+    coset_leader,
+    gray_sweep,
+    kernel_basis,
+    min_preimages,
+    min_weight_nonzero,
+    rank,
+)
+from expander_ltc.groups import make_cyclic
+from expander_ltc.products import balanced_product, left_right_cayley
+from expander_ltc.search import layered_cayley
+
+from small_set_reference import reference_locally_minimal_distance
+from sweep_reference import (
+    reference_coset_leader,
+    reference_lt_profile,
+    reference_min_weight_nonzero,
+    reference_soundness_exhaustive,
+    reference_soundness_sampled,
+)
+
+
+def _random_code(rng) -> CodeInstance:
+    """A random check matrix, with duplicate rows and zero columns mixed in."""
+    n = rng.randint(1, 8)
+    rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.4:
+        rows += rng.sample(rows, rng.randint(1, len(rows)))
+    if rng.random() < 0.4:
+        zero = ~(1 << rng.randrange(n))
+        rows = [r & zero for r in rows]
+    h = BitMatrix(len(rows), n, rows)
+    return CodeInstance(
+        h=h, n=n, m=len(rows), k=n - rank(h),
+        locality=max(r.bit_count() for r in rows),
+    )
+
+
+def _layered():
+    rng = random.Random(0)
+    g = make_cyclic(6)
+    x, ax, _ = layered_cayley(g, 2, 2, rng)  # w_down = 2, w_up = 4
+    y, ay, _ = layered_cayley(g, 1, 2, rng)
+    return balanced_product(x, y, ax, ay)
+
+
+COMPLEXES = {
+    "Z5": lambda: left_right_cayley(make_cyclic(5), [1], [1, 2]),
+    "Z6": lambda: left_right_cayley(make_cyclic(6), [1, 2], [1, 3]),
+    "Z7": lambda: left_right_cayley(make_cyclic(7), [1, 2], [1, 3]),
+    "Z8": lambda: left_right_cayley(make_cyclic(8), [1, 2], [1, 3]),
+    "Z9": lambda: left_right_cayley(make_cyclic(9), [1, 2], [2, 3]),
+    "Z10": lambda: left_right_cayley(make_cyclic(10), [1, 2], [1, 3]),
+    "Z6-layered": _layered,
+}
+
+
+class TestGraySweep:
+    def test_selected_set_is_the_gray_code(self):
+        rng = random.Random(1)
+        vectors = [rng.getrandbits(9) for _ in range(5)]
+        start = rng.getrandbits(9)
+        seen = []
+        for i, cur in gray_sweep(vectors, 1 << 5, start=start):
+            gray = i ^ (i >> 1)
+            expected = start
+            for j, v in enumerate(vectors):
+                if gray >> j & 1:
+                    expected ^= v
+            assert cur == expected
+            seen.append(i)
+        assert seen == list(range(1, 1 << 5))
+
+    def test_budget_checked_before_the_first_step(self):
+        sweep = gray_sweep([1, 2, 4], budget=7)
+        with pytest.raises(BudgetExceededError) as exc:
+            next(sweep)
+        assert (exc.value.required, exc.value.budget) == (8, 7)
+
+    def test_min_preimages_matches_brute_force(self):
+        rng = random.Random(2)
+        for _ in range(20):
+            columns = [rng.getrandbits(4) for _ in range(rng.randint(1, 7))]
+            expected = {}
+            for bits in range(1 << len(columns)):
+                image = 0
+                for j, c in enumerate(columns):
+                    if bits >> j & 1:
+                        image ^= c
+                pre = (bits.bit_count(), bits)
+                expected[image] = min(expected.get(image, pre), pre)
+            assert min_preimages(columns, 1 << len(columns)) == expected
+
+
+class TestRandomCodes:
+    """Values and witnesses equal the references on random small codes."""
+
+    def test_soundness_exhaustive(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            code = _random_code(rng)
+            if rank(code.h) == 0:
+                with pytest.raises(DegenerateCodeError):
+                    soundness_exhaustive(code)
+                continue
+            assert soundness_exhaustive(code) == reference_soundness_exhaustive(code)
+
+    def test_min_weight_and_coset_leader(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            code = _random_code(rng)
+            basis = kernel_basis(code.h)
+            assert min_weight_nonzero(basis) == reference_min_weight_nonzero(basis)
+            x = BitVector(code.n, rng.getrandbits(code.n))
+            assert coset_leader(basis, x) == reference_coset_leader(code.h, x)
+
+    def test_soundness_sampled(self):
+        rng = random.Random(5)
+        for seed in range(40):
+            code = _random_code(rng)
+            if rank(code.h) == 0:
+                continue
+            got = soundness_sampled(code, samples=25, seed=seed)
+            assert got == reference_soundness_sampled(code, samples=25, seed=seed)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_complex_matches_references(name):
+    bp = COMPLEXES[name]()
+    code = code_from_complex(bp)
+    for max_w in (2, code.m):
+        assert lt_profile(bp, max_w) == reference_lt_profile(bp, max_w)
+    assert soundness_exhaustive(code) == reference_soundness_exhaustive(code)
+    assert locally_minimal_distance(bp) == reference_locally_minimal_distance(bp)
+
+
+class TestBudgets:
+    def _bp(self):
+        return left_right_cayley(make_cyclic(7), [1, 2], [1, 3])
+
+    def test_lt_profile(self):
+        bp = self._bp()
+        with pytest.raises(BudgetExceededError) as exc:
+            lt_profile(bp, 4, budget=(1 << bp.n00) - 1)
+        assert (exc.value.required, exc.value.budget) == (1 << bp.n00, (1 << bp.n00) - 1)
+
+    def test_locally_minimal_distance(self):
+        bp = self._bp()
+        dim = len(kernel_basis(bp.d1))
+        with pytest.raises(BudgetExceededError) as exc:
+            locally_minimal_distance(bp, budget=1 << (dim - 1))
+        assert (exc.value.required, exc.value.budget) == (1 << dim, 1 << (dim - 1))
+
+    def test_soundness_exhaustive(self):
+        code = code_from_complex(self._bp())
+        with pytest.raises(BudgetExceededError) as exc:
+            soundness_exhaustive(code, budget=100)
+        assert (exc.value.required, exc.value.budget) == (1 << code.n, 100)
+
+    def test_coset_leader(self):
+        basis = [BitVector(12, 1 << i) for i in range(12)]
+        with pytest.raises(BudgetExceededError) as exc:
+            coset_leader(basis, BitVector(12, 5), budget=1 << 11)
+        assert (exc.value.required, exc.value.budget) == (1 << 12, 1 << 11)
+
+    def test_soundness_checks_its_budget_after_the_memo_is_filled(self):
+        bp = self._bp()
+        code = code_from_complex(bp)
+        assert code.memo is bp.memo
+        lt_profile(bp, code.m)
+        assert "preimage_profile" in bp.memo
+        with pytest.raises(BudgetExceededError) as exc:
+            soundness_exhaustive(code, budget=(1 << code.n) - 1)
+        assert exc.value.required == 1 << code.n
+
+
+def test_build_report_sweeps_once(monkeypatch):
+    calls = []
+
+    def counting(columns, budget):
+        calls.append(len(columns))
+        return min_preimages(columns, budget)
+
+    monkeypatch.setattr(analysis, "min_preimages", counting)
+    bp = left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
+    report = build_report(bp, Fraction(1, 2), Fraction(1, 2), run_small_set=False)
+    assert report["soundness"]["method"] == "exhaustive"
+    assert calls == [bp.n00]
+
+
+def test_soundness_sampled_computes_one_kernel_basis(monkeypatch):
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return kernel_basis(h)
+
+    monkeypatch.setattr(analysis, "kernel_basis", counting)
+    code = code_from_complex(left_right_cayley(make_cyclic(8), [1, 2], [1, 3]))
+    assert soundness_sampled(code, samples=50).samples == 50
+    assert calls == [code.h]
