@@ -94,19 +94,19 @@ def _load_config(path: str, allowed: set[str], required: set[str]) -> dict:
     return cfg
 
 
-def _fraction(cfg: dict, key: str, default: Fraction | None = None) -> Fraction:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}", key)
-        return default
-    return _rational(cfg[key], key)
-
-
 def _rational(value, key: str) -> Fraction:
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"config key {key!r} is not a rational number", key)
+
+
+def _cutoff(cfg: dict, key: str) -> Fraction:
+    """An expansion cutoff ``c_x``/``c_y`` in (0, 1]; 1/2 when absent."""
+    c = _rational(cfg.get(key, "1/2"), key)
+    if not 0 < c <= 1:
+        raise ConfigError(f"config key {key!r} must lie in (0, 1], got {c}", key)
+    return c
 
 
 def _integer(cfg: dict, key: str, minimum: int, default: int | None = None) -> int | None:
@@ -171,18 +171,32 @@ def _complex_inputs(cfg: dict) -> tuple[FiniteGroup, list[int], list[int]]:
             isinstance(value, list)
             and value
             and all(type(a) is int and 0 <= a < group.order for a in value)
+            and len(set(value)) == len(value)
         ):
             raise ConfigError(
-                f"config key {key!r} must be a nonempty list of group elements "
-                f"0..{group.order - 1}, got {value!r}",
+                f"config key {key!r} must be a nonempty list of distinct group "
+                f"elements 0..{group.order - 1}, got {value!r}",
                 key,
             )
         sets.append(value)
     return group, sets[0], sets[1]
 
 
-def _build_complex(cfg: dict) -> BalancedProductComplex:
-    return left_right_cayley(*_complex_inputs(cfg))
+def _build_config(path: str) -> tuple[tuple[FiniteGroup, list[int], list[int]], dict]:
+    """The complex inputs and the ``build_report`` settings of a build config.
+
+    ``build``, ``verify`` and ``demo-sharp`` all read their config through
+    this, so one file is accepted or rejected by all three alike.
+    """
+    cfg = _load_config(path, _BUILD_KEYS, {"group", "a_set", "b_set"})
+    settings = {
+        "c_x": _cutoff(cfg, "c_x"),
+        "c_y": _cutoff(cfg, "c_y"),
+        "max_c1_weight": _integer(cfg, "max_c1_weight", 0),
+        "soundness": _soundness_mode(cfg),
+        "run_small_set": _flag(cfg, "small_set", True),
+    }
+    return _complex_inputs(cfg), settings
 
 
 def build_report(
@@ -190,7 +204,7 @@ def build_report(
     c_x: Fraction,
     c_y: Fraction,
     max_c1_weight: int | None = None,
-    budget: int | None = None,
+    budget: int = DEFAULT_ENUM_BUDGET,
     soundness: str = "exhaustive",
     run_small_set: bool = True,
     seed: int = 0,
@@ -200,16 +214,15 @@ def build_report(
     ``soundness`` is ``"exhaustive"``, ``"sampled"`` (seeded by ``seed``) or
     ``"none"``.
     """
-    enum_budget = budget or DEFAULT_ENUM_BUDGET
     code = analysis.code_from_complex(bp)
     cert_x = certify_expansion(bp.x, c_x, action=bp.ax)
     cert_y = certify_expansion(bp.y, c_y, action=bp.ay)
     sub_cert = inherited_expansion(bp, cert_x, "*0")
 
-    dist = analysis.distance_certificate(code, bp, sub_cert, budget=enum_budget)
-    lmd = analysis.locally_minimal_distance(bp, budget=enum_budget)
+    dist = analysis.distance_certificate(code, bp, sub_cert, budget=budget)
+    lmd = analysis.locally_minimal_distance(bp, budget=budget)
     max_w = max_c1_weight if max_c1_weight is not None else code.m
-    ltp = analysis.lt_profile(bp, max_w, budget=enum_budget)
+    ltp = analysis.lt_profile(bp, max_w, budget=budget)
 
     report: dict = {
         "n": code.n,
@@ -240,9 +253,9 @@ def build_report(
         report["soundness"] = None
     else:
         if soundness == "sampled":
-            snd = analysis.soundness_sampled(code, seed=seed, kernel_budget=enum_budget)
+            snd = analysis.soundness_sampled(code, seed=seed, kernel_budget=budget)
         else:
-            snd = analysis.soundness_exhaustive(code, budget=enum_budget)
+            snd = analysis.soundness_exhaustive(code, budget=budget)
         report["soundness"] = {
             "s": str(snd.s),
             "method": snd.method,
@@ -321,15 +334,7 @@ def _writing_outputs(out: str):
 
 
 def cmd_build(args) -> int:
-    cfg = _load_config(args.config, _BUILD_KEYS, {"group", "a_set", "b_set"})
-    settings = {
-        "c_x": _fraction(cfg, "c_x", Fraction(1, 2)),
-        "c_y": _fraction(cfg, "c_y", Fraction(1, 2)),
-        "max_c1_weight": _integer(cfg, "max_c1_weight", 0),
-        "soundness": _soundness_mode(cfg),
-        "run_small_set": _flag(cfg, "small_set", True),
-    }
-    inputs = _complex_inputs(cfg)
+    inputs, settings = _build_config(args.config)
     if args.dry_run:
         print("config ok")
         return EXIT_OK
@@ -350,7 +355,7 @@ _VERIFY_SUITES = ("chain", "copies", "unique", "small-set")
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config, _BUILD_KEYS, {"group", "a_set", "b_set"})
+    inputs, settings = _build_config(args.config)
     suites = [s for s in args.suites.split(",") if s]
     if not suites:
         print("error: empty suite selection", file=sys.stderr)
@@ -360,12 +365,9 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {sorted(unknown)[0]!r}", file=sys.stderr)
         return EXIT_USAGE
     if args.dry_run:
-        _complex_inputs(cfg)
         print("config ok")
         return EXIT_OK
-    bp = _build_complex(cfg)
-    c_x = _fraction(cfg, "c_x", Fraction(1, 2))
-    c_y = _fraction(cfg, "c_y", Fraction(1, 2))
+    bp = left_right_cayley(*inputs)
     failed = 0
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -388,8 +390,8 @@ def cmd_verify(args) -> int:
                 verify_copy_decomposition(sub),
             )
     if "unique" in suites or "small-set" in suites:
-        cert_x = certify_expansion(bp.x, c_x, action=bp.ax)
-        cert_y = certify_expansion(bp.y, c_y, action=bp.ay)
+        cert_x = certify_expansion(bp.x, settings["c_x"], action=bp.ax)
+        cert_y = certify_expansion(bp.y, settings["c_y"], action=bp.ay)
     if "unique" in suites:
         for tag, graph, cert, act in (
             ("x", bp.x, cert_x, bp.ax),
@@ -413,7 +415,7 @@ def cmd_search(args) -> int:
         {"group", "w_down", "w_up", "w_right", "w_left"},
     )
     eps_target = (
-        _fraction(cfg, "eps_target") if "eps_target" in cfg else None
+        _rational(cfg["eps_target"], "eps_target") if "eps_target" in cfg else None
     )
     spec = SearchSpec(
         group=group_from_spec(cfg["group"]),
@@ -421,8 +423,8 @@ def cmd_search(args) -> int:
         w_up=_integer(cfg, "w_up", 1),
         w_right=_integer(cfg, "w_right", 1),
         w_left=_integer(cfg, "w_left", 1),
-        c_x=_fraction(cfg, "c_x", Fraction(1, 2)),
-        c_y=_fraction(cfg, "c_y", Fraction(1, 2)),
+        c_x=_cutoff(cfg, "c_x"),
+        c_y=_cutoff(cfg, "c_y"),
         trials=_integer(cfg, "trials", 1, default=50),
         seed=args.seed,
         eps_target=eps_target,
@@ -466,20 +468,25 @@ def cmd_demo_sharp(args) -> int:
     from .groups import make_cyclic
 
     if args.config:
-        cfg = _load_config(args.config, _BUILD_KEYS, {"group", "a_set", "b_set"})
-        bp = _build_complex(cfg)
-        g = bp.group
+        inputs = _build_config(args.config)[0]
     else:
-        g = make_cyclic(8)
-        bp = left_right_cayley(g, [1, 2], [1, 3])
+        inputs = (make_cyclic(8), [1, 2], [1, 3])
+    bp = left_right_cayley(*inputs)
     c1 = sharp_example(bp, 0)
     norm1 = weighted_norm(c1, bp)
     norm0 = c0_weighted_norm(boundary_1(bp, c1), bp)
-    print(f"half-neighborhood vector on |G|={g.order}:")
+    print(f"half-neighborhood vector on |G|={bp.group.order}:")
     print(f"  weighted norm of c1      = {norm1}")
     print(f"  weighted norm of its boundary = {norm0}")
     print(f"  ratio = {norm0 / norm1} (the inequality's constant is sharp at 1/2)")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -489,39 +496,32 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--deterministic", action="store_true")
-        p.add_argument("--dry-run", action="store_true")
-        p.add_argument("--out", default="out")
-
     p_build = sub.add_parser("build", help="construct a code and write its report")
-    p_build.add_argument("--config", required=True)
-    common(p_build)
     p_build.set_defaults(func=cmd_build)
-
     p_verify = sub.add_parser("verify", help="run the structural check suite")
-    p_verify.add_argument("--config", required=True)
+    p_verify.set_defaults(func=cmd_verify)
+    p_search = sub.add_parser("search", help="random search for expanding factors")
+    p_search.set_defaults(func=cmd_search)
+    p_demo = sub.add_parser(
+        "demo-sharp", help="show the half-neighborhood vector attaining ratio 1/2"
+    )
+    p_demo.set_defaults(func=cmd_demo_sharp)
+
+    # each subcommand takes only the flags it reads
+    for p in (p_build, p_verify, p_search):
+        p.add_argument("--config", required=True)
+        p.add_argument("--dry-run", action="store_true")
+    for p in (p_build, p_search):
+        p.add_argument("--out", default="out")
+        p.add_argument("--seed", type=int, default=0)
+    p_build.add_argument("--budget", type=_positive_int, default=DEFAULT_ENUM_BUDGET)
+    p_build.add_argument("--deterministic", action="store_true")
     p_verify.add_argument(
         "--suites",
         default=",".join(_VERIFY_SUITES),
         help="comma-separated subset of: " + ", ".join(_VERIFY_SUITES),
     )
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_search = sub.add_parser("search", help="random search for expanding factors")
-    p_search.add_argument("--config", required=True)
-    common(p_search)
-    p_search.set_defaults(func=cmd_search)
-
-    p_demo = sub.add_parser(
-        "demo-sharp", help="show the half-neighborhood vector attaining ratio 1/2"
-    )
     p_demo.add_argument("--config", default=None)
-    common(p_demo)
-    p_demo.set_defaults(func=cmd_demo_sharp)
     return parser
 
 

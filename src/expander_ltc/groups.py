@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .errors import FreenessViolationError, InvalidParameterError, SizeLimitError
 
-#: Hard cap on group orders; products beyond this raise ``SizeLimitError``.
+#: Hard cap on group orders; groups beyond this raise ``SizeLimitError``.
 MAX_GROUP_ORDER = 4096
 
 #: Orders up to this bound get a full associativity/identity/inverse audit
@@ -110,6 +110,8 @@ def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order ``n`` with addition mod ``n``."""
     if n < 1:
         raise InvalidParameterError(f"cyclic group order must be >= 1, got {n}")
+    if n > MAX_GROUP_ORDER:
+        raise SizeLimitError(f"cyclic group order {n} exceeds cap {MAX_GROUP_ORDER}")
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     inverse = tuple((-a) % n for a in range(n))
     return _maybe_check(FiniteGroup(n, table, 0, inverse, name=f"Z{n}"))

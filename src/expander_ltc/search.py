@@ -136,6 +136,11 @@ class SearchSpec:
             raise InvalidParameterError(
                 "skewed degrees must be integer multiples of the base degrees"
             )
+        for key, w in (("w_down", self.w_down), ("w_right", self.w_right)):
+            if w > self.group.order:
+                raise InvalidParameterError(
+                    f"base degree {key}={w} exceeds the group order {self.group.order}"
+                )
         if self.eps_target is not None and not 0 < self.eps_target < 1:
             raise InvalidParameterError("eps target must lie in (0, 1)")
         for interval, ratio, tag in (

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +13,9 @@ import pytest
 
 import expander_ltc
 from expander_ltc import analysis
-from expander_ltc.cli import main
+from expander_ltc.cli import build_report, main, make_parser
+from expander_ltc.f2 import DEFAULT_ENUM_BUDGET
+from expander_ltc.groups import MAX_GROUP_ORDER
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -272,6 +276,8 @@ class TestBuildInputs:
         ("b_set", [1, 7]),  # outside Z7
         ("a_set", 5),
         ("b_set", [True]),
+        ("a_set", [1, 1]),
+        ("b_set", [3, 1, 3]),
     ])
     def test_bad_generators(self, tmp_path, capsys, key, value):
         code, err = self._exit(tmp_path, capsys, {**BASE_CONFIG, key: value})
@@ -331,3 +337,131 @@ class TestSearchInputs:
         cfg = write_config(tmp_path, SEARCH_CONFIG)
         assert main(["search", "--config", cfg, "--out", str(blocker)]) == 2
         assert "--out" in capsys.readouterr().err
+
+
+class TestFlags:
+    """Each subcommand takes exactly the flags it reads."""
+
+    OPTIONS = {
+        "build": {"--config", "--out", "--seed", "--budget", "--deterministic",
+                  "--dry-run"},
+        "verify": {"--config", "--suites", "--dry-run"},
+        "search": {"--config", "--out", "--seed", "--dry-run"},
+        "demo-sharp": {"--config"},
+    }
+
+    def test_option_sets(self):
+        (subparsers,) = [
+            a for a in make_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        options = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in subparsers.choices.items()
+        }
+        assert options == self.OPTIONS
+        assert sum(map(len, options.values())) == 14
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--out", "o"],
+        ["verify", "--seed", "3"],
+        ["verify", "--budget", "1"],
+        ["verify", "--deterministic"],
+        ["search", "--budget", "1"],
+        ["search", "--deterministic"],
+        ["demo-sharp", "--dry-run"],
+        ["demo-sharp", "--out", "o"],
+        ["demo-sharp", "--seed", "1"],
+        ["demo-sharp", "--budget", "1"],
+        ["demo-sharp", "--deterministic"],
+    ])
+    def test_removed_flags_rejected(self, tmp_path, argv):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", cfg, *argv[1:]])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-5", "x"])
+    def test_budget_below_one_rejected(self, tmp_path, value):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--config", cfg, "--budget", value, "--dry-run"])
+        assert exc.value.code == 2
+
+    def test_budget_defaults(self):
+        args = make_parser().parse_args(["build", "--config", "c.json"])
+        assert args.budget == DEFAULT_ENUM_BUDGET
+        default = inspect.signature(build_report).parameters["budget"].default
+        assert default == DEFAULT_ENUM_BUDGET
+
+
+def _exit_and_err(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestSharedBuildConfig:
+    """build, verify and demo-sharp accept or reject a config alike."""
+
+    @pytest.mark.parametrize("extra", [
+        {"c_x": "abc"},
+        {"c_y": 0},
+        {"soundness": "bogus", "small_set": 3, "max_c1_weight": -1},
+        {"soundness": "bogus"},
+        {"small_set": 3},
+        {"a_set": [1, 1]},
+        {"group": {"kind": "cyclic", "n": MAX_GROUP_ORDER + 1}},
+    ])
+    def test_rejected_by_all_three(self, tmp_path, capsys, extra):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, **extra})
+        build = _exit_and_err(capsys, ["build", "--config", cfg, "--dry-run"])
+        assert build[0] == 2
+        assert _exit_and_err(capsys, ["verify", "--config", cfg, "--dry-run"]) == build
+        assert _exit_and_err(capsys, ["verify", "--config", cfg]) == build
+        assert _exit_and_err(capsys, ["demo-sharp", "--config", cfg]) == build
+
+    def test_verify_passes_nothing_before_a_bad_cutoff(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "c_y": "3/2"})
+        assert main(["verify", "--config", cfg, "--suites", "chain,unique"]) == 2
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out
+        assert "'c_y'" in captured.err
+
+
+class TestDryRunMatchesRun:
+    """Each config the real run rejects, --dry-run rejects too."""
+
+    def _both(self, tmp_path, capsys, argv, key):
+        out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "o")]
+        for extra in (["--dry-run"], out):
+            code, err = _exit_and_err(capsys, [*argv, *extra])
+            assert code == 2
+            assert key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["build", "verify", "search"])
+    @pytest.mark.parametrize("key", ["c_x", "c_y"])
+    @pytest.mark.parametrize("value", [0, "3/2", "-1/2"])
+    def test_cutoff_outside_unit_interval(self, tmp_path, capsys, command, key, value):
+        base = SEARCH_CONFIG if command == "search" else BASE_CONFIG
+        cfg = write_config(tmp_path, {**base, key: value})
+        self._both(tmp_path, capsys, [command, "--config", cfg], repr(key))
+
+    @pytest.mark.parametrize("key", ["w_down", "w_right"])
+    def test_search_base_degree_above_group_order(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, {
+            **SEARCH_CONFIG, "group": {"kind": "cyclic", "n": 4},
+            "w_down": 1, "w_up": 5, "w_right": 1, "w_left": 5, key: 5,
+        })
+        self._both(tmp_path, capsys, ["search", "--config", cfg], key)
+
+    @pytest.mark.parametrize("command, base", [
+        ("build", BASE_CONFIG), ("search", SEARCH_CONFIG),
+    ])
+    def test_cyclic_order_cap(self, tmp_path, capsys, command, base):
+        cfg = write_config(
+            tmp_path, {**base, "group": {"kind": "cyclic", "n": MAX_GROUP_ORDER + 1}}
+        )
+        code, err = _exit_and_err(capsys, [command, "--config", cfg, "--dry-run"])
+        assert code == 2
+        assert str(MAX_GROUP_ORDER) in err

@@ -4,6 +4,7 @@ import pytest
 
 from expander_ltc.errors import FreenessViolationError, InvalidParameterError, SizeLimitError
 from expander_ltc.groups import (
+    MAX_GROUP_ORDER,
     block_action,
     check_action_axioms,
     check_group_axioms,
@@ -31,6 +32,11 @@ class TestCyclic:
         g = make_cyclic(1)
         assert g.order == 1
         assert g.mul(0, 0) == 0
+
+    def test_size_cap(self):
+        # raised before the 4097 x 4097 table is built
+        with pytest.raises(SizeLimitError):
+            make_cyclic(MAX_GROUP_ORDER + 1)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidParameterError):

@@ -116,6 +116,15 @@ class TestSearchSpec:
                 c_y=Fraction(1, 2),
             )
 
+    @pytest.mark.parametrize("key", ["w_down", "w_right"])
+    def test_base_degree_above_group_order_rejected(self, key):
+        degrees = dict(w_down=1, w_up=5, w_right=1, w_left=5)
+        degrees[key] = 5
+        with pytest.raises(InvalidParameterError, match=key):
+            SearchSpec(
+                group=make_cyclic(4), c_x=Fraction(1, 2), c_y=Fraction(1, 2), **degrees
+            )
+
     def test_ratio_interval_enforced(self):
         with pytest.raises(InvalidParameterError):
             SearchSpec(
