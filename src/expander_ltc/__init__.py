@@ -15,6 +15,7 @@ from .analysis import (
     LocallyMinimalDistance,
     LTProfile,
     SmallSetCheck,
+    SmallSetOrbit,
     SoundnessReport,
     boundary_1,
     c0_weighted_norm,

@@ -444,7 +444,7 @@ def _agreed_squares(by_degrees: int, by_faces: int) -> int:
     return by_faces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmallSetCheck:
     """One evaluation of the small-set testability inequality."""
 
@@ -601,6 +601,19 @@ def small_set_ltc_check(
     return ss.check(p10, p01)
 
 
+@dataclass(frozen=True, slots=True)
+class SmallSetOrbit:
+    """One translation orbit of small locally minimal c1 and its one check.
+
+    Every vector of the orbit gives the same ``check``; ``size`` is
+    ``|G| / |stabiliser of the (v10, v01) pair|``.
+    """
+
+    check: SmallSetCheck
+    size: int
+    representative: C1Vector
+
+
 def enumerate_small_c1(
     bp: BalancedProductComplex, bound10: Fraction, bound01: Fraction
 ) -> Iterator[C1Vector]:
@@ -621,29 +634,96 @@ def _strict_floor(bound: Fraction) -> int:
     return k - 1 if k == bound else k
 
 
+def _translations(bp: BalancedProductComplex) -> list[tuple[int, ...]]:
+    """The vertex maps ``h -> h t``, one per ``t`` in G, if every one is an
+    automorphism of the complex; otherwise the identity alone.
+
+    Every corner indexes its vertex ``(h, i_r, i_s)`` as ``(i_r, i_s)·|G| + h``,
+    so one map serves all four corners.  A map is an automorphism when it
+    sends every face to a face and every edge of the four edge sets to an
+    edge.  That holds for abelian G; it is checked here, on this complex.
+    """
+    g = bp.group
+    size = max(bp.sizes)
+    maps = [
+        tuple(i - i % g.order + g.mul(i % g.order, t) for i in range(size))
+        for t in g.elements()
+    ]
+    cell_sets = (set(bp.faces), bp.e_s0, bp.e_s1, bp.e_0s, bp.e_1s)
+    if all(
+        tuple(tau[v] for v in cell) in cells
+        for tau in maps
+        for cells in cell_sets
+        for cell in cells
+    ):
+        return maps
+    return [tuple(range(size))]
+
+
+def _moved_supports(
+    supports: list[tuple[int, ...]], maps: list[tuple[int, ...]]
+) -> list[list[int]]:
+    """``moved[t][j]``: the index in ``supports`` of the image of support ``j``
+    under map ``t``.  Images keep their size, so index order is the order of
+    ``_small_supports``."""
+    index = {s: j for j, s in enumerate(supports)}
+    return [[index[tuple(sorted(tau[i] for i in s))] for s in supports] for tau in maps]
+
+
+def _stabiliser(j: int, moved: list[list[int]], among: Iterable[int]) -> list[int] | None:
+    """The maps in ``among`` that fix support ``j``, or ``None`` if one of them
+    moves it to an earlier support (``j`` is then not its orbit's first)."""
+    fixing = []
+    for t in among:
+        k = moved[t][j]
+        if k < j:
+            return None
+        if k == j:
+            fixing.append(t)
+    return fixing
+
+
 def small_set_suite(
     bp: BalancedProductComplex,
     cert_x: ExpansionCertificate,
     cert_y: ExpansionCertificate,
     include_zero: bool = False,
-) -> list[SmallSetCheck]:
-    """Run the inequality on every enumerable locally minimal small c1.
+) -> list[SmallSetOrbit]:
+    """Run the inequality once per translation orbit of locally minimal small c1.
 
-    The vectors come in the order of ``enumerate_small_c1``.  Each ``v10``
-    and each ``v01`` part is evaluated once, and every pair only combines
-    the two.
+    The translations ``h -> h t`` are used only if ``_translations`` finds
+    each to be an automorphism of this complex; otherwise every orbit is a
+    single vector.  A ``v10`` is taken when it is the first of its orbit in
+    the order of ``enumerate_small_c1``, and a ``v01`` when it is the first
+    of its orbit under the stabiliser of that ``v10``.  So each
+    representative is the first vector of its orbit in that order, and the
+    orbits come in the order of their representatives.  Each ``v10`` and each
+    ``v01`` part is evaluated once, and every pair only combines the two.
+    Local minimality, the weight bounds and the square count are checked on
+    every representative.
     """
     ss = _SmallSet(bp, cert_x, cert_y)
     max10, max01 = ss.max_weights
-    parts01 = [ss.part(1, s) for s in _small_supports(bp.n01, max01)]
+    maps = _translations(bp)
+    supports10 = list(_small_supports(bp.n10, max10))
+    supports01 = list(_small_supports(bp.n01, max01))
+    moved10 = _moved_supports(supports10, maps)
+    moved01 = _moved_supports(supports01, maps)
+    parts01 = [ss.part(1, s) for s in supports01]
     out = []
-    for s10 in _small_supports(bp.n10, max10):
+    for i, s10 in enumerate(supports10):
+        fixing10 = _stabiliser(i, moved10, range(len(maps)))
+        if fixing10 is None:
+            continue
         p10 = ss.part(0, s10)
-        for p01 in parts01:
+        for j, p01 in enumerate(parts01):
             if not (include_zero or p10.bits or p01.bits):
                 continue
-            if _best_flip(bp, p10.overlaps, p01.overlaps) is None:
-                out.append(ss.check(p10, p01))
+            fixing = _stabiliser(j, moved01, fixing10)
+            if fixing is None or _best_flip(bp, p10.overlaps, p01.overlaps) is not None:
+                continue
+            c1 = C1Vector(BitVector(bp.n10, p10.bits), BitVector(bp.n01, p01.bits))
+            out.append(SmallSetOrbit(ss.check(p10, p01), len(maps) // len(fixing), c1))
     return out
 
 
@@ -705,9 +785,13 @@ def sharp_example(bp: BalancedProductComplex, x00: int) -> C1Vector:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    bound: Fraction
+    """``bound`` is ``None`` when the certificate's epsilon does not give one;
+    ``reason`` then says why."""
+
+    bound: Fraction | None
     exact: int | None
     witness: BitVector | None
+    reason: str | None = None
 
 
 def distance_certificate(
@@ -719,14 +803,24 @@ def distance_certificate(
     """Expansion-implied lower bound on distance, with exact value if feasible.
 
     ``subgraph_cert`` must be an exhaustive certificate for the downward
-    subgraph on (V00, V10); its cutoff times ``|V00|`` lower-bounds the
-    distance whenever epsilon < 1.
+    subgraph on (V00, V10).  Its cutoff times ``|V00|`` lower-bounds the
+    distance when epsilon < 1/2: a set S of bits with ``|N(S)| >= (1 - eps)
+    w |S|`` then has ``(1 - 2 eps) w |S| > 0`` unique neighbors, so no nonzero
+    codeword is that small (Sipser and Spielman's expander-code argument).
+    For 1/2 <= epsilon < 1 the bound is ``None``.
     """
     if not subgraph_cert.certifies:
         raise PreconditionViolationError("distance bound needs an exhaustive certificate")
     if subgraph_cert.epsilon >= 1:
         raise PreconditionViolationError("epsilon >= 1 vacates the bound")
-    bound = subgraph_cert.c * bp.n00
+    bound = reason = None
+    if subgraph_cert.epsilon < Fraction(1, 2):
+        bound = subgraph_cert.c * bp.n00
+    else:
+        reason = (
+            f"subgraph epsilon {subgraph_cert.epsilon} >= 1/2: the unique-neighbor "
+            f"bound d >= c*|V00| needs epsilon < 1/2"
+        )
     basis = kernel_basis(code.h)
     exact = None
     witness = None
@@ -734,8 +828,8 @@ def distance_certificate(
         res = min_weight_nonzero(basis, budget=budget)
         if res is not None:
             exact, witness = res
-            if exact < bound:
+            if bound is not None and exact < bound:
                 raise VerificationError(
                     f"distance {exact} is below the expansion bound {bound}"
                 )
-    return DistanceReport(bound=bound, exact=exact, witness=witness)
+    return DistanceReport(bound=bound, exact=exact, witness=witness, reason=reason)

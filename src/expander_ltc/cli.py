@@ -26,6 +26,7 @@ from .errors import (
 from .f2 import DEFAULT_ENUM_BUDGET
 from .formats import matrix_to_alist, matrix_to_dense_text
 from .graphs import (
+    ExpansionCertificate,
     certify_expansion,
     check_unique_neighbor_lemma,
     graph_to_edge_list,
@@ -199,6 +200,66 @@ def _build_config(path: str) -> tuple[tuple[FiniteGroup, list[int], list[int]], 
     return _complex_inputs(cfg), settings
 
 
+@contextmanager
+def _stage(name: str, setting: str = "raise --budget"):
+    """Prefix a budget error with the stage it stopped and the setting to change."""
+    try:
+        yield
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"{name}: {exc} (needs {exc.required}, budget {exc.budget}); {setting}",
+            exc.required,
+            exc.budget,
+        ) from None
+
+
+def _certify_factors(
+    bp: BalancedProductComplex, c_x: Fraction, c_y: Fraction
+) -> tuple[ExpansionCertificate, ExpansionCertificate]:
+    """Exhaustive certificates of both factors, under their graph actions.
+
+    Their subset budget is fixed, so a budget error names the cutoff to lower.
+    """
+    certs = []
+    for tag, graph, c, action in (("x", bp.x, c_x, bp.ax), ("y", bp.y, c_y, bp.ay)):
+        with _stage(f"certification of factor {tag}", f"lower c_{tag}"):
+            certs.append(certify_expansion(graph, c, action=action))
+    return certs[0], certs[1]
+
+
+def _small_set_summary(
+    bp: BalancedProductComplex,
+    cert_x: ExpansionCertificate,
+    cert_y: ExpansionCertificate,
+) -> dict:
+    """The small-set suite as a JSON-ready summary of its orbit records.
+
+    ``count`` is the number of locally minimal vectors checked (the sum of
+    the orbit sizes).  ``least_margin`` is the first orbit with the least
+    ``rhs - lhs``; its witness is the orbit's representative.
+    """
+    orbits = analysis.small_set_suite(bp, cert_x, cert_y)
+    eps = analysis.small_set_epsilon(bp, cert_x, cert_y)
+    least = min(orbits, key=lambda o: o.check.margin, default=None)
+    return {
+        "count": sum(o.size for o in orbits),
+        "orbits": len(orbits),
+        "all_hold": all(o.check.holds for o in orbits),
+        "epsilon": str(eps),
+        "vacuous": Fraction(1, 2) - 8 * eps <= 0,
+        "least_margin": None if least is None else {
+            "margin": str(least.check.margin),
+            "lhs": str(least.check.lhs),
+            "rhs": str(least.check.rhs),
+            "c1_weight": least.check.c1_weight,
+            "witness": {
+                "v10": least.representative.v10.support(),
+                "v01": least.representative.v01.support(),
+            },
+        },
+    }
+
+
 def build_report(
     bp: BalancedProductComplex,
     c_x: Fraction,
@@ -215,14 +276,16 @@ def build_report(
     ``"none"``.
     """
     code = analysis.code_from_complex(bp)
-    cert_x = certify_expansion(bp.x, c_x, action=bp.ax)
-    cert_y = certify_expansion(bp.y, c_y, action=bp.ay)
+    cert_x, cert_y = _certify_factors(bp, c_x, c_y)
     sub_cert = inherited_expansion(bp, cert_x, "*0")
 
+    # the exact distance is skipped, not failed, when 2^k exceeds the budget
     dist = analysis.distance_certificate(code, bp, sub_cert, budget=budget)
-    lmd = analysis.locally_minimal_distance(bp, budget=budget)
+    with _stage("d_lm"):
+        lmd = analysis.locally_minimal_distance(bp, budget=budget)
     max_w = max_c1_weight if max_c1_weight is not None else code.m
-    ltp = analysis.lt_profile(bp, max_w, budget=budget)
+    with _stage("min-preimage sweep (LT profile/soundness)"):
+        ltp = analysis.lt_profile(bp, max_w, budget=budget)
 
     report: dict = {
         "n": code.n,
@@ -236,7 +299,7 @@ def build_report(
             "w_left": bp.w_left,
         },
         "d": {
-            "bound": str(dist.bound),
+            "bound": None if dist.bound is None else str(dist.bound),
             "exact": dist.exact,
             "witness": dist.witness.support() if dist.witness else None,
         },
@@ -249,9 +312,12 @@ def build_report(
         },
         "expansion": {"x": cert_x.to_json(), "y": cert_y.to_json()},
     }
+    if dist.reason is not None:
+        report["d"]["reason"] = dist.reason
     if soundness == "none":
         report["soundness"] = None
     else:
+        # each sweeps at most the 2^n vectors the LT profile above fit in the budget
         if soundness == "sampled":
             snd = analysis.soundness_sampled(code, seed=seed, kernel_budget=budget)
         else:
@@ -261,23 +327,9 @@ def build_report(
             "method": snd.method,
             "witness": snd.witness.support(),
         }
-    if run_small_set:
-        checks = analysis.small_set_suite(bp, cert_x, cert_y)
-        report["small_set_checks"] = [
-            {
-                "c1_weight": c.c1_weight,
-                "lhs": str(c.lhs),
-                "rhs": str(c.rhs),
-                "holds": c.holds,
-                "epsilon": str(c.epsilon),
-                "unique_to_v10": c.unique_to_v10,
-                "unique_to_v01": c.unique_to_v01,
-                "squares": c.squares,
-            }
-            for c in checks
-        ]
-    else:
-        report["small_set_checks"] = None
+    report["small_set_checks"] = (
+        _small_set_summary(bp, cert_x, cert_y) if run_small_set else None
+    )
     return report
 
 
@@ -343,9 +395,8 @@ def cmd_build(args) -> int:
     with _writing_outputs(args.out):
         _write_outputs(Path(args.out), report, bp, args.deterministic)
     print(f"built n={report['n']} k={report['k']} -> {args.out}")
-    if report["small_set_checks"] is not None and not all(
-        c["holds"] for c in report["small_set_checks"]
-    ):
+    small_set = report["small_set_checks"]
+    if small_set is not None and not small_set["all_hold"]:
         print("small-set inequality FAILED on at least one vector", file=sys.stderr)
         return EXIT_ANALYSIS
     return EXIT_OK
@@ -390,8 +441,7 @@ def cmd_verify(args) -> int:
                 verify_copy_decomposition(sub),
             )
     if "unique" in suites or "small-set" in suites:
-        cert_x = certify_expansion(bp.x, settings["c_x"], action=bp.ax)
-        cert_y = certify_expansion(bp.y, settings["c_y"], action=bp.ay)
+        cert_x, cert_y = _certify_factors(bp, settings["c_x"], settings["c_y"])
     if "unique" in suites:
         for tag, graph, cert, act in (
             ("x", bp.x, cert_x, bp.ax),
@@ -400,10 +450,10 @@ def cmd_verify(args) -> int:
             ok, worst = check_unique_neighbor_lemma(graph, cert, action=act)
             check(f"unique-neighbor bound on factor {tag}", ok, str(worst))
     if "small-set" in suites:
-        checks = analysis.small_set_suite(bp, cert_x, cert_y)
+        summary = _small_set_summary(bp, cert_x, cert_y)
         check(
-            f"small-set inequality on {len(checks)} locally minimal vectors",
-            all(c.holds for c in checks),
+            f"small-set inequality on {summary['count']} locally minimal vectors",
+            summary["all_hold"],
         )
     return EXIT_OK if failed == 0 else EXIT_ANALYSIS
 

@@ -2,12 +2,16 @@
 
 These are the straightforward implementations that ``analysis`` replaces with
 one integer flip test on per-complex masks and a small-set suite that
-precomputes everything independent of the vector.  Here every call rebuilds
-the ``d2`` transpose, every flip is scored as a ``Fraction``, and every vector
-of the suite rebuilds both 1-d subgraphs, so they serve as an independent
-oracle.
+precomputes everything independent of the vector and checks one vector per
+translation orbit.  Here every flip is scored as a ``Fraction``, and the suite
+checks every vector on its own: its weighted norms as ``Fraction``s, its
+boundary by a matrix product, its unique neighbors in the 1-d subgraphs, and
+its squares by both methods.  Only the ``d2`` transpose, the two subgraphs and
+the flip scores per overlap pair are shared between vectors, so they serve as
+an independent oracle.
 """
 
+import functools
 from fractions import Fraction
 
 from expander_ltc.analysis import (
@@ -39,16 +43,29 @@ def flip_delta(bp, c1, col10, col01) -> Fraction:
     """Change of the weighted norm of ``c1`` when one boundary is added."""
     o10 = (col10 & c1.v10.bits).bit_count()
     o01 = (col01 & c1.v01.bits).bit_count()
-    return Fraction(bp.w_down - 2 * o10, bp.w_down) + Fraction(
-        bp.w_right - 2 * o01, bp.w_right
-    )
+    return _norm_change(bp.w_down, bp.w_right, o10, o01)
 
 
-def reference_is_locally_minimal(c1, bp):
+# Both depend only on the degrees and the two overlaps: a few dozen distinct
+# arguments per complex, so the caches stay small.
+@functools.cache
+def _norm_change(w_down, w_right, o10, o01) -> Fraction:
+    return Fraction(w_down - 2 * o10, w_down) + Fraction(w_right - 2 * o01, w_right)
+
+
+@functools.cache
+def _improves(w_down, w_right, o10, o01) -> bool:
+    return _norm_change(w_down, w_right, o10, o01) < 0
+
+
+def reference_is_locally_minimal(c1, bp, masks=None):
     """``(True, None)``, or ``(False, j)`` with ``j`` the first improving bit."""
-    lo, hi = column_masks(bp)
+    lo, hi = masks or column_masks(bp)
+    v10, v01 = c1.v10.bits, c1.v01.bits
     for j in range(bp.n00):
-        if flip_delta(bp, c1, lo[j], hi[j]) < 0:
+        o10 = (lo[j] & v10).bit_count()
+        o01 = (hi[j] & v01).bit_count()
+        if _improves(bp.w_down, bp.w_right, o10, o01):
             return False, j
     return True, None
 
@@ -100,8 +117,8 @@ def reference_locally_minimal_distance(bp) -> LocallyMinimalDistance:
     return LocallyMinimalDistance(d_lm=best_w, witness=best, weighted_min=best_norm)
 
 
-def reference_square_count(bp, c1) -> int:
-    lo, hi = column_masks(bp)
+def reference_square_count(bp, c1, masks=None) -> int:
+    lo, hi = masks or column_masks(bp)
     by_degrees = sum(
         (l & c1.v10.bits).bit_count() * (h & c1.v01.bits).bit_count()
         for l, h in zip(lo, hi)
@@ -112,40 +129,57 @@ def reference_square_count(bp, c1) -> int:
     return by_faces
 
 
+class _Reference:
+    """What one evaluation reads that does not depend on c1, derived afresh
+    for each ``reference_small_set_ltc_check`` and once per reference suite."""
+
+    def __init__(self, bp, cert_x, cert_y):
+        if not (cert_x.certifies and cert_y.certifies):
+            raise PreconditionViolationError("both certificates must be exhaustive")
+        self.bp = bp
+        self.bounds = small_set_smallness_bounds(bp, cert_x, cert_y)
+        self.eps = small_set_epsilon(bp, cert_x, cert_y)
+        self.masks = column_masks(bp)
+        self.sub_1s = one_d_subgraph(bp, "1*")
+        self.sub_s1 = one_d_subgraph(bp, "*1")
+
+    def check(self, c1) -> SmallSetCheck:
+        """The inequality for a ``c1`` already known to be locally minimal."""
+        bp = self.bp
+        bound10, bound01 = self.bounds
+        if not (c1.v10.weight() < bound10 and c1.v01.weight() < bound01):
+            raise PreconditionViolationError("c1 is not small")
+        lhs = (Fraction(1, 2) - 8 * self.eps) * weighted_norm(c1, bp)
+        rhs = c0_weighted_norm(boundary_1(bp, c1), bp)
+        return SmallSetCheck(
+            lhs=lhs,
+            rhs=rhs,
+            holds=lhs <= rhs,
+            epsilon=self.eps,
+            c1_weight=c1.weight(),
+            unique_to_v10=len(unique_neighbors(self.sub_1s.graph, c1.v10.support())),
+            unique_to_v01=len(unique_neighbors(self.sub_s1.graph, c1.v01.support())),
+            squares=reference_square_count(bp, c1, self.masks),
+        )
+
+
 def reference_small_set_ltc_check(bp, cert_x, cert_y, c1) -> SmallSetCheck:
     """One evaluation of ``(1/2 - 8 eps) |c1|_w <= |d1 c1|_w``, from scratch."""
-    if not (cert_x.certifies and cert_y.certifies):
-        raise PreconditionViolationError("both certificates must be exhaustive")
-    if not reference_is_locally_minimal(c1, bp)[0]:
+    ref = _Reference(bp, cert_x, cert_y)
+    if not reference_is_locally_minimal(c1, bp, ref.masks)[0]:
         raise PreconditionViolationError("c1 is not locally minimal")
-    bound10, bound01 = small_set_smallness_bounds(bp, cert_x, cert_y)
-    if not (c1.v10.weight() < bound10 and c1.v01.weight() < bound01):
-        raise PreconditionViolationError("c1 is not small")
-    eps = small_set_epsilon(bp, cert_x, cert_y)
-    lhs = (Fraction(1, 2) - 8 * eps) * weighted_norm(c1, bp)
-    rhs = c0_weighted_norm(boundary_1(bp, c1), bp)
-    sub_1s = one_d_subgraph(bp, "1*")
-    sub_s1 = one_d_subgraph(bp, "*1")
-    return SmallSetCheck(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        epsilon=eps,
-        c1_weight=c1.weight(),
-        unique_to_v10=len(unique_neighbors(sub_1s.graph, c1.v10.support())),
-        unique_to_v01=len(unique_neighbors(sub_s1.graph, c1.v01.support())),
-        squares=reference_square_count(bp, c1),
-    )
+    return ref.check(c1)
 
 
 def reference_small_set_suite(bp, cert_x, cert_y, include_zero=False):
-    """The inequality on every small locally minimal c1, one vector at a time."""
-    bound10, bound01 = small_set_smallness_bounds(bp, cert_x, cert_y)
+    """The inequality on every small locally minimal c1, one vector at a time,
+    in the order of ``enumerate_small_c1``."""
+    ref = _Reference(bp, cert_x, cert_y)
     out = []
-    for c1 in enumerate_small_c1(bp, bound10, bound01):
+    for c1 in enumerate_small_c1(bp, *ref.bounds):
         if c1.is_zero() and not include_zero:
             continue
-        if not reference_is_locally_minimal(c1, bp)[0]:
+        if not reference_is_locally_minimal(c1, bp, ref.masks)[0]:
             continue
-        out.append(reference_small_set_ltc_check(bp, cert_x, cert_y, c1))
+        out.append(ref.check(c1))
     return out

@@ -341,16 +341,17 @@ def test_criterion_11_small_set_inequality(certified_corpus):
         if bp.n00 > 12:
             continue
         eps = small_set_epsilon(bp, cert_x, cert_y)
-        checks = small_set_suite(bp, cert_x, cert_y)
-        total += len(checks)
+        orbits = small_set_suite(bp, cert_x, cert_y)
+        count = sum(o.size for o in orbits)
+        total += count
         if eps < Fraction(1, 16):
-            ok = ok and all(ch.holds for ch in checks)
-            lines.append(f"{name}: eps={eps}, {len(checks)} checks, all hold")
+            ok = ok and all(o.check.holds for o in orbits)
+            lines.append(f"{name}: eps={eps}, {count} checks, all hold")
         else:
-            margins = [ch.margin for ch in checks]
+            margins = [o.check.margin for o in orbits]
             worst = min(margins) if margins else None
             lines.append(
-                f"{name}: eps={eps} >= 1/16, {len(checks)} checks recorded, "
+                f"{name}: eps={eps} >= 1/16, {count} checks recorded, "
                 f"worst margin {worst}"
             )
     _report(

@@ -345,9 +345,9 @@ class TestSmallSetCheck:
 
     def test_suite_all_hold(self):
         bp, cx, cy = self._instance()
-        checks = small_set_suite(bp, cx, cy)
-        assert checks  # the enumeration is nonempty
-        assert all(c.holds for c in checks)
+        orbits = small_set_suite(bp, cx, cy)
+        assert orbits  # the enumeration is nonempty
+        assert all(o.check.holds for o in orbits)
 
     def test_sharp_ratio(self):
         bp, cx, cy = self._instance()

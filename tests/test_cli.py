@@ -14,6 +14,7 @@ import pytest
 import expander_ltc
 from expander_ltc import analysis
 from expander_ltc.cli import build_report, main, make_parser
+from expander_ltc.errors import BudgetExceededError
 from expander_ltc.f2 import DEFAULT_ENUM_BUDGET
 from expander_ltc.groups import MAX_GROUP_ORDER
 
@@ -86,6 +87,62 @@ class TestBuild:
             main(["build", "--config", cfg, "--out", str(tmp_path / "o"),
                   "--budget", "1024"])
             == 3
+        )
+
+    def test_budget_error_names_stage_and_flag(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {**BASE_CONFIG, "group": {"kind": "cyclic", "n": 8},
+                       "a_set": [1, 2]},
+        )
+        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--budget", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "d_lm" in err and "--budget" in err
+
+    def test_certification_budget_names_factor_and_cutoff(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def over_budget(*args, **kwargs):
+            raise BudgetExceededError("exhaustive certification too large", 10, 1)
+
+        monkeypatch.setattr("expander_ltc.cli.certify_expansion", over_budget)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "certification of factor x" in err and "c_x" in err
+
+    def test_distance_bound_needs_epsilon_below_half(self, tmp_path):
+        # epsilon = 1/2 on the *0 subgraph: c*|V00| = 6 exceeds d = 4
+        cfg = write_config(tmp_path, {
+            "group": {"kind": "cyclic", "n": 12}, "a_set": [5, 8], "b_set": [7, 1],
+            "c_x": "1/2", "c_y": "1/2",
+        })
+        out = tmp_path / "out"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+        d = json.loads((out / "report.json").read_text())["d"]
+        assert d["bound"] is None and d["exact"] == 4
+        assert "1/2" in d["reason"]
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[1].split(",")[2] == ""
+
+    def test_small_set_summary(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "report.json").read_text())["small_set_checks"]
+        assert set(summary) == {
+            "count", "orbits", "all_hold", "epsilon", "vacuous", "least_margin"
+        }
+        assert set(summary["least_margin"]) == {
+            "margin", "lhs", "rhs", "c1_weight", "witness"
+        }
+        assert summary["vacuous"] == (
+            Fraction(1, 2) - 8 * Fraction(summary["epsilon"]) <= 0
+        )
+        assert main(["verify", "--config", cfg, "--suites", "small-set"]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"[PASS] small-set inequality on {summary['count']} locally minimal "
+            f"vectors\n"
         )
 
     def test_deterministic_byte_identical(self, tmp_path):

@@ -1,6 +1,8 @@
 """The integer flip test and the small-set suite against the ``Fraction`` references."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,16 +10,18 @@ import pytest
 from expander_ltc import analysis
 from expander_ltc.analysis import (
     C1Vector,
+    SmallSetOrbit,
     greedy_flip,
     is_locally_minimal,
     locally_minimal_distance,
     small_set_ltc_check,
     small_set_suite,
 )
+from expander_ltc.cli import _small_set_summary
 from expander_ltc.errors import PreconditionViolationError, VerificationError
 from expander_ltc.f2 import BitVector
 from expander_ltc.graphs import certify_expansion
-from expander_ltc.groups import group_from_spec, make_cyclic
+from expander_ltc.groups import FiniteGroup, group_from_spec, make_cyclic
 from expander_ltc.products import balanced_product, left_right_cayley
 from expander_ltc.search import layered_cayley
 
@@ -50,6 +54,18 @@ def _layered(order, layers_y, seed):
     return balanced_product(x, y, ax, ay)
 
 
+def _s3():
+    """The symmetric group on three points, by its table; 0 is the identity,
+    3 and 4 are the two 3-cycles."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = tuple(
+        tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms
+    )
+    inverse = tuple(index[tuple(p.index(i) for i in range(3))] for p in perms)
+    return FiniteGroup(6, table, 0, inverse, name="S3")
+
+
 INSTANCES = {
     "Z6": lambda: _cayley(6, [1, 2], [1, 3]),
     "Z8": lambda: _cayley(8, [1, 2], [1, 3]),
@@ -58,6 +74,18 @@ INSTANCES = {
     "Z2xZ4": _product_group,
     "Z6-layered": lambda: _layered(6, 1, 0),
     "Z5-layered-both": lambda: _layered(5, 2, 1),
+    # right translation by t is an automorphism only if b_set is closed under
+    # conjugation by t: it fails for [1, 3] and holds for the 3-cycles [3, 4]
+    "S3": lambda: left_right_cayley(_s3(), [1, 2], [1, 3]),
+    "S3-3-cycles": lambda: left_right_cayley(_s3(), [1, 2], [3, 4]),
+}
+
+# without the zero vector only: the reference checks Z14's 164,157 vectors one
+# at a time, which takes the longest of the tier-1 tests
+LARGER = {
+    **{f"Z12-unit{u}": (lambda u=u: _cayley(12, [u, 2 * u % 12], [u, 3 * u % 12]))
+       for u in (1, 5, 7, 11)},
+    "Z14": lambda: _cayley(14, [1, 2], [1, 3]),
 }
 
 
@@ -75,15 +103,90 @@ def _random_c1(bp, rng):
     )
 
 
-@pytest.mark.parametrize("name", sorted(INSTANCES))
-@pytest.mark.parametrize("include_zero", [False, True])
+def _key(check):
+    return (
+        check.c1_weight, check.lhs, check.rhs, check.holds, check.epsilon,
+        check.unique_to_v10, check.unique_to_v01, check.squares,
+    )
+
+
+def _expanded(orbits):
+    """The multiset of checks the orbits stand for, each counted by its size."""
+    counts = Counter()
+    for orbit in orbits:
+        counts[_key(orbit.check)] += orbit.size
+    return counts
+
+
+@pytest.mark.parametrize(
+    "include_zero, name",
+    [(z, n) for z in (False, True) for n in sorted(INSTANCES)]
+    + [(False, n) for n in LARGER],
+)
 def test_suite_matches_reference(name, include_zero):
-    bp = INSTANCES[name]()
+    bp = {**INSTANCES, **LARGER}[name]()
     cert_x, cert_y = _certified(bp)
-    checks = small_set_suite(bp, cert_x, cert_y, include_zero=include_zero)
+    orbits = small_set_suite(bp, cert_x, cert_y, include_zero=include_zero)
     expected = reference_small_set_suite(bp, cert_x, cert_y, include_zero=include_zero)
     assert expected  # the instance exercises the suite
-    assert checks == expected
+    assert all(isinstance(o, SmallSetOrbit) and o.size >= 1 for o in orbits)
+    assert _expanded(orbits) == Counter(map(_key, expected))
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_each_representative_matches_its_reference_check(name):
+    bp = INSTANCES[name]()
+    cert_x, cert_y = _certified(bp)
+    for orbit in small_set_suite(bp, cert_x, cert_y):
+        c1 = orbit.representative
+        assert orbit.check == reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
+        assert bp.group.order % orbit.size == 0
+
+
+def test_translations_reduce_the_cyclic_suite():
+    bp = LARGER["Z12-unit1"]()
+    orbits = small_set_suite(bp, *_certified(bp))
+    assert len(orbits) == 479
+    assert sum(o.size for o in orbits) == 5700
+
+
+@pytest.mark.parametrize("name, reduced", [("S3", False), ("S3-3-cycles", True)])
+def test_translations_checked_on_a_non_abelian_group(name, reduced):
+    bp = INSTANCES[name]()
+    assert len(analysis._translations(bp)) == (6 if reduced else 1)
+    orbits = small_set_suite(bp, *_certified(bp))
+    assert (len(orbits) < sum(o.size for o in orbits)) == reduced
+    assert reduced or all(o.size == 1 for o in orbits)
+
+
+@pytest.mark.parametrize("name", ["Z8", "Z10", "Z2xZ4", "S3-3-cycles"])
+def test_least_margin_matches_reference_and_reproduces(name):
+    bp = INSTANCES[name]()
+    cert_x, cert_y = _certified(bp)
+    summary = _small_set_summary(bp, cert_x, cert_y)
+    expected = reference_small_set_suite(bp, cert_x, cert_y)
+    least = summary["least_margin"]
+    assert summary["count"] == len(expected)
+    assert summary["all_hold"] == all(c.holds for c in expected)
+    assert Fraction(least["margin"]) == min(c.margin for c in expected)
+    witness = least["witness"]
+    c1 = C1Vector.from_supports(bp, witness["v10"], witness["v01"])
+    check = small_set_ltc_check(bp, cert_x, cert_y, c1)
+    assert (str(check.lhs), str(check.rhs)) == (least["lhs"], least["rhs"])
+    assert check.c1_weight == least["c1_weight"]
+
+
+@pytest.mark.parametrize("name", ["Z8", "Z2xZ4", "Z6-layered"])
+def test_fallback_gives_the_same_summary(name, monkeypatch):
+    bp = INSTANCES[name]()
+    cert_x, cert_y = _certified(bp)
+    reduced = _small_set_summary(bp, cert_x, cert_y)
+    monkeypatch.setattr(
+        analysis, "_translations", lambda bp: [tuple(range(max(bp.sizes)))]
+    )
+    full = _small_set_summary(bp, cert_x, cert_y)
+    assert full["orbits"] == full["count"] > reduced["orbits"]
+    assert {**full, "orbits": None} == {**reduced, "orbits": None}
 
 
 def test_layered_instance_is_skewed():
