@@ -108,7 +108,6 @@ from .search import (
     SearchResult,
     SearchSpec,
     layered_cayley,
-    random_cayley,
     random_generating_set,
     search_pair,
     unbalance,

@@ -463,12 +463,16 @@ class SmallSetCheck:
 
 
 def small_set_epsilon(
-    bp: BalancedProductComplex,
+    w_up: int,
     cert_x: ExpansionCertificate,
     cert_y: ExpansionCertificate,
 ) -> Fraction:
-    """``max(w_up * eps_right, eps_right, eps_down)`` from the two certificates."""
-    return max(bp.w_up * cert_y.epsilon, cert_y.epsilon, cert_x.epsilon)
+    """``max(w_up * eps_right, eps_right, eps_down)`` from the two certificates.
+
+    ``w_up`` is the right degree of the first factor, so a search can score a
+    pair of factors before their product is built.
+    """
+    return max(w_up * cert_y.epsilon, cert_y.epsilon, cert_x.epsilon)
 
 
 def small_set_smallness_bounds(
@@ -510,7 +514,7 @@ class _SmallSet:
         self.bp = bp
         self.bounds = small_set_smallness_bounds(bp, cert_x, cert_y)
         self.max_weights = tuple(_strict_floor(b) for b in self.bounds)
-        self.epsilon = small_set_epsilon(bp, cert_x, cert_y)
+        self.epsilon = small_set_epsilon(bp.w_up, cert_x, cert_y)
         self.factor = Fraction(1, 2) - 8 * self.epsilon
         self.d2_masks = _d2_column_masks(bp)
         d1_columns = bp.d1.transpose().row_bits

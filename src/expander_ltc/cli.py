@@ -239,7 +239,7 @@ def _small_set_summary(
     ``rhs - lhs``; its witness is the orbit's representative.
     """
     orbits = analysis.small_set_suite(bp, cert_x, cert_y)
-    eps = analysis.small_set_epsilon(bp, cert_x, cert_y)
+    eps = analysis.small_set_epsilon(bp.w_up, cert_x, cert_y)
     least = min(orbits, key=lambda o: o.check.margin, default=None)
     return {
         "count": sum(o.size for o in orbits),

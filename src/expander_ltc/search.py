@@ -1,10 +1,11 @@
 """Randomized search for pairs of small expanding Cayley-type factors.
 
 The search draws random generating sets, builds the two factor graphs (layered
-when a degree skew is requested), certifies their expansion exhaustively, and
-scores each trial by the combined loss parameter the testability inequality
-depends on.  Nothing is ever reported as certified unless the exhaustive scan
-said so; a fully failed search raises with the complete trial log attached.
+when a degree skew is requested), certifies their expansion exhaustively (once
+per translation class of generating sets), and scores each trial by the
+combined loss parameter the testability inequality depends on.  Only the best
+trial's balanced product is built.  Nothing is ever reported as certified
+unless the exhaustive scan said so.
 """
 
 from __future__ import annotations
@@ -33,14 +34,6 @@ from .groups import (
     left_regular_action,
 )
 from .products import BalancedProductComplex, GraphAction, balanced_product
-
-
-def random_cayley(g: FiniteGroup, degree: int, seed: int) -> BipartiteGraph:
-    """A right-multiplication Cayley graph on a seeded random generating set."""
-    rng = random.Random(seed)
-    from .graphs import cayley_right
-
-    return cayley_right(g, random_generating_set(g, degree, rng))
 
 
 def random_generating_set(g: FiniteGroup, size: int, rng: random.Random) -> list[int]:
@@ -169,80 +162,111 @@ class SearchResult:
     inequalities: dict | None = None  # measured conditions vs the eps target
 
 
+def _least_translate(
+    g: FiniteGroup, gen_sets: list[list[int]]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The lexicographically least right translate ``(S_i * t)_i`` and its ``t``."""
+    return min(
+        (tuple(tuple(sorted(g.mul(b, t) for b in gens)) for gens in gen_sets), t)
+        for t in g.elements()
+    )
+
+
+def _relabels_onto(
+    graph: BipartiteGraph, target: BipartiteGraph, g: FiniteGroup, t: int
+) -> bool:
+    """Whether relabeling the right side by ``v -> v * t`` maps ``graph`` onto
+    ``target``."""
+    return graph.v0_size == target.v0_size and target.edges == {
+        (u, g.mul(v, t)) for u, v in graph.edges
+    }
+
+
+def _certify_layered(
+    graph: BipartiteGraph,
+    action: GraphAction,
+    gen_sets: list[list[int]],
+    c: Fraction,
+    budget: int,
+    memo: dict,
+) -> ExpansionCertificate:
+    """``certify_expansion`` of a ``layered_cayley`` graph, once per translation class.
+
+    Right-multiplying every generator set by one ``t`` relabels the right side
+    by ``v -> v * t`` and leaves ``|N(S)|`` of every left subset unchanged, so
+    the exhaustive certificate, witness included, is the same.  A memo hit is
+    used only after the relabeling is checked on the two graphs' edges;
+    otherwise the graph is certified from scratch.
+    """
+    g = action.group
+    key, t = _least_translate(g, gen_sets)
+    cached = memo.get((c, key))
+    if cached is not None:
+        cached_graph, cached_t, cert = cached
+        # S * t = S' * t' = key, so v -> v * t * t'^-1 takes this graph onto S'
+        if _relabels_onto(graph, cached_graph, g, g.mul(t, g.inv(cached_t))):
+            return cert
+    cert = certify_expansion(graph, c, max_evals=budget, action=action)
+    memo.setdefault((c, key), (graph, t, cert))
+    return cert
+
+
 def search_pair(spec: SearchSpec) -> SearchResult:
     """Random search over generating sets; returns the best certified trial.
 
     Every trial gets its own derived seed, so runs are reproducible and
-    individual trials can be replayed.  A missed ``eps_target`` is recorded in
-    ``inequalities`` rather than hidden; ``SearchExhaustedError`` (with the
-    trial log) is raised only when no trial produced a certifiable pair.
+    individual trials can be replayed.  Trials are scored from their two
+    certificates alone; the balanced product is built once, for the best
+    trial.  A missed ``eps_target`` is recorded in ``inequalities`` rather than
+    hidden; ``SearchExhaustedError`` is raised only when there are no trials.
     """
     g = spec.group
     layers_x = spec.w_up // spec.w_down
     layers_y = spec.w_left // spec.w_right
     log: list[dict] = []
-    best: SearchResult | None = None
+    memo: dict = {}  # shared by both factors: (c, least translate) -> certificate
+    best = None
 
     for trial in range(spec.trials):
         trial_seed = spec.seed * 1_000_003 + trial
         rng = random.Random(trial_seed)
-        entry: dict = {"trial": trial, "seed": trial_seed}
-        try:
-            x, ax, gens_x = layered_cayley(g, layers_x, spec.w_down, rng)
-            y, ay, gens_y = layered_cayley(g, layers_y, spec.w_right, rng)
-            bp = balanced_product(x, y, ax, ay)
-            cert_x = certify_expansion(
-                x, spec.c_x, max_evals=spec.subset_budget, action=ax
-            )
-            cert_y = certify_expansion(
-                y, spec.c_y, max_evals=spec.subset_budget, action=ay
-            )
-        except MultiplicityViolationError as exc:
-            entry["status"] = "degenerate"
-            entry["detail"] = str(exc)
-            log.append(entry)
-            continue
-        eps = small_set_epsilon(bp, cert_x, cert_y)
-        entry.update(
-            status="certified",
-            eps_x=str(cert_x.epsilon),
-            eps_y=str(cert_y.epsilon),
-            eps=str(eps),
-        )
-        log.append(entry)
-        if best is None or eps < best.epsilon:
-            best = SearchResult(
-                complex=bp,
-                cert_x=cert_x,
-                cert_y=cert_y,
-                epsilon=eps,
-                trial=trial,
-                seed=trial_seed,
-                gen_sets_x=tuple(tuple(s) for s in gens_x),
-                gen_sets_y=tuple(tuple(s) for s in gens_y),
-                log=tuple(log),
-            )
+        x, ax, gens_x = layered_cayley(g, layers_x, spec.w_down, rng)
+        y, ay, gens_y = layered_cayley(g, layers_y, spec.w_right, rng)
+        cert_x = _certify_layered(x, ax, gens_x, spec.c_x, spec.subset_budget, memo)
+        cert_y = _certify_layered(y, ay, gens_y, spec.c_y, spec.subset_budget, memo)
+        eps = small_set_epsilon(spec.w_up, cert_x, cert_y)
+        log.append({
+            "trial": trial,
+            "seed": trial_seed,
+            "status": "certified",
+            "eps_x": str(cert_x.epsilon),
+            "eps_y": str(cert_y.epsilon),
+            "eps": str(eps),
+        })
+        if best is None or eps < best[0]:
+            best = (eps, trial, trial_seed, (x, ax, gens_x, cert_x),
+                    (y, ay, gens_y, cert_y))
 
     if best is None:
         raise SearchExhaustedError("no trial produced a certifiable pair", tuple(log))
+    eps, trial, trial_seed, (x, ax, gens_x, cert_x), (y, ay, gens_y, cert_y) = best
     inequalities = None
     if spec.eps_target is not None:
         t = spec.eps_target
         inequalities = {
-            "w_up_eps_y_le_eps": spec.w_up * best.cert_y.epsilon <= t,
-            "eps_y_le_eps": best.cert_y.epsilon <= t,
-            "eps_x_le_eps": best.cert_x.epsilon <= t,
+            "w_up_eps_y_le_eps": spec.w_up * cert_y.epsilon <= t,
+            "eps_y_le_eps": cert_y.epsilon <= t,
+            "eps_x_le_eps": cert_x.epsilon <= t,
         }
-    # refresh the log on the returned best so it covers every trial
     return SearchResult(
-        complex=best.complex,
-        cert_x=best.cert_x,
-        cert_y=best.cert_y,
-        epsilon=best.epsilon,
-        trial=best.trial,
-        seed=best.seed,
-        gen_sets_x=best.gen_sets_x,
-        gen_sets_y=best.gen_sets_y,
+        complex=balanced_product(x, y, ax, ay),
+        cert_x=cert_x,
+        cert_y=cert_y,
+        epsilon=eps,
+        trial=trial,
+        seed=trial_seed,
+        gen_sets_x=tuple(tuple(s) for s in gens_x),
+        gen_sets_y=tuple(tuple(s) for s in gens_y),
         log=tuple(log),
         inequalities=inequalities,
     )

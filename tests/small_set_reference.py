@@ -138,7 +138,7 @@ class _Reference:
             raise PreconditionViolationError("both certificates must be exhaustive")
         self.bp = bp
         self.bounds = small_set_smallness_bounds(bp, cert_x, cert_y)
-        self.eps = small_set_epsilon(bp, cert_x, cert_y)
+        self.eps = small_set_epsilon(bp.w_up, cert_x, cert_y)
         self.masks = column_masks(bp)
         self.sub_1s = one_d_subgraph(bp, "1*")
         self.sub_s1 = one_d_subgraph(bp, "*1")

@@ -340,7 +340,7 @@ def test_criterion_11_small_set_inequality(certified_corpus):
     for name, bp, cert_x, cert_y in certified_corpus:
         if bp.n00 > 12:
             continue
-        eps = small_set_epsilon(bp, cert_x, cert_y)
+        eps = small_set_epsilon(bp.w_up, cert_x, cert_y)
         orbits = small_set_suite(bp, cert_x, cert_y)
         count = sum(o.size for o in orbits)
         total += count
