@@ -93,10 +93,8 @@ from .groups import (
 )
 from .products import (
     BalancedProductComplex,
-    HypergraphProduct,
     OneDSubgraph,
     balanced_product,
-    hypergraph_product,
     inherited_expansion,
     left_right_cayley,
     one_d_subgraph,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -42,16 +41,28 @@ from .products import BalancedProductComplex, one_d_subgraph
 # code instances
 
 
-@dataclass(frozen=True)
-class CodeInstance:
-    """The classical code with the complex's lower boundary map as checks."""
-
+class _CodeFields(NamedTuple):
     h: BitMatrix
     n: int
     m: int
     k: int
     locality: int
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+class CodeInstance(_CodeFields):
+    """The classical code with the complex's lower boundary map as checks.
+
+    ``memo`` holds values derived from the fields; it takes no part in
+    equality, and each instance gets its own unless one is passed in.
+    """
+
+    def __new__(
+        cls, h: BitMatrix, n: int, m: int, k: int, locality: int,
+        memo: dict | None = None,
+    ) -> "CodeInstance":
+        self = super().__new__(cls, h, n, m, k, locality)
+        self.memo = {} if memo is None else memo
+        return self
 
     @property
     def rate(self) -> Fraction:
@@ -87,8 +98,7 @@ def code_from_complex(bp: BalancedProductComplex) -> CodeInstance:
 # C1 vectors and weighted norms
 
 
-@dataclass(frozen=True)
-class C1Vector:
+class C1Vector(NamedTuple):
     """An element of the middle chain space, split by check corner."""
 
     v10: BitVector
@@ -193,8 +203,7 @@ def is_locally_minimal(
     return j is None, j
 
 
-@dataclass(frozen=True)
-class FlipResult:
+class FlipResult(NamedTuple):
     final: C1Vector
     flips: BitVector  # accumulated toggles over V00
     steps: int
@@ -224,8 +233,7 @@ def greedy_flip(c1: C1Vector, bp: BalancedProductComplex) -> FlipResult:
 # soundness
 
 
-@dataclass(frozen=True)
-class SoundnessReport:
+class SoundnessReport(NamedTuple):
     """Exact or sampled minimum of ``(|Hx| / m) * (n / d(x, C))``."""
 
     s: Fraction
@@ -322,8 +330,7 @@ def soundness_sampled(
 # locally minimal / locally testable distances
 
 
-@dataclass(frozen=True)
-class LocallyMinimalDistance:
+class LocallyMinimalDistance(NamedTuple):
     """Minimum plain weight over nonzero weighted-locally-minimal kernel vectors.
 
     ``d_lm is None`` signals that no such vector exists.  ``weighted_min`` is
@@ -356,8 +363,7 @@ def locally_minimal_distance(
     return LocallyMinimalDistance(d_lm=best_w, witness=best, weighted_min=best_norm)
 
 
-@dataclass(frozen=True)
-class LTProfile:
+class LTProfile(NamedTuple):
     """Worst minimal-preimage weight per weight of an image vector.
 
     ``table[w]`` is the maximum over image vectors of weight ``w`` of the
@@ -444,8 +450,7 @@ def _agreed_squares(by_degrees: int, by_faces: int) -> int:
     return by_faces
 
 
-@dataclass(frozen=True, slots=True)
-class SmallSetCheck:
+class SmallSetCheck(NamedTuple):
     """One evaluation of the small-set testability inequality."""
 
     lhs: Fraction
@@ -605,8 +610,7 @@ def small_set_ltc_check(
     return ss.check(p10, p01)
 
 
-@dataclass(frozen=True, slots=True)
-class SmallSetOrbit:
+class SmallSetOrbit(NamedTuple):
     """One translation orbit of small locally minimal c1 and its one check.
 
     Every vector of the orbit gives the same ``check``; ``size`` is
@@ -787,8 +791,7 @@ def sharp_example(bp: BalancedProductComplex, x00: int) -> C1Vector:
 # distance certificate
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """``bound`` is ``None`` when the certificate's epsilon does not give one;
     ``reason`` then says why."""
 

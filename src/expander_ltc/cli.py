@@ -76,12 +76,16 @@ _SEARCH_KEYS = {
 
 def _load_config(path: str, allowed: set[str], required: set[str]) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc}", path)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", path)
+    except RecursionError:
+        raise ConfigError("config nests too deeply", path)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object", path)
     unknown = set(cfg) - allowed

@@ -7,24 +7,27 @@ sparser, and ``int.bit_count`` keeps weight computations cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InvalidParameterError
 
 DEFAULT_ENUM_BUDGET = 1 << 24  # the one default budget of every GF(2) sweep
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """A vector in GF(2)^length, packed into one integer."""
-
+class _BitVectorFields(NamedTuple):
     length: int
     bits: int = 0
 
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.length:
+
+class BitVector(_BitVectorFields):
+    """A vector in GF(2)^length, packed into one integer."""
+
+    __slots__ = ()
+
+    def __new__(cls, length: int, bits: int = 0) -> "BitVector":
+        if bits < 0 or bits >> length:
             raise InvalidParameterError("bits outside of vector length")
+        return super().__new__(cls, length, bits)
 
     @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":

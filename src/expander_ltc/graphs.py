@@ -7,10 +7,9 @@ integer bitmasks so that subset-expansion scans reduce to OR + popcount.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -99,8 +98,7 @@ def _mask_to_list(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class GraphAction:
+class GraphAction(NamedTuple):
     """A group action on a bipartite graph: one action per side."""
 
     on_v0: GroupAction
@@ -111,14 +109,12 @@ class GraphAction:
         return self.on_v0.group
 
 
-@dataclass(frozen=True)
-class Regularity:
+class Regularity(NamedTuple):
     w0: int
     w1: int
 
 
-@dataclass(frozen=True)
-class ExpansionCertificate:
+class ExpansionCertificate(NamedTuple):
     """Result of a small-set vertex-expansion scan.
 
     ``mode == "exhaustive"`` means every left subset of size < ``c * v0_size``
@@ -160,8 +156,7 @@ class ExpansionCertificate:
         }
 
 
-@dataclass(frozen=True)
-class DegreeSplit:
+class DegreeSplit(NamedTuple):
     """Split of ``deg_{v1}`` into a heavy part d1 and an ``eps*w0``-capped d2."""
 
     d1: tuple[Fraction, ...]

@@ -7,8 +7,7 @@ regime the rest of the library operates in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import FreenessViolationError, InvalidParameterError, SizeLimitError
 
@@ -20,8 +19,7 @@ MAX_GROUP_ORDER = 4096
 AXIOM_CHECK_ORDER = 256
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(NamedTuple):
     """A finite group given by its full multiplication table."""
 
     order: int
@@ -43,8 +41,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.name or 'order=%d' % self.order})"
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(NamedTuple):
     """A left action of ``group`` on the point set ``0..set_size-1``."""
 
     group: FiniteGroup
@@ -55,8 +52,7 @@ class GroupAction:
         return self.table[g][x]
 
 
-@dataclass(frozen=True)
-class OrbitLabeling:
+class OrbitLabeling(NamedTuple):
     """Bijective ``(g, r)`` labels for the points of a free action.
 
     ``label[x] = (g, i)`` where ``representatives[i]`` is the orbit
@@ -66,14 +62,13 @@ class OrbitLabeling:
     action: GroupAction
     representatives: tuple[int, ...]
     label: tuple[tuple[int, int], ...]
-    _point: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     @property
     def num_orbits(self) -> int:
         return len(self.representatives)
 
     def point_of(self, g: int, rep_index: int) -> int:
-        return self._point[(g, rep_index)]
+        return self.action.table[g][self.representatives[rep_index]]
 
 
 def check_group_axioms(g: FiniteGroup) -> None:
@@ -293,9 +288,4 @@ def orbit_labeling(a: GroupAction) -> OrbitLabeling:
             y = a.act(g, x)
             if label[y] is None:
                 label[y] = (g, rep_index)
-    point = {
-        (g, i): a.act(g, r)
-        for i, r in enumerate(reps)
-        for g in a.group.elements()
-    }
-    return OrbitLabeling(a, tuple(reps), tuple(label), point)
+    return OrbitLabeling(a, tuple(reps), tuple(label))

@@ -1,4 +1,4 @@
-"""Hypergraph and balanced products of group-symmetric bipartite graphs.
+"""Balanced products of group-symmetric bipartite graphs.
 
 The balanced product quotients the Cartesian (hypergraph) product of two
 graphs by the diagonal action of a common group that acts freely on both.
@@ -10,9 +10,8 @@ bit matrices, with ``d1 @ d2 == 0`` asserted at construction time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from .errors import (
     InvalidParameterError,
@@ -49,75 +48,7 @@ def regular_graph_action(g: FiniteGroup) -> GraphAction:
     return GraphAction(a, a)
 
 
-@dataclass(frozen=True)
-class HypergraphProduct:
-    """The Cartesian product of two bipartite graphs, with faces."""
-
-    x: BipartiteGraph
-    y: BipartiteGraph
-    v00: int
-    v10: int
-    v01: int
-    v11: int
-    e_s0: frozenset[tuple[int, int]]  # V00 - V10
-    e_s1: frozenset[tuple[int, int]]  # V01 - V11
-    e_0s: frozenset[tuple[int, int]]  # V00 - V01
-    e_1s: frozenset[tuple[int, int]]  # V10 - V11
-    faces: tuple[tuple[int, int, int, int], ...]
-
-    def idx(self, alpha: int, x: int, y: int) -> int:
-        ny = self.y.v0_size if alpha in (0, 2) else self.y.v1_size
-        return x * ny + y
-
-
-def hypergraph_product(x: BipartiteGraph, y: BipartiteGraph) -> HypergraphProduct:
-    """All four corner vertex sets, four edge sets and the face set.
-
-    Corner ``(alpha, beta)`` vertices are pairs ``(x_alpha, y_beta)`` indexed
-    as ``x * |V_{Y,beta}| + y``.
-    """
-    sizes = (
-        x.v0_size * y.v0_size,
-        x.v1_size * y.v0_size,
-        x.v0_size * y.v1_size,
-        x.v1_size * y.v1_size,
-    )
-    if max(sizes) > MAX_PRODUCT_VERTICES:
-        raise SizeLimitError(f"product corner of size {max(sizes)} exceeds cap")
-    ny0, ny1 = y.v0_size, y.v1_size
-
-    e_s0 = frozenset(
-        (x0 * ny0 + y0, x1 * ny0 + y0) for (x0, x1) in x.edges for y0 in range(ny0)
-    )
-    e_s1 = frozenset(
-        (x0 * ny1 + y1, x1 * ny1 + y1) for (x0, x1) in x.edges for y1 in range(ny1)
-    )
-    e_0s = frozenset(
-        (x0 * ny0 + y0, x0 * ny1 + y1) for x0 in range(x.v0_size) for (y0, y1) in y.edges
-    )
-    e_1s = frozenset(
-        (x1 * ny0 + y0, x1 * ny1 + y1) for x1 in range(x.v1_size) for (y0, y1) in y.edges
-    )
-    faces = tuple(
-        sorted(
-            (x0 * ny0 + y0, x1 * ny0 + y0, x0 * ny1 + y1, x1 * ny1 + y1)
-            for (x0, x1) in x.edges
-            for (y0, y1) in y.edges
-        )
-    )
-    return HypergraphProduct(x, y, *sizes, e_s0, e_s1, e_0s, e_1s, faces)
-
-
-@dataclass(frozen=True)
-class BalancedProductComplex:
-    """The quotient product with labels, edge sets, faces and boundary maps.
-
-    Corner ``(alpha, beta)`` vertices carry labels ``(h, i_r, i_s)`` where
-    ``i_r`` indexes the orbit representatives of the first factor's side
-    ``alpha`` and ``i_s`` those of the second factor's side ``beta``; the
-    index order is lexicographic in ``(i_r, i_s, h)``.
-    """
-
+class _ComplexFields(NamedTuple):
     group: FiniteGroup
     x: BipartiteGraph
     y: BipartiteGraph
@@ -135,8 +66,24 @@ class BalancedProductComplex:
     d2: BitMatrix
     d1: BitMatrix
     wedge_to_face: dict
-    # values derived from the fields above, stored by the code that derives them
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+class BalancedProductComplex(_ComplexFields):
+    """The quotient product with labels, edge sets, faces and boundary maps.
+
+    Corner ``(alpha, beta)`` vertices carry labels ``(h, i_r, i_s)`` where
+    ``i_r`` indexes the orbit representatives of the first factor's side
+    ``alpha`` and ``i_s`` those of the second factor's side ``beta``; the
+    index order is lexicographic in ``(i_r, i_s, h)``.
+
+    ``memo`` holds values derived from the fields, stored by the code that
+    derives them; it takes no part in equality, and each instance has its own.
+    """
+
+    def __new__(cls, *args, **kwargs) -> "BalancedProductComplex":
+        self = super().__new__(cls, *args, **kwargs)
+        self.memo = {}
+        return self
 
     # --- degree shorthands (down/up from the first factor, right/left second)
     @property
@@ -406,8 +353,7 @@ def left_right_cayley(
     return balanced_product(x, y, regular_graph_action(g), regular_graph_action(g))
 
 
-@dataclass(frozen=True)
-class OneDSubgraph:
+class OneDSubgraph(NamedTuple):
     """A corner-to-corner subgraph plus its decomposition into factor copies.
 
     ``copy_of[v]`` gives the copy index of each left/right vertex, and

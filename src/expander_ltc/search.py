@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analysis import small_set_epsilon
 from .errors import (
@@ -104,10 +104,7 @@ def unbalance(
     return merged, action
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    """Target shape for one random expander-pair search."""
-
+class _SpecFields(NamedTuple):
     group: FiniteGroup
     w_down: int
     w_up: int
@@ -122,7 +119,14 @@ class SearchSpec:
     ratio_y_interval: tuple[Fraction, Fraction] | None = None
     subset_budget: int = 2_000_000
 
-    def __post_init__(self):
+
+class SearchSpec(_SpecFields):
+    """Target shape for one random expander-pair search."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SearchSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.w_down, self.w_up, self.w_right, self.w_left) < 1:
             raise InvalidParameterError("degrees must be >= 1")
         if self.w_up % self.w_down or self.w_left % self.w_right:
@@ -144,10 +148,10 @@ class SearchSpec:
                 raise InvalidParameterError(
                     f"{tag} factor degree ratio {ratio} outside {interval}"
                 )
+        return self
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Best trial of a search, with the full monotone trial log."""
 
     complex: BalancedProductComplex
@@ -158,7 +162,7 @@ class SearchResult:
     seed: int
     gen_sets_x: tuple[tuple[int, ...], ...]
     gen_sets_y: tuple[tuple[int, ...], ...]
-    log: tuple[dict, ...] = field(repr=False)
+    log: tuple[dict, ...]
     inequalities: dict | None = None  # measured conditions vs the eps target
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expander_ltc.analysis import (
     C1Vector,
@@ -24,6 +26,7 @@ from expander_ltc.analysis import (
     weighted_norm,
 )
 from expander_ltc import analysis
+from expander_ltc.cli import build_report
 from expander_ltc.errors import (
     DegenerateCodeError,
     PreconditionViolationError,
@@ -486,3 +489,26 @@ class TestVerificationErrors:
         )
         with pytest.raises(VerificationError, match="below the expansion bound"):
             distance_certificate(code, bp, sub_cert)
+
+
+@st.composite
+def cayley_instances(draw):
+    n = draw(st.integers(5, 12))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    cutoff = st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+    return n, draw(pair), draw(pair), draw(cutoff), draw(cutoff)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(cayley_instances())
+def test_reported_bounds_hold_on_random_cayley_complexes(instance):
+    """No valid left/right Cayley build fails a theorem check, and every bound
+    the report carries is at most the exact value it bounds."""
+    n, a_set, b_set, c_x, c_y = instance
+    report = build_report(left_right_cayley(make_cyclic(n), a_set, b_set), c_x, c_y)
+    d = report["d"]
+    if d["bound"] is not None and d["exact"] is not None:
+        assert Fraction(d["bound"]) <= d["exact"]
+    assert Fraction(report["lt_profile"]["soundness_bound"]) <= Fraction(
+        report["soundness"]["s"]
+    )

