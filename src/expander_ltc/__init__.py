@@ -31,7 +31,6 @@ from .analysis import (
     small_set_suite,
     soundness_exhaustive,
     soundness_from_lt,
-    soundness_sampled,
     square_count,
     weighted_norm,
 )
@@ -50,7 +49,7 @@ from .errors import (
     SizeLimitError,
     VerificationError,
 )
-from .f2 import BitMatrix, BitVector, kernel_basis, min_weight_nonzero, rank, solve
+from .f2 import BitMatrix, BitVector, kernel_basis, min_weight_nonzero, rank
 from .formats import (
     matrix_from_alist,
     matrix_from_dense_text,

@@ -9,7 +9,6 @@ inequality with its sharp example.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from fractions import Fraction
 from operator import mul
@@ -26,7 +25,6 @@ from .f2 import (
     DEFAULT_ENUM_BUDGET,
     BitMatrix,
     BitVector,
-    coset_leader,
     gray_sweep,
     kernel_basis,
     min_preimages,
@@ -234,12 +232,10 @@ def greedy_flip(c1: C1Vector, bp: BalancedProductComplex) -> FlipResult:
 
 
 class SoundnessReport(NamedTuple):
-    """Exact or sampled minimum of ``(|Hx| / m) * (n / d(x, C))``."""
+    """Exact minimum of ``(|Hx| / m) * (n / d(x, C))`` over non-codewords ``x``."""
 
     s: Fraction
     witness: BitVector
-    method: str
-    samples: int = 0
 
     def ratio_of(self, code: CodeInstance) -> Fraction:
         syn = code.h.mul_vec(self.witness)
@@ -292,38 +288,7 @@ def soundness_exhaustive(
     s, _, pre = min(
         (Fraction(iw * n, m * w), image, pre) for iw, (w, image, pre) in profile.items()
     )
-    return SoundnessReport(s=s, witness=BitVector(n, pre), method="exhaustive")
-
-
-def soundness_sampled(
-    code: CodeInstance,
-    samples: int = 2000,
-    seed: int = 0,
-    kernel_budget: int = DEFAULT_ENUM_BUDGET,
-) -> SoundnessReport:
-    """Non-certifying upper estimate of soundness from random non-codewords.
-
-    Each sample is replaced by its coset leader, so the stored witness
-    reproduces the ratio through ``ratio_of()``.
-    """
-    if code.m == 0 or rank(code.h) == 0:
-        raise DegenerateCodeError("code equals the full space; soundness undefined")
-    basis = kernel_basis(code.h)
-    rng = random.Random(seed)
-    best: Fraction | None = None
-    best_x = None
-    drawn = 0
-    while drawn < samples:
-        x = BitVector(code.n, rng.getrandbits(code.n))
-        syn = code.h.mul_vec(x)
-        if syn.bits == 0:
-            continue
-        drawn += 1
-        leader = coset_leader(basis, x, kernel_budget)
-        ratio = Fraction(syn.weight() * code.n, code.m * leader.weight())
-        if best is None or ratio < best:
-            best, best_x = ratio, leader
-    return SoundnessReport(s=best, witness=best_x, method="sampled", samples=drawn)
+    return SoundnessReport(s=s, witness=BitVector(n, pre))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +479,6 @@ class _SmallSet:
         cert_x: ExpansionCertificate,
         cert_y: ExpansionCertificate,
     ):
-        if not (cert_x.certifies and cert_y.certifies):
-            raise PreconditionViolationError("both certificates must be exhaustive")
         self.bp = bp
         self.bounds = small_set_smallness_bounds(bp, cert_x, cert_y)
         self.max_weights = tuple(_strict_floor(b) for b in self.bounds)
@@ -809,15 +772,13 @@ def distance_certificate(
 ) -> DistanceReport:
     """Expansion-implied lower bound on distance, with exact value if feasible.
 
-    ``subgraph_cert`` must be an exhaustive certificate for the downward
-    subgraph on (V00, V10).  Its cutoff times ``|V00|`` lower-bounds the
-    distance when epsilon < 1/2: a set S of bits with ``|N(S)| >= (1 - eps)
-    w |S|`` then has ``(1 - 2 eps) w |S| > 0`` unique neighbors, so no nonzero
-    codeword is that small (Sipser and Spielman's expander-code argument).
+    ``subgraph_cert`` certifies the downward subgraph on (V00, V10).  Its
+    cutoff times ``|V00|`` lower-bounds the distance when epsilon < 1/2: a set
+    S of bits with ``|N(S)| >= (1 - eps) w |S|`` then has ``(1 - 2 eps) w |S|
+    > 0`` unique neighbors, so no nonzero codeword is that small (Sipser and
+    Spielman's expander-code argument).
     For 1/2 <= epsilon < 1 the bound is ``None``.
     """
-    if not subgraph_cert.certifies:
-        raise PreconditionViolationError("distance bound needs an exhaustive certificate")
     if subgraph_cert.epsilon >= 1:
         raise PreconditionViolationError("epsilon >= 1 vacates the bound")
     bound = reason = None

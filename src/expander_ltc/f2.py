@@ -251,25 +251,6 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
     return basis
 
 
-def solve(m: BitMatrix, b: BitVector) -> BitVector | None:
-    """Any ``x`` with ``m x = b``, or ``None`` if the system is inconsistent."""
-    if b.length != m.rows:
-        raise InvalidParameterError("right-hand side has wrong length")
-    # eliminate on [m | b] columns-first, tracking b as an extra column
-    aug = [r | (((b.bits >> i) & 1) << m.cols) for i, r in enumerate(m.row_bits)]
-    echelon, pivots = _row_echelon(aug, m.cols + 1)
-    if m.cols in pivots:
-        return None
-    x = 0
-    col_mask = (1 << m.cols) - 1
-    for r, p in zip(reversed(echelon), reversed(pivots)):
-        rhs = (r >> m.cols) & 1
-        rhs ^= ((r & col_mask) & x).bit_count() & 1
-        if rhs:
-            x |= 1 << p
-    return BitVector(m.cols, x)
-
-
 def gray_sweep(
     vectors: Sequence[int], budget: int, start: int = 0
 ) -> Iterator[tuple[int, int]]:
@@ -304,19 +285,6 @@ def min_weight_nonzero(
     sweep = gray_sweep([v.bits for v in basis], budget)
     w, bits = min((cur.bit_count(), cur) for _, cur in sweep)
     return w, BitVector(basis[0].length, bits)
-
-
-def coset_leader(
-    basis: Sequence[BitVector], x: BitVector, budget: int = DEFAULT_ENUM_BUDGET
-) -> BitVector:
-    """The least-weight vector of ``x + span(basis)``, ties to the smaller bits.
-
-    With ``basis`` a kernel basis of ``h``, its weight is ``d(x, C(h))``.
-    """
-    best = (x.weight(), x.bits)
-    for _, cur in gray_sweep([v.bits for v in basis], budget, start=x.bits):
-        best = min(best, (cur.bit_count(), cur))
-    return BitVector(x.length, best[1])
 
 
 def min_preimages(columns: Sequence[int], budget: int) -> dict[int, tuple[int, int]]:

@@ -6,7 +6,6 @@ integer bitmasks so that subset-expansion scans reduce to OR + popcount.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import ceil, comb
 from typing import Iterable, NamedTuple, Sequence
@@ -64,9 +63,6 @@ class BipartiteGraph:
     def left_neighbors(self, u: int) -> list[int]:
         return _mask_to_list(self.left_masks[u])
 
-    def right_neighbors(self, v: int) -> list[int]:
-        return _mask_to_list(self.right_masks[v])
-
     def left_degree(self, u: int) -> int:
         return self.left_masks[u].bit_count()
 
@@ -115,26 +111,20 @@ class Regularity(NamedTuple):
 
 
 class ExpansionCertificate(NamedTuple):
-    """Result of a small-set vertex-expansion scan.
+    """Result of an exhaustive small-set vertex-expansion scan.
 
-    ``mode == "exhaustive"`` means every left subset of size < ``c * v0_size``
-    was checked and ``epsilon`` is tight.  ``mode == "sampled"`` is explicitly
-    non-certifying: ``epsilon`` is only the worst ratio seen over ``samples``
-    random subsets.
+    Every left subset of size < ``c * v0_size`` was checked, so ``epsilon`` is
+    tight.  ``mode`` is a constant, not a field; ``to_json`` keeps the
+    ``"mode"``, ``"samples"`` and ``"seed"`` keys of the report schema.
     """
 
     c: Fraction
     epsilon: Fraction
     w0: int
-    mode: str
     max_checked_size: int
     worst_witness: tuple[frozenset, Fraction] | None = None
-    samples: int = 0
-    seed: int | None = None
 
-    @property
-    def certifies(self) -> bool:
-        return self.mode == "exhaustive"
+    mode = "exhaustive"
 
     def to_json(self) -> dict:
         return {
@@ -151,8 +141,8 @@ class ExpansionCertificate(NamedTuple):
                 if self.worst_witness
                 else None
             ),
-            "samples": self.samples,
-            "seed": self.seed,
+            "samples": 0,
+            "seed": None,
         }
 
 
@@ -321,81 +311,38 @@ def _scan_subsets(
 def certify_expansion(
     x: BipartiteGraph,
     c: Fraction,
-    mode: str = "exhaustive",
-    sample_budget: int = 20_000,
-    seed: int = 0,
     max_evals: int = DEFAULT_SUBSET_BUDGET,
     action: GraphAction | None = None,
 ) -> ExpansionCertificate:
     """Tightest epsilon with ``|N(v0)| >= (1-eps) w0 |v0|`` for small subsets.
 
-    Exhaustive mode scans every left subset with ``|v0| < c * |V0|`` and the
-    returned epsilon is a true certificate.  Sampled mode draws random subsets
-    with a seeded PRNG and never claims certification.  An ``action`` by graph
-    automorphisms is checked and then lets the exhaustive scan start at one
-    vertex per orbit; the certificate is the same as without it.
+    Every left subset with ``|v0| < c * |V0|`` is scanned, so the returned
+    epsilon is a true certificate.  An ``action`` by graph automorphisms is
+    checked and then lets the scan start at one vertex per orbit; the
+    certificate is the same as without it.
     """
     if not 0 < c <= 1:
         raise InvalidParameterError(f"c must lie in (0, 1], got {c}")
-    reg = check_regularity(x)
-    w0 = reg.w0
+    w0 = check_regularity(x).w0
     kmax = _max_subset_size(Fraction(c), x.v0_size)
-    masks = x.left_masks
     starts = _scan_starts(x, action)
-
-    if mode == "exhaustive":
-        total = sum(comb(x.v0_size, k) for k in range(1, kmax + 1))
-        if total > max_evals:
-            raise BudgetExceededError(
-                "exhaustive certification too large; use sampled mode",
-                total,
-                max_evals,
-            )
-        least, least_at, _ = _scan_subsets(masks, kmax, starts)
-        # the worst size has the least |N(S)| / k; ties go to the smaller size
-        witness: tuple[frozenset, Fraction] | None = None
-        for k in range(1, kmax + 1):
-            ratio = Fraction(least[k], k)
-            if witness is None or ratio < witness[1]:
-                witness = (frozenset(least_at[k]), ratio)
-        return ExpansionCertificate(
-            c=Fraction(c),
-            epsilon=1 - witness[1] / w0 if witness else Fraction(0),
-            w0=w0,
-            mode="exhaustive",
-            max_checked_size=kmax,
-            worst_witness=witness,
-        )
-    if mode == "sampled":
-        worst_eps = Fraction(0)
-        witness = None
-        rng = random.Random(seed)
-        n_samples = 0
-        for _ in range(sample_budget):
-            if kmax < 1:
-                break
-            k = rng.randint(1, kmax)
-            subset = tuple(rng.sample(range(x.v0_size), k))
-            union = 0
-            for u in subset:
-                union |= masks[u]
-            ratio = Fraction(union.bit_count(), k)
-            eps = 1 - ratio / w0
-            if eps > worst_eps or witness is None:
-                worst_eps = max(eps, Fraction(0))
-                witness = (frozenset(subset), ratio)
-            n_samples += 1
-        return ExpansionCertificate(
-            c=Fraction(c),
-            epsilon=worst_eps,
-            w0=w0,
-            mode="sampled",
-            max_checked_size=kmax,
-            worst_witness=witness,
-            samples=n_samples,
-            seed=seed,
-        )
-    raise InvalidParameterError(f"unknown certification mode: {mode!r}")
+    total = sum(comb(x.v0_size, k) for k in range(1, kmax + 1))
+    if total > max_evals:
+        raise BudgetExceededError("exhaustive subset scan too large", total, max_evals)
+    least, least_at, _ = _scan_subsets(x.left_masks, kmax, starts)
+    # the worst size has the least |N(S)| / k; ties go to the smaller size
+    witness: tuple[frozenset, Fraction] | None = None
+    for k in range(1, kmax + 1):
+        ratio = Fraction(least[k], k)
+        if witness is None or ratio < witness[1]:
+            witness = (frozenset(least_at[k]), ratio)
+    return ExpansionCertificate(
+        c=Fraction(c),
+        epsilon=1 - witness[1] / w0 if witness else Fraction(0),
+        w0=w0,
+        max_checked_size=kmax,
+        worst_witness=witness,
+    )
 
 
 def check_unique_neighbor_lemma(
@@ -411,8 +358,6 @@ def check_unique_neighbor_lemma(
     subset in that order with the least ``|unique(v0)| / |v0|``.  An
     ``action`` is checked and used as in ``certify_expansion``.
     """
-    if not cert.certifies:
-        raise PreconditionViolationError("lemma check needs an exhaustive certificate")
     bound_coeff = (1 - 2 * cert.epsilon) * cert.w0
     kmax = cert.max_checked_size
     # an integer count u has u < bound_coeff * k exactly when u < ceil(...)
@@ -437,8 +382,6 @@ def check_edge_count_lemma(
     v1: Iterable[int],
 ) -> bool:
     """``|E(v0, v1)| <= eps w0 |v0| + |v1|`` for a certified small ``v0``."""
-    if not cert.certifies:
-        raise PreconditionViolationError("lemma check needs an exhaustive certificate")
     v0s, v1s = set(v0), set(v1)
     if len(v0s) > cert.max_checked_size:
         raise PreconditionViolationError(
@@ -459,8 +402,6 @@ def degree_split(
     Exact rational arithmetic throughout; ``d1 = max(deg - eps*w0, 0)`` and
     ``d2`` is the remainder.
     """
-    if not cert.certifies:
-        raise PreconditionViolationError("degree split needs an exhaustive certificate")
     if cert.epsilon >= 1:
         raise PreconditionViolationError("epsilon must be < 1")
     reg = check_regularity(x)

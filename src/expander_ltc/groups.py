@@ -67,9 +67,6 @@ class OrbitLabeling(NamedTuple):
     def num_orbits(self) -> int:
         return len(self.representatives)
 
-    def point_of(self, g: int, rep_index: int) -> int:
-        return self.action.table[g][self.representatives[rep_index]]
-
 
 def check_group_axioms(g: FiniteGroup) -> None:
     """Exhaustively verify associativity, identity and inverses.

@@ -477,8 +477,6 @@ def inherited_expansion(
     The cutoff scales by |factor left side| / |subgraph left side| and epsilon
     carries over unchanged.
     """
-    if not factor_cert.certifies:
-        raise InvalidParameterError("inheritance needs an exhaustive factor certificate")
     ca, _, factor_kind = _SUBGRAPH_CORNERS[which]
     factor = bp.x if factor_kind == "x" else bp.y
     scale = Fraction(factor.v0_size, bp.sizes[ca])
@@ -486,7 +484,6 @@ def inherited_expansion(
         c=factor_cert.c * scale,
         epsilon=factor_cert.epsilon,
         w0=factor_cert.w0,
-        mode="exhaustive",
         max_checked_size=factor_cert.max_checked_size,
         worst_witness=None,
     )

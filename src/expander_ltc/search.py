@@ -35,6 +35,9 @@ from .groups import (
 )
 from .products import BalancedProductComplex, GraphAction, balanced_product
 
+#: Cap on the exhaustive subset evaluations of each factor certification.
+SUBSET_BUDGET = 2_000_000
+
 
 def random_generating_set(g: FiniteGroup, size: int, rng: random.Random) -> list[int]:
     """A duplicate-free random subset of group elements of the given size."""
@@ -117,7 +120,6 @@ class _SpecFields(NamedTuple):
     eps_target: Fraction | None = None
     ratio_x_interval: tuple[Fraction, Fraction] | None = None
     ratio_y_interval: tuple[Fraction, Fraction] | None = None
-    subset_budget: int = 2_000_000
 
 
 class SearchSpec(_SpecFields):
@@ -191,7 +193,6 @@ def _certify_layered(
     action: GraphAction,
     gen_sets: list[list[int]],
     c: Fraction,
-    budget: int,
     memo: dict,
 ) -> ExpansionCertificate:
     """``certify_expansion`` of a ``layered_cayley`` graph, once per translation class.
@@ -210,7 +211,7 @@ def _certify_layered(
         # S * t = S' * t' = key, so v -> v * t * t'^-1 takes this graph onto S'
         if _relabels_onto(graph, cached_graph, g, g.mul(t, g.inv(cached_t))):
             return cert
-    cert = certify_expansion(graph, c, max_evals=budget, action=action)
+    cert = certify_expansion(graph, c, max_evals=SUBSET_BUDGET, action=action)
     memo.setdefault((c, key), (graph, t, cert))
     return cert
 
@@ -236,8 +237,8 @@ def search_pair(spec: SearchSpec) -> SearchResult:
         rng = random.Random(trial_seed)
         x, ax, gens_x = layered_cayley(g, layers_x, spec.w_down, rng)
         y, ay, gens_y = layered_cayley(g, layers_y, spec.w_right, rng)
-        cert_x = _certify_layered(x, ax, gens_x, spec.c_x, spec.subset_budget, memo)
-        cert_y = _certify_layered(y, ay, gens_y, spec.c_y, spec.subset_budget, memo)
+        cert_x = _certify_layered(x, ax, gens_x, spec.c_x, memo)
+        cert_y = _certify_layered(y, ay, gens_y, spec.c_y, memo)
         eps = small_set_epsilon(spec.w_up, cert_x, cert_y)
         log.append({
             "trial": trial,

@@ -16,6 +16,7 @@ from expander_ltc.graphs import BipartiteGraph, cayley_right, certify_expansion
 from expander_ltc.groups import FiniteGroup
 from expander_ltc.products import balanced_product
 from expander_ltc.search import (
+    SUBSET_BUDGET,
     SearchResult,
     SearchSpec,
     layered_cayley,
@@ -43,12 +44,8 @@ def reference_search_pair(spec: SearchSpec) -> SearchResult:
             x, ax, gens_x = layered_cayley(g, layers_x, spec.w_down, rng)
             y, ay, gens_y = layered_cayley(g, layers_y, spec.w_right, rng)
             bp = balanced_product(x, y, ax, ay)
-            cert_x = certify_expansion(
-                x, spec.c_x, max_evals=spec.subset_budget, action=ax
-            )
-            cert_y = certify_expansion(
-                y, spec.c_y, max_evals=spec.subset_budget, action=ay
-            )
+            cert_x = certify_expansion(x, spec.c_x, max_evals=SUBSET_BUDGET, action=ax)
+            cert_y = certify_expansion(y, spec.c_y, max_evals=SUBSET_BUDGET, action=ay)
         except MultiplicityViolationError as exc:
             entry["status"] = "degenerate"
             entry["detail"] = str(exc)

@@ -134,8 +134,6 @@ class _Reference:
     for each ``reference_small_set_ltc_check`` and once per reference suite."""
 
     def __init__(self, bp, cert_x, cert_y):
-        if not (cert_x.certifies and cert_y.certifies):
-            raise PreconditionViolationError("both certificates must be exhaustive")
         self.bp = bp
         self.bounds = small_set_smallness_bounds(bp, cert_x, cert_y)
         self.eps = small_set_epsilon(bp.w_up, cert_x, cert_y)

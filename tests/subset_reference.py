@@ -37,7 +37,6 @@ def reference_certificate(x, c) -> ExpansionCertificate:
         c=Fraction(c),
         epsilon=worst_eps,
         w0=w0,
-        mode="exhaustive",
         max_checked_size=kmax,
         worst_witness=witness,
     )

@@ -3,22 +3,20 @@
 These are the straightforward versions of what ``f2.gray_sweep``,
 ``f2.min_preimages`` and the shared per-weight profile replace.  Exact
 soundness and the LT profile each sweep the whole space and keep their own
-table, and sampled soundness recomputes the kernel basis for every sample, so
-they serve as an independent oracle.  The reference for the locally minimal
-distance is ``small_set_reference.reference_locally_minimal_distance``.
+table, so they serve as an independent oracle.  The reference for the locally
+minimal distance is ``small_set_reference.reference_locally_minimal_distance``.
 """
 
-import random
 from fractions import Fraction
 
 from expander_ltc.analysis import LTProfile, SoundnessReport
 from expander_ltc.errors import DegenerateCodeError
-from expander_ltc.f2 import BitVector, kernel_basis, rank
+from expander_ltc.f2 import BitVector, rank
 
 
-def _gray(basis_bits, start=0):
+def _gray(basis_bits):
     """``(i, cur)`` for every nonempty combination, in Gray order."""
-    cur = start
+    cur = 0
     for i in range(1, 1 << len(basis_bits)):
         cur ^= basis_bits[(i & -i).bit_length() - 1]
         yield i, cur
@@ -34,18 +32,6 @@ def reference_min_weight_nonzero(basis):
         if best_w is None or w < best_w or (w == best_w and cur < best):
             best_w, best = w, cur
     return best_w, BitVector(basis[0].length, best)
-
-
-def reference_coset_leader(h, x):
-    """The lightest vector of ``x + C(h)``, ties to the smaller bits."""
-    basis = kernel_basis(h)
-    best = x.bits
-    for _, cur in _gray([v.bits for v in basis], x.bits):
-        if cur.bit_count() < best.bit_count() or (
-            cur.bit_count() == best.bit_count() and cur < best
-        ):
-            best = cur
-    return BitVector(x.length, best)
 
 
 def reference_soundness_exhaustive(code) -> SoundnessReport:
@@ -71,27 +57,7 @@ def reference_soundness_exhaustive(code) -> SoundnessReport:
         ratio = Fraction(syn.bit_count() * n, m * w)
         if best is None or ratio < best:
             best, best_x = ratio, xbits
-    return SoundnessReport(s=best, witness=BitVector(n, best_x), method="exhaustive")
-
-
-def reference_soundness_sampled(code, samples=2000, seed=0) -> SoundnessReport:
-    """Random non-codewords, each with its own kernel basis and coset leader."""
-    if code.m == 0 or rank(code.h) == 0:
-        raise DegenerateCodeError("code equals the full space")
-    rng = random.Random(seed)
-    best = best_x = None
-    drawn = 0
-    while drawn < samples:
-        x = BitVector(code.n, rng.getrandbits(code.n))
-        syn = code.h.mul_vec(x)
-        if syn.bits == 0:
-            continue
-        drawn += 1
-        dist = reference_coset_leader(code.h, x).weight()
-        ratio = Fraction(syn.weight() * code.n, code.m * dist)
-        if best is None or ratio < best:
-            best, best_x = ratio, reference_coset_leader(code.h, x)
-    return SoundnessReport(s=best, witness=best_x, method="sampled", samples=drawn)
+    return SoundnessReport(s=best, witness=BitVector(n, best_x))
 
 
 def reference_lt_profile(bp, max_c1_weight) -> LTProfile:

@@ -340,12 +340,6 @@ class TestSmallSetCheck:
         with pytest.raises(PreconditionViolationError):
             small_set_ltc_check(bp, cx, cy, c1)
 
-    def test_requires_exhaustive_certs(self):
-        bp, cx, cy = self._instance()
-        sampled = certify_expansion(bp.x, Fraction(1, 2), mode="sampled")
-        with pytest.raises(PreconditionViolationError):
-            small_set_ltc_check(bp, sampled, cy, C1Vector.zero(bp))
-
     def test_suite_all_hold(self):
         bp, cx, cy = self._instance()
         orbits = small_set_suite(bp, cx, cy)
@@ -398,7 +392,6 @@ class TestDistanceCertificate:
             c=Fraction(1, 4),
             epsilon=Fraction(1),
             w0=2,
-            mode="exhaustive",
             max_checked_size=1,
         )
         with pytest.raises(PreconditionViolationError):

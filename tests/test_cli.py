@@ -125,6 +125,17 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "certification of factor x" in err and "c_x" in err
 
+    def test_certification_budget_real_config(self, tmp_path, capsys):
+        # subsets of Z40 below size 20: far beyond the fixed subset budget
+        cfg = write_config(tmp_path, {
+            **BASE_CONFIG, "group": {"kind": "cyclic", "n": 40}, "a_set": [1, 2, 3],
+        })
+        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "certification of factor x" in err
+        assert "needs 480832549477" in err and "lower c_x" in err
+        assert "sampled" not in err
+
     def test_distance_bound_needs_epsilon_below_half(self, tmp_path):
         # epsilon = 1/2 on the *0 subgraph: c*|V00| = 6 exceeds d = 4
         cfg = write_config(tmp_path, {
@@ -214,6 +225,18 @@ class TestSearch:
         assert len(result["log"]) == 4
         assert result["cert_x"]["mode"] == "exhaustive"
 
+    def test_certification_budget_names_stage(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "group": {"kind": "cyclic", "n": 40},
+            "w_down": 3, "w_up": 3, "w_right": 3, "w_left": 3,
+            "c_x": "1/2", "c_y": "1/2", "trials": 1,
+        })
+        assert main(["search", "--config", cfg, "--out", str(tmp_path / "s")]) == 3
+        err = capsys.readouterr().err
+        assert "search certification" in err
+        assert "needs 480832549477" in err and "lower c_x or c_y" in err
+        assert "sampled" not in err
+
 
 class TestDemoSharp:
     def test_default_instance(self, capsys):
@@ -243,26 +266,16 @@ class TestSoundnessKey:
         return json.loads((out / "report.json").read_text())
 
     def test_true_is_exhaustive(self, tmp_path):
-        assert self._report(tmp_path, True)["soundness"]["method"] == "exhaustive"
-
-    def test_exhaustive(self, tmp_path):
-        snd = self._report(tmp_path, "exhaustive")["soundness"]
+        snd = self._report(tmp_path, True)["soundness"]
         assert snd["method"] == "exhaustive"
         assert snd["s"] == "1/2"
 
     def test_false_skips(self, tmp_path):
         assert self._report(tmp_path, False)["soundness"] is None
 
-    def test_none_skips(self, tmp_path):
-        assert self._report(tmp_path, "none")["soundness"] is None
-
-    def test_sampled(self, tmp_path):
-        snd = self._report(tmp_path, "sampled")["soundness"]
-        assert snd["method"] == "sampled"
-        # a sampled minimum can only overestimate the exact one (1/2 here)
-        assert Fraction(snd["s"]) >= Fraction(1, 2)
-
-    @pytest.mark.parametrize("value", ["fast", 1, 0, None, ["none"]])
+    @pytest.mark.parametrize(
+        "value", ["fast", 1, 0, None, ["none"], "sampled", "exhaustive", "none"]
+    )
     def test_other_values_exit_2(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, {**BASE_CONFIG, "soundness": value})
         assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -414,8 +427,7 @@ class TestFlags:
     """Each subcommand takes exactly the flags it reads."""
 
     OPTIONS = {
-        "build": {"--config", "--out", "--seed", "--budget", "--deterministic",
-                  "--dry-run"},
+        "build": {"--config", "--out", "--budget", "--deterministic", "--dry-run"},
         "verify": {"--config", "--suites", "--dry-run"},
         "search": {"--config", "--out", "--seed", "--dry-run"},
         "demo-sharp": {"--config"},
@@ -431,7 +443,7 @@ class TestFlags:
             for name, p in subparsers.choices.items()
         }
         assert options == self.OPTIONS
-        assert sum(map(len, options.values())) == 14
+        assert sum(map(len, options.values())) == 13
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--out", "o"],
@@ -445,6 +457,7 @@ class TestFlags:
         ["demo-sharp", "--seed", "1"],
         ["demo-sharp", "--budget", "1"],
         ["demo-sharp", "--deterministic"],
+        ["build", "--seed", "3"],
     ])
     def test_removed_flags_rejected(self, tmp_path, argv):
         cfg = write_config(tmp_path, BASE_CONFIG)

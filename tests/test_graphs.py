@@ -158,7 +158,7 @@ class TestCertifyExpansion:
         x = cayley_left(make_cyclic(8), [1])
         cert = certify_expansion(x, Fraction(1))
         assert cert.epsilon == 0
-        assert cert.certifies
+        assert cert.mode == "exhaustive"
 
     def test_k33_pairs_eps_half(self):
         cert = certify_expansion(k33(), Fraction(1))
@@ -199,13 +199,6 @@ class TestCertifyExpansion:
         with pytest.raises(BudgetExceededError):
             certify_expansion(x, Fraction(1, 2), max_evals=100)
 
-    def test_sampled_mode_not_certifying(self):
-        x = cayley_left(make_cyclic(16), [1, 3, 7])
-        cert = certify_expansion(x, Fraction(1, 2), mode="sampled", seed=5)
-        assert not cert.certifies
-        assert cert.samples > 0
-        assert cert.seed == 5
-
     def test_invalid_c_rejected(self):
         with pytest.raises(InvalidParameterError):
             certify_expansion(k33(), Fraction(3, 2))
@@ -232,12 +225,6 @@ class TestUniqueNeighborLemma:
         cert = certify_expansion(x, Fraction(3, 11))
         ok, _ = check_unique_neighbor_lemma(x, cert)
         assert ok
-
-    def test_requires_exhaustive(self):
-        x = cayley_left(make_cyclic(11), [1, 2, 5])
-        cert = certify_expansion(x, Fraction(3, 11), mode="sampled")
-        with pytest.raises(PreconditionViolationError):
-            check_unique_neighbor_lemma(x, cert)
 
 
 class TestEdgeCountLemma:
@@ -384,7 +371,7 @@ class TestSubsetKernel:
         for shrink in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             strict = ExpansionCertificate(
                 c=c, epsilon=cert.epsilon * shrink, w0=cert.w0,
-                mode="exhaustive", max_checked_size=cert.max_checked_size,
+                max_checked_size=cert.max_checked_size,
             )
             assert check_unique_neighbor_lemma(x, strict, action=act) == (
                 reference_unique_lemma(x, strict)
@@ -394,7 +381,7 @@ class TestSubsetKernel:
         x = cayley_right(make_cyclic(10), [1, 3])
         cert = certify_expansion(x, Fraction(1, 2))
         strict = ExpansionCertificate(
-            c=cert.c, epsilon=Fraction(0), w0=cert.w0, mode="exhaustive",
+            c=cert.c, epsilon=Fraction(0), w0=cert.w0,
             max_checked_size=cert.max_checked_size,
         )
         ok, (subset, uniq) = check_unique_neighbor_lemma(x, strict)
@@ -433,15 +420,6 @@ class TestSubsetKernel:
             certify_expansion(x, Fraction(1, 2), max_evals=total - 1, action=act)
         assert info.value.required == total
         certify_expansion(x, Fraction(1, 2), max_evals=total, action=act)
-
-    def test_sampled_mode_ignores_action(self):
-        g = make_cyclic(12)
-        x = cayley_right(g, [1, 5])
-        action = GraphAction(left_regular_action(g), left_regular_action(g))
-        plain = certify_expansion(x, Fraction(1, 2), mode="sampled", seed=3)
-        assert certify_expansion(
-            x, Fraction(1, 2), mode="sampled", seed=3, action=action
-        ) == plain
 
 
 class TestMajorizes:

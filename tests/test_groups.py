@@ -147,7 +147,7 @@ class TestOrbitLabeling:
         seen = set()
         for x in range(a.set_size):
             g, i = lab.label[x]
-            assert lab.point_of(g, i) == x
+            assert a.act(g, lab.representatives[i]) == x
             seen.add((g, i))
         assert len(seen) == a.set_size
 

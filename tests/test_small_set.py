@@ -248,14 +248,6 @@ def test_single_check_rejects_heavy_vector():
         small_set_ltc_check(bp, cert_x, cert_y, c1)
 
 
-def test_suite_requires_exhaustive_certificates():
-    bp = INSTANCES["Z8"]()
-    cert_x, cert_y = _certified(bp)
-    sampled = certify_expansion(bp.x, Fraction(1, 2), mode="sampled")
-    with pytest.raises(PreconditionViolationError, match="exhaustive"):
-        small_set_suite(bp, sampled, cert_y)
-
-
 def test_square_count_error_through_suite(monkeypatch):
     bp = INSTANCES["Z8"]()
     cert_x, cert_y = _certified(bp)
