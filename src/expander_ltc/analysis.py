@@ -32,7 +32,7 @@ from .f2 import (
     rank,
 )
 from .graphs import ExpansionCertificate
-from .products import BalancedProductComplex, one_d_subgraph
+from .products import BalancedProductComplex
 
 
 # ---------------------------------------------------------------------------
@@ -152,25 +152,12 @@ def boundary_1(bp: BalancedProductComplex, c1: C1Vector) -> BitVector:
     return bp.d1.mul_vec(c1.stacked())
 
 
-def _d2_column_masks(
-    bp: BalancedProductComplex,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-bit boundary supports, split into the V10 and V01 check parts.
-
-    Derived from one transpose of ``d2`` per complex and kept in its ``memo``
-    (complexes are immutable).
-    """
-    masks = bp.memo.get("d2_column_masks")
-    if masks is None:
-        mask10 = (1 << bp.n10) - 1
-        rows = bp.d2.transpose().row_bits
-        masks = (tuple(b & mask10 for b in rows), tuple(b >> bp.n10 for b in rows))
-        bp.memo["d2_column_masks"] = masks
-    return masks
-
-
 def _overlaps(masks: Sequence[int], bits: int) -> list[int]:
-    """``|masks[j] & bits|`` for every bit ``j`` of C2."""
+    """``|masks[j] & bits|`` for every bit ``j`` of C2.
+
+    With ``bp.g_s0.left_masks`` or ``bp.g_0s.left_masks`` as ``masks`` these
+    are the overlaps of each ``d2`` column's V10 or V01 part with ``bits``.
+    """
     return [(m & bits).bit_count() for m in masks]
 
 
@@ -196,7 +183,7 @@ def is_locally_minimal(
     c1: C1Vector, bp: BalancedProductComplex
 ) -> tuple[bool, int | None]:
     """Weighted local minimality; if not, also the bit ``greedy_flip`` would flip."""
-    lo, hi = _d2_column_masks(bp)
+    lo, hi = bp.g_s0.left_masks, bp.g_0s.left_masks
     j = _best_flip(bp, _overlaps(lo, c1.v10.bits), _overlaps(hi, c1.v01.bits))
     return j is None, j
 
@@ -214,7 +201,7 @@ def greedy_flip(c1: C1Vector, bp: BalancedProductComplex) -> FlipResult:
     ties broken by lowest bit index, so runs are deterministic.  The syndrome
     ``d1 c1`` is invariant throughout.
     """
-    lo, hi = _d2_column_masks(bp)
+    lo, hi = bp.g_s0.left_masks, bp.g_0s.left_masks
     v10, v01 = c1.v10.bits, c1.v01.bits
     flips = 0
     steps = 0
@@ -343,8 +330,6 @@ class LTProfile(NamedTuple):
     witnesses: dict[int, tuple[BitVector, BitVector]]  # w -> (image, preimage)
     kappa: Fraction
     d_lt: int
-    max_weight_profiled: int
-    image_fully_enumerated: bool
 
 
 def lt_profile(
@@ -373,8 +358,6 @@ def lt_profile(
         witnesses=witnesses,
         kappa=kappa,
         d_lt=d_lt,
-        max_weight_profiled=max_c1_weight,
-        image_fully_enumerated=True,
     )
 
 
@@ -396,7 +379,7 @@ def square_count(bp: BalancedProductComplex, c1: C1Vector) -> int:
     Computed both as a per-bit degree-product sum and by direct face
     enumeration; the two must agree.
     """
-    lo, hi = _d2_column_masks(bp)
+    lo, hi = bp.g_s0.left_masks, bp.g_0s.left_masks
     by_degrees = sum(map(mul, _overlaps(lo, c1.v10.bits), _overlaps(hi, c1.v01.bits)))
     by_faces = sum(
         1
@@ -484,13 +467,10 @@ class _SmallSet:
         self.max_weights = tuple(_strict_floor(b) for b in self.bounds)
         self.epsilon = small_set_epsilon(bp.w_up, cert_x, cert_y)
         self.factor = Fraction(1, 2) - 8 * self.epsilon
-        self.d2_masks = _d2_column_masks(bp)
-        d1_columns = bp.d1.transpose().row_bits
-        self.d1_columns = (d1_columns[: bp.n10], d1_columns[bp.n10 :])
-        self.neighbor_masks = (
-            one_d_subgraph(bp, "1*").graph.left_masks,
-            one_d_subgraph(bp, "*1").graph.left_masks,
-        )
+        # by corner (v10, v01): each vertex's part of the d2 columns, and its
+        # d1 column, which is also its neighbourhood in V11
+        self.d2_masks = (bp.g_s0.left_masks, bp.g_0s.left_masks)
+        self.d1_columns = (bp.g_1s.left_masks, bp.g_s1.left_masks)
         # faces by V10 vertex: its k-th mask holds the V01 vertices that share
         # more than k faces with it
         self.faces_by_v10: list[list[int]] = [[] for _ in range(bp.n10)]
@@ -505,13 +485,12 @@ class _SmallSet:
     def part(self, corner: int, support: Sequence[int]) -> _Part:
         """Corner 0 is ``v10``, corner 1 is ``v01``."""
         columns = self.d1_columns[corner]
-        neighbors = self.neighbor_masks[corner]
         bits = syndrome = once = more = 0
         for i in support:
             bits |= 1 << i
             syndrome ^= columns[i]
-            more |= once & neighbors[i]
-            once |= neighbors[i]
+            more |= once & columns[i]
+            once |= columns[i]
         faces = [m for i in support for m in self.faces_by_v10[i]] if corner == 0 else []
         return _Part(
             bits=bits,
@@ -611,7 +590,7 @@ def _translations(bp: BalancedProductComplex) -> list[tuple[int, ...]]:
 
     Every corner indexes its vertex ``(h, i_r, i_s)`` as ``(i_r, i_s)·|G| + h``,
     so one map serves all four corners.  A map is an automorphism when it
-    sends every face to a face and every edge of the four edge sets to an
+    sends every face to a face and every edge of the four subgraphs to an
     edge.  That holds for abelian G; it is checked here, on this complex.
     """
     g = bp.group
@@ -620,7 +599,9 @@ def _translations(bp: BalancedProductComplex) -> list[tuple[int, ...]]:
         tuple(i - i % g.order + g.mul(i % g.order, t) for i in range(size))
         for t in g.elements()
     ]
-    cell_sets = (set(bp.faces), bp.e_s0, bp.e_s1, bp.e_0s, bp.e_1s)
+    cell_sets = (
+        set(bp.faces), bp.g_s0.edges, bp.g_s1.edges, bp.g_0s.edges, bp.g_1s.edges
+    )
     if all(
         tuple(tau[v] for v in cell) in cells
         for tau in maps
@@ -658,7 +639,6 @@ def small_set_suite(
     bp: BalancedProductComplex,
     cert_x: ExpansionCertificate,
     cert_y: ExpansionCertificate,
-    include_zero: bool = False,
 ) -> list[SmallSetOrbit]:
     """Run the inequality once per translation orbit of locally minimal small c1.
 
@@ -671,7 +651,12 @@ def small_set_suite(
     orbits come in the order of their representatives.  Each ``v10`` and each
     ``v01`` part is evaluated once, and every pair only combines the two.
     Local minimality, the weight bounds and the square count are checked on
-    every representative.
+    every representative; the zero vector is left out.
+
+    Every mask a part reads is a left mask of a subgraph the complex stores:
+    ``g_s0`` and ``g_0s`` give the ``d2`` columns of the flip test and the
+    square count, ``g_1s`` and ``g_s1`` the ``d1`` columns, which are also the
+    V11 neighbourhoods the unique-neighbour counts read.
     """
     ss = _SmallSet(bp, cert_x, cert_y)
     max10, max01 = ss.max_weights
@@ -688,7 +673,7 @@ def small_set_suite(
             continue
         p10 = ss.part(0, s10)
         for j, p01 in enumerate(parts01):
-            if not (include_zero or p10.bits or p01.bits):
+            if not (p10.bits or p01.bits):
                 continue
             fixing = _stabiliser(j, moved01, fixing10)
             if fixing is None or _best_flip(bp, p10.overlaps, p01.overlaps) is not None:
@@ -715,8 +700,8 @@ def sharp_example(bp: BalancedProductComplex, x00: int) -> C1Vector:
         )
     if not 0 <= x00 < bp.n00:
         raise InvalidParameterError(f"vertex {x00} outside V00")
-    n10_all = sorted(v for (u, v) in bp.e_s0 if u == x00)
-    n01_all = sorted(v for (u, v) in bp.e_0s if u == x00)
+    n10_all = bp.g_s0.left_neighbors(x00)
+    n01_all = bp.g_0s.left_neighbors(x00)
     n10 = n10_all[: bp.w_down // 2]
     n01 = n01_all[: bp.w_right // 2]
     c1 = C1Vector.from_supports(bp, n10, n01)

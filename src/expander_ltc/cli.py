@@ -56,7 +56,6 @@ _BUILD_KEYS = {
     "c_x",
     "c_y",
     "max_c1_weight",
-    "soundness",
     "small_set",
 }
 _SEARCH_KEYS = {
@@ -183,7 +182,6 @@ def _build_config(path: str) -> tuple[tuple[FiniteGroup, list[int], list[int]], 
         "c_x": _cutoff(cfg, "c_x"),
         "c_y": _cutoff(cfg, "c_y"),
         "max_c1_weight": _integer(cfg, "max_c1_weight", 0),
-        "soundness": _flag(cfg, "soundness", True),
         "run_small_set": _flag(cfg, "small_set", True),
     }
     return _complex_inputs(cfg), settings
@@ -255,7 +253,6 @@ def build_report(
     c_y: Fraction,
     max_c1_weight: int | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
-    soundness: bool = True,
     run_small_set: bool = True,
 ) -> dict:
     """The full analysis record of one complex, as a JSON-ready dict."""
@@ -298,15 +295,13 @@ def build_report(
     }
     if dist.reason is not None:
         report["d"]["reason"] = dist.reason
-    report["soundness"] = None
-    if soundness:
-        # reads the per-weight profile of the LT sweep above, already in budget
-        snd = analysis.soundness_exhaustive(code, budget=budget)
-        report["soundness"] = {
-            "s": str(snd.s),
-            "method": "exhaustive",
-            "witness": snd.witness.support(),
-        }
+    # reads the per-weight profile of the LT sweep above, already in budget
+    snd = analysis.soundness_exhaustive(code, budget=budget)
+    report["soundness"] = {
+        "s": str(snd.s),
+        "method": "exhaustive",
+        "witness": snd.witness.support(),
+    }
     report["small_set_checks"] = (
         _small_set_summary(bp, cert_x, cert_y) if run_small_set else None
     )
@@ -334,7 +329,7 @@ def _write_outputs(
                 report["d"]["bound"],
                 report["d"]["exact"],
                 report["locality"],
-                report["soundness"]["s"] if report["soundness"] else "",
+                report["soundness"]["s"],
                 report["d_lm"],
                 report["lt_profile"]["kappa"],
                 report["lt_profile"]["d_lt"],
@@ -351,9 +346,10 @@ def _write_outputs(
     graphs_dir.mkdir(exist_ok=True)
     (graphs_dir / "factor_x.edges").write_text(graph_to_edge_list(bp.x))
     (graphs_dir / "factor_y.edges").write_text(graph_to_edge_list(bp.y))
-    for name, tag in (("*0", "down"), ("*1", "up"), ("0*", "right"), ("1*", "left")):
-        sub = one_d_subgraph(bp, name)
-        (graphs_dir / f"sub_{tag}.edges").write_text(graph_to_edge_list(sub.graph))
+    for tag, graph in (
+        ("down", bp.g_s0), ("up", bp.g_s1), ("right", bp.g_0s), ("left", bp.g_1s)
+    ):
+        (graphs_dir / f"sub_{tag}.edges").write_text(graph_to_edge_list(graph))
 
 
 @contextmanager

@@ -167,21 +167,6 @@ class BitMatrix:
                 rr &= rr - 1
         return BitMatrix(self.cols, self.rows, out)
 
-    def vstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.cols:
-            raise InvalidParameterError("column mismatch in vstack")
-        return BitMatrix(
-            self.rows + other.rows, self.cols, self.row_bits + other.row_bits
-        )
-
-    def hstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.rows != other.rows:
-            raise InvalidParameterError("row mismatch in hstack")
-        bits = [
-            a | (b << self.cols) for a, b in zip(self.row_bits, other.row_bits)
-        ]
-        return BitMatrix(self.rows, self.cols + other.cols, bits)
-
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)
 

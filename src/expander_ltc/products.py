@@ -56,10 +56,10 @@ class _ComplexFields(NamedTuple):
     ay: GraphAction
     labelings: tuple[OrbitLabeling, OrbitLabeling, OrbitLabeling, OrbitLabeling]
     sizes: tuple[int, int, int, int]  # |V00|, |V10|, |V01|, |V11|
-    e_s0: frozenset[tuple[int, int]]
-    e_s1: frozenset[tuple[int, int]]
-    e_0s: frozenset[tuple[int, int]]
-    e_1s: frozenset[tuple[int, int]]
+    g_s0: BipartiteGraph  # V00 - V10
+    g_s1: BipartiteGraph  # V01 - V11
+    g_0s: BipartiteGraph  # V00 - V01
+    g_1s: BipartiteGraph  # V10 - V11
     faces: tuple[tuple[int, int, int, int], ...]
     reg_x: Regularity
     reg_y: Regularity
@@ -69,12 +69,19 @@ class _ComplexFields(NamedTuple):
 
 
 class BalancedProductComplex(_ComplexFields):
-    """The quotient product with labels, edge sets, faces and boundary maps.
+    """The quotient product with labels, subgraphs, faces and boundary maps.
 
     Corner ``(alpha, beta)`` vertices carry labels ``(h, i_r, i_s)`` where
     ``i_r`` indexes the orbit representatives of the first factor's side
     ``alpha`` and ``i_s`` those of the second factor's side ``beta``; the
     index order is lexicographic in ``(i_r, i_s, h)``.
+
+    The four corner-to-corner subgraphs ``g_s0`` (V00-V10), ``g_s1``
+    (V01-V11), ``g_0s`` (V00-V01) and ``g_1s`` (V10-V11) are the one store of
+    the incidences, the lower corner on the left.  Both boundary maps are
+    built from their masks: the rows of ``d2`` are the right masks of
+    ``g_s0`` and ``g_0s``, its columns their left masks; ``d1`` joins the
+    right masks of ``g_1s`` and ``g_s1``, its columns their left masks.
 
     ``memo`` holds values derived from the fields, stored by the code that
     derives them; it takes no part in equality, and each instance has its own.
@@ -202,7 +209,7 @@ def balanced_product(
         corner_b: int,
         expected: int,
         what: str,
-    ) -> frozenset[tuple[int, int]]:
+    ) -> BipartiteGraph:
         counts: Counter = Counter()
         for (xa, ya), (xb, yb) in pairs:
             counts[
@@ -217,21 +224,21 @@ def balanced_product(
             raise MultiplicityViolationError(
                 f"{what}: got {len(counts)} edge orbits, expected {expected}"
             )
-        return frozenset(counts)
+        return BipartiteGraph(sizes[corner_a], sizes[corner_b], counts)
 
-    e_s0 = quotient_edges(
+    g_s0 = quotient_edges(
         (((x0, y0), (x1, y0)) for (x0, x1) in x.edges for y0 in range(y.v0_size)),
         0, 1, len(x.edges) * y.v0_size // g.order, "E*0",
     )
-    e_s1 = quotient_edges(
+    g_s1 = quotient_edges(
         (((x0, y1), (x1, y1)) for (x0, x1) in x.edges for y1 in range(y.v1_size)),
         2, 3, len(x.edges) * y.v1_size // g.order, "E*1",
     )
-    e_0s = quotient_edges(
+    g_0s = quotient_edges(
         (((x0, y0), (x0, y1)) for x0 in range(x.v0_size) for (y0, y1) in y.edges),
         0, 2, x.v0_size * len(y.edges) // g.order, "E0*",
     )
-    e_1s = quotient_edges(
+    g_1s = quotient_edges(
         (((x1, y0), (x1, y1)) for x1 in range(x.v1_size) for (y0, y1) in y.edges),
         1, 3, x.v1_size * len(y.edges) // g.order, "E1*",
     )
@@ -264,11 +271,13 @@ def balanced_product(
     reg_x = check_regularity(x)
     reg_y = check_regularity(y)
 
-    d2 = _adjacency(sizes[1], sizes[0], e_s0, flip=True).vstack(
-        _adjacency(sizes[2], sizes[0], e_0s, flip=True)
+    d2 = BitMatrix(
+        sizes[1] + sizes[2], sizes[0], g_s0.right_masks + g_0s.right_masks
     )
-    d1 = _adjacency(sizes[3], sizes[1], e_1s, flip=True).hstack(
-        _adjacency(sizes[3], sizes[2], e_s1, flip=True)
+    d1 = BitMatrix(
+        sizes[3],
+        sizes[1] + sizes[2],
+        [a | b << sizes[1] for a, b in zip(g_1s.right_masks, g_s1.right_masks)],
     )
     product = d1.matmul(d2)
     if not product.is_zero():
@@ -285,10 +294,10 @@ def balanced_product(
         ay=ay,
         labelings=labelings,
         sizes=sizes,
-        e_s0=e_s0,
-        e_s1=e_s1,
-        e_0s=e_0s,
-        e_1s=e_1s,
+        g_s0=g_s0,
+        g_s1=g_s1,
+        g_0s=g_0s,
+        g_1s=g_1s,
         faces=faces,
         reg_x=reg_x,
         reg_y=reg_y,
@@ -296,17 +305,6 @@ def balanced_product(
         d1=d1,
         wedge_to_face=wedge_to_face,
     )
-
-
-def _adjacency(
-    rows: int, cols: int, edges: Iterable[tuple[int, int]], flip: bool = False
-) -> BitMatrix:
-    """Adjacency as a rows x cols bit matrix; ``flip`` swaps the pair order."""
-    m = BitMatrix(rows, cols)
-    for a, b in edges:
-        i, j = (b, a) if flip else (a, b)
-        m.set(i, j, 1)
-    return m
 
 
 def complex_manifest(bp: BalancedProductComplex) -> dict:
@@ -380,21 +378,17 @@ _SUBGRAPH_CORNERS: dict[str, tuple[int, int, str]] = {
 
 
 def one_d_subgraph(bp: BalancedProductComplex, which: SubgraphName) -> OneDSubgraph:
-    """Extract one of the four corner-to-corner subgraphs with its copy witness.
+    """One of the four corner-to-corner subgraphs with its copy witness.
 
-    The subgraph decomposes into disjoint copies of the matching factor, one
-    copy per orbit of the other factor's paired side.
+    ``graph`` is the subgraph the complex stores (``bp.g_s0`` for ``"*0"``,
+    and so on); the witness is computed here.  The subgraph decomposes into
+    disjoint copies of the matching factor, one copy per orbit of the other
+    factor's paired side.
     """
     if which not in _SUBGRAPH_CORNERS:
         raise InvalidParameterError(f"unknown subgraph selector: {which!r}")
     ca, cb, factor_kind = _SUBGRAPH_CORNERS[which]
-    edges = {
-        "*0": bp.e_s0,
-        "*1": bp.e_s1,
-        "0*": bp.e_0s,
-        "1*": bp.e_1s,
-    }[which]
-    graph = BipartiteGraph(bp.sizes[ca], bp.sizes[cb], edges)
+    graph = {"*0": bp.g_s0, "*1": bp.g_s1, "0*": bp.g_0s, "1*": bp.g_1s}[which]
     g = bp.group
 
     if factor_kind == "x":

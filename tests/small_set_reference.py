@@ -169,13 +169,13 @@ def reference_small_set_ltc_check(bp, cert_x, cert_y, c1) -> SmallSetCheck:
     return ref.check(c1)
 
 
-def reference_small_set_suite(bp, cert_x, cert_y, include_zero=False):
-    """The inequality on every small locally minimal c1, one vector at a time,
-    in the order of ``enumerate_small_c1``."""
+def reference_small_set_suite(bp, cert_x, cert_y):
+    """The inequality on every small locally minimal nonzero c1, one vector at
+    a time, in the order of ``enumerate_small_c1``."""
     ref = _Reference(bp, cert_x, cert_y)
     out = []
     for c1 in enumerate_small_c1(bp, *ref.bounds):
-        if c1.is_zero() and not include_zero:
+        if c1.is_zero():
             continue
         if not reference_is_locally_minimal(c1, bp, ref.masks)[0]:
             continue

@@ -93,6 +93,4 @@ def reference_lt_profile(bp, max_c1_weight) -> LTProfile:
         witnesses=witnesses,
         kappa=kappa,
         d_lt=d_lt,
-        max_weight_profiled=max_c1_weight,
-        image_fully_enumerated=True,
     )

@@ -116,7 +116,7 @@ class TestSoundness:
         from expander_ltc.analysis import CodeInstance
 
         h = BitMatrix.from_entries([[1, 1, 0], [0, 1, 1]])
-        doubled = h.vstack(h)
+        doubled = BitMatrix(4, 3, h.row_bits * 2)
         code = CodeInstance(h=doubled, n=3, m=4, k=1, locality=2)
         rep = soundness_exhaustive(code)
         assert rep.s == brute_force_soundness(doubled)
@@ -287,8 +287,6 @@ class TestSoundnessFromLT:
             witnesses={},
             kappa=Fraction(1),
             d_lt=2,
-            max_weight_profiled=4,
-            image_fully_enumerated=True,
         )
         assert soundness_from_lt(code, ltp) == min(
             Fraction(4, 4), Fraction(2, 4)
@@ -426,9 +424,8 @@ class TestVerificationErrors:
     def test_square_count_agreement(self, monkeypatch):
         bp = left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
         c1 = sharp_example(bp, 0)
-        monkeypatch.setattr(
-            analysis, "_d2_column_masks", lambda bp: ([0] * bp.n00, [0] * bp.n00)
-        )
+        # every d2 column overlap reads 0: the degree count of squares is 0
+        monkeypatch.setattr(analysis, "_overlaps", lambda masks, bits: [0] * len(masks))
         with pytest.raises(VerificationError, match="disagree"):
             square_count(bp, c1)
 

@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 
 import expander_ltc
-from expander_ltc import analysis
-from expander_ltc.cli import build_report, main, make_parser
+from expander_ltc import analysis, cli, products
+from expander_ltc.cli import _write_outputs, build_report, main, make_parser
 from expander_ltc.errors import BudgetExceededError
-from expander_ltc.f2 import DEFAULT_ENUM_BUDGET
-from expander_ltc.groups import MAX_GROUP_ORDER
+from expander_ltc.f2 import DEFAULT_ENUM_BUDGET, BitMatrix
+from expander_ltc.graphs import graph_to_edge_list
+from expander_ltc.groups import MAX_GROUP_ORDER, make_cyclic
+from expander_ltc.products import left_right_cayley, one_d_subgraph
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -46,6 +48,33 @@ class TestBuild:
         assert (out / "h_matrix.txt").exists()
         assert (out / "manifest.json").exists()
         assert (out / "graphs" / "factor_x.edges").exists()
+
+    def test_build_reads_the_stored_subgraphs(self, tmp_path, monkeypatch):
+        # the report and the edge files read the complex's four subgraphs:
+        # none is rebuilt, and neither boundary map is transposed
+        bp = left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for module in (cli, products):
+            monkeypatch.setattr(
+                module, "one_d_subgraph",
+                counted("one_d_subgraph", products.one_d_subgraph),
+            )
+        monkeypatch.setattr(
+            BitMatrix, "transpose", counted("transpose", BitMatrix.transpose)
+        )
+        report = build_report(bp, Fraction(1, 2), Fraction(1, 2))
+        _write_outputs(tmp_path / "out", report, bp, deterministic=True)
+        assert calls == []
+        assert set(bp.memo) == {"preimage_profile"}
+        edges = (tmp_path / "out" / "graphs" / "sub_down.edges").read_text()
+        assert edges == graph_to_edge_list(one_d_subgraph(bp, "*0").graph)
 
     def test_report_schema(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -256,31 +285,34 @@ class TestDemoSharp:
 
 
 class TestSoundnessKey:
-    """Each value of the ``soundness`` config key does what the README says."""
+    """Soundness is always computed; a ``soundness`` config key is unknown."""
 
-    def _report(self, tmp_path, value):
-        cfg = write_config(tmp_path, {**BASE_CONFIG, "soundness": value})
+    def test_report_has_exhaustive_soundness(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"
         assert main(["build", "--config", cfg, "--out", str(out),
                      "--deterministic"]) == 0
-        return json.loads((out / "report.json").read_text())
-
-    def test_true_is_exhaustive(self, tmp_path):
-        snd = self._report(tmp_path, True)["soundness"]
+        snd = json.loads((out / "report.json").read_text())["soundness"]
         assert snd["method"] == "exhaustive"
         assert snd["s"] == "1/2"
 
-    def test_false_skips(self, tmp_path):
-        assert self._report(tmp_path, False)["soundness"] is None
-
     @pytest.mark.parametrize(
-        "value", ["fast", 1, 0, None, ["none"], "sampled", "exhaustive", "none"]
+        "value",
+        ["fast", 1, 0, None, ["none"], "sampled", "exhaustive", "none", True, False],
     )
     def test_other_values_exit_2(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, {**BASE_CONFIG, "soundness": value})
-        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "soundness" in capsys.readouterr().err
-        assert main(["build", "--config", cfg, "--dry-run"]) == 2
+        out = ["--out", str(tmp_path / "o")]
+        for argv in (
+            ["build", "--config", cfg, *out],
+            ["build", "--config", cfg, "--dry-run"],
+            ["verify", "--config", cfg],
+            ["verify", "--config", cfg, "--dry-run"],
+            ["demo-sharp", "--config", cfg],
+        ):
+            assert main(argv) == 2
+            assert "unknown config key 'soundness'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerificationFailure:
@@ -490,8 +522,8 @@ class TestSharedBuildConfig:
     @pytest.mark.parametrize("extra", [
         {"c_x": "abc"},
         {"c_y": 0},
-        {"soundness": "bogus", "small_set": 3, "max_c1_weight": -1},
-        {"soundness": "bogus"},
+        {"small_set": "bogus", "max_c1_weight": -1},
+        {"soundness": True},
         {"small_set": 3},
         {"a_set": [1, 1]},
         {"group": {"kind": "cyclic", "n": MAX_GROUP_ORDER + 1}},

@@ -32,7 +32,6 @@ def build_keys(n: int) -> dict:
         "c_x": CUTOFF,
         "c_y": CUTOFF,
         "max_c1_weight": st.integers(0, 8),
-        "soundness": st.booleans(),
         "small_set": st.booleans(),
     }
 

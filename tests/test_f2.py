@@ -78,15 +78,6 @@ class TestBitMatrix:
                 expected = sum(a.get(i, t) * b.get(t, j) for t in range(6)) % 2
                 assert c.get(i, j) == expected
 
-    def test_stacking(self):
-        a = BitMatrix.from_entries([[1, 0], [0, 1]])
-        b = BitMatrix.from_entries([[1, 1]])
-        v = a.vstack(b)
-        assert (v.rows, v.cols) == (3, 2)
-        h = a.hstack(a)
-        assert (h.rows, h.cols) == (2, 4)
-        assert h.row(0).entries() == [1, 0, 1, 0]
-
 
 class TestRankNullity:
     def test_twenty_random_12x18(self):

@@ -13,6 +13,7 @@ from expander_ltc.errors import (
 from expander_ltc.f2 import BitMatrix
 from expander_ltc.graphs import BipartiteGraph, cayley_right, certify_expansion
 from expander_ltc.groups import (
+    group_from_spec,
     left_regular_action,
     make_cyclic,
     trivial_action,
@@ -29,7 +30,30 @@ from expander_ltc.products import (
     verify_copy_decomposition,
 )
 from expander_ltc.search import layered_cayley
-from products_reference import hypergraph_product
+from products_reference import hypergraph_product, reference_boundaries, s3
+
+
+def _layered_z5(seed):
+    rng = random.Random(seed)
+    g = make_cyclic(5)
+    x, ax, _ = layered_cayley(g, 3, 2, rng)
+    y, ay, _ = layered_cayley(g, 3, 2, rng)
+    return balanced_product(x, y, ax, ay)
+
+
+_Z2XZ4 = {"kind": "product", "factors": [
+    {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 4}]}
+
+BOUNDARY_INSTANCES = {
+    "Z5": lambda: left_right_cayley(make_cyclic(5), [1, 2], [1, 3]),
+    "Z12": lambda: left_right_cayley(make_cyclic(12), [1, 2], [1, 3]),
+    "Z20": lambda: left_right_cayley(make_cyclic(20), [1, 2, 5], [1, 3, 7]),
+    "Z2xZ4": lambda: left_right_cayley(group_from_spec(_Z2XZ4), [1, 2], [1, 3]),
+    "S3": lambda: left_right_cayley(s3(), [1, 2], [1, 3]),
+    "S3-3-cycles": lambda: left_right_cayley(s3(), [1, 2], [3, 4]),
+    **{f"Z5-layered-{seed}": (lambda seed=seed: _layered_z5(seed))
+       for seed in range(4)},
+}
 
 
 class TestHypergraphProduct:
@@ -74,16 +98,16 @@ class TestBalancedProduct:
         g = make_cyclic(5)
         bp = left_right_cayley(g, [1, 2], [1, 3])
         n = g.order
-        assert bp.e_s0 == frozenset(
+        assert bp.g_s0.edges == frozenset(
             (h, (a + h) % n) for h in range(n) for a in (1, 2)
         )
-        assert bp.e_0s == frozenset(
+        assert bp.g_0s.edges == frozenset(
             (h, (h + b) % n) for h in range(n) for b in (1, 3)
         )
-        assert bp.e_s1 == frozenset(
+        assert bp.g_s1.edges == frozenset(
             (h, (a + h) % n) for h in range(n) for a in (1, 2)
         )
-        assert bp.e_1s == frozenset(
+        assert bp.g_1s.edges == frozenset(
             (h, (h + b) % n) for h in range(n) for b in (1, 3)
         )
 
@@ -95,10 +119,10 @@ class TestBalancedProduct:
         bp = balanced_product(x, y, act, act)
         hp = hypergraph_product(x, y)
         assert bp.sizes == (hp.v00, hp.v10, hp.v01, hp.v11)
-        assert bp.e_s0 == hp.e_s0
-        assert bp.e_s1 == hp.e_s1
-        assert bp.e_0s == hp.e_0s
-        assert bp.e_1s == hp.e_1s
+        assert bp.g_s0.edges == hp.e_s0
+        assert bp.g_s1.edges == hp.e_s1
+        assert bp.g_0s.edges == hp.e_0s
+        assert bp.g_1s.edges == hp.e_1s
         assert bp.faces == hp.faces
 
     def test_non_free_action_rejected(self):
@@ -131,6 +155,11 @@ class TestBalancedProduct:
         for i in range(4):
             for j in range(4):
                 assert bp.sizes[i] * target[j] == bp.sizes[j] * target[i]
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_INSTANCES))
+    def test_boundaries_match_entrywise_reference(self, name):
+        bp = BOUNDARY_INSTANCES[name]()
+        assert (bp.d1, bp.d2) == reference_boundaries(bp)
 
     def test_chain_identity_holds(self):
         bp = left_right_cayley(make_cyclic(6), [1, 2], [1, 5])
@@ -182,8 +211,8 @@ class TestCompleteSquare:
             assert key not in wedges
             wedges[key] = i11
         # every (down-edge, right-edge) pair at a shared corner is a wedge
-        for (i00, i10) in bp.e_s0:
-            for (j00, i01) in bp.e_0s:
+        for (i00, i10) in bp.g_s0.edges:
+            for (j00, i01) in bp.g_0s.edges:
                 if i00 == j00:
                     assert bp.complete_square(i00, i10, i01) == wedges[(i00, i10, i01)]
 

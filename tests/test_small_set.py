@@ -1,6 +1,5 @@
 """The integer flip test and the small-set suite against the ``Fraction`` references."""
 
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,10 +20,11 @@ from expander_ltc.cli import _small_set_summary
 from expander_ltc.errors import PreconditionViolationError, VerificationError
 from expander_ltc.f2 import BitVector
 from expander_ltc.graphs import certify_expansion
-from expander_ltc.groups import FiniteGroup, group_from_spec, make_cyclic
+from expander_ltc.groups import group_from_spec, make_cyclic
 from expander_ltc.products import balanced_product, left_right_cayley
 from expander_ltc.search import layered_cayley
 
+from products_reference import s3
 from small_set_reference import (
     column_masks,
     flip_delta,
@@ -54,18 +54,6 @@ def _layered(order, layers_y, seed):
     return balanced_product(x, y, ax, ay)
 
 
-def _s3():
-    """The symmetric group on three points, by its table; 0 is the identity,
-    3 and 4 are the two 3-cycles."""
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms
-    )
-    inverse = tuple(index[tuple(p.index(i) for i in range(3))] for p in perms)
-    return FiniteGroup(6, table, 0, inverse, name="S3")
-
-
 INSTANCES = {
     "Z6": lambda: _cayley(6, [1, 2], [1, 3]),
     "Z8": lambda: _cayley(8, [1, 2], [1, 3]),
@@ -76,12 +64,12 @@ INSTANCES = {
     "Z5-layered-both": lambda: _layered(5, 2, 1),
     # right translation by t is an automorphism only if b_set is closed under
     # conjugation by t: it fails for [1, 3] and holds for the 3-cycles [3, 4]
-    "S3": lambda: left_right_cayley(_s3(), [1, 2], [1, 3]),
-    "S3-3-cycles": lambda: left_right_cayley(_s3(), [1, 2], [3, 4]),
+    "S3": lambda: left_right_cayley(s3(), [1, 2], [1, 3]),
+    "S3-3-cycles": lambda: left_right_cayley(s3(), [1, 2], [3, 4]),
 }
 
-# without the zero vector only: the reference checks Z14's 164,157 vectors one
-# at a time, which takes the longest of the tier-1 tests
+# the reference checks Z14's 164,157 vectors one at a time, which takes the
+# longest of the tier-1 tests
 LARGER = {
     **{f"Z12-unit{u}": (lambda u=u: _cayley(12, [u, 2 * u % 12], [u, 3 * u % 12]))
        for u in (1, 5, 7, 11)},
@@ -118,19 +106,28 @@ def _expanded(orbits):
     return counts
 
 
+def _no_translations(bp):
+    return [tuple(range(max(bp.sizes)))]
+
+
 @pytest.mark.parametrize(
-    "include_zero, name",
-    [(z, n) for z in (False, True) for n in sorted(INSTANCES)]
+    "fallback, name",
+    [(f, n) for f in (False, True) for n in sorted(INSTANCES)]
     + [(False, n) for n in LARGER],
 )
-def test_suite_matches_reference(name, include_zero):
+def test_suite_matches_reference(name, fallback, monkeypatch):
+    # with ``fallback`` the suite runs without translations: one orbit per
+    # vector, in the reference's order
     bp = {**INSTANCES, **LARGER}[name]()
     cert_x, cert_y = _certified(bp)
-    orbits = small_set_suite(bp, cert_x, cert_y, include_zero=include_zero)
-    expected = reference_small_set_suite(bp, cert_x, cert_y, include_zero=include_zero)
+    if fallback:
+        monkeypatch.setattr(analysis, "_translations", _no_translations)
+    orbits = small_set_suite(bp, cert_x, cert_y)
+    expected = reference_small_set_suite(bp, cert_x, cert_y)
     assert expected  # the instance exercises the suite
     assert all(isinstance(o, SmallSetOrbit) and o.size >= 1 for o in orbits)
     assert _expanded(orbits) == Counter(map(_key, expected))
+    assert not fallback or [o.check for o in orbits] == expected
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -181,9 +178,7 @@ def test_fallback_gives_the_same_summary(name, monkeypatch):
     bp = INSTANCES[name]()
     cert_x, cert_y = _certified(bp)
     reduced = _small_set_summary(bp, cert_x, cert_y)
-    monkeypatch.setattr(
-        analysis, "_translations", lambda bp: [tuple(range(max(bp.sizes)))]
-    )
+    monkeypatch.setattr(analysis, "_translations", _no_translations)
     full = _small_set_summary(bp, cert_x, cert_y)
     assert full["orbits"] == full["count"] > reduced["orbits"]
     assert {**full, "orbits": None} == {**reduced, "orbits": None}
@@ -251,25 +246,26 @@ def test_single_check_rejects_heavy_vector():
 def test_square_count_error_through_suite(monkeypatch):
     bp = INSTANCES["Z8"]()
     cert_x, cert_y = _certified(bp)
-    monkeypatch.setattr(
-        analysis, "_d2_column_masks", lambda bp: ([0] * bp.n00, [0] * bp.n00)
-    )
+    # every d2 column overlap reads 0: the degree count of squares is 0
+    monkeypatch.setattr(analysis, "_overlaps", lambda masks, bits: [0] * len(masks))
     with pytest.raises(VerificationError, match="disagree"):
         small_set_suite(bp, cert_x, cert_y)
 
 
 def test_column_masks_derived_once_per_complex(monkeypatch):
+    # the column masks of d1 and d2 are the left masks of the stored
+    # subgraphs, derived once when the complex is built: nothing transposes
     bp = INSTANCES["Z8"]()
     cert_x, cert_y = _certified(bp)
     calls = []
     transpose = type(bp.d2).transpose
 
     def counted(m):
-        calls.append(m is bp.d2)
+        calls.append(m)
         return transpose(m)
 
     monkeypatch.setattr(type(bp.d2), "transpose", counted)
     small_set_suite(bp, cert_x, cert_y)
     greedy_flip(C1Vector.from_stacked(bp, bp.d2.column(0)), bp)
     locally_minimal_distance(bp)
-    assert calls.count(True) == 1
+    assert calls == []
