@@ -202,9 +202,11 @@ def check_invariance(x: BipartiteGraph, a0: GroupAction, a1: GroupAction) -> boo
         raise InvalidParameterError("action set sizes do not match the graph")
     if a0.group.order != a1.group.order or a0.group.table != a1.group.table:
         raise InvalidParameterError("the two actions use different groups")
+    edges = x.edges
     for g in a0.group.elements():
-        for (u, v) in x.edges:
-            if (a0.act(g, u), a1.act(g, v)) not in x.edges:
+        r0, r1 = a0.table[g], a1.table[g]
+        for (u, v) in edges:
+            if (r0[u], r1[v]) not in edges:
                 return False
     return True
 
@@ -260,7 +262,7 @@ def _scan_subsets(
     list[tuple[int, ...] | None],
     list[tuple[tuple[int, ...], int] | None],
 ]:
-    """Exhaustive depth-first scan of the left subsets of sizes ``1..kmax``.
+    """Exact depth-first scan of the left subsets of sizes ``1..kmax``.
 
     Only subsets whose smallest vertex is in ``starts`` are visited.  Each
     subset extends its prefix by one vertex, so the prefix's neighbor masks
@@ -275,11 +277,33 @@ def _scan_subsets(
     ``below[k]`` together with its score.  Once a subset scores below
     ``below``, only smaller sizes are scanned further, so only the smallest
     size with such a subset is final.
+
+    For ``|N(S)|`` the scan is a branch-and-bound: with ``cap[k]`` the largest
+    of ``least[k+1..kmax]``, a size-``k`` subset ``P`` scoring at least
+    ``cap[k]`` is not extended.  The result is still that of the full scan:
+
+    - ``S`` containing ``P`` has ``N(S)`` containing ``N(P)``, so every
+      extension of ``P`` scores at least ``|N(P)|``, hence at least
+      ``least[k']`` at each larger size ``k'``.
+    - A subset changes ``least[k']`` only by scoring strictly below it.
+    - Depth-first order visits each size in lexicographic order, so every
+      subset below ``P`` comes after ``least_at[k']``; an equal score would
+      not replace it.
+    - A skipped subset scores at least ``least[k']``.  If some visited
+      subset scored below ``below[k']``, ``hit[k']`` is already set;
+      otherwise ``least[k'] >= below[k']`` and the skipped one is no hit.
+
+    Hence ``least``, ``least_at`` and ``hit`` equal the full scan's.  Until
+    every larger size has a score, ``least`` holds a sentinel above any score
+    and nothing is skipped.  Unique-neighbor counts are not monotone in
+    ``S``, so with ``unique`` set every subset is visited.
     """
     n = len(masks)
-    least = [max(masks, default=0).bit_length() + 1] * (kmax + 1)  # above any score
+    sentinel = max(masks, default=0).bit_length() + 1  # above any score
+    least = [sentinel] * (kmax + 1)
     least_at: list[tuple[int, ...] | None] = [None] * (kmax + 1)
     hit: list[tuple[tuple[int, ...], int] | None] = [None] * (kmax + 1)
+    cap = [sentinel] * kmax + [0]  # cap[k] = max(least[k+1..kmax])
     limit = kmax
     prefix: list[int] = []
 
@@ -293,10 +317,12 @@ def _scan_subsets(
             if score < least[k]:
                 least[k] = score
                 least_at[k] = (*prefix, j)
+                for i in range(k - 1, 0, -1):
+                    cap[i] = max(cap[i + 1], least[i + 1])
             if below is not None and score < below[k] and hit[k] is None:
                 hit[k] = ((*prefix, j), score)
                 limit = k - 1
-            if k < limit:
+            if k < limit and (unique or score < cap[k]):
                 prefix.append(j)
                 extend(range(j + 1, n), once_j, more_j, k + 1)
                 prefix.pop()
@@ -316,8 +342,12 @@ def certify_expansion(
 ) -> ExpansionCertificate:
     """Tightest epsilon with ``|N(v0)| >= (1-eps) w0 |v0|`` for small subsets.
 
-    Every left subset with ``|v0| < c * |V0|`` is scanned, so the returned
-    epsilon is a true certificate.  An ``action`` by graph automorphisms is
+    Every left subset with ``|v0| < c * |V0|`` is covered, so the returned
+    epsilon is a true certificate: the scan skips only extensions of a prefix
+    that provably cannot lower a least ``|N(S)|`` (see ``_scan_subsets``), and
+    the certificate and witness are those of the full scan.  ``max_evals``
+    bounds the number of subsets of those sizes, checked before the scan,
+    whether or not they are visited.  An ``action`` by graph automorphisms is
     checked and then lets the scan start at one vertex per orbit; the
     certificate is the same as without it.
     """

@@ -76,20 +76,22 @@ def check_group_axioms(g: FiniteGroup) -> None:
     n = g.order
     if len(g.table) != n or any(len(row) != n for row in g.table):
         raise InvalidParameterError("multiplication table has wrong shape")
-    e = g.identity
+    t, inv, e = g.table, g.inverse, g.identity
     for a in range(n):
-        if g.mul(e, a) != a or g.mul(a, e) != a:
+        if t[e][a] != a or t[a][e] != a:
             raise InvalidParameterError(f"identity axiom fails at element {a}")
-        if g.mul(a, g.inv(a)) != e or g.mul(g.inv(a), a) != e:
+        if t[a][inv[a]] != e or t[inv[a]][a] != e:
             raise InvalidParameterError(f"inverse axiom fails at element {a}")
-    for a in range(n):
-        for b in range(n):
-            ab = g.mul(a, b)
-            for c in range(n):
-                if g.mul(ab, c) != g.mul(a, g.mul(b, c)):
-                    raise InvalidParameterError(
-                        f"associativity fails on triple ({a}, {b}, {c})"
-                    )
+    # (ab)c = a(bc) for all c: row ab of the table equals row b mapped by row a
+    for a, ta in enumerate(t):
+        times_a = ta.__getitem__
+        for b, tb in enumerate(t):
+            tab = t[ta[b]]
+            if tuple(tab) != tuple(map(times_a, tb)):
+                c = next(c for c in range(n) if tab[c] != ta[tb[c]])
+                raise InvalidParameterError(
+                    f"associativity fails on triple ({a}, {b}, {c})"
+                )
 
 
 def _maybe_check(g: FiniteGroup) -> FiniteGroup:

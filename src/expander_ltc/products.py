@@ -194,27 +194,29 @@ def balanced_product(
     if max(sizes) > MAX_PRODUCT_VERTICES:
         raise SizeLimitError(f"quotient corner of size {max(sizes)} exceeds cap")
 
-    def quotient_index(corner: int, x_vertex: int, y_vertex: int) -> int:
+    def quotient_table(corner: int) -> list[list[int]]:
+        """``q[x][y]``: the index of the orbit of ``(x, y)`` in a corner."""
         x_lab = labelings[0] if corner in (0, 2) else labelings[1]
         y_lab = labelings[2] if corner in (0, 1) else labelings[3]
-        gx, i_r = x_lab.label[x_vertex]
-        gy, i_s = y_lab.label[y_vertex]
-        h = g.mul(g.inv(gx), gy)
         ns = n_s[0] if corner in (0, 1) else n_s[1]
-        return (i_r * ns + i_s) * g.order + h
+        rows = []
+        for gx, i_r in x_lab.label:
+            gx_inv = g.table[g.inv(gx)]  # h = gx^-1 gy is gx_inv[gy]
+            rows.append(
+                [(i_r * ns + i_s) * g.order + gx_inv[gy] for gy, i_s in y_lab.label]
+            )
+        return rows
+
+    q00, q10, q01, q11 = (quotient_table(corner) for corner in range(4))
 
     def quotient_edges(
-        pairs: Iterable[tuple[tuple[int, int], tuple[int, int]]],
+        pairs: Iterable[tuple[int, int]],
         corner_a: int,
         corner_b: int,
         expected: int,
         what: str,
     ) -> BipartiteGraph:
-        counts: Counter = Counter()
-        for (xa, ya), (xb, yb) in pairs:
-            counts[
-                (quotient_index(corner_a, xa, ya), quotient_index(corner_b, xb, yb))
-            ] += 1
+        counts = Counter(pairs)
         for pair, cnt in counts.items():
             if cnt != g.order:
                 raise MultiplicityViolationError(
@@ -227,33 +229,28 @@ def balanced_product(
         return BipartiteGraph(sizes[corner_a], sizes[corner_b], counts)
 
     g_s0 = quotient_edges(
-        (((x0, y0), (x1, y0)) for (x0, x1) in x.edges for y0 in range(y.v0_size)),
+        (pair for (x0, x1) in x.edges for pair in zip(q00[x0], q10[x1])),
         0, 1, len(x.edges) * y.v0_size // g.order, "E*0",
     )
     g_s1 = quotient_edges(
-        (((x0, y1), (x1, y1)) for (x0, x1) in x.edges for y1 in range(y.v1_size)),
+        (pair for (x0, x1) in x.edges for pair in zip(q01[x0], q11[x1])),
         2, 3, len(x.edges) * y.v1_size // g.order, "E*1",
     )
     g_0s = quotient_edges(
-        (((x0, y0), (x0, y1)) for x0 in range(x.v0_size) for (y0, y1) in y.edges),
+        ((r00[y0], r01[y1]) for r00, r01 in zip(q00, q01) for (y0, y1) in y.edges),
         0, 2, x.v0_size * len(y.edges) // g.order, "E0*",
     )
     g_1s = quotient_edges(
-        (((x1, y0), (x1, y1)) for x1 in range(x.v1_size) for (y0, y1) in y.edges),
+        ((r10[y0], r11[y1]) for r10, r11 in zip(q10, q11) for (y0, y1) in y.edges),
         1, 3, x.v1_size * len(y.edges) // g.order, "E1*",
     )
 
     face_counts: Counter = Counter()
     for (x0, x1) in x.edges:
-        for (y0, y1) in y.edges:
-            face_counts[
-                (
-                    quotient_index(0, x0, y0),
-                    quotient_index(1, x1, y0),
-                    quotient_index(2, x0, y1),
-                    quotient_index(3, x1, y1),
-                )
-            ] += 1
+        r00, r10, r01, r11 = q00[x0], q10[x1], q01[x0], q11[x1]
+        face_counts.update(
+            (r00[y0], r10[y0], r01[y1], r11[y1]) for (y0, y1) in y.edges
+        )
     for face, cnt in face_counts.items():
         if cnt != g.order:
             raise MultiplicityViolationError(

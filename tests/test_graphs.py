@@ -43,7 +43,7 @@ from expander_ltc.groups import (
     right_regular_action_as_left,
     trivial_action,
 )
-from expander_ltc.search import layered_cayley
+from expander_ltc.search import _least_translate, layered_cayley
 from subset_reference import reference_certificate, reference_unique_lemma
 
 
@@ -339,7 +339,30 @@ def _layered_cases():
     return cases
 
 
+def _pruning_cases():
+    """Factors on which the |N(S)| scan skips most subsets.
+
+    The Z16 draws are those the ``search-trials`` benchmark certifies at seed
+    0: trial ``t`` draws from ``Random(t)``, and ``search_pair`` certifies one
+    draw per translation class.
+    """
+    g = make_cyclic(16)
+    cases, seen = [], set()
+    for trial in range(10):
+        rng = random.Random(trial)
+        for side in "xy":
+            x, action, gens = layered_cayley(g, 1, 2, rng)
+            key = _least_translate(g, gens)[0]
+            if key not in seen:
+                seen.add(key)
+                cases.append((f"search-Z16-{trial}{side}", x, action, Fraction(1, 2)))
+    x, action, _ = layered_cayley(make_cyclic(8), 2, 3, random.Random(0))
+    cases.append(("layered-Z8-2x3-c1/2", x, action, Fraction(1, 2)))
+    return cases
+
+
 KERNEL_CASES = _cayley_cases() + _layered_cases()
+PRUNING_CASES = _pruning_cases()
 
 
 def _case_id(case):
@@ -349,7 +372,7 @@ def _case_id(case):
 class TestSubsetKernel:
     """The depth-first kernel agrees with the plain combinations scan."""
 
-    @pytest.mark.parametrize("case", KERNEL_CASES, ids=_case_id)
+    @pytest.mark.parametrize("case", KERNEL_CASES + PRUNING_CASES, ids=_case_id)
     @pytest.mark.parametrize("use_action", [False, True], ids=["all", "orbits"])
     def test_certificate_matches_reference(self, case, use_action):
         _, x, action, c = case
@@ -376,6 +399,28 @@ class TestSubsetKernel:
             assert check_unique_neighbor_lemma(x, strict, action=act) == (
                 reference_unique_lemma(x, strict)
             )
+
+    @pytest.mark.parametrize("unique", [False, True], ids=["union", "unique"])
+    def test_pruned_work(self, unique):
+        class CountingMasks(list):
+            """Neighbor masks counting the kernel's reads: one per visited subset."""
+
+            reads = 0
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return super().__getitem__(i)
+
+        _, x, action, c = PRUNING_CASES[0]
+        kmax = graphs._max_subset_size(c, x.v0_size)
+        masks = CountingMasks(x.left_masks)
+        graphs._scan_subsets(masks, kmax, graphs._scan_starts(x, action), unique)
+        full = sum(comb(15, k - 1) for k in range(1, kmax + 1))  # all S with min 0
+        assert full == 9949
+        if unique:  # unique-neighbor counts are not monotone: no pruning
+            assert masks.reads == full
+        else:
+            assert masks.reads < full // 4
 
     def test_counterexample_found(self):
         x = cayley_right(make_cyclic(10), [1, 3])

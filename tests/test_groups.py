@@ -51,6 +51,20 @@ class TestCyclic:
         with pytest.raises(InvalidParameterError):
             check_group_axioms(bad)
 
+    def test_axioms_name_first_non_associative_triple(self):
+        # a loop of order 5: 0 is the identity and every element is its own
+        # inverse, which no element of Z5 but 0 is, so associativity fails
+        table = (
+            (0, 1, 2, 3, 4),
+            (1, 0, 3, 4, 2),
+            (2, 4, 0, 1, 3),
+            (3, 2, 4, 0, 1),
+            (4, 3, 1, 2, 0),
+        )
+        loop = make_cyclic(5)._replace(table=table, inverse=(0, 1, 2, 3, 4))
+        with pytest.raises(InvalidParameterError, match=r"triple \(1, 1, 2\)$"):
+            check_group_axioms(loop)
+
 
 class TestDirectProduct:
     def test_orders_multiply(self):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from expander_ltc import products
 from expander_ltc.errors import (
     FreenessViolationError,
     InvalidParameterError,
     InvalidWedgeError,
+    MultiplicityViolationError,
 )
 from expander_ltc.f2 import BitMatrix
 from expander_ltc.graphs import BipartiteGraph, cayley_right, certify_expansion
@@ -175,6 +177,26 @@ class TestBalancedProduct:
         assert witness is not None
         i, j = witness
         assert d1.matmul(bp.d2).get(i, j) == 1
+
+    def test_wrong_orbit_label_rejected(self, monkeypatch):
+        # left vertex 0 of the first factor takes vertex 1's label, so the
+        # quotient counts vertex 0's incidences as vertex 1's
+        real_labeling = products.orbit_labeling
+        labelings = []
+
+        def mislabel(action):
+            lab = real_labeling(action)
+            if not labelings:
+                label = list(lab.label)
+                label[0] = label[1]
+                lab = lab._replace(label=tuple(label))
+            labelings.append(lab)
+            return lab
+
+        monkeypatch.setattr(products, "orbit_labeling", mislabel)
+        with pytest.raises(MultiplicityViolationError, match="E\\*0: incidence"):
+            left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
+        assert len(labelings) == 4
 
 
 class TestLabels:
