@@ -1,9 +1,11 @@
 """Code-level analyses of a balanced-product chain complex.
 
 Everything here is a pure function of an immutable complex: code parameters,
-exhaustive soundness, weighted local minimality and greedy flipping, the two
-distance notions they induce, square counting, and the small-set testability
-inequality with its sharp example.
+weighted local minimality and greedy flipping, the two distance notions they
+induce, the LT profile and the exact soundness read off it, square counting,
+and the small-set testability inequality with its sharp example.  No record
+caches anything: ``lt_profile`` runs the one min-preimage sweep of ``d2``, and
+``soundness_exhaustive`` takes the profile it returns.
 """
 
 from __future__ import annotations
@@ -39,28 +41,14 @@ from .products import BalancedProductComplex
 # code instances
 
 
-class _CodeFields(NamedTuple):
+class CodeInstance(NamedTuple):
+    """The classical code with the complex's lower boundary map as checks."""
+
     h: BitMatrix
     n: int
     m: int
     k: int
     locality: int
-
-
-class CodeInstance(_CodeFields):
-    """The classical code with the complex's lower boundary map as checks.
-
-    ``memo`` holds values derived from the fields; it takes no part in
-    equality, and each instance gets its own unless one is passed in.
-    """
-
-    def __new__(
-        cls, h: BitMatrix, n: int, m: int, k: int, locality: int,
-        memo: dict | None = None,
-    ) -> "CodeInstance":
-        self = super().__new__(cls, h, n, m, k, locality)
-        self.memo = {} if memo is None else memo
-        return self
 
     @property
     def rate(self) -> Fraction:
@@ -89,7 +77,7 @@ def code_from_complex(bp: BalancedProductComplex) -> CodeInstance:
     rate_bound = 1 - Fraction(bp.w_down, bp.w_up) - Fraction(bp.w_right, bp.w_left)
     if Fraction(k, n) < rate_bound:
         raise VerificationError(f"rate {k}/{n} is below the bound {rate_bound}")
-    return CodeInstance(h=h, n=n, m=m, k=k, locality=locality, memo=bp.memo)
+    return CodeInstance(h=h, n=n, m=m, k=k, locality=locality)
 
 
 # ---------------------------------------------------------------------------
@@ -231,51 +219,53 @@ class SoundnessReport(NamedTuple):
 
 
 def _preimage_profile(
-    h: BitMatrix, memo: dict, budget: int
+    bp: BalancedProductComplex, budget: int
 ) -> dict[int, tuple[int, int, int]]:
-    """Per image weight ``iw`` of ``h``: the worst least-preimage weight, the
+    """Per image weight ``iw`` of ``d2``: the worst least-preimage weight, the
     smallest image of weight ``iw`` that has it, and that image's least preimage.
 
-    One ``min_preimages`` sweep per matrix; only this reduction (at most
-    ``h.rows`` entries) is kept in ``memo``.  The budget is checked on every
-    call, also when the memo already holds the profile.
+    Column ``j`` of ``d2`` joins the left masks ``g_s0.left_masks[j]`` (its
+    V10 part) and ``g_0s.left_masks[j]`` (its V01 part).  One
+    ``min_preimages`` sweep of the ``2^n00`` preimages, checked against the
+    budget before it starts.
     """
-    if (1 << h.cols) > budget:
-        raise BudgetExceededError(
-            f"2^{h.cols} preimages exceed budget", 1 << h.cols, budget
-        )
-    profile = memo.get("preimage_profile")
-    if profile is None:
-        profile = {}
-        least = min_preimages([c.bits for c in h.columns()], budget)
-        for image, (w, pre) in least.items():
-            iw = image.bit_count()
-            cur = profile.get(iw)
-            if iw and (cur is None or w > cur[0] or (w == cur[0] and image < cur[1])):
-                profile[iw] = (w, image, pre)
-        memo["preimage_profile"] = profile
+    n = bp.n00
+    if (1 << n) > budget:
+        raise BudgetExceededError(f"2^{n} preimages exceed budget", 1 << n, budget)
+    columns = [a | b << bp.n10 for a, b in zip(bp.g_s0.left_masks, bp.g_0s.left_masks)]
+    profile = {}
+    for image, (w, pre) in min_preimages(columns, budget).items():
+        iw = image.bit_count()
+        cur = profile.get(iw)
+        if iw and (cur is None or w > cur[0] or (w == cur[0] and image < cur[1])):
+            profile[iw] = (w, image, pre)
     return profile
 
 
-def soundness_exhaustive(
-    code: CodeInstance, budget: int = DEFAULT_ENUM_BUDGET
-) -> SoundnessReport:
-    """Exact soundness from the least preimage of every syndrome.
+def soundness_exhaustive(code: CodeInstance, ltp: LTProfile) -> SoundnessReport:
+    """Exact soundness from the LT profile of the complex ``code`` comes from.
 
     A syndrome's least preimage is its coset leader, whose weight is exactly
     ``d(x, C)`` for any ``x`` in the coset.  For a syndrome weight the ratio
-    is least at the worst coset leader, so the minimum is taken over the
-    per-weight profile that ``lt_profile`` also reads; ties go to the
-    smallest syndrome.  The witness is its coset leader.
+    is least at the worst coset leader, which ``ltp.table`` holds and
+    ``ltp.witnesses`` realizes, so the minimum is taken over that per-weight
+    profile; ties go to the smallest syndrome.  The witness is its coset
+    leader, and it must reproduce its syndrome under ``code.h``: a profile of
+    another complex raises ``VerificationError``.
     """
     n, m = code.n, code.m
     if m == 0 or rank(code.h) == 0:
         raise DegenerateCodeError("code equals the full space; soundness undefined")
-    profile = _preimage_profile(code.h, code.memo, budget)
-    s, _, pre = min(
-        (Fraction(iw * n, m * w), image, pre) for iw, (w, image, pre) in profile.items()
+    s, image, pre = min(
+        (Fraction(iw * n, m * ltp.table[iw]), image, pre)
+        for iw, (image, pre) in ltp.witnesses.items()
     )
-    return SoundnessReport(s=s, witness=BitVector(n, pre))
+    if pre.length != n or code.h.mul_vec(pre) != image:
+        raise VerificationError(
+            f"soundness witness {pre.support()} does not map to its syndrome: "
+            f"the LT profile is not of this code's complex"
+        )
+    return SoundnessReport(s=s, witness=pre)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +328,7 @@ def lt_profile(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> LTProfile:
     """Profile minimum preimage weights over the full image of ``d2``."""
-    profile = sorted(_preimage_profile(bp.d2, bp.memo, budget).items())
+    profile = sorted(_preimage_profile(bp, budget).items())
     table = {iw: w for iw, (w, _, _) in profile}
     witnesses = {
         iw: (BitVector(bp.n10 + bp.n01, image), BitVector(bp.n00, pre))
@@ -404,10 +394,7 @@ class SmallSetCheck(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     holds: bool
-    epsilon: Fraction
     c1_weight: int
-    unique_to_v10: int
-    unique_to_v01: int
     squares: int
 
     @property
@@ -449,7 +436,6 @@ class _Part(NamedTuple):
     weight: int
     overlaps: list[int]  # with each d2 column's part in this corner
     syndrome: int  # d1 of this part
-    unique: int  # V11 vertices with exactly one neighbor in this part
     face_masks: list[int]  # v10 only: V01 ends of the faces on this part
 
 
@@ -465,10 +451,10 @@ class _SmallSet:
         self.bp = bp
         self.bounds = small_set_smallness_bounds(bp, cert_x, cert_y)
         self.max_weights = tuple(_strict_floor(b) for b in self.bounds)
-        self.epsilon = small_set_epsilon(bp.w_up, cert_x, cert_y)
-        self.factor = Fraction(1, 2) - 8 * self.epsilon
+        epsilon = small_set_epsilon(bp.w_up, cert_x, cert_y)
+        self.factor = Fraction(1, 2) - 8 * epsilon
         # by corner (v10, v01): each vertex's part of the d2 columns, and its
-        # d1 column, which is also its neighbourhood in V11
+        # d1 column
         self.d2_masks = (bp.g_s0.left_masks, bp.g_0s.left_masks)
         self.d1_columns = (bp.g_1s.left_masks, bp.g_s1.left_masks)
         # faces by V10 vertex: its k-th mask holds the V01 vertices that share
@@ -485,19 +471,16 @@ class _SmallSet:
     def part(self, corner: int, support: Sequence[int]) -> _Part:
         """Corner 0 is ``v10``, corner 1 is ``v01``."""
         columns = self.d1_columns[corner]
-        bits = syndrome = once = more = 0
+        bits = syndrome = 0
         for i in support:
             bits |= 1 << i
             syndrome ^= columns[i]
-            more |= once & columns[i]
-            once |= columns[i]
         faces = [m for i in support for m in self.faces_by_v10[i]] if corner == 0 else []
         return _Part(
             bits=bits,
             weight=len(support),
             overlaps=_overlaps(self.d2_masks[corner], bits),
             syndrome=syndrome,
-            unique=(once & ~more).bit_count(),
             face_masks=faces,
         )
 
@@ -526,10 +509,7 @@ class _SmallSet:
             lhs=lhs,
             rhs=rhs,
             holds=holds,
-            epsilon=self.epsilon,
             c1_weight=p10.weight + p01.weight,
-            unique_to_v10=p10.unique,
-            unique_to_v01=p01.unique,
             squares=squares,
         )
 
@@ -655,8 +635,7 @@ def small_set_suite(
 
     Every mask a part reads is a left mask of a subgraph the complex stores:
     ``g_s0`` and ``g_0s`` give the ``d2`` columns of the flip test and the
-    square count, ``g_1s`` and ``g_s1`` the ``d1`` columns, which are also the
-    V11 neighbourhoods the unique-neighbour counts read.
+    square count, ``g_1s`` and ``g_s1`` the ``d1`` columns the syndromes read.
     """
     ss = _SmallSet(bp, cert_x, cert_y)
     max10, max01 = ss.max_weights

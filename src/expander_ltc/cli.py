@@ -295,8 +295,8 @@ def build_report(
     }
     if dist.reason is not None:
         report["d"]["reason"] = dist.reason
-    # reads the per-weight profile of the LT sweep above, already in budget
-    snd = analysis.soundness_exhaustive(code, budget=budget)
+    # read off the profile of the LT sweep above: one sweep per build
+    snd = analysis.soundness_exhaustive(code, ltp)
     report["soundness"] = {
         "s": str(snd.s),
         "method": "exhaustive",

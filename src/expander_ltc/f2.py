@@ -236,10 +236,8 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
     return basis
 
 
-def gray_sweep(
-    vectors: Sequence[int], budget: int, start: int = 0
-) -> Iterator[tuple[int, int]]:
-    """Every ``start ^ (xor of a nonempty subset of vectors)``, one toggle per step.
+def gray_sweep(vectors: Sequence[int], budget: int) -> Iterator[tuple[int, int]]:
+    """The xor of every nonempty subset of ``vectors``, one toggle per step.
 
     Yields ``(i, cur)`` for ``i = 1 .. 2^k - 1``; the subset in ``cur`` is
     the Gray code ``i ^ (i >> 1)`` (bit ``j`` selects ``vectors[j]``).  The
@@ -250,7 +248,7 @@ def gray_sweep(
         raise BudgetExceededError(
             f"2^{len(vectors)} combinations exceed budget", count, budget
         )
-    cur = start
+    cur = 0
     for i in range(1, count):
         cur ^= vectors[(i & -i).bit_length() - 1]
         yield i, cur

@@ -48,7 +48,22 @@ def regular_graph_action(g: FiniteGroup) -> GraphAction:
     return GraphAction(a, a)
 
 
-class _ComplexFields(NamedTuple):
+class BalancedProductComplex(NamedTuple):
+    """The quotient product with labels, subgraphs, faces and boundary maps.
+
+    Corner ``(alpha, beta)`` vertices carry labels ``(h, i_r, i_s)`` where
+    ``i_r`` indexes the orbit representatives of the first factor's side
+    ``alpha`` and ``i_s`` those of the second factor's side ``beta``; the
+    index order is lexicographic in ``(i_r, i_s, h)``.
+
+    The four corner-to-corner subgraphs ``g_s0`` (V00-V10), ``g_s1``
+    (V01-V11), ``g_0s`` (V00-V01) and ``g_1s`` (V10-V11) are the one store of
+    the incidences, the lower corner on the left.  Both boundary maps are
+    built from their masks: the rows of ``d2`` are the right masks of
+    ``g_s0`` and ``g_0s``, its columns their left masks; ``d1`` joins the
+    right masks of ``g_1s`` and ``g_s1``, its columns their left masks.
+    """
+
     group: FiniteGroup
     x: BipartiteGraph
     y: BipartiteGraph
@@ -66,31 +81,6 @@ class _ComplexFields(NamedTuple):
     d2: BitMatrix
     d1: BitMatrix
     wedge_to_face: dict
-
-
-class BalancedProductComplex(_ComplexFields):
-    """The quotient product with labels, subgraphs, faces and boundary maps.
-
-    Corner ``(alpha, beta)`` vertices carry labels ``(h, i_r, i_s)`` where
-    ``i_r`` indexes the orbit representatives of the first factor's side
-    ``alpha`` and ``i_s`` those of the second factor's side ``beta``; the
-    index order is lexicographic in ``(i_r, i_s, h)``.
-
-    The four corner-to-corner subgraphs ``g_s0`` (V00-V10), ``g_s1``
-    (V01-V11), ``g_0s`` (V00-V01) and ``g_1s`` (V10-V11) are the one store of
-    the incidences, the lower corner on the left.  Both boundary maps are
-    built from their masks: the rows of ``d2`` are the right masks of
-    ``g_s0`` and ``g_0s``, its columns their left masks; ``d1`` joins the
-    right masks of ``g_1s`` and ``g_s1``, its columns their left masks.
-
-    ``memo`` holds values derived from the fields, stored by the code that
-    derives them; it takes no part in equality, and each instance has its own.
-    """
-
-    def __new__(cls, *args, **kwargs) -> "BalancedProductComplex":
-        self = super().__new__(cls, *args, **kwargs)
-        self.memo = {}
-        return self
 
     # --- degree shorthands (down/up from the first factor, right/left second)
     @property
@@ -276,9 +266,8 @@ def balanced_product(
         sizes[1] + sizes[2],
         [a | b << sizes[1] for a, b in zip(g_1s.right_masks, g_s1.right_masks)],
     )
-    product = d1.matmul(d2)
-    if not product.is_zero():
-        bad = product.nonzero_entries()[0]
+    ok, bad = verify_chain_identity(d1, d2)
+    if not ok:
         raise MultiplicityViolationError(
             f"chain condition d1 d2 = 0 violated at entry {bad}"
         )

@@ -5,10 +5,9 @@ one integer flip test on per-complex masks and a small-set suite that
 precomputes everything independent of the vector and checks one vector per
 translation orbit.  Here every flip is scored as a ``Fraction``, and the suite
 checks every vector on its own: its weighted norms as ``Fraction``s, its
-boundary by a matrix product, its unique neighbors in the 1-d subgraphs, and
-its squares by both methods.  Only the ``d2`` transpose, the two subgraphs and
-the flip scores per overlap pair are shared between vectors, so they serve as
-an independent oracle.
+boundary by a matrix product, and its squares by both methods.  Only the
+``d2`` transpose and the flip scores per overlap pair are shared between
+vectors, so they serve as an independent oracle.
 """
 
 import functools
@@ -28,8 +27,6 @@ from expander_ltc.analysis import (
 )
 from expander_ltc.errors import PreconditionViolationError, VerificationError
 from expander_ltc.f2 import BitVector, kernel_basis
-from expander_ltc.graphs import unique_neighbors
-from expander_ltc.products import one_d_subgraph
 
 
 def column_masks(bp):
@@ -138,8 +135,6 @@ class _Reference:
         self.bounds = small_set_smallness_bounds(bp, cert_x, cert_y)
         self.eps = small_set_epsilon(bp.w_up, cert_x, cert_y)
         self.masks = column_masks(bp)
-        self.sub_1s = one_d_subgraph(bp, "1*")
-        self.sub_s1 = one_d_subgraph(bp, "*1")
 
     def check(self, c1) -> SmallSetCheck:
         """The inequality for a ``c1`` already known to be locally minimal."""
@@ -153,10 +148,7 @@ class _Reference:
             lhs=lhs,
             rhs=rhs,
             holds=lhs <= rhs,
-            epsilon=self.eps,
             c1_weight=c1.weight(),
-            unique_to_v10=len(unique_neighbors(self.sub_1s.graph, c1.v10.support())),
-            unique_to_v01=len(unique_neighbors(self.sub_s1.graph, c1.v01.support())),
             squares=reference_square_count(bp, c1, self.masks),
         )
 

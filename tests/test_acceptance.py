@@ -312,9 +312,9 @@ def test_criterion_10_soundness_consistency(corpus):
         if bp.n00 > 20:
             continue
         code = code_from_complex(bp)
-        exact = soundness_exhaustive(code)
-        assert exact.ratio_of(code) == exact.s, f"{name}: witness mismatch"
         profile = lt_profile(bp, max_c1_weight=bp.n10 + bp.n01)
+        exact = soundness_exhaustive(code, profile)
+        assert exact.ratio_of(code) == exact.s, f"{name}: witness mismatch"
         bound = soundness_from_lt(code, profile)
         assert bound <= exact.s, f"{name}: {bound} > {exact.s}"
         checked += 1

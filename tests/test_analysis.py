@@ -89,37 +89,29 @@ class TestCodeFromComplex:
 
 
 class TestSoundness:
-    def test_three_bit_chain_code_matches_oracle(self):
-        h = BitMatrix.from_entries([[1, 1, 0], [0, 1, 1]])
-        from expander_ltc.analysis import CodeInstance
-
-        code = CodeInstance(h=h, n=3, m=2, k=1, locality=2)
-        rep = soundness_exhaustive(code)
-        assert rep.s == brute_force_soundness(h)
-        assert rep.ratio_of(code) == rep.s
-
     def test_balanced_product_instance_matches_oracle(self):
         bp = left_right_cayley(make_cyclic(5), [1], [1, 2])
         code = code_from_complex(bp)
-        rep = soundness_exhaustive(code)
+        rep = soundness_exhaustive(code, lt_profile(bp, code.m))
         assert rep.s == brute_force_soundness(code.h)
         assert rep.ratio_of(code) == rep.s
 
     def test_degenerate_code_rejected(self):
         from expander_ltc.analysis import CodeInstance
 
+        bp = left_right_cayley(make_cyclic(5), [1], [1, 2])
         code = CodeInstance(h=BitMatrix(2, 4), n=4, m=2, k=4, locality=0)
         with pytest.raises(DegenerateCodeError):
-            soundness_exhaustive(code)
+            soundness_exhaustive(code, lt_profile(bp, 2))
 
-    def test_duplicate_rows_recomputed_exactly(self):
-        from expander_ltc.analysis import CodeInstance
-
-        h = BitMatrix.from_entries([[1, 1, 0], [0, 1, 1]])
-        doubled = BitMatrix(4, 3, h.row_bits * 2)
-        code = CodeInstance(h=doubled, n=3, m=4, k=1, locality=2)
-        rep = soundness_exhaustive(code)
-        assert rep.s == brute_force_soundness(doubled)
+    @pytest.mark.parametrize("order, b_set", [(8, [1, 5]), (5, [1, 3])])
+    def test_profile_of_another_complex_rejected(self, order, b_set):
+        # same sizes with other faces, and fewer bits: either way the least
+        # ratio's witness does not map to its syndrome under this code's checks
+        code = code_from_complex(left_right_cayley(make_cyclic(8), [1, 2], [1, 3]))
+        ltp = lt_profile(left_right_cayley(make_cyclic(order), [1, 2], b_set), 4)
+        with pytest.raises(VerificationError, match="not of this code's complex"):
+            soundness_exhaustive(code, ltp)
 
 
 class TestWeightedNorms:
@@ -296,7 +288,7 @@ class TestSoundnessFromLT:
         bp = left_right_cayley(make_cyclic(5), [1], [1, 2])
         code = code_from_complex(bp)
         ltp = lt_profile(bp, max_c1_weight=code.m)
-        assert soundness_from_lt(code, ltp) <= soundness_exhaustive(code).s
+        assert soundness_from_lt(code, ltp) <= soundness_exhaustive(code, ltp).s
 
 
 class TestSquareCount:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -72,7 +73,6 @@ class TestBuild:
         report = build_report(bp, Fraction(1, 2), Fraction(1, 2))
         _write_outputs(tmp_path / "out", report, bp, deterministic=True)
         assert calls == []
-        assert set(bp.memo) == {"preimage_profile"}
         edges = (tmp_path / "out" / "graphs" / "sub_down.edges").read_text()
         assert edges == graph_to_edge_list(one_d_subgraph(bp, "*0").graph)
 
@@ -207,6 +207,68 @@ class TestBuild:
             main(["build", "--config", cfg, "--out", str(out), "--deterministic"])
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+# sha256 of every file that ``build --deterministic`` writes, pinned so that
+# any change to the output bytes shows; an announced schema change updates them
+PINNED_OUTPUTS = {
+    "Z8": (
+        {"group": {"kind": "cyclic", "n": 8}, "a_set": [1, 2], "b_set": [1, 3]},
+        {
+            "d1_matrix.alist": "57a1d68dd06059f39f2eb2264c7d322870e502e223d418b38e24759846af9b72",
+            "d1_matrix.txt": "991731366d9301ab0bf3b4820e4d05989177274477cd068be2142c0b5ca51182",
+            "graphs/factor_x.edges": "4b85ddea3634039015e1b2a1d84c10924b64e1f153ff29d25939a58271c32c40",
+            "graphs/factor_y.edges": "a613032e25293dc083cbcc25157473f66150e6d0b2713873120df8286f627945",
+            "graphs/sub_down.edges": "907f4b5dc840065ef67eaa66bf0bb8fa19dc8b6e7ec6a11c1f51c3ac49459fb9",
+            "graphs/sub_left.edges": "a613032e25293dc083cbcc25157473f66150e6d0b2713873120df8286f627945",
+            "graphs/sub_right.edges": "a613032e25293dc083cbcc25157473f66150e6d0b2713873120df8286f627945",
+            "graphs/sub_up.edges": "907f4b5dc840065ef67eaa66bf0bb8fa19dc8b6e7ec6a11c1f51c3ac49459fb9",
+            "h_matrix.alist": "116f735580bddf2f12764b2e4661ce8a8a8503269914454fe03700cc623fe656",
+            "h_matrix.txt": "dd7b44753dad0437b243793ff234830aaeacf8c6abfb34d191c7abf476c9bc21",
+            "manifest.json": "ec8532008481fd6432b3a0721fe5ff424522cd2739536ba4e8c4261d895c00fa",
+            "report.json": "fde4dfae8630188f72c2b1819ff0c79295d98df15b96e80b1d468d9ece7ef9b5",
+            "summary.csv": "7ebead7393989421163fcc4ebe6a287638e017f955fba6bba077dad2068ed83c",
+        },
+    ),
+    "Z2xZ4": (
+        {
+            "group": {"kind": "product", "factors": [
+                {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 4}]},
+            "a_set": [1, 2],
+            "b_set": [3, 5],
+        },
+        {
+            "d1_matrix.alist": "c69c86e9208bcfadd94d65155daa0020213658250b162c1636d2bd2a1ed20800",
+            "d1_matrix.txt": "5e27cf97dbd1da36c5a27283af48e9fdd70829b0c3ad5ac0687eeb02b75b214c",
+            "graphs/factor_x.edges": "9c37d36c07f074f475af8f7cea5777536735be12016bac9e34c18426a671c0ef",
+            "graphs/factor_y.edges": "77e910d8f8f21ca8fb0daddd5e3f902cba860d8ea16921afbc4074e51a5e3615",
+            "graphs/sub_down.edges": "d022bc420bc9caff5d4d7552e3869cb101c9893caa72fdac9812de7792bfc53b",
+            "graphs/sub_left.edges": "77e910d8f8f21ca8fb0daddd5e3f902cba860d8ea16921afbc4074e51a5e3615",
+            "graphs/sub_right.edges": "77e910d8f8f21ca8fb0daddd5e3f902cba860d8ea16921afbc4074e51a5e3615",
+            "graphs/sub_up.edges": "d022bc420bc9caff5d4d7552e3869cb101c9893caa72fdac9812de7792bfc53b",
+            "h_matrix.alist": "5ffb0ccbc8d34f5ffaa8d93d2e7f774ab1559d1d3c697e92bf499e0697c30451",
+            "h_matrix.txt": "351a5b60331f946083f29725ef6529593f007bfb964c7b625308c16495044049",
+            "manifest.json": "265a58d49ff319d4733c57144d9b0019496aee3eb2f060b8d62bde66180e5c0c",
+            "report.json": "0f93abb6609f82f3d0bca6b4883b8042f9eeb03dc8c4838886729b6cf757a4e7",
+            "summary.csv": "d29ddc7d4cd60bd07d42997ef57aca2f4dc3c5729aed1c40385934ad9e9e4fb1",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_deterministic_output_bytes_are_pinned(name, tmp_path):
+    config, expected = PINNED_OUTPUTS[name]
+    cfg = write_config(tmp_path, {**config, "c_x": "1/2", "c_y": "1/2"})
+    out = tmp_path / "out"
+    assert main(["build", "--config", cfg, "--out", str(out), "--deterministic"]) == 0
+    got = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*")
+        if path.is_file()
+    }
+    changed = sorted(f for f in expected.keys() | got.keys() if expected.get(f) != got.get(f))
+    assert not changed, f"{name}: output bytes changed in {changed}"
 
 
 class TestVerify:

@@ -1,4 +1,4 @@
-"""The library's records: read-only fields, memos outside equality, cheap import."""
+"""The library's records: read-only fields, equality by fields alone, cheap import."""
 
 import inspect
 import subprocess
@@ -9,9 +9,7 @@ import pytest
 
 import expander_ltc
 from expander_ltc import analysis, f2, graphs, groups, products, search
-from expander_ltc.analysis import CodeInstance, code_from_complex
 from expander_ltc.groups import block_action, left_regular_action, make_cyclic, orbit_labeling
-from expander_ltc.products import left_right_cayley
 
 RECORDS = [
     cls
@@ -22,10 +20,6 @@ RECORDS = [
     and issubclass(cls, tuple)
     and not name.startswith("_")
 ]
-
-
-def _complex():
-    return left_right_cayley(make_cyclic(5), [1, 2], [1, 3])
 
 
 def test_every_public_record_is_a_named_tuple():
@@ -39,25 +33,12 @@ def test_fields_are_read_only(cls):
     for field in cls._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+    # no instance dict: nothing but the fields can be stored on a record
+    assert not hasattr(record, "__dict__")
 
 
 class TestMemo:
-    def test_complex_memo_is_its_own_and_not_compared(self):
-        a, b = _complex(), _complex()
-        assert a.memo is not b.memo
-        a.memo["key"] = 1
-        assert b.memo == {}
-        assert a == b
-
-    def test_code_memo_is_its_own_unless_passed_and_not_compared(self):
-        bp = _complex()
-        code = code_from_complex(bp)
-        code.memo["key"] = 1
-        fields = (code.h, code.n, code.m, code.k, code.locality)
-        a, b = CodeInstance(*fields), CodeInstance(*fields)
-        assert a.memo is not b.memo
-        assert a.memo == {}
-        assert a == b == code
+    """No record keeps a memo, so equal fields give equal, equally hashed records."""
 
     def test_orbit_labeling_equal_and_hashed_by_its_fields(self):
         action = block_action(left_regular_action(make_cyclic(4)), 3)

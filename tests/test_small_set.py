@@ -93,8 +93,7 @@ def _random_c1(bp, rng):
 
 def _key(check):
     return (
-        check.c1_weight, check.lhs, check.rhs, check.holds, check.epsilon,
-        check.unique_to_v10, check.unique_to_v01, check.squares,
+        check.c1_weight, check.lhs, check.rhs, check.holds, check.squares,
     )
 
 
