@@ -15,7 +15,7 @@ from .analysis import (
     LocallyMinimalDistance,
     LTProfile,
     SmallSetCheck,
-    SmallSetOrbit,
+    SmallSetSummary,
     SoundnessReport,
     boundary_1,
     c0_weighted_norm,

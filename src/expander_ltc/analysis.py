@@ -532,18 +532,6 @@ def small_set_ltc_check(
     return ss.check(p10, p01)
 
 
-class SmallSetOrbit(NamedTuple):
-    """One translation orbit of small locally minimal c1 and its one check.
-
-    Every vector of the orbit gives the same ``check``; ``size`` is
-    ``|G| / |stabiliser of the (v10, v01) pair|``.
-    """
-
-    check: SmallSetCheck
-    size: int
-    representative: C1Vector
-
-
 def enumerate_small_c1(
     bp: BalancedProductComplex, bound10: Fraction, bound01: Fraction
 ) -> Iterator[C1Vector]:
@@ -615,12 +603,51 @@ def _stabiliser(j: int, moved: list[list[int]], among: Iterable[int]) -> list[in
     return fixing
 
 
-def small_set_suite(
+class SmallSetSummary(NamedTuple):
+    """The small-set suite folded over its translation orbits.
+
+    ``count`` is the number of locally minimal vectors checked (the sum of
+    the orbit sizes) and ``orbits`` the number of orbits.  ``least`` is the
+    check of the first orbit with the least margin and ``witness`` that
+    orbit's representative; both are ``None`` when ``count`` is 0.
+    """
+
+    count: int
+    orbits: int
+    all_hold: bool
+    epsilon: Fraction
+    least: SmallSetCheck | None
+    witness: C1Vector | None
+
+    def to_json(self) -> dict:
+        least = self.least
+        return {
+            "count": self.count,
+            "orbits": self.orbits,
+            "all_hold": self.all_hold,
+            "epsilon": str(self.epsilon),
+            "vacuous": Fraction(1, 2) - 8 * self.epsilon <= 0,
+            "least_margin": None if least is None else {
+                "margin": str(least.margin),
+                "lhs": str(least.lhs),
+                "rhs": str(least.rhs),
+                "c1_weight": least.c1_weight,
+                "witness": {
+                    "v10": self.witness.v10.support(),
+                    "v01": self.witness.v01.support(),
+                },
+            },
+        }
+
+
+def _small_set_orbits(
     bp: BalancedProductComplex,
     cert_x: ExpansionCertificate,
     cert_y: ExpansionCertificate,
-) -> list[SmallSetOrbit]:
-    """Run the inequality once per translation orbit of locally minimal small c1.
+) -> Iterator[tuple[SmallSetCheck, int, int, int]]:
+    """``(check, size, v10 bits, v01 bits)`` per translation orbit of locally
+    minimal small c1: every vector of the orbit gives ``check``, and ``size``
+    is ``|G| / |stabiliser of the (v10, v01) pair|``.
 
     The translations ``h -> h t`` are used only if ``_translations`` finds
     each to be an automorphism of this complex; otherwise every orbit is a
@@ -645,7 +672,6 @@ def small_set_suite(
     moved10 = _moved_supports(supports10, maps)
     moved01 = _moved_supports(supports01, maps)
     parts01 = [ss.part(1, s) for s in supports01]
-    out = []
     for i, s10 in enumerate(supports10):
         fixing10 = _stabiliser(i, moved10, range(len(maps)))
         if fixing10 is None:
@@ -657,9 +683,38 @@ def small_set_suite(
             fixing = _stabiliser(j, moved01, fixing10)
             if fixing is None or _best_flip(bp, p10.overlaps, p01.overlaps) is not None:
                 continue
-            c1 = C1Vector(BitVector(bp.n10, p10.bits), BitVector(bp.n01, p01.bits))
-            out.append(SmallSetOrbit(ss.check(p10, p01), len(maps) // len(fixing), c1))
-    return out
+            yield ss.check(p10, p01), len(maps) // len(fixing), p10.bits, p01.bits
+
+
+def small_set_suite(
+    bp: BalancedProductComplex,
+    cert_x: ExpansionCertificate,
+    cert_y: ExpansionCertificate,
+) -> SmallSetSummary:
+    """Run the inequality once per translation orbit of locally minimal small
+    c1 (see ``_small_set_orbits``), folding the checks as they come."""
+    count = orbits = 0
+    all_hold = True
+    least = least_margin = least_bits = None
+    for check, size, v10, v01 in _small_set_orbits(bp, cert_x, cert_y):
+        count += size
+        orbits += 1
+        all_hold = all_hold and check.holds
+        margin = check.margin
+        if least is None or margin < least_margin:
+            least, least_margin, least_bits = check, margin, (v10, v01)
+    witness = None
+    if least is not None:
+        v10, v01 = least_bits
+        witness = C1Vector(BitVector(bp.n10, v10), BitVector(bp.n01, v01))
+    return SmallSetSummary(
+        count=count,
+        orbits=orbits,
+        all_hold=all_hold,
+        epsilon=small_set_epsilon(bp.w_up, cert_x, cert_y),
+        least=least,
+        witness=witness,
+    )
 
 
 # ---------------------------------------------------------------------------

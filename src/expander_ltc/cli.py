@@ -31,7 +31,7 @@ from .graphs import (
     check_unique_neighbor_lemma,
     graph_to_edge_list,
 )
-from .groups import FiniteGroup, group_from_spec
+from .groups import FiniteGroup, group_from_spec, make_cyclic
 from .products import (
     BalancedProductComplex,
     complex_manifest,
@@ -214,39 +214,6 @@ def _certify_factors(
     return certs[0], certs[1]
 
 
-def _small_set_summary(
-    bp: BalancedProductComplex,
-    cert_x: ExpansionCertificate,
-    cert_y: ExpansionCertificate,
-) -> dict:
-    """The small-set suite as a JSON-ready summary of its orbit records.
-
-    ``count`` is the number of locally minimal vectors checked (the sum of
-    the orbit sizes).  ``least_margin`` is the first orbit with the least
-    ``rhs - lhs``; its witness is the orbit's representative.
-    """
-    orbits = analysis.small_set_suite(bp, cert_x, cert_y)
-    eps = analysis.small_set_epsilon(bp.w_up, cert_x, cert_y)
-    least = min(orbits, key=lambda o: o.check.margin, default=None)
-    return {
-        "count": sum(o.size for o in orbits),
-        "orbits": len(orbits),
-        "all_hold": all(o.check.holds for o in orbits),
-        "epsilon": str(eps),
-        "vacuous": Fraction(1, 2) - 8 * eps <= 0,
-        "least_margin": None if least is None else {
-            "margin": str(least.check.margin),
-            "lhs": str(least.check.lhs),
-            "rhs": str(least.check.rhs),
-            "c1_weight": least.check.c1_weight,
-            "witness": {
-                "v10": least.representative.v10.support(),
-                "v01": least.representative.v01.support(),
-            },
-        },
-    }
-
-
 def build_report(
     bp: BalancedProductComplex,
     c_x: Fraction,
@@ -303,7 +270,9 @@ def build_report(
         "witness": snd.witness.support(),
     }
     report["small_set_checks"] = (
-        _small_set_summary(bp, cert_x, cert_y) if run_small_set else None
+        analysis.small_set_suite(bp, cert_x, cert_y).to_json()
+        if run_small_set
+        else None
     )
     return report
 
@@ -426,10 +395,10 @@ def cmd_verify(args) -> int:
             ok, worst = check_unique_neighbor_lemma(graph, cert, action=act)
             check(f"unique-neighbor bound on factor {tag}", ok, str(worst))
     if "small-set" in suites:
-        summary = _small_set_summary(bp, cert_x, cert_y)
+        summary = analysis.small_set_suite(bp, cert_x, cert_y)
         check(
-            f"small-set inequality on {summary['count']} locally minimal vectors",
-            summary["all_hold"],
+            f"small-set inequality on {summary.count} locally minimal vectors",
+            summary.all_hold,
         )
     return EXIT_OK if failed == 0 else EXIT_ANALYSIS
 
@@ -486,22 +455,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_demo_sharp(args) -> int:
-    from .analysis import (
-        boundary_1,
-        c0_weighted_norm,
-        sharp_example,
-        weighted_norm,
-    )
-    from .groups import make_cyclic
-
     if args.config:
         inputs = _build_config(args.config)[0]
     else:
         inputs = (make_cyclic(8), [1, 2], [1, 3])
     bp = left_right_cayley(*inputs)
-    c1 = sharp_example(bp, 0)
-    norm1 = weighted_norm(c1, bp)
-    norm0 = c0_weighted_norm(boundary_1(bp, c1), bp)
+    c1 = analysis.sharp_example(bp, 0)
+    norm1 = analysis.weighted_norm(c1, bp)
+    norm0 = analysis.c0_weighted_norm(analysis.boundary_1(bp, c1), bp)
     print(f"half-neighborhood vector on |G|={bp.group.order}:")
     print(f"  weighted norm of c1      = {norm1}")
     print(f"  weighted norm of its boundary = {norm0}")

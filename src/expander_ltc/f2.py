@@ -115,20 +115,6 @@ class BitMatrix:
     def get(self, i: int, j: int) -> int:
         return (self.row_bits[i] >> j) & 1
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_bits[i])
-
-    def column(self, j: int) -> BitVector:
-        bits = 0
-        mask = 1 << j
-        for i, r in enumerate(self.row_bits):
-            if r & mask:
-                bits |= 1 << i
-        return BitVector(self.rows, bits)
-
-    def columns(self) -> list[BitVector]:
-        return [self.column(j) for j in range(self.cols)]
-
     def mul_vec(self, v: BitVector) -> BitVector:
         """Matrix-vector product over GF(2)."""
         if v.length != self.cols:

@@ -6,6 +6,8 @@ dense 0/1 grid with a "rows cols" header.  Both round-trip exactly.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import InvalidParameterError
 from .f2 import BitMatrix
 
@@ -39,23 +41,53 @@ def matrix_to_alist(m: BitMatrix) -> str:
 
 
 def matrix_from_alist(text: str) -> BitMatrix:
-    tokens = text.split()
-    if len(tokens) < 4:
-        raise InvalidParameterError("alist input too short")
-    it = iter(tokens)
-    cols, rows = int(next(it)), int(next(it))
-    max_col, _max_row = int(next(it)), int(next(it))
-    col_degs = [int(next(it)) for _ in range(cols)]
-    [int(next(it)) for _ in range(rows)]  # row degrees, implied by the supports
+    """Parse ``matrix_to_alist`` output; ``InvalidParameterError`` on anything
+    malformed, including a row section that disagrees with the columns."""
+    try:
+        values = [int(t) for t in text.split()]
+    except ValueError:
+        raise InvalidParameterError("alist input holds a non-integer token") from None
+    it = iter(values)
+
+    def take(count: int, what: str) -> list[int]:
+        got = list(itertools.islice(it, count))
+        if len(got) != count:
+            raise InvalidParameterError(f"alist input ends in the {what}")
+        return got
+
+    cols, rows, max_col, max_row = take(4, "header")
+    if min(cols, rows, max_col, max_row) < 0:
+        raise InvalidParameterError("negative size in alist header")
+    col_degs = take(cols, "column degrees")
+    row_degs = take(rows, "row degrees")
+    col_supports = [
+        _alist_support(take(max_col, "columns"), col_degs[j], rows, f"column {j}")
+        for j in range(cols)
+    ]
+    row_supports = [
+        _alist_support(take(max_row, "rows"), row_degs[i], cols, f"row {i}")
+        for i in range(rows)
+    ]
+    if next(it, None) is not None:
+        raise InvalidParameterError("alist input has trailing tokens")
     m = BitMatrix(rows, cols)
-    for j in range(cols):
-        entries = [int(next(it)) for _ in range(max_col)]
-        seen = [e for e in entries if e]
-        if len(seen) != col_degs[j]:
-            raise InvalidParameterError(f"column {j} degree mismatch in alist")
-        for e in seen:
-            m.set(e - 1, j, 1)
+    for j, support in enumerate(col_supports):
+        for i in support:
+            m.set(i, j, 1)
+    for i, support in enumerate(row_supports):
+        if m.row_bits[i] != sum(1 << j for j in support):
+            raise InvalidParameterError(f"row {i} disagrees with the columns in alist")
     return m
+
+
+def _alist_support(entries: list[int], degree: int, size: int, what: str) -> list[int]:
+    """The 0-based indices of one padded 1-based neighbour list."""
+    support = [e - 1 for e in entries if e]
+    if len(support) != degree or len(set(support)) != degree:
+        raise InvalidParameterError(f"{what} degree mismatch in alist")
+    if not all(0 <= i < size for i in support):
+        raise InvalidParameterError(f"{what} has an index outside 1..{size} in alist")
+    return support
 
 
 def matrix_to_dense_text(m: BitMatrix) -> str:
@@ -70,7 +102,10 @@ def matrix_from_dense_text(text: str) -> BitMatrix:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidParameterError("empty dense matrix input")
-    rows, cols = (int(t) for t in lines[0].split())
+    try:
+        rows, cols = (int(t) for t in lines[0].split())
+    except ValueError:
+        raise InvalidParameterError(f"bad dense header: {lines[0]!r}") from None
     if len(lines) != rows + 1:
         raise InvalidParameterError(f"expected {rows} rows, got {len(lines) - 1}")
     bits = []

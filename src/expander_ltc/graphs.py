@@ -69,11 +69,6 @@ class BipartiteGraph:
     def right_degree(self, v: int) -> int:
         return self.right_masks[v].bit_count()
 
-    def transpose(self) -> "BipartiteGraph":
-        return BipartiteGraph(
-            self.v1_size, self.v0_size, ((v, u) for u, v in self.edges)
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BipartiteGraph)
@@ -495,12 +490,11 @@ def graph_to_edge_list(x: BipartiteGraph) -> str:
 
 
 def graph_from_edge_list(text: str) -> BipartiteGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidParameterError("empty edge list")
-    n0, n1 = (int(t) for t in lines[0].split())
-    edges = []
-    for ln in lines[1:]:
-        u, v = (int(t) for t in ln.split())
-        edges.append((u, v))
+    try:
+        (n0, n1), *edges = [(int(a), int(b)) for a, b in lines]
+    except ValueError:
+        raise InvalidParameterError("edge list lines must be two integers each") from None
     return BipartiteGraph(n0, n1, edges)

@@ -14,6 +14,11 @@ from expander_ltc.errors import DegenerateCodeError
 from expander_ltc.f2 import BitVector, rank
 
 
+def column_bits(m, j):
+    """Column ``j`` of a ``BitMatrix``, packed like a row: bit ``i`` is row ``i``."""
+    return sum(((r >> j) & 1) << i for i, r in enumerate(m.row_bits))
+
+
 def _gray(basis_bits):
     """``(i, cur)`` for every nonempty combination, in Gray order."""
     cur = 0
@@ -39,7 +44,7 @@ def reference_soundness_exhaustive(code) -> SoundnessReport:
     n, m = code.n, code.m
     if m == 0 or rank(code.h) == 0:
         raise DegenerateCodeError("code equals the full space")
-    columns = [code.h.column(j).bits for j in range(n)]
+    columns = [column_bits(code.h, j) for j in range(n)]
     leader = {}  # syndrome -> (weight, x bits)
     x = syn = 0
     for i in range(1, 1 << n):
@@ -63,7 +68,7 @@ def reference_soundness_exhaustive(code) -> SoundnessReport:
 def reference_lt_profile(bp, max_c1_weight) -> LTProfile:
     """Least preimage of every image of ``d2``, then the worst one per weight."""
     n, m = bp.n00, bp.n10 + bp.n01
-    columns = [bp.d2.column(j).bits for j in range(n)]
+    columns = [column_bits(bp.d2, j) for j in range(n)]
     minpre = {0: (0, 0)}  # image -> (weight, preimage bits)
     c2 = img = 0
     for i in range(1, 1 << n):

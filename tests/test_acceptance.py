@@ -334,15 +334,14 @@ def test_criterion_11_small_set_inequality(certified_corpus):
         if bp.n00 > 12:
             continue
         eps = small_set_epsilon(bp.w_up, cert_x, cert_y)
-        orbits = small_set_suite(bp, cert_x, cert_y)
-        count = sum(o.size for o in orbits)
+        summary = small_set_suite(bp, cert_x, cert_y)
+        count = summary.count
         total += count
         if eps < Fraction(1, 16):
-            ok = ok and all(o.check.holds for o in orbits)
+            ok = ok and summary.all_hold
             lines.append(f"{name}: eps={eps}, {count} checks, all hold")
         else:
-            margins = [o.check.margin for o in orbits]
-            worst = min(margins) if margins else None
+            worst = summary.least.margin if summary.least else None
             lines.append(
                 f"{name}: eps={eps} >= 1/16, {count} checks recorded, "
                 f"worst margin {worst}"

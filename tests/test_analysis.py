@@ -43,6 +43,12 @@ from expander_ltc.products import (
     left_right_cayley,
 )
 
+from sweep_reference import column_bits
+
+
+def _column(m, j):
+    return BitVector(m.rows, column_bits(m, j))
+
 
 def brute_force_soundness(h: BitMatrix):
     """Oracle: min over non-codewords of (|Hx| * n) / (m * d(x, C))."""
@@ -70,10 +76,10 @@ class TestCodeFromComplex:
         assert code.locality == max(bp.w_up, bp.w_left) == 3
         # every bit feeds w_down checks of the first kind and w_right of the second
         for j in range(code.n):
-            col = code.h.column(j)
-            low = col.bits & ((1 << bp.n10) - 1)
+            col = column_bits(code.h, j)
+            low = col & ((1 << bp.n10) - 1)
             assert low.bit_count() == bp.w_down == 1
-            assert (col.bits >> bp.n10).bit_count() == bp.w_right == 3
+            assert (col >> bp.n10).bit_count() == bp.w_right == 3
 
     def test_k_at_least_n_minus_m(self):
         for a, b in ([1], [1, 2]), ([1, 2], [2, 3]):
@@ -134,7 +140,7 @@ class TestLocalMinimality:
 
     def test_single_boundary_not_minimal(self):
         bp = left_right_cayley(make_cyclic(6), [1, 2], [1, 3])
-        col = bp.d2.column(0)
+        col = _column(bp.d2, 0)
         c1 = C1Vector.from_stacked(bp, col)
         minimal, improving = is_locally_minimal(c1, bp)
         assert not minimal
@@ -152,7 +158,7 @@ class TestLocalMinimality:
             by_definition = all(
                 weighted_norm(
                     C1Vector.from_stacked(
-                        bp, c1.stacked() ^ bp.d2.column(j)
+                        bp, c1.stacked() ^ _column(bp.d2, j)
                     ),
                     bp,
                 )
@@ -165,7 +171,7 @@ class TestLocalMinimality:
 class TestGreedyFlip:
     def test_single_boundary_one_step(self):
         bp = left_right_cayley(make_cyclic(6), [1, 2], [1, 3])
-        c1 = C1Vector.from_stacked(bp, bp.d2.column(4))
+        c1 = C1Vector.from_stacked(bp, _column(bp.d2, 4))
         res = greedy_flip(c1, bp)
         assert res.final.is_zero()
         assert res.flips.support() == [4]
@@ -228,7 +234,7 @@ class TestLocallyMinimalDistance:
 class TestLTProfile:
     def test_single_column_preimage_weight_one(self):
         bp = left_right_cayley(make_cyclic(5), [1], [1, 2])
-        cols = [bp.d2.column(j).bits for j in range(bp.n00)]
+        cols = [column_bits(bp.d2, j) for j in range(bp.n00)]
         assert len(set(cols)) == len(cols) and all(cols)  # distinct, nonzero
         ltp = lt_profile(bp, max_c1_weight=bp.n10 + bp.n01)
         w_col = cols[0].bit_count()
@@ -326,15 +332,15 @@ class TestSmallSetCheck:
 
     def test_requires_local_minimality(self):
         bp, cx, cy = self._instance()
-        c1 = C1Vector.from_stacked(bp, bp.d2.column(0))
+        c1 = C1Vector.from_stacked(bp, _column(bp.d2, 0))
         with pytest.raises(PreconditionViolationError):
             small_set_ltc_check(bp, cx, cy, c1)
 
     def test_suite_all_hold(self):
         bp, cx, cy = self._instance()
-        orbits = small_set_suite(bp, cx, cy)
-        assert orbits  # the enumeration is nonempty
-        assert all(o.check.holds for o in orbits)
+        summary = small_set_suite(bp, cx, cy)
+        assert summary.count  # the enumeration is nonempty
+        assert summary.all_hold
 
     def test_sharp_ratio(self):
         bp, cx, cy = self._instance()

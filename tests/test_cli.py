@@ -230,6 +230,26 @@ PINNED_OUTPUTS = {
             "summary.csv": "7ebead7393989421163fcc4ebe6a287638e017f955fba6bba077dad2068ed83c",
         },
     ),
+    # the one ladder config whose subgraph epsilon is >= 1/2: ``d`` has a
+    # reason and no bound
+    "Z12-5-8": (
+        {"group": {"kind": "cyclic", "n": 12}, "a_set": [5, 8], "b_set": [7, 1]},
+        {
+            "d1_matrix.alist": "814a8b1b8a5081dc406dcf777b6f10a186b8feb969e009c531dd5b4453aeed2e",
+            "d1_matrix.txt": "df4d6c7b23a6a0d6b430f968ba2650583df65e32986b04959e887ed78dced756",
+            "graphs/factor_x.edges": "eeae6ba9eb4452f1ff863a2a7a4ec24182d66ee65599a7d5f73bed519c746b41",
+            "graphs/factor_y.edges": "28e64173136d8191ddae0e3eea4c2761d3efc1320920b3539f39cdfab5294588",
+            "graphs/sub_down.edges": "d95951ca577e4eea6bcad12bcd3927f3b13e90cd464234c00d29f80490f86d0c",
+            "graphs/sub_left.edges": "28e64173136d8191ddae0e3eea4c2761d3efc1320920b3539f39cdfab5294588",
+            "graphs/sub_right.edges": "28e64173136d8191ddae0e3eea4c2761d3efc1320920b3539f39cdfab5294588",
+            "graphs/sub_up.edges": "d95951ca577e4eea6bcad12bcd3927f3b13e90cd464234c00d29f80490f86d0c",
+            "h_matrix.alist": "5c0c1d31053a8ac45ef68cf63c4ab114bd6480be042f577f6a441bbfeb5fb01f",
+            "h_matrix.txt": "a51676b5e9a6b8dbe4cb6e7e69157a3ea9bfde0a4bcc5fec8db36d0b3a1112d0",
+            "manifest.json": "e8417c18826408ca11bedb60339e22f90f1cbd9fc22be612f098ce75502bbf0f",
+            "report.json": "95ac05153d0cbb2cd748b0fe6c2f49924e278a389b3c7ff1a939dc34cb9b93f6",
+            "summary.csv": "9cbd49241bf8d20e232be857e792dd22052edd7ba9b422f9c53f6a38875915a0",
+        },
+    ),
     "Z2xZ4": (
         {
             "group": {"kind": "product", "factors": [

@@ -16,6 +16,8 @@ from expander_ltc.f2 import (
     rank,
 )
 
+from sweep_reference import column_bits
+
 
 def random_matrix(rows, cols, rng):
     return BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
@@ -149,7 +151,7 @@ class TestNearestCodeword:
 
     @staticmethod
     def _distance(h, x):
-        least = min_preimages([c.bits for c in h.columns()], 1 << h.cols)
+        least = min_preimages([column_bits(h, j) for j in range(h.cols)], 1 << h.cols)
         return least[h.mul_vec(x).bits][0]
 
     def test_codeword_distance_zero(self):

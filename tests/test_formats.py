@@ -14,6 +14,16 @@ from expander_ltc.formats import (
 )
 
 
+# a 3x3 matrix: line 4 + j of its alist lists column j, line 7 + i row i
+ALIST_3X3 = matrix_to_alist(BitMatrix.from_entries([[1, 0, 1], [0, 1, 1], [1, 1, 0]]))
+
+
+def _alist_with(index, line):
+    lines = ALIST_3X3.splitlines()
+    lines[index] = line
+    return "\n".join(lines) + "\n"
+
+
 def random_matrix(rows, cols, seed):
     rng = random.Random(seed)
     return BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
@@ -40,6 +50,34 @@ class TestAlist:
         with pytest.raises(InvalidParameterError):
             matrix_from_alist("3 2")
 
+    def test_truncated_column_section_rejected(self):
+        text = "\n".join(ALIST_3X3.splitlines()[:5])
+        with pytest.raises(InvalidParameterError, match="ends in the columns"):
+            matrix_from_alist(text)
+
+    def test_negative_index_rejected(self):
+        # -2 would wrap to the last row, where column 0 already has an entry
+        with pytest.raises(InvalidParameterError, match="outside"):
+            matrix_from_alist(_alist_with(4, "-2 1"))
+
+    def test_index_above_rows_rejected(self):
+        with pytest.raises(InvalidParameterError, match="outside"):
+            matrix_from_alist(_alist_with(4, "1 4"))
+
+    def test_missing_row_section_rejected(self):
+        text = "\n".join(ALIST_3X3.splitlines()[:7])
+        with pytest.raises(InvalidParameterError, match="ends in the rows"):
+            matrix_from_alist(text)
+
+    def test_row_section_disagreeing_with_columns_rejected(self):
+        assert matrix_from_alist(ALIST_3X3).get(0, 1) == 0
+        with pytest.raises(InvalidParameterError, match="row 0 disagrees"):
+            matrix_from_alist(_alist_with(7, "1 2"))
+
+    def test_trailing_tokens_rejected(self):
+        with pytest.raises(InvalidParameterError, match="trailing"):
+            matrix_from_alist(ALIST_3X3 + "1\n")
+
 
 class TestDenseText:
     def test_round_trip_random(self):
@@ -58,3 +96,8 @@ class TestDenseText:
     def test_bad_characters_rejected(self):
         with pytest.raises(InvalidParameterError):
             matrix_from_dense_text("1 3\n1x1")
+
+    @pytest.mark.parametrize("header", ["1 3 4", "one 3", "3"])
+    def test_header_not_two_integers_rejected(self, header):
+        with pytest.raises(InvalidParameterError, match="header"):
+            matrix_from_dense_text(f"{header}\n101")

@@ -533,3 +533,13 @@ class TestEdgeListFormat:
         x = BipartiteGraph(2, 3, [(0, 0), (1, 2)])
         text = graph_to_edge_list(x)
         assert text.splitlines()[0] == "2 3"
+
+    @pytest.mark.parametrize("header", ["2 3 4", "two 3", "2"])
+    def test_header_not_two_integers_rejected(self, header):
+        with pytest.raises(InvalidParameterError, match="two integers"):
+            graph_from_edge_list(f"{header}\n0 0\n")
+
+    @pytest.mark.parametrize("edge", ["0 0 1", "0 x", "1"])
+    def test_edge_not_two_integers_rejected(self, edge):
+        with pytest.raises(InvalidParameterError, match="two integers"):
+            graph_from_edge_list(f"2 3\n{edge}\n")

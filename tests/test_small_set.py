@@ -1,6 +1,7 @@
 """The integer flip test and the small-set suite against the ``Fraction`` references."""
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -9,14 +10,12 @@ import pytest
 from expander_ltc import analysis
 from expander_ltc.analysis import (
     C1Vector,
-    SmallSetOrbit,
     greedy_flip,
     is_locally_minimal,
     locally_minimal_distance,
     small_set_ltc_check,
     small_set_suite,
 )
-from expander_ltc.cli import _small_set_summary
 from expander_ltc.errors import PreconditionViolationError, VerificationError
 from expander_ltc.f2 import BitVector
 from expander_ltc.graphs import certify_expansion
@@ -34,6 +33,7 @@ from small_set_reference import (
     reference_small_set_ltc_check,
     reference_small_set_suite,
 )
+from sweep_reference import column_bits
 
 
 def _cayley(order, a_set, b_set):
@@ -100,8 +100,8 @@ def _key(check):
 def _expanded(orbits):
     """The multiset of checks the orbits stand for, each counted by its size."""
     counts = Counter()
-    for orbit in orbits:
-        counts[_key(orbit.check)] += orbit.size
+    for check, size, _, _ in orbits:
+        counts[_key(check)] += size
     return counts
 
 
@@ -121,45 +121,75 @@ def test_suite_matches_reference(name, fallback, monkeypatch):
     cert_x, cert_y = _certified(bp)
     if fallback:
         monkeypatch.setattr(analysis, "_translations", _no_translations)
-    orbits = small_set_suite(bp, cert_x, cert_y)
+    orbits = list(analysis._small_set_orbits(bp, cert_x, cert_y))
     expected = reference_small_set_suite(bp, cert_x, cert_y)
     assert expected  # the instance exercises the suite
-    assert all(isinstance(o, SmallSetOrbit) and o.size >= 1 for o in orbits)
+    assert all(size >= 1 for _, size, _, _ in orbits)
     assert _expanded(orbits) == Counter(map(_key, expected))
-    assert not fallback or [o.check for o in orbits] == expected
+    assert not fallback or [check for check, _, _, _ in orbits] == expected
+
+
+@pytest.mark.parametrize(
+    "fallback, name", [(f, n) for f in (False, True) for n in sorted(INSTANCES)]
+)
+def test_summary_is_the_reference_folded(name, fallback, monkeypatch):
+    bp = INSTANCES[name]()
+    cert_x, cert_y = _certified(bp)
+    if fallback:
+        monkeypatch.setattr(analysis, "_translations", _no_translations)
+    summary = small_set_suite(bp, cert_x, cert_y)
+    expected = reference_small_set_suite(bp, cert_x, cert_y)
+    assert summary.count == len(expected)
+    assert summary.all_hold == all(c.holds for c in expected)
+    assert summary.least.margin == min(c.margin for c in expected)
+
+
+def test_suite_keeps_no_per_orbit_records():
+    # Z14 has 164,157 vectors in 11,730 orbits; the folded suite holds
+    # one summary, so its peak stays far below what one record per orbit takes
+    bp = LARGER["Z14"]()
+    cert_x, cert_y = _certified(bp)
+    tracemalloc.start()
+    try:
+        summary = small_set_suite(bp, cert_x, cert_y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert summary.count == 164_157
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_each_representative_matches_its_reference_check(name):
     bp = INSTANCES[name]()
     cert_x, cert_y = _certified(bp)
-    for orbit in small_set_suite(bp, cert_x, cert_y):
-        c1 = orbit.representative
-        assert orbit.check == reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
-        assert bp.group.order % orbit.size == 0
+    for check, size, v10, v01 in analysis._small_set_orbits(bp, cert_x, cert_y):
+        c1 = C1Vector(BitVector(bp.n10, v10), BitVector(bp.n01, v01))
+        assert check == reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
+        assert bp.group.order % size == 0
 
 
 def test_translations_reduce_the_cyclic_suite():
     bp = LARGER["Z12-unit1"]()
-    orbits = small_set_suite(bp, *_certified(bp))
-    assert len(orbits) == 479
-    assert sum(o.size for o in orbits) == 5700
+    summary = small_set_suite(bp, *_certified(bp))
+    assert summary.orbits == 479
+    assert summary.count == 5700
 
 
 @pytest.mark.parametrize("name, reduced", [("S3", False), ("S3-3-cycles", True)])
 def test_translations_checked_on_a_non_abelian_group(name, reduced):
     bp = INSTANCES[name]()
     assert len(analysis._translations(bp)) == (6 if reduced else 1)
-    orbits = small_set_suite(bp, *_certified(bp))
-    assert (len(orbits) < sum(o.size for o in orbits)) == reduced
-    assert reduced or all(o.size == 1 for o in orbits)
+    summary = small_set_suite(bp, *_certified(bp))
+    # sizes are at least 1, so equal totals mean every orbit is one vector
+    assert (summary.orbits < summary.count) == reduced
 
 
 @pytest.mark.parametrize("name", ["Z8", "Z10", "Z2xZ4", "S3-3-cycles"])
 def test_least_margin_matches_reference_and_reproduces(name):
     bp = INSTANCES[name]()
     cert_x, cert_y = _certified(bp)
-    summary = _small_set_summary(bp, cert_x, cert_y)
+    summary = small_set_suite(bp, cert_x, cert_y).to_json()
     expected = reference_small_set_suite(bp, cert_x, cert_y)
     least = summary["least_margin"]
     assert summary["count"] == len(expected)
@@ -176,9 +206,9 @@ def test_least_margin_matches_reference_and_reproduces(name):
 def test_fallback_gives_the_same_summary(name, monkeypatch):
     bp = INSTANCES[name]()
     cert_x, cert_y = _certified(bp)
-    reduced = _small_set_summary(bp, cert_x, cert_y)
+    reduced = small_set_suite(bp, cert_x, cert_y).to_json()
     monkeypatch.setattr(analysis, "_translations", _no_translations)
-    full = _small_set_summary(bp, cert_x, cert_y)
+    full = small_set_suite(bp, cert_x, cert_y).to_json()
     assert full["orbits"] == full["count"] > reduced["orbits"]
     assert {**full, "orbits": None} == {**reduced, "orbits": None}
 
@@ -256,6 +286,7 @@ def test_column_masks_derived_once_per_complex(monkeypatch):
     # subgraphs, derived once when the complex is built: nothing transposes
     bp = INSTANCES["Z8"]()
     cert_x, cert_y = _certified(bp)
+    c1 = C1Vector.from_stacked(bp, BitVector(bp.d2.rows, column_bits(bp.d2, 0)))
     calls = []
     transpose = type(bp.d2).transpose
 
@@ -265,6 +296,6 @@ def test_column_masks_derived_once_per_complex(monkeypatch):
 
     monkeypatch.setattr(type(bp.d2), "transpose", counted)
     small_set_suite(bp, cert_x, cert_y)
-    greedy_flip(C1Vector.from_stacked(bp, bp.d2.column(0)), bp)
+    greedy_flip(c1, bp)
     locally_minimal_distance(bp)
     assert calls == []

@@ -30,6 +30,7 @@ from expander_ltc.search import layered_cayley
 
 from small_set_reference import reference_locally_minimal_distance
 from sweep_reference import (
+    column_bits,
     reference_lt_profile,
     reference_min_weight_nonzero,
     reference_soundness_exhaustive,
@@ -146,7 +147,7 @@ class TestRandomCodes:
                 if code.h.mul_vec(BitVector(code.n, c)).bits == 0
             ]
             leader = min((v.bit_count(), v) for v in coset)
-            columns = [c.bits for c in code.h.columns()]
+            columns = [column_bits(code.h, j) for j in range(code.n)]
             assert min_preimages(columns, 1 << code.n)[syndrome] == leader
 
 
