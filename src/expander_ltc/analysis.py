@@ -434,9 +434,33 @@ class _Part(NamedTuple):
 
     bits: int
     weight: int
-    overlaps: list[int]  # with each d2 column's part in this corner
+    # levels[a]: the d2 columns whose part in this corner meets ``bits`` in at
+    # least ``a`` vertices, for a = 0 .. the largest column part
+    levels: list[int]
+    # the nonzero levels[a] for a >= 1: column j lies in o[j] of them, where
+    # o[j] is its overlap with this part
+    upper: list[int]
     syndrome: int  # d1 of this part
     face_masks: list[int]  # v10 only: V01 ends of the faces on this part
+
+
+def _flip_levels(w_down: int, w_right: int, top10: int, top01: int) -> list[tuple[int, int]]:
+    """The level pairs of the flip test on level masks.
+
+    A bit of C2 whose boundary meets ``v10`` in ``a`` and ``v01`` in ``b``
+    vertices improves ``c1`` iff ``w_right·a + w_down·b > w_down·w_right``
+    (``_best_flip``).  Levels only shrink as ``a`` or ``b`` grows, so it is
+    enough to pair each ``a`` with its least such ``b``, and to drop a pair
+    whose ``b`` an earlier (smaller) ``a`` already reaches.
+    """
+    pairs: list[tuple[int, int]] = []
+    for a in range(top10 + 1):
+        for b in range(top01 + 1):
+            if w_right * a + w_down * b > w_down * w_right:
+                if not pairs or b < pairs[-1][1]:
+                    pairs.append((a, b))
+                break
+    return pairs
 
 
 class _SmallSet:
@@ -457,6 +481,10 @@ class _SmallSet:
         # d1 column
         self.d2_masks = (bp.g_s0.left_masks, bp.g_0s.left_masks)
         self.d1_columns = (bp.g_1s.left_masks, bp.g_s1.left_masks)
+        self.tops = tuple(
+            max((m.bit_count() for m in masks), default=0) for masks in self.d2_masks
+        )
+        self.flip_levels = _flip_levels(bp.w_down, bp.w_right, *self.tops)
         # faces by V10 vertex: its k-th mask holds the V01 vertices that share
         # more than k faces with it
         self.faces_by_v10: list[list[int]] = [[] for _ in range(bp.n10)]
@@ -466,52 +494,87 @@ class _SmallSet:
             layers.extend([0] * (count - len(layers)))
             for k in range(count):
                 layers[k] |= 1 << i01
-        self._values: dict[tuple[int, int, int], tuple[Fraction, Fraction, bool]] = {}
+        self._checks: dict[tuple[int, int, int, int], tuple[SmallSetCheck, int]] = {}
 
     def part(self, corner: int, support: Sequence[int]) -> _Part:
-        """Corner 0 is ``v10``, corner 1 is ``v01``."""
+        """Corner 0 is ``v10``, corner 1 is ``v01``; its weight must lie
+        strictly below the corner's bound."""
+        weight = len(support)
+        if weight > self.max_weights[corner]:
+            raise PreconditionViolationError(
+                f"|{('v10', 'v01')[corner]}|={weight} not below bound "
+                f"{self.bounds[corner]}"
+            )
         columns = self.d1_columns[corner]
         bits = syndrome = 0
         for i in support:
             bits |= 1 << i
             syndrome ^= columns[i]
+        levels = [0] * (self.tops[corner] + 1)
+        for j, o in enumerate(_overlaps(self.d2_masks[corner], bits)):
+            levels[o] |= 1 << j
+        for a in range(len(levels) - 2, -1, -1):
+            levels[a] |= levels[a + 1]
         faces = [m for i in support for m in self.faces_by_v10[i]] if corner == 0 else []
         return _Part(
             bits=bits,
-            weight=len(support),
-            overlaps=_overlaps(self.d2_masks[corner], bits),
+            weight=weight,
+            levels=levels,
+            upper=[m for m in levels[1:] if m],
             syndrome=syndrome,
             face_masks=faces,
         )
 
-    def check(self, p10: _Part, p01: _Part) -> SmallSetCheck:
-        """The inequality for the locally minimal ``c1 = (p10, p01)``."""
-        for name, part, bound, max_weight in zip(
-            ("v10", "v01"), (p10, p01), self.bounds, self.max_weights
-        ):
-            if part.weight > max_weight:
-                raise PreconditionViolationError(
-                    f"|{name}|={part.weight} not below bound {bound}"
-                )
-        squares = _agreed_squares(
-            sum(map(mul, p10.overlaps, p01.overlaps)),
-            sum((m & p01.bits).bit_count() for m in p10.face_masks),
+    def minimal(self, p10: _Part, p01: _Part) -> bool:
+        """Exact weighted local minimality: no bit of C2 lies in
+        ``levels[a]`` of ``v10`` and ``levels[b]`` of ``v01`` for an
+        improving pair ``(a, b)``; equal to ``_best_flip(...) is None``."""
+        l10, l01 = p10.levels, p01.levels
+        for a, b in self.flip_levels:
+            if l10[a] & l01[b]:
+                return False
+        return True
+
+    def squares(self, p10: _Part, p01: _Part) -> int:
+        """The square count by degrees, ``sum_j o10[j] o01[j]``, as
+        ``sum_{a, b >= 1} |levels10[a] & levels01[b]|`` over the ``upper``
+        levels, checked against the count by faces."""
+        by_levels = by_faces = 0
+        u01 = p01.upper
+        for x in p10.upper:
+            for y in u01:
+                by_levels += (x & y).bit_count()
+        v01 = p01.bits
+        for m in p10.face_masks:
+            by_faces += (m & v01).bit_count()
+        return _agreed_squares(by_levels, by_faces)
+
+    def check(self, p10: _Part, p01: _Part) -> tuple[SmallSetCheck, int]:
+        """The inequality for the locally minimal ``c1 = (p10, p01)``, and its
+        margin as the integer ``q·|d1 c1| − p·(w_right·|v10| + w_down·|v01|)``
+        for ``factor = p/q``: ``margin`` times ``q·w_down·w_right``."""
+        key = (
+            p10.weight,
+            p01.weight,
+            (p10.syndrome ^ p01.syndrome).bit_count(),
+            self.squares(p10, p01),
         )
-        key = (p10.weight, p01.weight, (p10.syndrome ^ p01.syndrome).bit_count())
-        values = self._values.get(key)
-        if values is None:
+        found = self._checks.get(key)
+        if found is None:
+            w10, w01, syndrome, squares = key
             wd, wr = self.bp.w_down, self.bp.w_right
-            lhs = self.factor * Fraction(key[0] * wr + key[1] * wd, wd * wr)
-            rhs = Fraction(key[2], wd * wr)
-            values = self._values[key] = (lhs, rhs, lhs <= rhs)
-        lhs, rhs, holds = values
-        return SmallSetCheck(
-            lhs=lhs,
-            rhs=rhs,
-            holds=holds,
-            c1_weight=p10.weight + p01.weight,
-            squares=squares,
-        )
+            lhs = self.factor * Fraction(w10 * wr + w01 * wd, wd * wr)
+            rhs = Fraction(syndrome, wd * wr)
+            check = SmallSetCheck(
+                lhs=lhs,
+                rhs=rhs,
+                holds=lhs <= rhs,
+                c1_weight=w10 + w01,
+                squares=squares,
+            )
+            p, q = self.factor.numerator, self.factor.denominator
+            found = self._checks[key] = (check, q * syndrome - p * (w10 * wr + w01 * wd))
+        return found
 
 
 def small_set_ltc_check(
@@ -524,12 +587,13 @@ def small_set_ltc_check(
     ss = _SmallSet(bp, cert_x, cert_y)
     p10 = ss.part(0, c1.v10.support())
     p01 = ss.part(1, c1.v01.support())
-    improving = _best_flip(bp, p10.overlaps, p01.overlaps)
+    lo, hi = ss.d2_masks
+    improving = _best_flip(bp, _overlaps(lo, p10.bits), _overlaps(hi, p01.bits))
     if improving is not None:
         raise PreconditionViolationError(
             f"c1 is not locally minimal (bit {improving} improves it)"
         )
-    return ss.check(p10, p01)
+    return ss.check(p10, p01)[0]
 
 
 def enumerate_small_c1(
@@ -559,47 +623,65 @@ def _translations(bp: BalancedProductComplex) -> list[tuple[int, ...]]:
     Every corner indexes its vertex ``(h, i_r, i_s)`` as ``(i_r, i_s)·|G| + h``,
     so one map serves all four corners.  A map is an automorphism when it
     sends every face to a face and every edge of the four subgraphs to an
-    edge.  That holds for abelian G; it is checked here, on this complex.
+    edge.  That holds for abelian G; it is proved here, on this complex, from
+    the generating set ``S`` of ``FiniteGroup.generating_set``: the map of
+    the identity is the identity, each ``τ_s`` for ``s`` in ``S`` is an
+    automorphism, and ``τ_s ∘ τ_t = τ_{ts}`` for every ``s`` in ``S`` and
+    ``t`` in G.  Every ``t`` is ``1·s_1⋯s_k``, so ``τ_t = τ_{s_k} ∘ ⋯ ∘
+    τ_{s_1}`` is a composition of automorphisms.
     """
     g = bp.group
     size = max(bp.sizes)
+    identity = tuple(range(size))
     maps = [
         tuple(i - i % g.order + g.mul(i % g.order, t) for i in range(size))
         for t in g.elements()
     ]
+    gens = g.generating_set()
+    composed = all(
+        tuple(maps[s][v] for v in maps[t]) == maps[g.mul(t, s)]
+        for s in gens
+        for t in g.elements()
+    )
     cell_sets = (
         set(bp.faces), bp.g_s0.edges, bp.g_s1.edges, bp.g_0s.edges, bp.g_1s.edges
     )
-    if all(
-        tuple(tau[v] for v in cell) in cells
-        for tau in maps
-        for cells in cell_sets
-        for cell in cells
+    if (
+        maps[g.identity] == identity
+        and composed
+        and all(
+            tuple(maps[s][v] for v in cell) in cells
+            for s in gens
+            for cells in cell_sets
+            for cell in cells
+        )
     ):
         return maps
-    return [tuple(range(size))]
+    return [identity]
 
 
-def _moved_supports(
-    supports: list[tuple[int, ...]], maps: list[tuple[int, ...]]
-) -> list[list[int]]:
-    """``moved[t][j]``: the index in ``supports`` of the image of support ``j``
-    under map ``t``.  Images keep their size, so index order is the order of
-    ``_small_supports``."""
-    index = {s: j for j, s in enumerate(supports)}
-    return [[index[tuple(sorted(tau[i] for i in s))] for s in supports] for tau in maps]
+def _fixing(support: Sequence[int], images: list[list[int]]) -> list[list[int]] | None:
+    """The maps in ``images`` (each the image bit of every vertex) that fix
+    ``support``, or ``None`` if one maps it to an earlier support.
 
-
-def _stabiliser(j: int, moved: list[list[int]], among: Iterable[int]) -> list[int] | None:
-    """The maps in ``among`` that fix support ``j``, or ``None`` if one of them
-    moves it to an earlier support (``j`` is then not its orbit's first)."""
+    Images keep their size, and of two supports of one size the first in
+    lex order is the one holding the least vertex of their symmetric
+    difference: this is the order of ``_small_supports``.
+    """
+    bits = 0
+    for i in support:
+        bits |= 1 << i
     fixing = []
-    for t in among:
-        k = moved[t][j]
-        if k < j:
-            return None
-        if k == j:
-            fixing.append(t)
+    for image_bits in images:
+        image = 0
+        for i in support:
+            image |= image_bits[i]
+        if image == bits:
+            fixing.append(image_bits)
+        else:
+            moved = image ^ bits
+            if image & moved & -moved:
+                return None
     return fixing
 
 
@@ -644,21 +726,23 @@ def _small_set_orbits(
     bp: BalancedProductComplex,
     cert_x: ExpansionCertificate,
     cert_y: ExpansionCertificate,
-) -> Iterator[tuple[SmallSetCheck, int, int, int]]:
-    """``(check, size, v10 bits, v01 bits)`` per translation orbit of locally
-    minimal small c1: every vector of the orbit gives ``check``, and ``size``
-    is ``|G| / |stabiliser of the (v10, v01) pair|``.
+) -> Iterator[tuple[SmallSetCheck, int, int, int, int]]:
+    """``(check, size, v10 bits, v01 bits, margin)`` per translation orbit of
+    locally minimal small c1: every vector of the orbit gives ``check``,
+    ``size`` is ``|G| / |stabiliser of the (v10, v01) pair|``, and
+    ``margin`` is the check's margin as the integer of ``_SmallSet.check``.
 
-    The translations ``h -> h t`` are used only if ``_translations`` finds
+    The translations ``h -> h t`` are used only if ``_translations`` proves
     each to be an automorphism of this complex; otherwise every orbit is a
     single vector.  A ``v10`` is taken when it is the first of its orbit in
     the order of ``enumerate_small_c1``, and a ``v01`` when it is the first
     of its orbit under the stabiliser of that ``v10``.  So each
     representative is the first vector of its orbit in that order, and the
     orbits come in the order of their representatives.  Each ``v10`` and each
-    ``v01`` part is evaluated once, and every pair only combines the two.
-    Local minimality, the weight bounds and the square count are checked on
-    every representative; the zero vector is left out.
+    ``v01`` part is evaluated once, with its weight bound, and every pair only
+    combines the two.  Local minimality and the two-method square count are
+    checked on every representative; the zero vector is left out.  The orbit
+    and stabiliser tests compare image bitmasks (see ``_fixing``).
 
     Every mask a part reads is a left mask of a subgraph the complex stores:
     ``g_s0`` and ``g_0s`` give the ``d2`` columns of the flip test and the
@@ -667,23 +751,25 @@ def _small_set_orbits(
     ss = _SmallSet(bp, cert_x, cert_y)
     max10, max01 = ss.max_weights
     maps = _translations(bp)
-    supports10 = list(_small_supports(bp.n10, max10))
-    supports01 = list(_small_supports(bp.n01, max01))
-    moved10 = _moved_supports(supports10, maps)
-    moved01 = _moved_supports(supports01, maps)
-    parts01 = [ss.part(1, s) for s in supports01]
-    for i, s10 in enumerate(supports10):
-        fixing10 = _stabiliser(i, moved10, range(len(maps)))
+    identity = tuple(range(max(bp.sizes)))
+    # the maps that may move a support, as image bits; the rest fix every one
+    moving = [[1 << v for v in tau] for tau in maps if tau != identity]
+    fixed = len(maps) - len(moving)
+    parts01 = [(s, ss.part(1, s)) for s in _small_supports(bp.n01, max01)]
+    minimal, check = ss.minimal, ss.check
+    for s10 in _small_supports(bp.n10, max10):
+        fixing10 = _fixing(s10, moving)
         if fixing10 is None:
             continue
         p10 = ss.part(0, s10)
-        for j, p01 in enumerate(parts01):
-            if not (p10.bits or p01.bits):
+        for s01, p01 in parts01:
+            if not (p10.bits or p01.bits) or not minimal(p10, p01):
                 continue
-            fixing = _stabiliser(j, moved01, fixing10)
-            if fixing is None or _best_flip(bp, p10.overlaps, p01.overlaps) is not None:
+            fixing = _fixing(s01, fixing10) if fixing10 else []
+            if fixing is None:
                 continue
-            yield ss.check(p10, p01), len(maps) // len(fixing), p10.bits, p01.bits
+            found, margin = check(p10, p01)
+            yield found, len(maps) // (fixed + len(fixing)), p10.bits, p01.bits, margin
 
 
 def small_set_suite(
@@ -692,15 +778,17 @@ def small_set_suite(
     cert_y: ExpansionCertificate,
 ) -> SmallSetSummary:
     """Run the inequality once per translation orbit of locally minimal small
-    c1 (see ``_small_set_orbits``), folding the checks as they come."""
+    c1 (see ``_small_set_orbits``), folding the checks as they come: the
+    least margin is compared as an integer, and the first orbit to reach it
+    is kept."""
     count = orbits = 0
     all_hold = True
     least = least_margin = least_bits = None
-    for check, size, v10, v01 in _small_set_orbits(bp, cert_x, cert_y):
+    for check, size, v10, v01, margin in _small_set_orbits(bp, cert_x, cert_y):
         count += size
         orbits += 1
-        all_hold = all_hold and check.holds
-        margin = check.margin
+        if not check.holds:
+            all_hold = False
         if least is None or margin < least_margin:
             least, least_margin, least_bits = check, margin, (v10, v01)
     witness = None

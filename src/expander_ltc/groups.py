@@ -37,6 +37,29 @@ class FiniteGroup(NamedTuple):
     def elements(self) -> range:
         return range(self.order)
 
+    def generating_set(self) -> list[int]:
+        """Generators ``s_1, s_2, ...``: each is the first element not yet
+        reached from the identity by right multiplication by the earlier ones.
+
+        Every element is therefore ``identity · s_i · s_j ⋯`` through this
+        table, a product reached step by step.
+        """
+        gens: list[int] = []
+        reached = {self.identity}
+        for t in self.elements():
+            if t in reached:
+                continue
+            gens.append(t)
+            frontier = list(reached)
+            while frontier:
+                h = frontier.pop()
+                for s in gens:
+                    k = self.table[h][s]
+                    if k not in reached:
+                        reached.add(k)
+                        frontier.append(k)
+        return gens
+
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name or 'order=%d' % self.order})"
 

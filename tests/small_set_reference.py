@@ -173,3 +173,25 @@ def reference_small_set_suite(bp, cert_x, cert_y):
             continue
         out.append(ref.check(c1))
     return out
+
+
+def reference_translations(bp):
+    """The maps ``h -> h t`` for every ``t``, each checked on every face and
+    every edge of the four subgraphs; the identity alone if one fails."""
+    g = bp.group
+    size = max(bp.sizes)
+    maps = [
+        tuple(i - i % g.order + g.mul(i % g.order, t) for i in range(size))
+        for t in g.elements()
+    ]
+    cell_sets = (
+        set(bp.faces), bp.g_s0.edges, bp.g_s1.edges, bp.g_0s.edges, bp.g_1s.edges
+    )
+    if all(
+        tuple(tau[v] for v in cell) in cells
+        for tau in maps
+        for cells in cell_sets
+        for cell in cells
+    ):
+        return maps
+    return [tuple(range(size))]

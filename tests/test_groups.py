@@ -19,6 +19,8 @@ from expander_ltc.groups import (
     trivial_action,
 )
 
+from products_reference import s3
+
 
 class TestCyclic:
     def test_order_and_identity(self):
@@ -80,6 +82,35 @@ class TestDirectProduct:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             make_direct_product(make_cyclic(100), make_cyclic(100))
+
+
+class TestGeneratingSet:
+    @staticmethod
+    def _closure(g, gens):
+        reached, frontier = {g.identity}, [g.identity]
+        while frontier:
+            h = frontier.pop()
+            for s in gens:
+                if g.mul(h, s) not in reached:
+                    reached.add(g.mul(h, s))
+                    frontier.append(g.mul(h, s))
+        return reached
+
+    @pytest.mark.parametrize("g, expected", [
+        (make_cyclic(1), []),
+        (make_cyclic(12), [1]),
+        (make_direct_product(make_cyclic(2), make_cyclic(4)), [1, 4]),
+        (make_direct_product(make_cyclic(2), make_cyclic(2)), [1, 2]),
+    ])
+    def test_first_unreached_elements(self, g, expected):
+        assert g.generating_set() == expected
+        assert self._closure(g, expected) == set(g.elements())
+
+    def test_non_abelian(self):
+        g = s3()
+        gens = g.generating_set()
+        assert len(gens) == 2
+        assert self._closure(g, gens) == set(g.elements())
 
 
 class TestGroupFromSpec:

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -32,6 +33,7 @@ from small_set_reference import (
     reference_locally_minimal_distance,
     reference_small_set_ltc_check,
     reference_small_set_suite,
+    reference_translations,
 )
 from sweep_reference import column_bits
 
@@ -100,7 +102,7 @@ def _key(check):
 def _expanded(orbits):
     """The multiset of checks the orbits stand for, each counted by its size."""
     counts = Counter()
-    for check, size, _, _ in orbits:
+    for check, size, _, _, _ in orbits:
         counts[_key(check)] += size
     return counts
 
@@ -124,9 +126,9 @@ def test_suite_matches_reference(name, fallback, monkeypatch):
     orbits = list(analysis._small_set_orbits(bp, cert_x, cert_y))
     expected = reference_small_set_suite(bp, cert_x, cert_y)
     assert expected  # the instance exercises the suite
-    assert all(size >= 1 for _, size, _, _ in orbits)
+    assert all(size >= 1 for _, size, _, _, _ in orbits)
     assert _expanded(orbits) == Counter(map(_key, expected))
-    assert not fallback or [check for check, _, _, _ in orbits] == expected
+    assert not fallback or [check for check, _, _, _, _ in orbits] == expected
 
 
 @pytest.mark.parametrize(
@@ -163,10 +165,24 @@ def test_suite_keeps_no_per_orbit_records():
 def test_each_representative_matches_its_reference_check(name):
     bp = INSTANCES[name]()
     cert_x, cert_y = _certified(bp)
-    for check, size, v10, v01 in analysis._small_set_orbits(bp, cert_x, cert_y):
+    factor = Fraction(1, 2) - 8 * small_set_suite(bp, cert_x, cert_y).epsilon
+    scale = factor.denominator * bp.w_down * bp.w_right
+    for check, size, v10, v01, margin in analysis._small_set_orbits(bp, cert_x, cert_y):
         c1 = C1Vector(BitVector(bp.n10, v10), BitVector(bp.n01, v01))
         assert check == reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
         assert bp.group.order % size == 0
+        assert margin == check.margin * scale
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES) + sorted(LARGER))
+def test_translations_match_the_all_t_oracle(name):
+    # proved from a generating set, the maps are those of checking every t;
+    # with one face dropped, both find a translation that fails
+    bp = {**INSTANCES, **LARGER}[name]()
+    assert analysis._translations(bp) == reference_translations(bp)
+    broken = bp._replace(faces=bp.faces[1:])
+    identity = [tuple(range(max(bp.sizes)))]
+    assert analysis._translations(broken) == reference_translations(broken) == identity
 
 
 def test_translations_reduce_the_cyclic_suite():
@@ -211,6 +227,36 @@ def test_fallback_gives_the_same_summary(name, monkeypatch):
     full = small_set_suite(bp, cert_x, cert_y).to_json()
     assert full["orbits"] == full["count"] > reduced["orbits"]
     assert {**full, "orbits": None} == {**reduced, "orbits": None}
+
+
+# the flip test's pair table on degree 2 and 3, square and skewed degrees
+KERNEL_INSTANCES = {
+    "Z8": INSTANCES["Z8"],
+    "Z10-degree-3": lambda: _cayley(10, [1, 2, 5], [1, 3, 7]),
+    "Z6-layered": INSTANCES["Z6-layered"],
+    "Z5-layered-both": INSTANCES["Z5-layered-both"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
+def test_mask_kernel_matches_best_flip(name):
+    bp = KERNEL_INSTANCES[name]()
+    ss = analysis._SmallSet(bp, *_certified(bp))
+    ss.max_weights = (bp.n10, bp.n01)  # the kernel holds for any support
+    lo, hi = ss.d2_masks
+    rng = random.Random(5)
+    seen = Counter()
+    for _ in range(400):
+        s10 = sorted(rng.sample(range(bp.n10), rng.randint(0, bp.n10 // 2)))
+        s01 = sorted(rng.sample(range(bp.n01), rng.randint(0, bp.n01 // 2)))
+        p10, p01 = ss.part(0, s10), ss.part(1, s01)
+        o10 = analysis._overlaps(lo, p10.bits)
+        o01 = analysis._overlaps(hi, p01.bits)
+        minimal = ss.minimal(p10, p01)
+        assert minimal == (analysis._best_flip(bp, o10, o01) is None)
+        assert ss.squares(p10, p01) == sum(map(mul, o10, o01))
+        seen[minimal] += 1
+    assert seen[True] and seen[False]
 
 
 def test_layered_instance_is_skewed():
