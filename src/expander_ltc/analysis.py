@@ -33,7 +33,8 @@ from .f2 import (
     min_weight_nonzero,
     rank,
 )
-from .graphs import ExpansionCertificate
+from .graphs import ExpansionCertificate, _preserves
+from .groups import block_action, right_regular_action_as_left
 from .products import BalancedProductComplex
 
 
@@ -617,47 +618,21 @@ def _strict_floor(bound: Fraction) -> int:
 
 
 def _translations(bp: BalancedProductComplex) -> list[tuple[int, ...]]:
-    """The vertex maps ``h -> h t``, one per ``t`` in G, if every one is an
-    automorphism of the complex; otherwise the identity alone.
+    """The vertex maps ``h -> h t`` in ``t`` order, if ``graphs._preserves``
+    proves them automorphisms of the complex; otherwise the identity alone.
 
     Every corner indexes its vertex ``(h, i_r, i_s)`` as ``(i_r, i_s)·|G| + h``,
-    so one map serves all four corners.  A map is an automorphism when it
-    sends every face to a face and every edge of the four subgraphs to an
-    edge.  That holds for abelian G; it is proved here, on this complex, from
-    the generating set ``S`` of ``FiniteGroup.generating_set``: the map of
-    the identity is the identity, each ``τ_s`` for ``s`` in ``S`` is an
-    automorphism, and ``τ_s ∘ τ_t = τ_{ts}`` for every ``s`` in ``S`` and
-    ``t`` in G.  Every ``t`` is ``1·s_1⋯s_k``, so ``τ_t = τ_{s_k} ∘ ⋯ ∘
-    τ_{s_1}`` is a composition of automorphisms.
+    so one map, row ``t^-1`` of the right regular action on each block of
+    ``|G|`` indices, serves all four corners.  It must take the faces and the
+    edges of the four subgraphs onto themselves, as it does for abelian G.
     """
-    g = bp.group
-    size = max(bp.sizes)
-    identity = tuple(range(size))
-    maps = [
-        tuple(i - i % g.order + g.mul(i % g.order, t) for i in range(size))
-        for t in g.elements()
-    ]
-    gens = g.generating_set()
-    composed = all(
-        tuple(maps[s][v] for v in maps[t]) == maps[g.mul(t, s)]
-        for s in gens
-        for t in g.elements()
-    )
-    cell_sets = (
-        set(bp.faces), bp.g_s0.edges, bp.g_s1.edges, bp.g_0s.edges, bp.g_1s.edges
-    )
-    if (
-        maps[g.identity] == identity
-        and composed
-        and all(
-            tuple(maps[s][v] for v in cell) in cells
-            for s in gens
-            for cells in cell_sets
-            for cell in cells
-        )
-    ):
-        return maps
-    return [identity]
+    g, size = bp.group, max(bp.sizes)
+    a = block_action(right_regular_action_as_left(g), size // g.order)
+    subgraphs = (bp.g_s0, bp.g_s1, bp.g_0s, bp.g_1s)
+    cell_sets = [(set(bp.faces), (a,) * 4)] + [(x.edges, (a, a)) for x in subgraphs]
+    if _preserves(g, cell_sets):
+        return [a.table[g.inv(t)] for t in g.elements()]
+    return [tuple(range(size))]
 
 
 def _fixing(support: Sequence[int], images: list[list[int]]) -> list[list[int]] | None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -17,7 +17,7 @@ from .errors import (
     PreconditionViolationError,
     VerificationError,
 )
-from .groups import FiniteGroup, GroupAction
+from .groups import FiniteGroup, GroupAction, check_action_axioms
 
 #: Default cap on exhaustive subset evaluations in ``certify_expansion``.
 DEFAULT_SUBSET_BUDGET = 20_000_000
@@ -191,19 +191,38 @@ def check_regularity(x: BipartiteGraph) -> Regularity:
     return Regularity(w0, w1)
 
 
+def maps_onto(cells: Iterable[tuple], target: AbstractSet, maps: Sequence) -> bool:
+    """Whether moving coordinate ``i`` of every cell by ``maps[i]`` gives
+    exactly the cells of ``target``."""
+    columns = zip(*cells)  # coordinate i of every cell, in one order
+    moved = (map(m.__getitem__, column) for m, column in zip(maps, columns))
+    return set(zip(*moved)) == target
+
+
+def _preserves(g: FiniteGroup, cell_sets: Sequence[tuple]) -> bool:
+    """Whether every element of ``g`` maps each cell set onto itself, given
+    as ``(cells, actions)`` with coordinate ``i`` moved by ``actions[i]``.
+
+    Each distinct action is proved once (``check_action_axioms``), then each
+    generator on each cell set: every element is a product of generators.
+    """
+    for a in {id(a): a for _, actions in cell_sets for a in actions}.values():
+        check_action_axioms(a)
+    return all(
+        maps_onto(cells, cells, [a.table[s] for a in actions])
+        for s in g.generating_set()
+        for cells, actions in cell_sets
+    )
+
+
 def check_invariance(x: BipartiteGraph, a0: GroupAction, a1: GroupAction) -> bool:
-    """Whether every group element maps edges to edges."""
+    """Whether every group element maps edges to edges, proved by
+    ``_preserves``; ``InvalidParameterError`` if ``a0`` or ``a1`` is no action."""
     if a0.set_size != x.v0_size or a1.set_size != x.v1_size:
         raise InvalidParameterError("action set sizes do not match the graph")
     if a0.group.order != a1.group.order or a0.group.table != a1.group.table:
         raise InvalidParameterError("the two actions use different groups")
-    edges = x.edges
-    for g in a0.group.elements():
-        r0, r1 = a0.table[g], a1.table[g]
-        for (u, v) in edges:
-            if (r0[u], r1[v]) not in edges:
-                return False
-    return True
+    return _preserves(a0.group, [(x.edges, (a0, a1))])
 
 
 def unique_neighbors(x: BipartiteGraph, v0: Iterable[int]) -> frozenset[int]:
@@ -227,21 +246,17 @@ def _max_subset_size(c: Fraction, v0_size: int) -> int:
 def _scan_starts(x: BipartiteGraph, action: GraphAction | None) -> range | list[int]:
     """Left vertices a subset scan must start from.
 
-    Without an action every vertex.  With one, the action is checked to act by
-    graph automorphisms, and only vertices that no group element moves to a
-    smaller vertex are kept.  Scores that automorphisms preserve (``|N(S)|``,
-    unique-neighbor counts) then lose nothing: if ``S`` is the first subset in
-    lexicographic order with some score and ``g`` maps ``min(S)`` below
-    itself, ``g.S`` has the same score and comes earlier.
+    Without an action every vertex.  With one, ``check_invariance`` proves it
+    acts by graph automorphisms (or raises), and only vertices that no group
+    element moves to a smaller vertex are kept.  Scores that automorphisms
+    preserve (``|N(S)|``, unique-neighbor counts) then lose nothing: if ``S``
+    is the first subset in lexicographic order with some score and ``g`` maps
+    ``min(S)`` below itself, ``g.S`` has the same score and comes earlier.
     """
     if action is None:
         return range(x.v0_size)
     if not check_invariance(x, action.on_v0, action.on_v1):
         raise InvalidParameterError("the action does not preserve the graph's edges")
-    for a in (action.on_v0, action.on_v1):
-        for row in a.table:
-            if sorted(row) != list(range(a.set_size)):
-                raise InvalidParameterError("an action element is not a permutation")
     rows = action.on_v0.table
     return [u for u in range(x.v0_size) if all(row[u] >= u for row in rows)]
 
@@ -342,9 +357,9 @@ def certify_expansion(
     that provably cannot lower a least ``|N(S)|`` (see ``_scan_subsets``), and
     the certificate and witness are those of the full scan.  ``max_evals``
     bounds the number of subsets of those sizes, checked before the scan,
-    whether or not they are visited.  An ``action`` by graph automorphisms is
-    checked and then lets the scan start at one vertex per orbit; the
-    certificate is the same as without it.
+    whether or not they are visited.  An ``action``, once ``check_invariance``
+    proves it acts by graph automorphisms, lets the scan start at one vertex
+    per orbit; the certificate is the same as without it.
     """
     if not 0 < c <= 1:
         raise InvalidParameterError(f"c must lie in (0, 1], got {c}")

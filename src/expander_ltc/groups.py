@@ -199,18 +199,26 @@ def group_from_spec(spec: dict) -> FiniteGroup:
 
 
 def check_action_axioms(a: GroupAction) -> None:
-    g = a.group
-    for x in range(a.set_size):
-        if a.act(g.identity, x) != x:
-            raise InvalidParameterError(f"identity does not fix point {x}")
-    for g1 in g.elements():
-        for g2 in g.elements():
-            g12 = g.mul(g1, g2)
-            for x in range(a.set_size):
-                if a.act(g1, a.act(g2, x)) != a.act(g12, x):
-                    raise InvalidParameterError(
-                        f"action not compatible on ({g1}, {g2}, {x})"
-                    )
+    """Prove from generators that ``a`` is an action by permutations.
+
+    With ``S = g.generating_set()``: the identity row is the identity, each
+    row of ``S`` is a permutation, and ``table[t·s] = table[t] ∘ table[s]``
+    for every ``t`` and ``s`` in ``S``.  Every element is ``identity·s_1⋯s_k``,
+    so by induction on ``k`` (in an associative table) every row is a
+    permutation and the action law holds for all pairs.
+    """
+    g, n, table = a.group, a.set_size, a.table
+    if len(table) != g.order or any(len(row) != n for row in table):
+        raise InvalidParameterError("action table has wrong shape")
+    if tuple(table[g.identity]) != tuple(range(n)):
+        raise InvalidParameterError("the identity does not fix every point")
+    for s in g.generating_set():
+        row_s = table[s]
+        if sorted(row_s) != list(range(n)):
+            raise InvalidParameterError(f"element {s} does not act as a permutation")
+        for t, row_t in enumerate(table):
+            if tuple(map(row_t.__getitem__, row_s)) != tuple(table[g.mul(t, s)]):
+                raise InvalidParameterError(f"action not compatible on ({t}, {s})")
 
 
 def left_regular_action(g: FiniteGroup) -> GroupAction:
@@ -220,9 +228,7 @@ def left_regular_action(g: FiniteGroup) -> GroupAction:
 
 def right_regular_action_as_left(g: FiniteGroup) -> GroupAction:
     """The right regular action encoded as a left action, ``a.x = x a^-1``."""
-    table = tuple(
-        tuple(g.mul(x, g.inv(a)) for x in g.elements()) for a in g.elements()
-    )
+    table = tuple(tuple(row[b] for row in g.table) for b in g.inverse)
     return GroupAction(g, g.order, table)
 
 
@@ -239,8 +245,7 @@ def block_action(a: GroupAction, blocks: int) -> GroupAction:
     """
     n = a.set_size
     table = tuple(
-        tuple(i * n + a.act(g, x) for i in range(blocks) for x in range(n))
-        for g in a.group.elements()
+        tuple(i * n + y for i in range(blocks) for y in row) for row in a.table
     )
     return GroupAction(a.group, n * blocks, table)
 

@@ -25,6 +25,7 @@ from .graphs import (
     BipartiteGraph,
     ExpansionCertificate,
     certify_expansion,
+    maps_onto,
 )
 from .groups import (
     FiniteGroup,
@@ -183,9 +184,9 @@ def _relabels_onto(
 ) -> bool:
     """Whether relabeling the right side by ``v -> v * t`` maps ``graph`` onto
     ``target``."""
-    return graph.v0_size == target.v0_size and target.edges == {
-        (u, g.mul(v, t)) for u, v in graph.edges
-    }
+    return graph.v0_size == target.v0_size and maps_onto(
+        graph.edges, target.edges, (range(graph.v0_size), [row[t] for row in g.table])
+    )
 
 
 def _certify_layered(
@@ -200,8 +201,8 @@ def _certify_layered(
     Right-multiplying every generator set by one ``t`` relabels the right side
     by ``v -> v * t`` and leaves ``|N(S)|`` of every left subset unchanged, so
     the exhaustive certificate, witness included, is the same.  A memo hit is
-    used only after the relabeling is checked on the two graphs' edges;
-    otherwise the graph is certified from scratch.
+    used only after ``_relabels_onto`` finds that the relabeling maps this
+    graph onto the cached one; otherwise the graph is certified from scratch.
     """
     g = action.group
     key, t = _least_translate(g, gen_sets)

@@ -23,7 +23,6 @@ TEST_ONLY_EXPORTS = frozenset({
     "is_free_action",
     "matrix_from_alist",
     "matrix_from_dense_text",
-    "right_regular_action_as_left",
     "small_set_ltc_check",
     "square_count",
     "subgroup",

@@ -447,9 +447,11 @@ class TestSubsetKernel:
             check_unique_neighbor_lemma(x, cert, action=GraphAction(negate, negate))
 
     def test_non_permutation_action_rejected(self):
-        # every edge of K33 maps to an edge, but the map is not a bijection
+        # every edge of K33 maps to an edge, but the map is not a bijection,
+        # so the action proof rejects it before any edge is looked at
         collapse = GroupAction(make_cyclic(2), 3, ((0, 1, 2), (0, 0, 0)))
-        assert check_invariance(k33(), collapse, collapse)
+        with pytest.raises(InvalidParameterError):
+            check_invariance(k33(), collapse, collapse)
         action = GraphAction(collapse, collapse)
         with pytest.raises(InvalidParameterError):
             certify_expansion(k33(), Fraction(1), action=action)
