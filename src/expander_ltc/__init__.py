@@ -27,11 +27,9 @@ from .analysis import (
     lt_profile,
     sharp_example,
     small_set_epsilon,
-    small_set_ltc_check,
     small_set_suite,
     soundness_exhaustive,
     soundness_from_lt,
-    square_count,
     weighted_norm,
 )
 from .errors import (
@@ -58,22 +56,16 @@ from .formats import (
 )
 from .graphs import (
     BipartiteGraph,
-    DegreeSplit,
     ExpansionCertificate,
     GraphAction,
     Regularity,
-    cayley_left,
     cayley_right,
     certify_expansion,
-    check_edge_count_lemma,
     check_invariance,
     check_regularity,
     check_unique_neighbor_lemma,
-    degree_split,
     graph_from_edge_list,
     graph_to_edge_list,
-    majorizes,
-    unique_neighbors,
 )
 from .groups import (
     FiniteGroup,
@@ -81,14 +73,11 @@ from .groups import (
     OrbitLabeling,
     block_action,
     group_from_spec,
-    is_free_action,
     left_regular_action,
     make_cyclic,
     make_direct_product,
     orbit_labeling,
     right_regular_action_as_left,
-    subgroup,
-    trivial_action,
 )
 from .products import (
     BalancedProductComplex,
@@ -107,7 +96,6 @@ from .search import (
     layered_cayley,
     random_generating_set,
     search_pair,
-    unbalance,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -33,7 +32,7 @@ from .f2 import (
     min_weight_nonzero,
     rank,
 )
-from .graphs import ExpansionCertificate, _preserves
+from .graphs import ExpansionCertificate, _preserves, _strict_floor
 from .groups import block_action, right_regular_action_as_left
 from .products import BalancedProductComplex
 
@@ -255,7 +254,7 @@ def soundness_exhaustive(code: CodeInstance, ltp: LTProfile) -> SoundnessReport:
     another complex raises ``VerificationError``.
     """
     n, m = code.n, code.m
-    if m == 0 or rank(code.h) == 0:
+    if m == 0 or code.k == n:
         raise DegenerateCodeError("code equals the full space; soundness undefined")
     s, image, pre = min(
         (Fraction(iw * n, m * ltp.table[iw]), image, pre)
@@ -362,31 +361,6 @@ def soundness_from_lt(code: CodeInstance, ltp: LTProfile) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # squares and the small-set inequality
-
-
-def square_count(bp: BalancedProductComplex, c1: C1Vector) -> int:
-    """Number of faces with one side in ``v10`` and one in ``v01``.
-
-    Computed both as a per-bit degree-product sum and by direct face
-    enumeration; the two must agree.
-    """
-    lo, hi = bp.g_s0.left_masks, bp.g_0s.left_masks
-    by_degrees = sum(map(mul, _overlaps(lo, c1.v10.bits), _overlaps(hi, c1.v01.bits)))
-    by_faces = sum(
-        1
-        for (_, i10, i01, _) in bp.faces
-        if c1.v10[i10] and c1.v01[i01]
-    )
-    return _agreed_squares(by_degrees, by_faces)
-
-
-def _agreed_squares(by_degrees: int, by_faces: int) -> int:
-    if by_degrees != by_faces:
-        raise VerificationError(
-            f"square counting methods disagree: {by_degrees} by degrees, "
-            f"{by_faces} by faces"
-        )
-    return by_faces
 
 
 class SmallSetCheck(NamedTuple):
@@ -548,7 +522,12 @@ class _SmallSet:
         v01 = p01.bits
         for m in p10.face_masks:
             by_faces += (m & v01).bit_count()
-        return _agreed_squares(by_levels, by_faces)
+        if by_levels != by_faces:
+            raise VerificationError(
+                f"square counting methods disagree: {by_levels} by degrees, "
+                f"{by_faces} by faces"
+            )
+        return by_faces
 
     def check(self, p10: _Part, p01: _Part) -> tuple[SmallSetCheck, int]:
         """The inequality for the locally minimal ``c1 = (p10, p01)``, and its
@@ -578,25 +557,6 @@ class _SmallSet:
         return found
 
 
-def small_set_ltc_check(
-    bp: BalancedProductComplex,
-    cert_x: ExpansionCertificate,
-    cert_y: ExpansionCertificate,
-    c1: C1Vector,
-) -> SmallSetCheck:
-    """Evaluate ``(1/2 - 8 eps) |c1|_w <= |d1 c1|_w`` for a small minimal c1."""
-    ss = _SmallSet(bp, cert_x, cert_y)
-    p10 = ss.part(0, c1.v10.support())
-    p01 = ss.part(1, c1.v01.support())
-    lo, hi = ss.d2_masks
-    improving = _best_flip(bp, _overlaps(lo, p10.bits), _overlaps(hi, p01.bits))
-    if improving is not None:
-        raise PreconditionViolationError(
-            f"c1 is not locally minimal (bit {improving} improves it)"
-        )
-    return ss.check(p10, p01)[0]
-
-
 def enumerate_small_c1(
     bp: BalancedProductComplex, bound10: Fraction, bound01: Fraction
 ) -> Iterator[C1Vector]:
@@ -610,11 +570,6 @@ def _small_supports(n: int, max_weight: int) -> Iterator[tuple[int, ...]]:
     """Subsets of ``range(n)`` of size at most ``max_weight``, by size, then lex."""
     for k in range(max_weight + 1):
         yield from itertools.combinations(range(n), k)
-
-
-def _strict_floor(bound: Fraction) -> int:
-    k = int(bound)
-    return k - 1 if k == bound else k
 
 
 def _translations(bp: BalancedProductComplex) -> list[tuple[int, ...]]:

@@ -10,13 +10,7 @@ from fractions import Fraction
 from math import ceil, comb
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
-from .errors import (
-    BudgetExceededError,
-    InvalidParameterError,
-    IrregularGraphError,
-    PreconditionViolationError,
-    VerificationError,
-)
+from .errors import BudgetExceededError, InvalidParameterError, IrregularGraphError
 from .groups import FiniteGroup, GroupAction, check_action_axioms
 
 #: Default cap on exhaustive subset evaluations in ``certify_expansion``.
@@ -141,20 +135,6 @@ class ExpansionCertificate(NamedTuple):
         }
 
 
-class DegreeSplit(NamedTuple):
-    """Split of ``deg_{v1}`` into a heavy part d1 and an ``eps*w0``-capped d2."""
-
-    d1: tuple[Fraction, ...]
-    d2: tuple[Fraction, ...]
-
-
-def cayley_left(g: FiniteGroup, a_set: Sequence[int]) -> BipartiteGraph:
-    """Bipartite Cayley graph with edges ``(x, a*x)`` for ``a`` in ``a_set``."""
-    gens = _check_generators(g, a_set)
-    edges = [(x, g.mul(a, x)) for x in g.elements() for a in gens]
-    return BipartiteGraph(g.order, g.order, edges)
-
-
 def cayley_right(g: FiniteGroup, b_set: Sequence[int]) -> BipartiteGraph:
     """Bipartite Cayley graph with edges ``(x, x*b)`` for ``b`` in ``b_set``."""
     gens = _check_generators(g, b_set)
@@ -225,22 +205,9 @@ def check_invariance(x: BipartiteGraph, a0: GroupAction, a1: GroupAction) -> boo
     return _preserves(a0.group, [(x.edges, (a0, a1))])
 
 
-def unique_neighbors(x: BipartiteGraph, v0: Iterable[int]) -> frozenset[int]:
-    """Right vertices adjacent to exactly one member of ``v0``."""
-    counts: dict[int, int] = {}
-    for u in set(v0):
-        for w in x.left_neighbors(u):
-            counts[w] = counts.get(w, 0) + 1
-    return frozenset(w for w, c in counts.items() if c == 1)
-
-
-def _max_subset_size(c: Fraction, v0_size: int) -> int:
-    # largest k with k < c * v0_size
-    bound = c * v0_size
-    k = int(bound)
-    if k == bound:
-        k -= 1
-    return min(k, v0_size)
+def _strict_floor(bound: Fraction) -> int:
+    """The largest integer strictly below ``bound``."""
+    return ceil(bound) - 1
 
 
 def _scan_starts(x: BipartiteGraph, action: GraphAction | None) -> range | list[int]:
@@ -364,7 +331,7 @@ def certify_expansion(
     if not 0 < c <= 1:
         raise InvalidParameterError(f"c must lie in (0, 1], got {c}")
     w0 = check_regularity(x).w0
-    kmax = _max_subset_size(Fraction(c), x.v0_size)
+    kmax = _strict_floor(Fraction(c) * x.v0_size)
     starts = _scan_starts(x, action)
     total = sum(comb(x.v0_size, k) for k in range(1, kmax + 1))
     if total > max_evals:
@@ -413,88 +380,6 @@ def check_unique_neighbor_lemma(
         if worst is None or Fraction(least[k], k) < Fraction(worst[1], len(worst[0])):
             worst = (frozenset(least_at[k]), least[k])
     return True, worst
-
-
-def check_edge_count_lemma(
-    x: BipartiteGraph,
-    cert: ExpansionCertificate,
-    v0: Iterable[int],
-    v1: Iterable[int],
-) -> bool:
-    """``|E(v0, v1)| <= eps w0 |v0| + |v1|`` for a certified small ``v0``."""
-    v0s, v1s = set(v0), set(v1)
-    if len(v0s) > cert.max_checked_size:
-        raise PreconditionViolationError(
-            f"|v0|={len(v0s)} exceeds certified size {cert.max_checked_size}"
-        )
-    v1_mask = 0
-    for v in v1s:
-        v1_mask |= 1 << v
-    n_edges = sum((x.left_masks[u] & v1_mask).bit_count() for u in v0s)
-    return Fraction(n_edges) <= cert.epsilon * cert.w0 * len(v0s) + len(v1s)
-
-
-def degree_split(
-    x: BipartiteGraph, cert: ExpansionCertificate, v1: Iterable[int]
-) -> DegreeSplit:
-    """Split ``deg_{v1}`` into d1 (total <= |v1|) and d2 (capped at eps*w0).
-
-    Exact rational arithmetic throughout; ``d1 = max(deg - eps*w0, 0)`` and
-    ``d2`` is the remainder.
-    """
-    if cert.epsilon >= 1:
-        raise PreconditionViolationError("epsilon must be < 1")
-    reg = check_regularity(x)
-    v1s = set(v1)
-    limit = Fraction(cert.c) * x.v0_size / reg.w1
-    if not Fraction(len(v1s)) < limit:
-        raise PreconditionViolationError(
-            f"|v1|={len(v1s)} not below the smallness bound {limit}"
-        )
-    v1_mask = 0
-    for v in v1s:
-        v1_mask |= 1 << v
-    cap = cert.epsilon * reg.w0
-    d1 = []
-    d2 = []
-    for u in range(x.v0_size):
-        deg = (x.left_masks[u] & v1_mask).bit_count()
-        heavy = max(Fraction(deg) - cap, Fraction(0))
-        d1.append(heavy)
-        d2.append(Fraction(deg) - heavy)
-    split = DegreeSplit(tuple(d1), tuple(d2))
-    _check_split(split, cap, reg.w1, len(v1s))
-    return split
-
-
-def _check_split(split: DegreeSplit, cap: Fraction, w1: int, v1_size: int) -> None:
-    if sum(split.d1) > v1_size:
-        raise VerificationError(f"heavy part sums above |v1| = {v1_size}")
-    if cap == 0:
-        target: list[Fraction] = []
-    else:
-        count = -((-w1 * v1_size) // cap)  # ceil(w1 |v1| / (eps w0))
-        target = [cap] * int(count)
-    if not all(d <= cap for d in split.d2):
-        raise VerificationError(f"capped part exceeds eps*w0 = {cap}")
-    if not majorizes(target, list(split.d2)):
-        raise VerificationError("capped part is not majorized by the cap vector")
-
-
-def majorizes(a: Sequence, b: Sequence) -> bool:
-    """Prefix-sum dominance of descending sorts, zero-padded to equal length."""
-    aa = sorted((Fraction(v) for v in a), reverse=True)
-    bb = sorted((Fraction(v) for v in b), reverse=True)
-    n = max(len(aa), len(bb))
-    aa += [Fraction(0)] * (n - len(aa))
-    bb += [Fraction(0)] * (n - len(bb))
-    pa = pb = Fraction(0)
-    for va, vb in zip(aa, bb):
-        pa += va
-        pb += vb
-        if pa < pb:
-            return False
-    return True
 
 
 def graph_to_edge_list(x: BipartiteGraph) -> str:

@@ -7,7 +7,7 @@ regime the rest of the library operates in.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import FreenessViolationError, InvalidParameterError, SizeLimitError
 
@@ -232,11 +232,6 @@ def right_regular_action_as_left(g: FiniteGroup) -> GroupAction:
     return GroupAction(g, g.order, table)
 
 
-def trivial_action(g: FiniteGroup, set_size: int) -> GroupAction:
-    table = tuple(tuple(range(set_size)) for _ in g.elements())
-    return GroupAction(g, set_size, table)
-
-
 def block_action(a: GroupAction, blocks: int) -> GroupAction:
     """Extend an action to ``blocks`` disjoint copies of the point set.
 
@@ -250,60 +245,20 @@ def block_action(a: GroupAction, blocks: int) -> GroupAction:
     return GroupAction(a.group, n * blocks, table)
 
 
-def subgroup(g: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup, GroupAction]:
-    """A subgroup as a standalone group, plus its left action on ``G``.
-
-    ``elements`` must be closed under multiplication and contain the identity.
-    """
-    elems = list(dict.fromkeys(elements))
-    if g.identity not in elems:
-        raise InvalidParameterError("subgroup must contain the identity")
-    index = {x: i for i, x in enumerate(elems)}
-    k = len(elems)
-    try:
-        table = tuple(
-            tuple(index[g.mul(a, b)] for b in elems) for a in elems
-        )
-        inverse = tuple(index[g.inv(a)] for a in elems)
-    except KeyError as exc:
-        raise InvalidParameterError(
-            f"subset not closed under multiplication (missing {exc.args[0]})"
-        ) from None
-    sub = _maybe_check(
-        FiniteGroup(k, table, index[g.identity], inverse, name=f"sub{k}<{g.name}>")
-    )
-    act_table = tuple(tuple(g.mul(a, x) for x in g.elements()) for a in elems)
-    return sub, GroupAction(sub, g.order, act_table)
-
-
-def is_free_action(a: GroupAction) -> bool:
-    """True iff only the identity has fixed points."""
-    return _freeness_witness(a) is None
-
-
-def _freeness_witness(a: GroupAction) -> tuple[int, int] | None:
-    e = a.group.identity
-    for g in a.group.elements():
-        if g == e:
-            continue
-        row = a.table[g]
-        for x in range(a.set_size):
-            if row[x] == x:
-                return (g, x)
-    return None
-
-
 def orbit_labeling(a: GroupAction) -> OrbitLabeling:
     """Label each point uniquely as ``g . r`` with ``r`` a minimal orbit rep.
 
     Raises ``FreenessViolationError`` (with a witness pair) for non-free
     actions, where no such bijective labeling exists.
     """
-    witness = _freeness_witness(a)
-    if witness is not None:
-        raise FreenessViolationError(
-            f"action is not free: g={witness[0]} fixes x={witness[1]}", witness
-        )
+    for g in a.group.elements():
+        if g != a.group.identity:
+            row = a.table[g]
+            for x in range(a.set_size):
+                if row[x] == x:
+                    raise FreenessViolationError(
+                        f"action is not free: g={g} fixes x={x}", (g, x)
+                    )
     label: list[tuple[int, int] | None] = [None] * a.set_size
     reps: list[int] = []
     for x in range(a.set_size):

@@ -42,6 +42,12 @@ MAX_PRODUCT_VERTICES = 1 << 20
 SubgraphName = Literal["*0", "*1", "0*", "1*"]
 
 
+def _sides(corner: int) -> tuple[int, int]:
+    """The factor sides of a corner (0:00, 1:10, 2:01, 3:11): the first
+    factor's side, then the second factor's."""
+    return corner & 1, corner >> 1
+
+
 def regular_graph_action(g: FiniteGroup) -> GraphAction:
     """The left regular action on both sides of a Cayley graph on ``G``."""
     a = left_regular_action(g)
@@ -127,15 +133,13 @@ class BalancedProductComplex(NamedTuple):
         return (i_r * self._s_orbits(corner) + i_s) * self.group.order + h
 
     def _s_orbits(self, corner: int) -> int:
-        # corners 0, 1 pair with the Y side 0; corners 2, 3 with the Y side 1
-        y_lab = self._y_labeling(corner)
-        return y_lab.num_orbits
+        return self._y_labeling(corner).num_orbits
 
     def _x_labeling(self, corner: int) -> OrbitLabeling:
-        return self.labelings[0] if corner in (0, 2) else self.labelings[1]
+        return self.labelings[_sides(corner)[0]]
 
     def _y_labeling(self, corner: int) -> OrbitLabeling:
-        return self.labelings[2] if corner in (0, 1) else self.labelings[3]
+        return self.labelings[2 + _sides(corner)[1]]
 
     def complete_square(self, x00: int, x10: int, x01: int) -> int:
         """The unique ``x11`` making ``(x00, x10, x01, x11)`` a face."""
@@ -175,26 +179,20 @@ def balanced_product(
 
     n_r = (lab_x0.num_orbits, lab_x1.num_orbits)
     n_s = (lab_y0.num_orbits, lab_y1.num_orbits)
-    sizes = (
-        n_r[0] * n_s[0] * g.order,
-        n_r[1] * n_s[0] * g.order,
-        n_r[0] * n_s[1] * g.order,
-        n_r[1] * n_s[1] * g.order,
-    )
+    sizes = tuple(n_r[a] * n_s[b] * g.order for a, b in map(_sides, range(4)))
     if max(sizes) > MAX_PRODUCT_VERTICES:
         raise SizeLimitError(f"quotient corner of size {max(sizes)} exceeds cap")
 
     def quotient_table(corner: int) -> list[list[int]]:
         """``q[x][y]``: the index of the orbit of ``(x, y)`` in a corner."""
-        x_lab = labelings[0] if corner in (0, 2) else labelings[1]
-        y_lab = labelings[2] if corner in (0, 1) else labelings[3]
-        ns = n_s[0] if corner in (0, 1) else n_s[1]
+        a, b = _sides(corner)
         rows = []
-        for gx, i_r in x_lab.label:
+        for gx, i_r in labelings[a].label:
             gx_inv = g.table[g.inv(gx)]  # h = gx^-1 gy is gx_inv[gy]
-            rows.append(
-                [(i_r * ns + i_s) * g.order + gx_inv[gy] for gy, i_s in y_lab.label]
-            )
+            rows.append([
+                (i_r * n_s[b] + i_s) * g.order + gx_inv[gy]
+                for gy, i_s in labelings[2 + b].label
+            ])
         return rows
 
     q00, q10, q01, q11 = (quotient_table(corner) for corner in range(4))
@@ -355,11 +353,12 @@ class OneDSubgraph(NamedTuple):
     iso_right: tuple[int, ...]
 
 
-_SUBGRAPH_CORNERS: dict[str, tuple[int, int, str]] = {
-    "*0": (0, 1, "x"),
-    "*1": (2, 3, "x"),
-    "0*": (0, 2, "y"),
-    "1*": (1, 3, "y"),
+# selector -> (the stored subgraph, its left and right corners, the factor)
+_SUBGRAPH_CORNERS: dict[str, tuple[str, int, int, str]] = {
+    "*0": ("g_s0", 0, 1, "x"),
+    "*1": ("g_s1", 2, 3, "x"),
+    "0*": ("g_0s", 0, 2, "y"),
+    "1*": ("g_1s", 1, 3, "y"),
 }
 
 
@@ -373,31 +372,28 @@ def one_d_subgraph(bp: BalancedProductComplex, which: SubgraphName) -> OneDSubgr
     """
     if which not in _SUBGRAPH_CORNERS:
         raise InvalidParameterError(f"unknown subgraph selector: {which!r}")
-    ca, cb, factor_kind = _SUBGRAPH_CORNERS[which]
-    graph = {"*0": bp.g_s0, "*1": bp.g_s1, "0*": bp.g_0s, "1*": bp.g_1s}[which]
+    name, ca, cb, factor_kind = _SUBGRAPH_CORNERS[which]
+    graph = getattr(bp, name)
     g = bp.group
 
+    # a labeling's action is the factor's action on the corner's side
     if factor_kind == "x":
         factor = bp.x
-        act0, act1 = bp.ax.on_v0, bp.ax.on_v1
 
         # copies are labeled by i_s; (h, r) maps to the factor vertex h^-1 . r
         def project(corner: int, index: int) -> tuple[int, int]:
             h, i_r, i_s = bp.label(corner, index)
             lab = bp._x_labeling(corner)
-            act = act0 if corner in (0, 2) else act1
-            return i_s, act.act(g.inv(h), lab.representatives[i_r])
+            return i_s, lab.action.act(g.inv(h), lab.representatives[i_r])
 
     else:
         factor = bp.y
-        act0, act1 = bp.ay.on_v0, bp.ay.on_v1
 
         # copies are labeled by i_r; (h, s) maps to the factor vertex h . s
         def project(corner: int, index: int) -> tuple[int, int]:
             h, i_r, i_s = bp.label(corner, index)
             lab = bp._y_labeling(corner)
-            act = act0 if corner in (0, 1) else act1
-            return i_r, act.act(h, lab.representatives[i_s])
+            return i_r, lab.action.act(h, lab.representatives[i_s])
 
     copy_left, iso_left = zip(*(project(ca, i) for i in range(bp.sizes[ca])))
     copy_right, iso_right = zip(*(project(cb, i) for i in range(bp.sizes[cb])))
@@ -457,7 +453,7 @@ def inherited_expansion(
     The cutoff scales by |factor left side| / |subgraph left side| and epsilon
     carries over unchanged.
     """
-    ca, _, factor_kind = _SUBGRAPH_CORNERS[which]
+    _, ca, _, factor_kind = _SUBGRAPH_CORNERS[which]
     factor = bp.x if factor_kind == "x" else bp.y
     scale = Fraction(factor.v0_size, bp.sizes[ca])
     return ExpansionCertificate(

@@ -11,29 +11,18 @@ unless the exhaustive scan said so.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from .analysis import small_set_epsilon
-from .errors import (
-    InvalidParameterError,
-    MultiplicityViolationError,
-    SearchExhaustedError,
-)
+from .errors import InvalidParameterError, SearchExhaustedError
 from .graphs import (
     BipartiteGraph,
     ExpansionCertificate,
     certify_expansion,
     maps_onto,
 )
-from .groups import (
-    FiniteGroup,
-    GroupAction,
-    OrbitLabeling,
-    block_action,
-    left_regular_action,
-)
+from .groups import FiniteGroup, block_action, left_regular_action
 from .products import BalancedProductComplex, GraphAction, balanced_product
 
 #: Cap on the exhaustive subset evaluations of each factor certification.
@@ -73,39 +62,6 @@ def layered_cayley(
         block_action(left_regular_action(g), layers), left_regular_action(g)
     )
     return graph, action, gen_sets
-
-
-def unbalance(
-    x: BipartiteGraph, labeling: OrbitLabeling, t: int
-) -> tuple[BipartiteGraph, GroupAction]:
-    """Merge left orbits in chunks of ``t``, multiplying the left degree by ``t``.
-
-    The left side must decompose into orbits of a free action (``labeling``)
-    whose count is divisible by ``t``; merged vertices keep the group
-    coordinate, so the shrunken action stays free.  A neighbor shared by two
-    merged vertices would cancel over GF(2) and is rejected.
-    """
-    k = labeling.num_orbits
-    if k % t:
-        raise InvalidParameterError(
-            f"orbit count {k} is not divisible by chunk size {t}"
-        )
-    g = labeling.action.group
-    if labeling.action.set_size != x.v0_size:
-        raise InvalidParameterError("labeling does not cover the left vertex set")
-    new_v0 = (k // t) * g.order
-    counts: Counter = Counter()
-    for (u, v) in x.edges:
-        h, i = labeling.label[u]
-        counts[((i // t) * g.order + h, v)] += 1
-    for pair, cnt in counts.items():
-        if cnt != 1:
-            raise MultiplicityViolationError(
-                f"merged edge {pair} has multiplicity {cnt}"
-            )
-    merged = BipartiteGraph(new_v0, x.v1_size, counts)
-    action = block_action(left_regular_action(g), k // t)
-    return merged, action
 
 
 class _SpecFields(NamedTuple):

@@ -9,18 +9,13 @@ neighborhood from scratch, so they serve as an independent oracle.
 import itertools
 from fractions import Fraction
 
-from expander_ltc.graphs import (
-    ExpansionCertificate,
-    _max_subset_size,
-    check_regularity,
-    unique_neighbors,
-)
+from expander_ltc.graphs import ExpansionCertificate, check_regularity
 
 
 def reference_certificate(x, c) -> ExpansionCertificate:
     """Exhaustive certificate by scanning every subset with ``|S| < c |V0|``."""
     w0 = check_regularity(x).w0
-    kmax = _max_subset_size(Fraction(c), x.v0_size)
+    kmax = max(k for k in range(x.v0_size + 1) if k < Fraction(c) * x.v0_size)
     worst_eps = Fraction(0)
     witness = None
     for k in range(1, kmax + 1):
@@ -54,3 +49,12 @@ def reference_unique_lemma(x, cert):
             if worst is None or Fraction(un, k) < Fraction(worst[1], len(worst[0])):
                 worst = (frozenset(subset), un)
     return True, worst
+
+
+def unique_neighbors(x, v0) -> frozenset[int]:
+    """Right vertices adjacent to exactly one member of ``v0``."""
+    counts: dict[int, int] = {}
+    for u in set(v0):
+        for w in x.left_neighbors(u):
+            counts[w] = counts.get(w, 0) + 1
+    return frozenset(w for w, c in counts.items() if c == 1)

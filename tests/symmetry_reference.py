@@ -4,9 +4,16 @@
 claims from a generating set.  These are the exhaustive versions they
 replace: the action law on every pair of elements and every point, and
 every element against every edge, so they serve as an independent oracle.
+
+Also the fixtures the symmetry tests build on and no command uses: left
+Cayley graphs, the trivial action and subgroups acting on their group.
 """
 
+from typing import Sequence
+
 from expander_ltc.errors import InvalidParameterError
+from expander_ltc.graphs import BipartiteGraph, _check_generators
+from expander_ltc.groups import FiniteGroup, GroupAction, _maybe_check
 
 
 def reference_action_axioms(a) -> None:
@@ -39,3 +46,41 @@ def reference_invariance(x, a0, a1) -> bool:
             if (r0[u], r1[v]) not in edges:
                 return False
     return True
+
+
+def cayley_left(g: FiniteGroup, a_set: Sequence[int]) -> BipartiteGraph:
+    """Bipartite Cayley graph with edges ``(x, a*x)`` for ``a`` in ``a_set``."""
+    gens = _check_generators(g, a_set)
+    edges = [(x, g.mul(a, x)) for x in g.elements() for a in gens]
+    return BipartiteGraph(g.order, g.order, edges)
+
+
+def trivial_action(g: FiniteGroup, set_size: int) -> GroupAction:
+    table = tuple(tuple(range(set_size)) for _ in g.elements())
+    return GroupAction(g, set_size, table)
+
+
+def subgroup(g: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup, GroupAction]:
+    """A subgroup as a standalone group, plus its left action on ``G``.
+
+    ``elements`` must be closed under multiplication and contain the identity.
+    """
+    elems = list(dict.fromkeys(elements))
+    if g.identity not in elems:
+        raise InvalidParameterError("subgroup must contain the identity")
+    index = {x: i for i, x in enumerate(elems)}
+    k = len(elems)
+    try:
+        table = tuple(
+            tuple(index[g.mul(a, b)] for b in elems) for a in elems
+        )
+        inverse = tuple(index[g.inv(a)] for a in elems)
+    except KeyError as exc:
+        raise InvalidParameterError(
+            f"subset not closed under multiplication (missing {exc.args[0]})"
+        ) from None
+    sub = _maybe_check(
+        FiniteGroup(k, table, index[g.identity], inverse, name=f"sub{k}<{g.name}>")
+    )
+    act_table = tuple(tuple(g.mul(a, x) for x in g.elements()) for a in elems)
+    return sub, GroupAction(sub, g.order, act_table)

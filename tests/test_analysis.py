@@ -18,11 +18,9 @@ from expander_ltc.analysis import (
     locally_minimal_distance,
     lt_profile,
     sharp_example,
-    small_set_ltc_check,
     small_set_suite,
     soundness_exhaustive,
     soundness_from_lt,
-    square_count,
     weighted_norm,
 )
 from expander_ltc import analysis
@@ -34,7 +32,7 @@ from expander_ltc.errors import (
 )
 from expander_ltc.f2 import BitMatrix, BitVector
 from expander_ltc.graphs import BipartiteGraph, certify_expansion
-from expander_ltc.groups import make_cyclic, trivial_action
+from expander_ltc.groups import make_cyclic
 from expander_ltc.search import layered_cayley
 from expander_ltc.products import (
     GraphAction,
@@ -44,6 +42,7 @@ from expander_ltc.products import (
 )
 
 from sweep_reference import column_bits
+from symmetry_reference import trivial_action
 
 
 def _column(m, j):
@@ -297,25 +296,42 @@ class TestSoundnessFromLT:
         assert soundness_from_lt(code, ltp) <= soundness_exhaustive(code, ltp).s
 
 
+def _any_weight_small_set(bp):
+    """The small-set suite's per-complex tables, factors certified at c = 1/2,
+    with the weight bound lifted: the square count holds for any c1."""
+    cert_x = certify_expansion(bp.x, Fraction(1, 2))
+    cert_y = certify_expansion(bp.y, Fraction(1, 2))
+    ss = analysis._SmallSet(bp, cert_x, cert_y)
+    ss.max_weights = (bp.n10, bp.n01)
+    return ss
+
+
+def _square_count(ss, c1):
+    """``_SmallSet.squares``: by level masks, checked against the faces."""
+    return ss.squares(ss.part(0, c1.v10.support()), ss.part(1, c1.v01.support()))
+
+
 class TestSquareCount:
     def test_zero(self):
         bp = left_right_cayley(make_cyclic(6), [1, 2], [1, 3])
-        assert square_count(bp, C1Vector.zero(bp)) == 0
+        assert _square_count(_any_weight_small_set(bp), C1Vector.zero(bp)) == 0
 
     def test_sharp_example_count(self):
         bp = left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
         c1 = sharp_example(bp, 0)
-        assert square_count(bp, c1) == 1  # |n10| * |n01| wedges at x00
+        # |n10| * |n01| wedges at x00
+        assert _square_count(_any_weight_small_set(bp), c1) == 1
 
     def test_methods_agree_on_random_inputs(self):
         bp = left_right_cayley(make_cyclic(7), [1, 2], [1, 3])
+        ss = _any_weight_small_set(bp)
         rng = random.Random(9)
         for _ in range(300):
             c1 = C1Vector(
                 BitVector(bp.n10, rng.getrandbits(bp.n10)),
                 BitVector(bp.n01, rng.getrandbits(bp.n01)),
             )
-            square_count(bp, c1)  # the internal cross-check raises on disagreement
+            _square_count(ss, c1)  # the internal cross-check raises on disagreement
 
 
 class TestSmallSetCheck:
@@ -327,14 +343,20 @@ class TestSmallSetCheck:
 
     def test_zero_vector(self):
         bp, cx, cy = self._instance()
-        res = small_set_ltc_check(bp, cx, cy, C1Vector.zero(bp))
+        ss = analysis._SmallSet(bp, cx, cy)
+        res, margin = ss.check(ss.part(0, []), ss.part(1, []))
         assert res.lhs == 0 and res.rhs == 0 and res.holds
+        assert margin == 0
 
     def test_requires_local_minimality(self):
+        # the boundary of one bit is removed by flipping that bit: the suite's
+        # minimality test rejects it, as the flip test does
         bp, cx, cy = self._instance()
         c1 = C1Vector.from_stacked(bp, _column(bp.d2, 0))
-        with pytest.raises(PreconditionViolationError):
-            small_set_ltc_check(bp, cx, cy, c1)
+        ss = analysis._SmallSet(bp, cx, cy)
+        ss.max_weights = (bp.n10, bp.n01)  # |v10| = 2 is above the bound
+        assert not ss.minimal(ss.part(0, c1.v10.support()), ss.part(1, c1.v01.support()))
+        assert is_locally_minimal(c1, bp) == (False, 0)
 
     def test_suite_all_hold(self):
         bp, cx, cy = self._instance()
@@ -425,7 +447,7 @@ class TestVerificationErrors:
         # every d2 column overlap reads 0: the degree count of squares is 0
         monkeypatch.setattr(analysis, "_overlaps", lambda masks, bits: [0] * len(masks))
         with pytest.raises(VerificationError, match="disagree"):
-            square_count(bp, c1)
+            _square_count(_any_weight_small_set(bp), c1)
 
     def _sharp_instance(self):
         return left_right_cayley(make_cyclic(8), [1, 2], [1, 3])

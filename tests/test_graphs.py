@@ -19,21 +19,15 @@ from expander_ltc.errors import (
 )
 from expander_ltc.graphs import (
     BipartiteGraph,
-    DegreeSplit,
     ExpansionCertificate,
     GraphAction,
-    cayley_left,
     cayley_right,
     certify_expansion,
-    check_edge_count_lemma,
     check_invariance,
     check_regularity,
     check_unique_neighbor_lemma,
-    degree_split,
     graph_from_edge_list,
     graph_to_edge_list,
-    majorizes,
-    unique_neighbors,
 )
 from expander_ltc.groups import (
     GroupAction,
@@ -41,10 +35,17 @@ from expander_ltc.groups import (
     make_cyclic,
     make_direct_product,
     right_regular_action_as_left,
-    trivial_action,
 )
 from expander_ltc.search import _least_translate, layered_cayley
-from subset_reference import reference_certificate, reference_unique_lemma
+
+import lemma_checks
+from lemma_checks import DegreeSplit, check_edge_count_lemma, degree_split, majorizes
+from subset_reference import (
+    reference_certificate,
+    reference_unique_lemma,
+    unique_neighbors,
+)
+from symmetry_reference import cayley_left, trivial_action
 
 
 def k33():
@@ -283,22 +284,22 @@ class TestCheckSplit:
     def test_heavy_part_too_large(self):
         split = DegreeSplit((Fraction(3),), (Fraction(0),))
         with pytest.raises(VerificationError, match="heavy part"):
-            graphs._check_split(split, Fraction(1), 1, 2)
+            lemma_checks._check_split(split, Fraction(1), 1, 2)
 
     def test_capped_part_above_cap(self):
         split = DegreeSplit((Fraction(0),), (Fraction(2),))
         with pytest.raises(VerificationError, match="exceeds"):
-            graphs._check_split(split, Fraction(1), 1, 1)
+            lemma_checks._check_split(split, Fraction(1), 1, 1)
 
     def test_capped_part_not_majorized(self):
         split = DegreeSplit((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
         with pytest.raises(VerificationError, match="majorized"):
-            graphs._check_split(split, Fraction(1), 1, 1)
+            lemma_checks._check_split(split, Fraction(1), 1, 1)
 
     def test_fires_from_degree_split(self, monkeypatch):
         x = cayley_left(make_cyclic(11), [1, 2, 5])
         cert = certify_expansion(x, Fraction(6, 11))
-        monkeypatch.setattr(graphs, "majorizes", lambda a, b: False)
+        monkeypatch.setattr(lemma_checks, "majorizes", lambda a, b: False)
         with pytest.raises(VerificationError):
             degree_split(x, cert, [4])
 
@@ -412,7 +413,7 @@ class TestSubsetKernel:
                 return super().__getitem__(i)
 
         _, x, action, c = PRUNING_CASES[0]
-        kmax = graphs._max_subset_size(c, x.v0_size)
+        kmax = graphs._strict_floor(c * x.v0_size)
         masks = CountingMasks(x.left_masks)
         graphs._scan_subsets(masks, kmax, graphs._scan_starts(x, action), unique)
         full = sum(comb(15, k - 1) for k in range(1, kmax + 1))  # all S with min 0

@@ -9,17 +9,15 @@ from expander_ltc.groups import (
     check_action_axioms,
     check_group_axioms,
     group_from_spec,
-    is_free_action,
     left_regular_action,
     make_cyclic,
     make_direct_product,
     orbit_labeling,
     right_regular_action_as_left,
-    subgroup,
-    trivial_action,
 )
 
 from products_reference import s3
+from symmetry_reference import subgroup, trivial_action
 
 
 class TestCyclic:
@@ -141,22 +139,25 @@ class TestGroupFromSpec:
 
 class TestActions:
     def test_left_regular_is_free(self):
-        assert is_free_action(left_regular_action(make_cyclic(9)))
+        assert orbit_labeling(left_regular_action(make_cyclic(9))).num_orbits == 1
 
     def test_right_regular_is_free_left_action(self):
         a = right_regular_action_as_left(make_cyclic(8))
         check_action_axioms(a)
-        assert is_free_action(a)
+        assert orbit_labeling(a).num_orbits == 1
 
     def test_trivial_action_not_free(self):
         a = trivial_action(make_cyclic(3), 4)
         check_action_axioms(a)
-        assert not is_free_action(a)
+        with pytest.raises(FreenessViolationError) as exc_info:
+            orbit_labeling(a)
+        g_bad, x_bad = exc_info.value.witness
+        assert g_bad != 0 and a.act(g_bad, x_bad) == x_bad
 
     def test_block_action_keeps_freeness(self):
         a = block_action(left_regular_action(make_cyclic(5)), 3)
         check_action_axioms(a)
-        assert is_free_action(a)
+        assert orbit_labeling(a).num_orbits == 3
         # copy index is preserved, points move inside their copy
         assert a.act(2, 1 * 5 + 3) == 1 * 5 + ((2 + 3) % 5)
 
@@ -168,7 +169,7 @@ class TestSubgroup:
         assert sub.order == 3
         check_group_axioms(sub)
         check_action_axioms(act)
-        assert is_free_action(act)
+        assert orbit_labeling(act).num_orbits == 2
 
     def test_rejects_non_closed(self):
         with pytest.raises(InvalidParameterError):

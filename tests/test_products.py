@@ -14,12 +14,7 @@ from expander_ltc.errors import (
 )
 from expander_ltc.f2 import BitMatrix
 from expander_ltc.graphs import BipartiteGraph, cayley_right, certify_expansion
-from expander_ltc.groups import (
-    group_from_spec,
-    left_regular_action,
-    make_cyclic,
-    trivial_action,
-)
+from expander_ltc.groups import group_from_spec, left_regular_action, make_cyclic
 from expander_ltc.products import (
     GraphAction,
     balanced_product,
@@ -33,6 +28,7 @@ from expander_ltc.products import (
 )
 from expander_ltc.search import layered_cayley
 from products_reference import hypergraph_product, reference_boundaries, s3
+from symmetry_reference import trivial_action
 
 
 def _layered_z5(seed):

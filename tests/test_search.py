@@ -1,4 +1,4 @@
-"""Tests for the randomized expander-pair search and graph surgery."""
+"""Tests for the randomized expander-pair search."""
 
 import random
 from fractions import Fraction
@@ -8,14 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expander_ltc import search
-from expander_ltc.errors import (
-    InvalidParameterError,
-    MultiplicityViolationError,
-    SearchExhaustedError,
-)
+from expander_ltc.errors import InvalidParameterError, SearchExhaustedError
 from expander_ltc.graphs import BipartiteGraph, check_invariance, check_regularity
 from expander_ltc.groups import (
-    is_free_action,
     make_cyclic,
     make_direct_product,
     orbit_labeling,
@@ -25,7 +20,6 @@ from expander_ltc.search import (
     SearchSpec,
     layered_cayley,
     search_pair,
-    unbalance,
 )
 from search_reference import random_cayley, reference_search_pair
 
@@ -64,50 +58,7 @@ class TestLayeredCayley:
         assert (reg.w0, reg.w1) == (2, 6)
         assert len(gens) == 3
         assert check_invariance(x, action.on_v0, action.on_v1)
-        assert is_free_action(action.on_v0)
-
-
-class TestUnbalance:
-    def _layered(self, seed, layers=4, degree=1):
-        g = make_cyclic(6)
-        x, action, _ = layered_cayley(g, layers, degree, random.Random(seed))
-        return x, orbit_labeling(action.on_v0)
-
-    def test_identity_when_t_one(self):
-        x, lab = self._layered(5)
-        merged, act = unbalance(x, lab, 1)
-        assert merged == x
-        assert is_free_action(act)
-
-    def test_degree_doubles_without_collisions(self):
-        # find a seed whose layers use disjoint generators pairwise
-        for seed in range(50):
-            x, lab = self._layered(seed)
-            try:
-                merged, act = unbalance(x, lab, 2)
-            except MultiplicityViolationError:
-                continue
-            reg = check_regularity(merged)
-            assert (reg.w0, reg.w1) == (2, 4)
-            assert is_free_action(act)
-            return
-        pytest.fail("no collision-free seed found")
-
-    def test_collision_rejected(self):
-        # two layers with identical generating sets always collide on merge
-        g = make_cyclic(6)
-        edges = [(i * 6 + x, (x + 1) % 6) for i in range(2) for x in range(6)]
-        from expander_ltc.groups import block_action, left_regular_action
-
-        x = BipartiteGraph(12, 6, edges)
-        lab = orbit_labeling(block_action(left_regular_action(g), 2))
-        with pytest.raises(MultiplicityViolationError):
-            unbalance(x, lab, 2)
-
-    def test_indivisible_orbits_rejected(self):
-        x, lab = self._layered(5, layers=3)
-        with pytest.raises(InvalidParameterError):
-            unbalance(x, lab, 2)
+        assert orbit_labeling(action.on_v0).num_orbits == 3  # free: no error
 
 
 class TestSearchSpec:

@@ -14,7 +14,6 @@ from expander_ltc.analysis import (
     greedy_flip,
     is_locally_minimal,
     locally_minimal_distance,
-    small_set_ltc_check,
     small_set_suite,
 )
 from expander_ltc.errors import PreconditionViolationError, VerificationError
@@ -213,7 +212,7 @@ def test_least_margin_matches_reference_and_reproduces(name):
     assert Fraction(least["margin"]) == min(c.margin for c in expected)
     witness = least["witness"]
     c1 = C1Vector.from_supports(bp, witness["v10"], witness["v01"])
-    check = small_set_ltc_check(bp, cert_x, cert_y, c1)
+    check = reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
     assert (str(check.lhs), str(check.rhs)) == (least["lhs"], least["rhs"])
     assert check.c1_weight == least["c1_weight"]
 
@@ -298,24 +297,31 @@ def test_reported_bit_is_the_greedy_choice():
 def test_single_check_matches_reference():
     bp = INSTANCES["Z8"]()
     cert_x, cert_y = _certified(bp)
+    ss = analysis._SmallSet(bp, cert_x, cert_y)
     for c1 in (
         C1Vector.zero(bp),
         C1Vector.from_supports(bp, [0], []),
         C1Vector.from_supports(bp, [], [5]),
         C1Vector.from_supports(bp, [3], [1]),
     ):
-        assert small_set_ltc_check(bp, cert_x, cert_y, c1) == (
+        p10, p01 = ss.part(0, c1.v10.support()), ss.part(1, c1.v01.support())
+        assert ss.minimal(p10, p01)
+        assert ss.check(p10, p01)[0] == (
             reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
         )
 
 
 def test_single_check_rejects_heavy_vector():
+    # the suite's weight guard: a part at or above its corner's bound
     bp = INSTANCES["Z8"]()
-    cert_x, cert_y = _certified(bp)
+    ss = analysis._SmallSet(bp, *_certified(bp))
+    assert ss.bounds == (2, 2)
     c1 = C1Vector.from_supports(bp, [0, 1], [])  # |v10| = 2, bound is 2
     assert is_locally_minimal(c1, bp)[0]
-    with pytest.raises(PreconditionViolationError, match="v10"):
-        small_set_ltc_check(bp, cert_x, cert_y, c1)
+    with pytest.raises(PreconditionViolationError, match=r"\|v10\|=2 not below bound 2"):
+        ss.part(0, [0, 1])
+    with pytest.raises(PreconditionViolationError, match=r"\|v01\|=2 not below bound 2"):
+        ss.part(1, [0, 1])
 
 
 def test_square_count_error_through_suite(monkeypatch):

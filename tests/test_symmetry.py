@@ -8,12 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expander_ltc.errors import InvalidParameterError
-from expander_ltc.graphs import (
-    BipartiteGraph,
-    cayley_left,
-    cayley_right,
-    check_invariance,
-)
+from expander_ltc.graphs import BipartiteGraph, cayley_right, check_invariance
 from expander_ltc.groups import (
     GroupAction,
     block_action,
@@ -22,12 +17,16 @@ from expander_ltc.groups import (
     make_cyclic,
     make_direct_product,
     right_regular_action_as_left,
-    subgroup,
 )
 from expander_ltc.search import layered_cayley
 
 from products_reference import s3
-from symmetry_reference import reference_action_axioms, reference_invariance
+from symmetry_reference import (
+    cayley_left,
+    reference_action_axioms,
+    reference_invariance,
+    subgroup,
+)
 
 GROUPS = {
     **{f"Z{n}": make_cyclic(n) for n in range(1, 13)},
