@@ -32,7 +32,12 @@ from .f2 import (
     min_weight_nonzero,
     rank,
 )
-from .graphs import ExpansionCertificate, _preserves, _strict_floor
+from .graphs import (
+    ExpansionCertificate,
+    _preserves,
+    _strict_floor,
+    small_set_epsilon,
+)
 from .groups import block_action, right_regular_action_as_left
 from .products import BalancedProductComplex
 
@@ -375,19 +380,6 @@ class SmallSetCheck(NamedTuple):
     @property
     def margin(self) -> Fraction:
         return self.rhs - self.lhs
-
-
-def small_set_epsilon(
-    w_up: int,
-    cert_x: ExpansionCertificate,
-    cert_y: ExpansionCertificate,
-) -> Fraction:
-    """``max(w_up * eps_right, eps_right, eps_down)`` from the two certificates.
-
-    ``w_up`` is the right degree of the first factor, so a search can score a
-    pair of factors before their product is built.
-    """
-    return max(w_up * cert_y.epsilon, cert_y.epsilon, cert_x.epsilon)
 
 
 def small_set_smallness_bounds(

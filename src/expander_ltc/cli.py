@@ -2,12 +2,19 @@
 
 Exit codes: 0 success, 1 a verification or analysis check failed, 2 bad usage
 or configuration, 3 an enumeration exceeded its budget.
+
+Start-up: the module top imports only the core layers every subcommand needs
+(``errors``, ``f2``, ``groups``, ``graphs``, ``products``).  ``analysis``,
+``formats`` and ``csv`` are imported inside the functions that use them, after
+any ``--dry-run`` return, and ``search`` inside ``cmd_search``, so each process
+loads only the layers its subcommand runs.  Calls go through the module
+(``analysis.lt_profile(...)``), so a wrapper installed on a module attribute
+sees every call.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -15,7 +22,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from . import analysis
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -24,7 +30,6 @@ from .errors import (
     VerificationError,
 )
 from .f2 import DEFAULT_ENUM_BUDGET
-from .formats import matrix_to_alist, matrix_to_dense_text
 from .graphs import (
     ExpansionCertificate,
     certify_expansion,
@@ -41,7 +46,6 @@ from .products import (
     verify_chain_identity,
     verify_copy_decomposition,
 )
-from .search import SearchSpec, search_pair
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -223,6 +227,8 @@ def build_report(
     run_small_set: bool = True,
 ) -> dict:
     """The full analysis record of one complex, as a JSON-ready dict."""
+    from . import analysis
+
     code = analysis.code_from_complex(bp)
     cert_x, cert_y = _certify_factors(bp, c_x, c_y)
     sub_cert = inherited_expansion(bp, cert_x, "*0")
@@ -280,6 +286,10 @@ def build_report(
 def _write_outputs(
     out_dir: Path, report: dict, bp: BalancedProductComplex, deterministic: bool
 ) -> None:
+    import csv
+
+    from .formats import matrix_to_alist, matrix_to_dense_text
+
     out_dir.mkdir(parents=True, exist_ok=True)
     if not deterministic:
         report = dict(report)
@@ -395,6 +405,8 @@ def cmd_verify(args) -> int:
             ok, worst = check_unique_neighbor_lemma(graph, cert, action=act)
             check(f"unique-neighbor bound on factor {tag}", ok, str(worst))
     if "small-set" in suites:
+        from . import analysis
+
         summary = analysis.small_set_suite(bp, cert_x, cert_y)
         check(
             f"small-set inequality on {summary.count} locally minimal vectors",
@@ -404,6 +416,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search
+
     cfg = _load_config(
         args.config,
         _SEARCH_KEYS,
@@ -412,7 +426,7 @@ def cmd_search(args) -> int:
     eps_target = (
         _rational(cfg["eps_target"], "eps_target") if "eps_target" in cfg else None
     )
-    spec = SearchSpec(
+    spec = search.SearchSpec(
         group=group_from_spec(cfg["group"]),
         w_down=_integer(cfg, "w_down", 1),
         w_up=_integer(cfg, "w_up", 1),
@@ -430,7 +444,7 @@ def cmd_search(args) -> int:
         print("config ok")
         return EXIT_OK
     with _stage("search certification", "lower c_x or c_y"):
-        result = search_pair(spec)
+        result = search.search_pair(spec)
     out = {
         "trial": result.trial,
         "seed": result.seed,
@@ -455,6 +469,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_demo_sharp(args) -> int:
+    from . import analysis
+
     if args.config:
         inputs = _build_config(args.config)[0]
     else:
@@ -471,9 +487,13 @@ def cmd_demo_sharp(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    problem = argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise problem from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+        raise problem
     return value
 
 

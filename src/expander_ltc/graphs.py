@@ -135,6 +135,19 @@ class ExpansionCertificate(NamedTuple):
         }
 
 
+def small_set_epsilon(
+    w_up: int,
+    cert_x: ExpansionCertificate,
+    cert_y: ExpansionCertificate,
+) -> Fraction:
+    """``max(w_up * eps_right, eps_right, eps_down)`` from the two certificates.
+
+    ``w_up`` is the right degree of the first factor, so a search can score a
+    pair of factors before their product is built.
+    """
+    return max(w_up * cert_y.epsilon, cert_y.epsilon, cert_x.epsilon)
+
+
 def cayley_right(g: FiniteGroup, b_set: Sequence[int]) -> BipartiteGraph:
     """Bipartite Cayley graph with edges ``(x, x*b)`` for ``b`` in ``b_set``."""
     gens = _check_generators(g, b_set)

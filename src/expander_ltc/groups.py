@@ -236,8 +236,12 @@ def block_action(a: GroupAction, blocks: int) -> GroupAction:
     """Extend an action to ``blocks`` disjoint copies of the point set.
 
     Point ``i*set_size + x`` lives in copy ``i``; the group fixes the copy
-    index.  Used for layered graphs with several orbits per side.
+    index.  Used for layered graphs with several orbits per side.  With one
+    copy the result is ``a`` itself, so an action shared by both sides of a
+    graph is proved once.
     """
+    if blocks == 1:
+        return a
     n = a.set_size
     table = tuple(
         tuple(i * n + y for i in range(blocks) for y in row) for row in a.table

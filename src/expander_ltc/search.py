@@ -14,13 +14,13 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .analysis import small_set_epsilon
 from .errors import InvalidParameterError, SearchExhaustedError
 from .graphs import (
     BipartiteGraph,
     ExpansionCertificate,
     certify_expansion,
     maps_onto,
+    small_set_epsilon,
 )
 from .groups import FiniteGroup, block_action, left_regular_action
 from .products import BalancedProductComplex, GraphAction, balanced_product
@@ -58,10 +58,8 @@ def layered_cayley(
         for b in gens
     ]
     graph = BipartiteGraph(layers * g.order, g.order, edges)
-    action = GraphAction(
-        block_action(left_regular_action(g), layers), left_regular_action(g)
-    )
-    return graph, action, gen_sets
+    regular = left_regular_action(g)
+    return graph, GraphAction(block_action(regular, layers), regular), gen_sets
 
 
 class _SpecFields(NamedTuple):

@@ -31,7 +31,7 @@ from expander_ltc.errors import (
     VerificationError,
 )
 from expander_ltc.f2 import BitMatrix, BitVector
-from expander_ltc.graphs import BipartiteGraph, certify_expansion
+from expander_ltc.graphs import BipartiteGraph, certify_expansion, small_set_epsilon
 from expander_ltc.groups import make_cyclic
 from expander_ltc.search import layered_cayley
 from expander_ltc.products import (
@@ -522,3 +522,36 @@ def test_reported_bounds_hold_on_random_cayley_complexes(instance):
     assert Fraction(report["lt_profile"]["soundness_bound"]) <= Fraction(
         report["soundness"]["s"]
     )
+
+
+@st.composite
+def small_cayley_factors(draw):
+    n = draw(st.integers(6, 20))
+
+    def generators():
+        k = draw(st.sampled_from([2, 3]))
+        return draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+
+    cutoffs = st.integers(1, 6).map(lambda k: Fraction(k, n))
+    return n, generators(), generators(), draw(cutoffs), draw(cutoffs)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(small_cayley_factors())
+def test_small_set_epsilon_lower_bounds(instance):
+    """Two vertices g and g*b*b'^-1 of a degree-w Cayley factor share a
+    neighbour, so a cutoff that admits pairs forces eps >= 1/(2w); when both
+    cutoffs admit pairs, the suite's epsilon is at least
+    max(1/(2|A|), |A|/(2|B|))."""
+    n, a_set, b_set, c_x, c_y = instance
+    bp = left_right_cayley(make_cyclic(n), a_set, b_set)
+    cert_x = certify_expansion(bp.x, c_x, action=bp.ax)
+    cert_y = certify_expansion(bp.y, c_y, action=bp.ay)
+    for cert in (cert_x, cert_y):
+        if cert.max_checked_size >= 2:
+            assert cert.epsilon >= Fraction(1, 2 * cert.w0)
+    if min(cert_x.max_checked_size, cert_y.max_checked_size) >= 2:
+        a, b = len(a_set), len(b_set)
+        assert small_set_epsilon(bp.w_up, cert_x, cert_y) >= max(
+            Fraction(1, 2 * a), Fraction(a, 2 * b)
+        )

@@ -586,6 +586,16 @@ class TestFlags:
             main(["build", "--config", cfg, "--budget", value, "--dry-run"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["2^26", "-5"])
+    def test_budget_error_quotes_the_value(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--config", cfg, "--budget", value, "--dry-run"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"must be an integer >= 1, got '{value}'" in err
+        assert "_positive_int" not in err
+
     def test_budget_defaults(self):
         args = make_parser().parse_args(["build", "--config", "c.json"])
         assert args.budget == DEFAULT_ENUM_BUDGET

@@ -6,12 +6,45 @@ its syntax tree outside the name's own ``def`` or ``class``.  Docstrings,
 comments, messages and imports do not count.  The unused ones are frozen
 below: a new export that only tests call fails this test, and so does a
 listed name that gains a caller in the library (remove it from the list then).
+The exports themselves are read from the package's lazy namespace.
 """
 
 import ast
+import sys
 from pathlib import Path
 
+import pytest
+
 import expander_ltc
+
+# the public names, frozen: an export added or dropped fails this
+EXPORTS = frozenset({
+    "C1Vector", "CodeInstance", "DistanceReport", "FlipResult",
+    "LocallyMinimalDistance", "LTProfile", "SmallSetCheck", "SmallSetSummary",
+    "SoundnessReport", "boundary_1", "c0_weighted_norm", "code_from_complex",
+    "distance_certificate", "greedy_flip", "is_locally_minimal",
+    "locally_minimal_distance", "lt_profile", "sharp_example", "small_set_epsilon",
+    "small_set_suite", "soundness_exhaustive", "soundness_from_lt", "weighted_norm",
+    "BudgetExceededError", "ConfigError", "DegenerateCodeError", "ExpanderLtcError",
+    "FreenessViolationError", "InvalidParameterError", "InvalidWedgeError",
+    "IrregularGraphError", "MultiplicityViolationError",
+    "PreconditionViolationError", "SearchExhaustedError", "SizeLimitError",
+    "VerificationError",
+    "BitMatrix", "BitVector", "kernel_basis", "min_weight_nonzero", "rank",
+    "matrix_from_alist", "matrix_from_dense_text", "matrix_to_alist",
+    "matrix_to_dense_text",
+    "BipartiteGraph", "ExpansionCertificate", "GraphAction", "Regularity",
+    "cayley_right", "certify_expansion", "check_invariance", "check_regularity",
+    "check_unique_neighbor_lemma", "graph_from_edge_list", "graph_to_edge_list",
+    "FiniteGroup", "GroupAction", "OrbitLabeling", "block_action",
+    "group_from_spec", "left_regular_action", "make_cyclic",
+    "make_direct_product", "orbit_labeling", "right_regular_action_as_left",
+    "BalancedProductComplex", "OneDSubgraph", "balanced_product",
+    "inherited_expansion", "left_right_cayley", "one_d_subgraph",
+    "regular_graph_action", "verify_chain_identity", "verify_copy_decomposition",
+    "SearchResult", "SearchSpec", "layered_cayley", "random_generating_set",
+    "search_pair",
+})
 
 # test-only exports, each with the reason it stays in the library
 TEST_ONLY_EXPORTS = frozenset({
@@ -22,14 +55,8 @@ TEST_ONLY_EXPORTS = frozenset({
 })
 
 
-def _exports(package: Path) -> list[str]:
-    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
-    return [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+def _exports() -> list[str]:
+    return list(expander_ltc.__all__)
 
 
 def _references(node: ast.AST, names: set[str]) -> set[str]:
@@ -59,6 +86,31 @@ def _unused(package: Path, names: list[str]) -> set[str]:
 
 def test_test_only_exports_are_frozen():
     package = Path(expander_ltc.__file__).resolve().parent
-    names = _exports(package)
+    names = _exports()
     assert TEST_ONLY_EXPORTS <= set(names)
     assert _unused(package, names) == TEST_ONLY_EXPORTS
+
+
+def test_exports_are_frozen():
+    assert len(EXPORTS) == 80
+    assert set(_exports()) == EXPORTS
+
+
+def test_each_export_is_the_object_its_submodule_defines():
+    for name in EXPORTS:
+        obj = getattr(expander_ltc, name)
+        assert obj.__module__.startswith("expander_ltc."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_dir_and_star_import_list_every_export():
+    assert EXPORTS <= set(dir(expander_ltc))
+    namespace: dict = {}
+    exec("from expander_ltc import *", namespace)
+    assert EXPORTS <= set(namespace)
+    assert all(namespace[name] is getattr(expander_ltc, name) for name in EXPORTS)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        expander_ltc.no_such_name

@@ -161,6 +161,10 @@ class TestActions:
         # copy index is preserved, points move inside their copy
         assert a.act(2, 1 * 5 + 3) == 1 * 5 + ((2 + 3) % 5)
 
+    def test_one_block_is_the_action_itself(self):
+        a = left_regular_action(make_cyclic(5))
+        assert block_action(a, 1) is a
+
 
 class TestSubgroup:
     def test_even_elements_of_z6(self):

@@ -12,9 +12,8 @@ from expander_ltc.errors import (
     InvalidWedgeError,
     MultiplicityViolationError,
 )
-from expander_ltc.f2 import BitMatrix
 from expander_ltc.graphs import BipartiteGraph, cayley_right, certify_expansion
-from expander_ltc.groups import group_from_spec, left_regular_action, make_cyclic
+from expander_ltc.groups import group_from_spec, make_cyclic
 from expander_ltc.products import (
     GraphAction,
     balanced_product,

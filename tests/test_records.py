@@ -1,6 +1,7 @@
 """The library's records: read-only fields, equality by fields alone, cheap import."""
 
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +63,47 @@ def test_cli_import_leaves_dataclasses_out():
     assert proc.returncode == 0, proc.stderr
     assert "'dataclasses'" not in proc.stdout
     assert "'expander_ltc.cli'" in proc.stdout
+
+
+_PACKAGE = Path(expander_ltc.__file__).resolve().parent
+_SUBMODULES = {f"expander_ltc.{p.stem}" for p in _PACKAGE.glob("*.py")} - {
+    "expander_ltc.__init__"
+}
+_BUILD_Z8 = {"group": {"kind": "cyclic", "n": 8}, "a_set": [1, 2], "b_set": [1, 3]}
+_SEARCH_Z6 = {
+    "group": {"kind": "cyclic", "n": 6},
+    "w_down": 2, "w_up": 2, "w_right": 2, "w_left": 2, "trials": 3,
+}
+_LATE = {"expander_ltc.analysis", "expander_ltc.formats", "csv"}
+
+
+@pytest.mark.parametrize("argv, config, absent", [
+    (None, None, _SUBMODULES),
+    (["build", "--dry-run"], _BUILD_Z8, {"expander_ltc.search", *_LATE}),
+    (["build"], _BUILD_Z8, {"expander_ltc.search"}),
+    (["search", "--dry-run"], _SEARCH_Z6, _LATE),
+    (["search"], _SEARCH_Z6, _LATE),
+], ids=["import", "build-dry-run", "build", "search-dry-run", "search"])
+def test_each_run_loads_only_its_layers(tmp_path, argv, config, absent):
+    # -S: site hooks of the interpreter's installation preload nothing
+    listing = tmp_path / "modules.txt"
+    if argv is None:
+        run = "import expander_ltc; code = 0"
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+        if "--dry-run" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        run = f"from expander_ltc.cli import main; code = main({argv!r})"
+    code = (
+        f"import sys; sys.path.insert(0, {str(_PACKAGE.parent)!r}); {run}; "
+        f"open({str(listing)!r}, 'w').write(' '.join(sys.modules)); sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(listing.read_text().split())
+    assert "dataclasses" not in loaded
+    assert not loaded & absent

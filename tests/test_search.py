@@ -60,6 +60,12 @@ class TestLayeredCayley:
         assert check_invariance(x, action.on_v0, action.on_v1)
         assert orbit_labeling(action.on_v0).num_orbits == 3  # free: no error
 
+    def test_one_layer_shares_one_action(self):
+        # both sides carry the same action object, so certification proves it once
+        x, action, _ = layered_cayley(make_cyclic(6), 1, 2, random.Random(1))
+        assert action.on_v0 is action.on_v1
+        assert check_invariance(x, action.on_v0, action.on_v1)
+
 
 class TestSearchSpec:
     def test_bad_skew_rejected(self):
