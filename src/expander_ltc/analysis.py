@@ -11,9 +11,9 @@ caches anything: ``lt_profile`` runs the one min-preimage sweep of ``d2``, and
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -46,14 +46,16 @@ from .products import BalancedProductComplex
 # code instances
 
 
-class CodeInstance(NamedTuple):
+class CodeInstance(namedtuple("CodeInstance", [
+    "h",  # BitMatrix
+    "n",  # int
+    "m",  # int
+    "k",  # int
+    "locality",  # int
+])):
     """The classical code with the complex's lower boundary map as checks."""
 
-    h: BitMatrix
-    n: int
-    m: int
-    k: int
-    locality: int
+    __slots__ = ()
 
     @property
     def rate(self) -> Fraction:
@@ -89,11 +91,13 @@ def code_from_complex(bp: BalancedProductComplex) -> CodeInstance:
 # C1 vectors and weighted norms
 
 
-class C1Vector(NamedTuple):
+class C1Vector(namedtuple("C1Vector", [
+    "v10",  # BitVector
+    "v01",  # BitVector
+])):
     """An element of the middle chain space, split by check corner."""
 
-    v10: BitVector
-    v01: BitVector
+    __slots__ = ()
 
     @classmethod
     def zero(cls, bp: BalancedProductComplex) -> "C1Vector":
@@ -181,10 +185,11 @@ def is_locally_minimal(
     return j is None, j
 
 
-class FlipResult(NamedTuple):
-    final: C1Vector
-    flips: BitVector  # accumulated toggles over V00
-    steps: int
+FlipResult = namedtuple("FlipResult", [
+    "final",  # C1Vector
+    "flips",  # BitVector: accumulated toggles over V00
+    "steps",  # int
+])
 
 
 def greedy_flip(c1: C1Vector, bp: BalancedProductComplex) -> FlipResult:
@@ -211,11 +216,13 @@ def greedy_flip(c1: C1Vector, bp: BalancedProductComplex) -> FlipResult:
 # soundness
 
 
-class SoundnessReport(NamedTuple):
+class SoundnessReport(namedtuple("SoundnessReport", [
+    "s",  # Fraction
+    "witness",  # BitVector
+])):
     """Exact minimum of ``(|Hx| / m) * (n / d(x, C))`` over non-codewords ``x``."""
 
-    s: Fraction
-    witness: BitVector
+    __slots__ = ()
 
     def ratio_of(self, code: CodeInstance) -> Fraction:
         syn = code.h.mul_vec(self.witness)
@@ -277,16 +284,18 @@ def soundness_exhaustive(code: CodeInstance, ltp: LTProfile) -> SoundnessReport:
 # locally minimal / locally testable distances
 
 
-class LocallyMinimalDistance(NamedTuple):
+class LocallyMinimalDistance(namedtuple("LocallyMinimalDistance", [
+    "d_lm",  # int | None
+    "witness",  # C1Vector | None
+    "weighted_min",  # Fraction | None
+])):
     """Minimum plain weight over nonzero weighted-locally-minimal kernel vectors.
 
     ``d_lm is None`` signals that no such vector exists.  ``weighted_min`` is
     the corresponding minimum of the weighted norm, kept as a diagnostic.
     """
 
-    d_lm: int | None
-    witness: C1Vector | None
-    weighted_min: Fraction | None
+    __slots__ = ()
 
 
 def locally_minimal_distance(
@@ -310,7 +319,12 @@ def locally_minimal_distance(
     return LocallyMinimalDistance(d_lm=best_w, witness=best, weighted_min=best_norm)
 
 
-class LTProfile(NamedTuple):
+class LTProfile(namedtuple("LTProfile", [
+    "table",  # dict[int, int]
+    "witnesses",  # dict[int, tuple[BitVector, BitVector]]: w -> (image, preimage)
+    "kappa",  # Fraction
+    "d_lt",  # int
+])):
     """Worst minimal-preimage weight per weight of an image vector.
 
     ``table[w]`` is the maximum over image vectors of weight ``w`` of the
@@ -321,10 +335,7 @@ class LTProfile(NamedTuple):
     weight at most ``kappa`` times its own.
     """
 
-    table: dict[int, int]
-    witnesses: dict[int, tuple[BitVector, BitVector]]  # w -> (image, preimage)
-    kappa: Fraction
-    d_lt: int
+    __slots__ = ()
 
 
 def lt_profile(
@@ -368,14 +379,16 @@ def soundness_from_lt(code: CodeInstance, ltp: LTProfile) -> Fraction:
 # squares and the small-set inequality
 
 
-class SmallSetCheck(NamedTuple):
+class SmallSetCheck(namedtuple("SmallSetCheck", [
+    "lhs",  # Fraction
+    "rhs",  # Fraction
+    "holds",  # bool
+    "c1_weight",  # int
+    "squares",  # int
+])):
     """One evaluation of the small-set testability inequality."""
 
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-    c1_weight: int
-    squares: int
+    __slots__ = ()
 
     @property
     def margin(self) -> Fraction:
@@ -396,19 +409,22 @@ def small_set_smallness_bounds(
     return bound10, bound01
 
 
-class _Part(NamedTuple):
+class _Part(namedtuple("_Part", [
+    "bits",  # int
+    "weight",  # int
+    # list[int]: levels[a] holds the d2 columns whose part in this corner
+    # meets ``bits`` in at least ``a`` vertices, for a = 0 .. the largest
+    # column part
+    "levels",
+    # list[int]: the nonzero levels[a] for a >= 1; column j lies in o[j] of
+    # them, where o[j] is its overlap with this part
+    "upper",
+    "syndrome",  # int: d1 of this part
+    "face_masks",  # list[int], v10 only: V01 ends of the faces on this part
+])):
     """One corner's part of a c1 (``v10`` or ``v01``) and what it contributes."""
 
-    bits: int
-    weight: int
-    # levels[a]: the d2 columns whose part in this corner meets ``bits`` in at
-    # least ``a`` vertices, for a = 0 .. the largest column part
-    levels: list[int]
-    # the nonzero levels[a] for a >= 1: column j lies in o[j] of them, where
-    # o[j] is its overlap with this part
-    upper: list[int]
-    syndrome: int  # d1 of this part
-    face_masks: list[int]  # v10 only: V01 ends of the faces on this part
+    __slots__ = ()
 
 
 def _flip_levels(w_down: int, w_right: int, top10: int, top01: int) -> list[tuple[int, int]]:
@@ -607,7 +623,14 @@ def _fixing(support: Sequence[int], images: list[list[int]]) -> list[list[int]] 
     return fixing
 
 
-class SmallSetSummary(NamedTuple):
+class SmallSetSummary(namedtuple("SmallSetSummary", [
+    "count",  # int
+    "orbits",  # int
+    "all_hold",  # bool
+    "epsilon",  # Fraction
+    "least",  # SmallSetCheck | None
+    "witness",  # C1Vector | None
+])):
     """The small-set suite folded over its translation orbits.
 
     ``count`` is the number of locally minimal vectors checked (the sum of
@@ -616,12 +639,7 @@ class SmallSetSummary(NamedTuple):
     orbit's representative; both are ``None`` when ``count`` is 0.
     """
 
-    count: int
-    orbits: int
-    all_hold: bool
-    epsilon: Fraction
-    least: SmallSetCheck | None
-    witness: C1Vector | None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         least = self.least
@@ -783,14 +801,16 @@ def sharp_example(bp: BalancedProductComplex, x00: int) -> C1Vector:
 # distance certificate
 
 
-class DistanceReport(NamedTuple):
+class DistanceReport(namedtuple("DistanceReport", [
+    "bound",  # Fraction | None
+    "exact",  # int | None
+    "witness",  # BitVector | None
+    "reason",  # str | None
+], defaults=(None,))):
     """``bound`` is ``None`` when the certificate's epsilon does not give one;
     ``reason`` then says why."""
 
-    bound: Fraction | None
-    exact: int | None
-    witness: BitVector | None
-    reason: str | None = None
+    __slots__ = ()
 
 
 def distance_certificate(

@@ -3,24 +3,28 @@
 Exit codes: 0 success, 1 a verification or analysis check failed, 2 bad usage
 or configuration, 3 an enumeration exceeded its budget.
 
-Start-up: the module top imports only the core layers every subcommand needs
-(``errors``, ``f2``, ``groups``, ``graphs``, ``products``).  ``analysis``,
-``formats`` and ``csv`` are imported inside the functions that use them, after
-any ``--dry-run`` return, and ``search`` inside ``cmd_search``, so each process
-loads only the layers its subcommand runs.  Calls go through the module
-(``analysis.lt_profile(...)``), so a wrapper installed on a module attribute
-sees every call.
+Start-up: each run is a fresh process, so the module loads only what its
+subcommand runs.  The top imports the core layers every subcommand needs
+(``errors``, ``f2``, ``groups``, ``graphs``, ``products``) and a few small
+stdlib modules.  ``analysis`` and ``formats`` are imported inside the functions
+that use them, after any ``--dry-run`` return, and ``search`` inside
+``cmd_search``.  The flags are read by ``parse_args`` from one table,
+``_COMMANDS``, not by ``argparse``, whose import and parser set-up (with
+``gettext`` and ``locale``) cost about 7 ms of every run; ``summary.csv`` is
+written without ``csv``.  Calls go through the module
+(``analysis.lt_profile(...)``) and ``main`` finds ``cmd_*`` by name at call
+time, so a wrapper installed on a module attribute sees every call.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import (
     BudgetExceededError,
@@ -87,6 +91,8 @@ def _load_config(path: str, allowed: set[str], required: set[str]) -> dict:
         raise ConfigError(f"config is not valid UTF-8: {exc}", path)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", path)
+    except ValueError as exc:  # an integer beyond Python's digit limit
+        raise ConfigError(f"config has a number too long to read: {exc}", path)
     except RecursionError:
         raise ConfigError("config nests too deeply", path)
     if not isinstance(cfg, dict):
@@ -102,9 +108,24 @@ def _load_config(path: str, allowed: set[str], required: set[str]) -> dict:
     return cfg
 
 
+# ``Fraction`` builds ``10**exponent`` for a text such as "1e-5", so a huge
+# exponent would hang the run; ``str()`` of a JSON float never passes 324
+_MAX_EXPONENT = 1000
+
+
 def _rational(value, key: str) -> Fraction:
+    text = str(value)
+    _, e, exponent = text.lower().rpartition("e")
+    exponent = exponent.strip()
+    digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    digits = digits.replace("_", "").lstrip("0")
+    # more than four digits is past 1000 (and may be past int()'s digit limit)
+    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > _MAX_EXPONENT):
+        raise ConfigError(
+            f"config key {key!r} has a decimal exponent beyond ±{_MAX_EXPONENT}", key
+        )
     try:
-        return Fraction(str(value))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"config key {key!r} is not a rational number", key)
 
@@ -286,8 +307,6 @@ def build_report(
 def _write_outputs(
     out_dir: Path, report: dict, bp: BalancedProductComplex, deterministic: bool
 ) -> None:
-    import csv
-
     from .formats import matrix_to_alist, matrix_to_dense_text
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -297,23 +316,24 @@ def _write_outputs(
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        fields = ["n", "k", "d_bound", "d_exact", "locality", "s", "d_lm", "kappa", "d_lt"]
-        writer.writerow(fields)
-        writer.writerow(
-            [
-                report["n"],
-                report["k"],
-                report["d"]["bound"],
-                report["d"]["exact"],
-                report["locality"],
-                report["soundness"]["s"],
-                report["d_lm"],
-                report["lt_profile"]["kappa"],
-                report["lt_profile"]["d_lt"],
-            ]
-        )
+    fields = ["n", "k", "d_bound", "d_exact", "locality", "s", "d_lm", "kappa", "d_lt"]
+    values = [
+        report["n"],
+        report["k"],
+        report["d"]["bound"],
+        report["d"]["exact"],
+        report["locality"],
+        report["soundness"]["s"],
+        report["d_lm"],
+        report["lt_profile"]["kappa"],
+        report["lt_profile"]["d_lt"],
+    ]
+    # every value is an int, an "a/b" string or None (an empty cell), so no
+    # cell needs quoting; lines end in \r\n, as CSV's do
+    row = ["" if v is None else str(v) for v in values]
+    (out_dir / "summary.csv").write_text(
+        ",".join(fields) + "\r\n" + ",".join(row) + "\r\n", newline=""
+    )
     (out_dir / "h_matrix.alist").write_text(matrix_to_alist(bp.d2))
     (out_dir / "h_matrix.txt").write_text(matrix_to_dense_text(bp.d2))
     (out_dir / "d1_matrix.alist").write_text(matrix_to_alist(bp.d1))
@@ -487,57 +507,190 @@ def cmd_demo_sharp(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    problem = argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     try:
         value = int(text)
     except ValueError:
-        raise problem from None
+        value = 0
     if value < 1:
-        raise problem
+        raise ValueError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="expander-ltc",
-        description="Build and certify product codes from expanding Cayley factors.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_PROG = "expander-ltc"
+_REQUIRED = object()  # the default of a flag that must be given
+_CONFIG = (str, _REQUIRED, "the JSON config file")
+_OUT = (str, "out", "the output directory")
+_DRY_RUN = (None, False, "check the config, build nothing and exit")
 
-    p_build = sub.add_parser("build", help="construct a code and write its report")
-    p_build.set_defaults(func=cmd_build)
-    p_verify = sub.add_parser("verify", help="run the structural check suite")
-    p_verify.set_defaults(func=cmd_verify)
-    p_search = sub.add_parser("search", help="random search for expanding factors")
-    p_search.set_defaults(func=cmd_search)
-    p_demo = sub.add_parser(
-        "demo-sharp", help="show the half-neighborhood vector attaining ratio 1/2"
-    )
-    p_demo.set_defaults(func=cmd_demo_sharp)
+# subcommand -> (help line, {flag: (converter, default, help)}); a converter
+# of None marks a switch, which takes no value and is True when given
+_COMMANDS = {
+    "build": ("construct a code and write its report", {
+        "--config": _CONFIG,
+        "--out": _OUT,
+        "--budget": (_positive_int, DEFAULT_ENUM_BUDGET, "the cap on each GF(2) sweep"),
+        "--deterministic": (None, False, "leave the timestamp out of report.json"),
+        "--dry-run": _DRY_RUN,
+    }),
+    "verify": ("run the structural check suite", {
+        "--config": _CONFIG,
+        "--suites": (str, ",".join(_VERIFY_SUITES), "comma-separated suites to run"),
+        "--dry-run": _DRY_RUN,
+    }),
+    "search": ("random search for expanding factors", {
+        "--config": _CONFIG,
+        "--out": _OUT,
+        "--seed": (int, 0, "the seed of the random generating sets"),
+        "--dry-run": _DRY_RUN,
+    }),
+    "demo-sharp": ("show the half-neighborhood vector attaining ratio 1/2", {
+        "--config": (str, None, "the JSON config file; Z8, a=[1,2], b=[1,3] if absent"),
+    }),
+}
 
-    # each subcommand takes only the flags it reads
-    for p in (p_build, p_verify, p_search):
-        p.add_argument("--config", required=True)
-        p.add_argument("--dry-run", action="store_true")
-    for p in (p_build, p_search):
-        p.add_argument("--out", default="out")
-    p_search.add_argument("--seed", type=int, default=0)
-    p_build.add_argument("--budget", type=_positive_int, default=DEFAULT_ENUM_BUDGET)
-    p_build.add_argument("--deterministic", action="store_true")
-    p_verify.add_argument(
-        "--suites",
-        default=",".join(_VERIFY_SUITES),
-        help="comma-separated subset of: " + ", ".join(_VERIFY_SUITES),
+
+def _spelled(flag: str, convert) -> str:
+    return flag if convert is None else f"{flag} {flag[2:].upper().replace('-', '_')}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: {_PROG} [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = [f"usage: {_PROG} {command} [-h]"]
+    for flag, (convert, default, _) in _COMMANDS[command][1].items():
+        word = _spelled(flag, convert)
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(command: str | None) -> str:
+    help_row = ("-h, --help", "show this help and exit")
+    if command is None:
+        intro = "Build and certify product codes from expanding Cayley factors."
+        sections = {
+            "commands": [(name, line) for name, (line, _) in _COMMANDS.items()],
+            "options": [help_row],
+        }
+    else:
+        intro, flags = _COMMANDS[command]
+        rows = [help_row]
+        for flag, (convert, default, text) in flags.items():
+            if default is _REQUIRED:
+                text += " (required)"
+            elif convert is not None and default is not None:
+                text += f" (default: {default})"
+            rows.append((_spelled(flag, convert), text))
+        sections = {"options": rows}
+    width = max(len(name) for rows in sections.values() for name, _ in rows)
+    lines = [_usage(command), "", intro]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:"]
+        lines += [f"  {name:<{width}}  {text}" for name, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _usage_error(command: str | None, message: str):
+    prog = _PROG if command is None else f"{_PROG} {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _is_value(token: str) -> bool:
+    """Whether ``token`` can be a flag's value: it does not start with ``-``,
+    or it is ``-`` itself or a negative number."""
+    return (
+        not token.startswith("-")
+        or token == "-"
+        or token[1:].replace(".", "", 1).isdecimal()
     )
-    p_demo.add_argument("--config", default=None)
-    return parser
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The subcommand and its flag values read from ``argv`` (default
+    ``sys.argv[1:]``), as attributes ``command``, ``config``, ``dry_run``, ...
+
+    A flag is given as ``--flag value`` or ``--flag=value``, or by any prefix
+    that names one flag of the subcommand.  ``-h``/``--help`` prints help and
+    exits 0; a usage error prints the usage line and the error to stderr and
+    exits 2.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        raise SystemExit(EXIT_OK)
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _usage_error(
+            None,
+            f"argument command: invalid choice: {command!r} (choose from {choices})",
+        )
+    flags = _COMMANDS[command][1]
+    names = [*flags, "--help"]
+    values = {flag: default for flag, (_, default, _) in flags.items()}
+    extras = []
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        name, eq, value = token.partition("=")
+        if token == "-h":
+            name = "--help"
+        if name in names:
+            matches = [name]
+        elif name.startswith("--") and len(name) > 2:
+            matches = [f for f in names if f.startswith(name)]
+        else:
+            matches = []
+        if not matches:
+            extras.append(token)
+            continue
+        if len(matches) > 1:
+            _usage_error(
+                command, f"ambiguous option: {name} could match {', '.join(matches)}"
+            )
+        flag = matches[0]
+        if flag == "--help":
+            sys.stdout.write(_help(command))
+            raise SystemExit(EXIT_OK)
+        convert = flags[flag][0]
+        if convert is None:
+            if eq:
+                _usage_error(
+                    command, f"argument {flag}: ignored explicit argument {value!r}"
+                )
+            values[flag] = True
+            continue
+        if not eq:
+            if i == len(rest) or not _is_value(rest[i]):
+                _usage_error(command, f"argument {flag}: expected one argument")
+            value = rest[i]
+            i += 1
+        try:
+            values[flag] = convert(value)
+        except ValueError as exc:
+            _usage_error(command, f"argument {flag}: {exc}")
+    missing = [flag for flag, value in values.items() if value is _REQUIRED]
+    if missing:
+        _usage_error(
+            command, "the following arguments are required: " + ", ".join(missing)
+        )
+    if extras:
+        _usage_error(command, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(
+        command=command,
+        **{flag[2:].replace("-", "_"): value for flag, value in values.items()},
+    )
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
+    # looked up at call time, so a wrapper installed on the module is called
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

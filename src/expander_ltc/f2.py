@@ -7,19 +7,18 @@ sparser, and ``int.bit_count`` keeps weight computations cheap.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InvalidParameterError
 
 DEFAULT_ENUM_BUDGET = 1 << 24  # the one default budget of every GF(2) sweep
 
 
-class _BitVectorFields(NamedTuple):
-    length: int
-    bits: int = 0
-
-
-class BitVector(_BitVectorFields):
+class BitVector(namedtuple("BitVector", [
+    "length",  # int
+    "bits",  # int: bit i is entry i
+], defaults=(0,))):
     """A vector in GF(2)^length, packed into one integer."""
 
     __slots__ = ()

@@ -6,9 +6,10 @@ integer bitmasks so that subset-expansion scans reduce to OR + popcount.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence, Set
 from fractions import Fraction
 from math import ceil, comb
-from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InvalidParameterError, IrregularGraphError
 from .groups import FiniteGroup, GroupAction, check_action_axioms
@@ -83,23 +84,32 @@ def _mask_to_list(mask: int) -> list[int]:
     return out
 
 
-class GraphAction(NamedTuple):
+class GraphAction(namedtuple("GraphAction", [
+    "on_v0",  # GroupAction
+    "on_v1",  # GroupAction
+])):
     """A group action on a bipartite graph: one action per side."""
 
-    on_v0: GroupAction
-    on_v1: GroupAction
+    __slots__ = ()
 
     @property
     def group(self) -> FiniteGroup:
         return self.on_v0.group
 
 
-class Regularity(NamedTuple):
-    w0: int
-    w1: int
+Regularity = namedtuple("Regularity", [
+    "w0",  # int: the degree of every left vertex
+    "w1",  # int: the degree of every right vertex
+])
 
 
-class ExpansionCertificate(NamedTuple):
+class ExpansionCertificate(namedtuple("ExpansionCertificate", [
+    "c",  # Fraction
+    "epsilon",  # Fraction
+    "w0",  # int
+    "max_checked_size",  # int
+    "worst_witness",  # tuple[frozenset, Fraction] | None
+], defaults=(None,))):
     """Result of an exhaustive small-set vertex-expansion scan.
 
     Every left subset of size < ``c * v0_size`` was checked, so ``epsilon`` is
@@ -107,11 +117,7 @@ class ExpansionCertificate(NamedTuple):
     ``"mode"``, ``"samples"`` and ``"seed"`` keys of the report schema.
     """
 
-    c: Fraction
-    epsilon: Fraction
-    w0: int
-    max_checked_size: int
-    worst_witness: tuple[frozenset, Fraction] | None = None
+    __slots__ = ()
 
     mode = "exhaustive"
 
@@ -184,7 +190,7 @@ def check_regularity(x: BipartiteGraph) -> Regularity:
     return Regularity(w0, w1)
 
 
-def maps_onto(cells: Iterable[tuple], target: AbstractSet, maps: Sequence) -> bool:
+def maps_onto(cells: Iterable[tuple], target: Set, maps: Sequence) -> bool:
     """Whether moving coordinate ``i`` of every cell by ``maps[i]`` gives
     exactly the cells of ``target``."""
     columns = zip(*cells)  # coordinate i of every cell, in one order

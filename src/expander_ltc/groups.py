@@ -7,7 +7,7 @@ regime the rest of the library operates in.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import FreenessViolationError, InvalidParameterError, SizeLimitError
 
@@ -19,14 +19,16 @@ MAX_GROUP_ORDER = 4096
 AXIOM_CHECK_ORDER = 256
 
 
-class FiniteGroup(NamedTuple):
+class FiniteGroup(namedtuple("FiniteGroup", [
+    "order",  # int
+    "table",  # tuple[tuple[int, ...], ...]: table[a][b] = ab
+    "identity",  # int
+    "inverse",  # tuple[int, ...]
+    "name",  # str
+], defaults=("",))):
     """A finite group given by its full multiplication table."""
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
-    name: str = ""
+    __slots__ = ()
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -64,27 +66,31 @@ class FiniteGroup(NamedTuple):
         return f"FiniteGroup({self.name or 'order=%d' % self.order})"
 
 
-class GroupAction(NamedTuple):
+class GroupAction(namedtuple("GroupAction", [
+    "group",  # FiniteGroup
+    "set_size",  # int
+    "table",  # tuple[tuple[int, ...], ...]: table[g][x] = g.x
+])):
     """A left action of ``group`` on the point set ``0..set_size-1``."""
 
-    group: FiniteGroup
-    set_size: int
-    table: tuple[tuple[int, ...], ...]  # table[g][x] = g.x
+    __slots__ = ()
 
     def act(self, g: int, x: int) -> int:
         return self.table[g][x]
 
 
-class OrbitLabeling(NamedTuple):
+class OrbitLabeling(namedtuple("OrbitLabeling", [
+    "action",  # GroupAction
+    "representatives",  # tuple[int, ...]
+    "label",  # tuple[tuple[int, int], ...]
+])):
     """Bijective ``(g, r)`` labels for the points of a free action.
 
     ``label[x] = (g, i)`` where ``representatives[i]`` is the orbit
     representative and ``x = g . representatives[i]``.
     """
 
-    action: GroupAction
-    representatives: tuple[int, ...]
-    label: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def num_orbits(self) -> int:

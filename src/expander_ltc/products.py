@@ -9,9 +9,9 @@ bit matrices, with ``d1 @ d2 == 0`` asserted at construction time.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Literal, NamedTuple
 
 from .errors import (
     InvalidParameterError,
@@ -24,7 +24,6 @@ from .graphs import (
     BipartiteGraph,
     ExpansionCertificate,
     GraphAction,
-    Regularity,
     _check_generators,
     cayley_right,
     check_invariance,
@@ -39,7 +38,9 @@ from .groups import (
 
 MAX_PRODUCT_VERTICES = 1 << 20
 
-SubgraphName = Literal["*0", "*1", "0*", "1*"]
+#: A corner-to-corner subgraph selector: one of ``"*0"``, ``"*1"``, ``"0*"``,
+#: ``"1*"`` (see ``one_d_subgraph``).
+SubgraphName = str
 
 
 def _sides(corner: int) -> tuple[int, int]:
@@ -54,7 +55,25 @@ def regular_graph_action(g: FiniteGroup) -> GraphAction:
     return GraphAction(a, a)
 
 
-class BalancedProductComplex(NamedTuple):
+class BalancedProductComplex(namedtuple("BalancedProductComplex", [
+    "group",  # FiniteGroup
+    "x",  # BipartiteGraph
+    "y",  # BipartiteGraph
+    "ax",  # GraphAction
+    "ay",  # GraphAction
+    "labelings",  # tuple of four OrbitLabeling, one per corner
+    "sizes",  # tuple[int, int, int, int]: |V00|, |V10|, |V01|, |V11|
+    "g_s0",  # BipartiteGraph: V00 - V10
+    "g_s1",  # BipartiteGraph: V01 - V11
+    "g_0s",  # BipartiteGraph: V00 - V01
+    "g_1s",  # BipartiteGraph: V10 - V11
+    "faces",  # tuple[tuple[int, int, int, int], ...]
+    "reg_x",  # Regularity
+    "reg_y",  # Regularity
+    "d2",  # BitMatrix
+    "d1",  # BitMatrix
+    "wedge_to_face",  # dict
+])):
     """The quotient product with labels, subgraphs, faces and boundary maps.
 
     Corner ``(alpha, beta)`` vertices carry labels ``(h, i_r, i_s)`` where
@@ -70,23 +89,7 @@ class BalancedProductComplex(NamedTuple):
     right masks of ``g_1s`` and ``g_s1``, its columns their left masks.
     """
 
-    group: FiniteGroup
-    x: BipartiteGraph
-    y: BipartiteGraph
-    ax: GraphAction
-    ay: GraphAction
-    labelings: tuple[OrbitLabeling, OrbitLabeling, OrbitLabeling, OrbitLabeling]
-    sizes: tuple[int, int, int, int]  # |V00|, |V10|, |V01|, |V11|
-    g_s0: BipartiteGraph  # V00 - V10
-    g_s1: BipartiteGraph  # V01 - V11
-    g_0s: BipartiteGraph  # V00 - V01
-    g_1s: BipartiteGraph  # V10 - V11
-    faces: tuple[tuple[int, int, int, int], ...]
-    reg_x: Regularity
-    reg_y: Regularity
-    d2: BitMatrix
-    d1: BitMatrix
-    wedge_to_face: dict
+    __slots__ = ()
 
     # --- degree shorthands (down/up from the first factor, right/left second)
     @property
@@ -335,7 +338,16 @@ def left_right_cayley(
     return balanced_product(x, y, regular_graph_action(g), regular_graph_action(g))
 
 
-class OneDSubgraph(NamedTuple):
+class OneDSubgraph(namedtuple("OneDSubgraph", [
+    "which",  # SubgraphName
+    "graph",  # BipartiteGraph
+    "factor",  # BipartiteGraph
+    "num_copies",  # int
+    "copy_of_left",  # tuple[int, ...]
+    "copy_of_right",  # tuple[int, ...]
+    "iso_left",  # tuple[int, ...]
+    "iso_right",  # tuple[int, ...]
+])):
     """A corner-to-corner subgraph plus its decomposition into factor copies.
 
     ``copy_of[v]`` gives the copy index of each left/right vertex, and
@@ -343,14 +355,7 @@ class OneDSubgraph(NamedTuple):
     factor graph, restricting to a graph isomorphism on every copy.
     """
 
-    which: SubgraphName
-    graph: BipartiteGraph
-    factor: BipartiteGraph
-    num_copies: int
-    copy_of_left: tuple[int, ...]
-    copy_of_right: tuple[int, ...]
-    iso_left: tuple[int, ...]
-    iso_right: tuple[int, ...]
+    __slots__ = ()
 
 
 # selector -> (the stored subgraph, its left and right corners, the factor)

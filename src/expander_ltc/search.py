@@ -11,8 +11,8 @@ unless the exhaustive scan said so.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import InvalidParameterError, SearchExhaustedError
 from .graphs import (
@@ -23,7 +23,7 @@ from .graphs import (
     small_set_epsilon,
 )
 from .groups import FiniteGroup, block_action, left_regular_action
-from .products import BalancedProductComplex, GraphAction, balanced_product
+from .products import GraphAction, balanced_product
 
 #: Cap on the exhaustive subset evaluations of each factor certification.
 SUBSET_BUDGET = 2_000_000
@@ -62,22 +62,20 @@ def layered_cayley(
     return graph, GraphAction(block_action(regular, layers), regular), gen_sets
 
 
-class _SpecFields(NamedTuple):
-    group: FiniteGroup
-    w_down: int
-    w_up: int
-    w_right: int
-    w_left: int
-    c_x: Fraction
-    c_y: Fraction
-    trials: int = 50
-    seed: int = 0
-    eps_target: Fraction | None = None
-    ratio_x_interval: tuple[Fraction, Fraction] | None = None
-    ratio_y_interval: tuple[Fraction, Fraction] | None = None
-
-
-class SearchSpec(_SpecFields):
+class SearchSpec(namedtuple("SearchSpec", [
+    "group",  # FiniteGroup
+    "w_down",  # int
+    "w_up",  # int
+    "w_right",  # int
+    "w_left",  # int
+    "c_x",  # Fraction
+    "c_y",  # Fraction
+    "trials",  # int
+    "seed",  # int
+    "eps_target",  # Fraction | None
+    "ratio_x_interval",  # tuple[Fraction, Fraction] | None
+    "ratio_y_interval",  # tuple[Fraction, Fraction] | None
+], defaults=(50, 0, None, None, None))):
     """Target shape for one random expander-pair search."""
 
     __slots__ = ()
@@ -108,19 +106,21 @@ class SearchSpec(_SpecFields):
         return self
 
 
-class SearchResult(NamedTuple):
+class SearchResult(namedtuple("SearchResult", [
+    "complex",  # BalancedProductComplex
+    "cert_x",  # ExpansionCertificate
+    "cert_y",  # ExpansionCertificate
+    "epsilon",  # Fraction
+    "trial",  # int
+    "seed",  # int
+    "gen_sets_x",  # tuple[tuple[int, ...], ...]
+    "gen_sets_y",  # tuple[tuple[int, ...], ...]
+    "log",  # tuple[dict, ...]
+    "inequalities",  # dict | None: measured conditions vs the eps target
+], defaults=(None,))):
     """Best trial of a search, with the full monotone trial log."""
 
-    complex: BalancedProductComplex
-    cert_x: ExpansionCertificate
-    cert_y: ExpansionCertificate
-    epsilon: Fraction
-    trial: int
-    seed: int
-    gen_sets_x: tuple[tuple[int, ...], ...]
-    gen_sets_y: tuple[tuple[int, ...], ...]
-    log: tuple[dict, ...]
-    inequalities: dict | None = None  # measured conditions vs the eps target
+    __slots__ = ()
 
 
 def _least_translate(

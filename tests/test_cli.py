@@ -1,10 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
-import argparse
 import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +14,7 @@ import pytest
 
 import expander_ltc
 from expander_ltc import analysis, cli, products
-from expander_ltc.cli import _write_outputs, build_report, main, make_parser
+from expander_ltc.cli import _write_outputs, build_report, main, parse_args
 from expander_ltc.errors import BudgetExceededError
 from expander_ltc.f2 import DEFAULT_ENUM_BUDGET, BitMatrix
 from expander_ltc.graphs import graph_to_edge_list
@@ -548,14 +548,7 @@ class TestFlags:
     }
 
     def test_option_sets(self):
-        (subparsers,) = [
-            a for a in make_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)
-        ]
-        options = {
-            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
-            for name, p in subparsers.choices.items()
-        }
+        options = {name: set(flags) for name, (_, flags) in cli._COMMANDS.items()}
         assert options == self.OPTIONS
         assert sum(map(len, options.values())) == 13
 
@@ -597,7 +590,7 @@ class TestFlags:
         assert "_positive_int" not in err
 
     def test_budget_defaults(self):
-        args = make_parser().parse_args(["build", "--config", "c.json"])
+        args = parse_args(["build", "--config", "c.json"])
         assert args.budget == DEFAULT_ENUM_BUDGET
         default = inspect.signature(build_report).parameters["budget"].default
         assert default == DEFAULT_ENUM_BUDGET
@@ -673,3 +666,177 @@ class TestDryRunMatchesRun:
         code, err = _exit_and_err(capsys, [command, "--config", cfg, "--dry-run"])
         assert code == 2
         assert str(MAX_GROUP_ORDER) in err
+
+
+class TestParser:
+    """``parse_args`` reads the subcommand table as argparse read its parsers."""
+
+    @staticmethod
+    def _flags(text):
+        return set(re.findall(r"--[a-z][a-z-]*", text))
+
+    def _exit(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        return exc.value.code, capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help(self, capsys, flag):
+        code, captured = self._exit(capsys, [flag])
+        assert code == 0
+        assert captured.out.startswith("usage: expander-ltc")
+        for name in TestFlags.OPTIONS:
+            assert f"\n  {name} " in captured.out
+        assert self._flags(captured.out) == {"--help"}
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    @pytest.mark.parametrize("command", sorted(TestFlags.OPTIONS))
+    def test_subcommand_help_lists_its_flags(self, capsys, command, flag):
+        code, captured = self._exit(capsys, [command, flag])
+        assert code == 0 and captured.err == ""
+        assert captured.out.startswith(f"usage: expander-ltc {command} ")
+        assert self._flags(captured.out) == TestFlags.OPTIONS[command] | {"--help"}
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["--config", "c.json"], "argument command: invalid choice: '--config'"),
+    ])
+    def test_missing_or_unknown_subcommand(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        usage, error = err.splitlines()
+        assert usage.startswith(
+            "usage: expander-ltc [-h] {build,verify,search,demo-sharp}"
+        )
+        assert error.startswith(f"expander-ltc: error: {message}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["build"], "the following arguments are required: --config"),
+        (["build", "--config", "c", "--jobs", "1"], "unrecognized arguments: --jobs 1"),
+        (["build", "--config", "c", "--out", "--dry-run"],
+         "argument --out: expected one argument"),
+        (["build", "--config", "c", "--d"],
+         "ambiguous option: --d could match --deterministic, --dry-run"),
+        (["build", "--config", "c", "--dry-run=yes"],
+         "argument --dry-run: ignored explicit argument 'yes'"),
+        (["search", "--config", "c", "--seed", "x"],
+         "argument --seed: invalid literal for int() with base 10: 'x'"),
+        (["search", "--config", "c", "--seed"],
+         "argument --seed: expected one argument"),
+    ])
+    def test_usage_errors(self, capsys, argv, message):
+        code, captured = self._exit(capsys, argv)
+        assert code == 2 and captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith(f"usage: expander-ltc {argv[0]} [-h] --config CONFIG")
+        assert error == f"expander-ltc {argv[0]}: error: {message}"
+
+    def test_flag_equals_value(self):
+        args = parse_args(["build", "--config=c.json", "--out=o", "--budget=7"])
+        assert (args.config, args.out, args.budget) == ("c.json", "o", 7)
+        assert parse_args(["search", "--config", "c", "--out=a=b"]).out == "a=b"
+
+    def test_unique_prefixes(self):
+        args = parse_args(["build", "--conf", "c.json", "--det", "--dr", "--b", "9"])
+        assert args.deterministic and args.dry_run
+        assert (args.config, args.budget) == ("c.json", 9)
+
+    def test_negative_number_is_a_value(self):
+        assert parse_args(["search", "--config", "c", "--seed", "-5"]).seed == -5
+        assert parse_args(["search", "--config", "c", "--out", "-1.5"]).out == "-1.5"
+
+    def test_defaults(self):
+        assert vars(parse_args(["search", "--config", "c"])) == {
+            "command": "search", "config": "c", "out": "out", "seed": 0,
+            "dry_run": False,
+        }
+        assert vars(parse_args(["demo-sharp"])) == {
+            "command": "demo-sharp", "config": None
+        }
+        suites = parse_args(["verify", "--config", "c"]).suites
+        assert suites == "chain,copies,unique,small-set"
+
+    def test_last_value_wins(self):
+        assert parse_args(["build", "--config", "a", "--config", "b"]).config == "b"
+
+    def test_command_is_looked_up_at_call_time(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_demo_sharp", lambda args: seen.append(args) or 0)
+        assert main(["demo-sharp"]) == 0
+        assert [a.command for a in seen] == ["demo-sharp"]
+
+
+def _config_text(base, key, literal):
+    """A JSON config: ``base`` plus ``key`` spelled as the raw JSON ``literal``."""
+    return json.dumps(base)[:-1] + f', "{key}": {literal}}}'
+
+
+class TestConfigLimits:
+    """Configs past Python's number limits exit 2 at once, never hang or trace back."""
+
+    @pytest.mark.parametrize(
+        "value", ["1e-20000000", "1E+1001", "1e-1_001", "2e99999999999"]
+    )
+    @pytest.mark.parametrize("command, key", [
+        ("build", "c_x"),
+        ("verify", "c_y"),
+        ("demo-sharp", "c_x"),
+        ("search", "c_y"),
+        ("search", "eps_target"),
+        ("search", "ratio_x_interval"),
+    ])
+    def test_huge_decimal_exponent(self, tmp_path, capsys, command, key, value):
+        base = SEARCH_CONFIG if command == "search" else BASE_CONFIG
+        cfg = write_config(
+            tmp_path, {**base, key: [value, "1"] if key.endswith("interval") else value}
+        )
+        runs = [[], ["--dry-run"]] if command != "demo-sharp" else [[]]
+        out = ["--out", str(tmp_path / "o")] if command in ("build", "search") else []
+        for extra in runs:
+            code, err = _exit_and_err(capsys, [command, "--config", cfg, *out, *extra])
+            assert code == 2
+            assert err == (
+                f"config error: config key {key!r} has a decimal exponent "
+                "beyond ±1000\n"
+            )
+        assert not (tmp_path / "o").exists()
+
+    def test_exponent_at_the_bound_is_read(self, tmp_path):
+        for value in ("1e-1000", "1e-0001000"):
+            cfg = write_config(tmp_path, {**BASE_CONFIG, "c_x": value})
+            assert main(["build", "--config", cfg, "--dry-run"]) == 0
+        cfg = write_config(tmp_path, {**SEARCH_CONFIG, "eps_target": "1e-1000"})
+        assert main(["search", "--config", cfg, "--dry-run"]) == 0
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(_config_text(BASE_CONFIG, "max_c1_weight", "7" * 5000))
+        cfg = str(path)
+        build = _exit_and_err(
+            capsys, ["build", "--config", cfg, "--out", str(tmp_path / "o")]
+        )
+        assert build[0] == 2
+        assert build[1].startswith("config error: config has a number too long to read")
+        assert "Traceback" not in build[1]
+        for argv in (
+            ["build", "--config", cfg, "--dry-run"],
+            ["verify", "--config", cfg],
+            ["verify", "--config", cfg, "--dry-run"],
+            ["demo-sharp", "--config", cfg],
+        ):
+            assert _exit_and_err(capsys, argv) == build
+        assert not (tmp_path / "o").exists()
+
+    def test_search_trials_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        base = {k: v for k, v in SEARCH_CONFIG.items() if k != "trials"}
+        path.write_text(_config_text(base, "trials", "1" * 5000))
+        for extra in (["--dry-run"], ["--out", str(tmp_path / "s")]):
+            code, err = _exit_and_err(capsys, ["search", "--config", str(path), *extra])
+            assert code == 2
+            assert err.startswith("config error: config has a number too long to read")
+        assert not (tmp_path / "s").exists()
