@@ -11,6 +11,7 @@ caches anything: ``lt_profile`` runs the one min-preimage sweep of ``d2``, and
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -291,17 +292,103 @@ class LocallyMinimalDistance(namedtuple("LocallyMinimalDistance", [
 ])):
     """Minimum plain weight over nonzero weighted-locally-minimal kernel vectors.
 
-    ``d_lm is None`` signals that no such vector exists.  ``weighted_min`` is
-    the corresponding minimum of the weighted norm, kept as a diagnostic.
+    ``d_lm is None`` signals that no such vector exists.  ``witness`` is a
+    vector of weight ``d_lm`` with the least weighted norm, ``weighted_min``;
+    of several such, the first in the Gray order of ``gray_sweep`` over
+    ``kernel_basis(bp.d1)``.  The record does not depend on which loop of
+    ``locally_minimal_distance`` found it.
     """
 
     __slots__ = ()
 
 
+# a support of the weight-first search costs about this many Gray steps of
+# the sweep: 2 to 5 on cyclic complexes with kernel dimension 13 to 20, each
+# loop timed whole, kernel vectors found and all
+_SUBSET_STEPS = 3
+
+
+def _gray_rank(code: int) -> int:
+    """The step ``i`` of ``gray_sweep`` whose Gray code ``i ^ (i >> 1)`` is ``code``."""
+    i = 0
+    while code:
+        i ^= code
+        code >>= 1
+    return i
+
+
 def locally_minimal_distance(
     bp: BalancedProductComplex, budget: int = DEFAULT_ENUM_BUDGET
 ) -> LocallyMinimalDistance:
+    """The least weight of a nonzero weighted-locally-minimal vector of ker d1.
+
+    Weight first: the kernel vectors of weight ``w`` are the ``(w-1)``-subsets
+    ``S`` of the c1 positions, in ``itertools.combinations`` order, each
+    completed by a position above ``max S`` whose ``d1`` column equals the
+    syndrome of ``S``; a dict from each column to its positions finds them.
+    Each is tested with ``is_locally_minimal``, and the first weight that has
+    a minimal vector is ``d_lm``.  Its witness is the least by weighted norm,
+    then by the step at which ``gray_sweep`` over ``kernel_basis(bp.d1)``
+    reaches it, which is how the sweep below breaks ties: the vector's bits at
+    the basis's free columns are that step's Gray code.
+
+    One subset is one step of the budget.  A weight whose subsets would take
+    the count past ``budget``, or past ``2^dim / _SUBSET_STEPS`` when the
+    sweep fits the budget, hands off to the sweep of all ``2^dim - 1``
+    kernel vectors, which checks ``2^dim <= budget`` itself.  So the budget
+    counts the loop that runs.  A search that hands off has spent at most
+    ``2^dim / _SUBSET_STEPS`` subsets first, about as long as the sweep
+    itself, so it takes up to about twice the sweep.
+    """
     basis = [v.bits for v in kernel_basis(bp.d1)]
+    sweep = 1 << len(basis)
+    limit = budget if sweep > budget else sweep // _SUBSET_STEPS
+    columns = bp.g_1s.left_masks + bp.g_s1.left_masks  # d1's, by stacked position
+    length = len(columns)
+    positions: dict[int, list[int]] = {}
+    for j, column in enumerate(columns):
+        positions.setdefault(column, []).append(j)
+    # basis vector k is 1 at its free column, its highest bit, and 0 at the
+    # other basis vectors' free columns
+    free = [b.bit_length() - 1 for b in basis]
+    wd, wr = bp.w_down, bp.w_right
+    steps = 0
+    for w in range(1, length + 1):
+        steps += math.comb(length, w - 1)
+        if steps > limit:
+            break
+        best = None
+        for prefix in itertools.combinations(range(length), w - 1):
+            syndrome = bits = 0
+            for i in prefix:
+                syndrome ^= columns[i]
+                bits |= 1 << i
+            above = prefix[-1] if prefix else -1
+            for j in positions.get(syndrome, ()):
+                if j <= above:
+                    continue
+                cur = bits | 1 << j
+                c1 = C1Vector.from_stacked(bp, BitVector(length, cur))
+                if not is_locally_minimal(c1, bp)[0]:
+                    continue
+                code = 0
+                for k, f in enumerate(free):
+                    code |= (cur >> f & 1) << k
+                key = (c1.v10.weight() * wr + c1.v01.weight() * wd, _gray_rank(code))
+                if best is None or key < best[0]:
+                    best = (key, c1)
+        if best is not None:
+            c1 = best[1]
+            return LocallyMinimalDistance(
+                d_lm=w, witness=c1, weighted_min=weighted_norm(c1, bp)
+            )
+    return _locally_minimal_sweep(bp, basis, budget)
+
+
+def _locally_minimal_sweep(
+    bp: BalancedProductComplex, basis: list[int], budget: int
+) -> LocallyMinimalDistance:
+    """``locally_minimal_distance`` over every nonzero kernel vector, in Gray order."""
     best_w: int | None = None
     best: C1Vector | None = None
     best_norm: Fraction | None = None
@@ -623,20 +710,39 @@ def _fixing(support: Sequence[int], images: list[list[int]]) -> list[list[int]] 
     return fixing
 
 
+def small_set_vacuous(epsilon: Fraction) -> bool:
+    """Whether the small-set inequality holds for every c1 by its sign alone.
+
+    The inequality reads ``(1/2 - 8 eps)·|c1|_w <= |d1 c1|_w``.  Both weighted
+    norms are sums of nonnegative terms, so when ``1/2 - 8 eps <= 0`` the left
+    side is at most 0 and the right side at least 0: every check holds,
+    whatever c1 is, small, locally minimal or not.  ``eps`` is
+    ``small_set_epsilon`` of the two certificates, known before any c1 is
+    enumerated.
+    """
+    return Fraction(1, 2) - 8 * epsilon <= 0
+
+
 class SmallSetSummary(namedtuple("SmallSetSummary", [
-    "count",  # int
-    "orbits",  # int
+    "count",  # int | None
+    "orbits",  # int | None
     "all_hold",  # bool
     "epsilon",  # Fraction
     "least",  # SmallSetCheck | None
     "witness",  # C1Vector | None
+    "by",  # str: "scan" or "sign"
 ])):
-    """The small-set suite folded over its translation orbits.
+    """The small-set suite folded over its translation orbits, or settled by
+    its sign.
 
-    ``count`` is the number of locally minimal vectors checked (the sum of
-    the orbit sizes) and ``orbits`` the number of orbits.  ``least`` is the
-    check of the first orbit with the least margin and ``witness`` that
-    orbit's representative; both are ``None`` when ``count`` is 0.
+    By ``"scan"`` (``small_set_suite``), ``count`` is the number of locally
+    minimal vectors checked (the sum of the orbit sizes) and ``orbits`` the
+    number of orbits.  ``least`` is the check of the first orbit with the
+    least margin and ``witness`` that orbit's representative; both are
+    ``None`` when ``count`` is 0.  By ``"sign"`` (``settle_small_set`` on a
+    vacuous instance, see ``small_set_vacuous``) nothing is enumerated:
+    ``all_hold`` is true and ``count``, ``orbits``, ``least`` and
+    ``witness`` are ``None``.
     """
 
     __slots__ = ()
@@ -647,8 +753,9 @@ class SmallSetSummary(namedtuple("SmallSetSummary", [
             "count": self.count,
             "orbits": self.orbits,
             "all_hold": self.all_hold,
+            "by": self.by,
             "epsilon": str(self.epsilon),
-            "vacuous": Fraction(1, 2) - 8 * self.epsilon <= 0,
+            "vacuous": small_set_vacuous(self.epsilon),
             "least_margin": None if least is None else {
                 "margin": str(least.margin),
                 "lhs": str(least.lhs),
@@ -742,7 +849,30 @@ def small_set_suite(
         epsilon=small_set_epsilon(bp.w_up, cert_x, cert_y),
         least=least,
         witness=witness,
+        by="scan",
     )
+
+
+def settle_small_set(
+    bp: BalancedProductComplex,
+    cert_x: ExpansionCertificate,
+    cert_y: ExpansionCertificate,
+) -> SmallSetSummary:
+    """The small-set summary of a build: by its sign when the certificates
+    make the inequality vacuous (``small_set_vacuous``), with nothing
+    enumerated, else by ``small_set_suite``'s scan.  Both are exact."""
+    epsilon = small_set_epsilon(bp.w_up, cert_x, cert_y)
+    if small_set_vacuous(epsilon):
+        return SmallSetSummary(
+            count=None,
+            orbits=None,
+            all_hold=True,
+            epsilon=epsilon,
+            least=None,
+            witness=None,
+            by="sign",
+        )
+    return small_set_suite(bp, cert_x, cert_y)
 
 
 # ---------------------------------------------------------------------------

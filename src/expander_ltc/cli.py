@@ -111,10 +111,18 @@ def _load_config(path: str, allowed: set[str], required: set[str]) -> dict:
 # ``Fraction`` builds ``10**exponent`` for a text such as "1e-5", so a huge
 # exponent would hang the run; ``str()`` of a JSON float never passes 324
 _MAX_EXPONENT = 1000
+# and ``10**len(fraction)`` for a text such as "0.5", whose cost grows faster
+# than the text; ``str()`` refuses an integer of more than 4300 digits, so
+# neither the text nor the numerator or denominator it reads as may pass that
+_MAX_DIGITS = 4300
 
 
 def _rational(value, key: str) -> Fraction:
     text = str(value)
+    if len(text) > _MAX_DIGITS:
+        raise ConfigError(
+            f"config key {key!r} is longer than {_MAX_DIGITS} characters", key
+        )
     _, e, exponent = text.lower().rpartition("e")
     exponent = exponent.strip()
     digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
@@ -125,9 +133,17 @@ def _rational(value, key: str) -> Fraction:
             f"config key {key!r} has a decimal exponent beyond ±{_MAX_EXPONENT}", key
         )
     try:
-        return Fraction(text)
+        r = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"config key {key!r} is not a rational number", key)
+    # "0.<4000 digits>e-1000" passes both checks above, but its denominator
+    # has 5001 digits
+    if max(abs(r.numerator), r.denominator) >= 10**_MAX_DIGITS:
+        raise ConfigError(
+            f"config key {key!r} has a numerator or denominator of more than "
+            f"{_MAX_DIGITS} digits", key
+        )
+    return r
 
 
 def _cutoff(cfg: dict, key: str) -> Fraction:
@@ -297,7 +313,7 @@ def build_report(
         "witness": snd.witness.support(),
     }
     report["small_set_checks"] = (
-        analysis.small_set_suite(bp, cert_x, cert_y).to_json()
+        analysis.settle_small_set(bp, cert_x, cert_y).to_json()
         if run_small_set
         else None
     )

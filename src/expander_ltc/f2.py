@@ -206,7 +206,11 @@ def rank(m: BitMatrix) -> int:
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """A basis of ``{v : m v = 0}``; ``rank + len(basis) == cols``."""
+    """A basis of ``{v : m v = 0}``; ``rank + len(basis) == cols``.
+
+    Vector ``j`` is 1 at the ``j``-th free (non-pivot) column, which is its
+    highest bit, and 0 at every other free column.
+    """
     echelon, pivots = _row_echelon(m.row_bits, m.cols)
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.cols) if j not in pivot_set]

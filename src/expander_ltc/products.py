@@ -458,6 +458,8 @@ def inherited_expansion(
     The cutoff scales by |factor left side| / |subgraph left side| and epsilon
     carries over unchanged.
     """
+    if which not in _SUBGRAPH_CORNERS:
+        raise InvalidParameterError(f"unknown subgraph selector: {which!r}")
     _, ca, _, factor_kind = _SUBGRAPH_CORNERS[which]
     factor = bp.x if factor_kind == "x" else bp.y
     scale = Fraction(factor.v0_size, bp.sizes[ca])

@@ -180,24 +180,74 @@ class TestBuild:
         assert summary[1].split(",")[2] == ""
 
     def test_small_set_summary(self, tmp_path, capsys):
+        # epsilon is 1/3 here, so 1/2 - 8 eps < 0: build settles the suite by
+        # its sign, and verify still scans it
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"
         assert main(["build", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "report.json").read_text())["small_set_checks"]
-        assert set(summary) == {
-            "count", "orbits", "all_hold", "epsilon", "vacuous", "least_margin"
+        assert summary == {
+            "all_hold": True, "by": "sign", "epsilon": "1/3", "vacuous": True,
+            "count": None, "orbits": None, "least_margin": None,
         }
-        assert set(summary["least_margin"]) == {
-            "margin", "lhs", "rhs", "c1_weight", "witness"
-        }
-        assert summary["vacuous"] == (
-            Fraction(1, 2) - 8 * Fraction(summary["epsilon"]) <= 0
+        assert main(["verify", "--config", cfg, "--suites", "small-set"]) == 0
+        assert re.search(
+            r"\n\[PASS\] small-set inequality on [1-9]\d* locally minimal vectors\n\Z",
+            capsys.readouterr().out,
         )
+
+    @pytest.mark.parametrize("config, count", [
+        ({**BASE_CONFIG, "c_x": "1/4", "c_y": "1/4"}, 7),
+        ({"group": {"kind": "cyclic", "n": 8}, "a_set": [1, 2], "b_set": [1, 3],
+          "c_x": "1/4", "c_y": "1/4"}, 0),
+    ])
+    def test_small_set_summary_by_scan(self, tmp_path, capsys, config, count):
+        # epsilon is 0: the inequality is not vacuous and build scans it
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "report.json").read_text())["small_set_checks"]
+        assert set(summary) == {
+            "count", "orbits", "all_hold", "by", "epsilon", "vacuous", "least_margin"
+        }
+        assert (summary["by"], summary["epsilon"], summary["vacuous"]) == (
+            "scan", "0", False
+        )
+        assert summary["count"] == count
+        if count:
+            assert set(summary["least_margin"]) == {
+                "margin", "lhs", "rhs", "c1_weight", "witness"
+            }
+        else:
+            assert summary["least_margin"] is None
         assert main(["verify", "--config", cfg, "--suites", "small-set"]) == 0
         assert capsys.readouterr().out.endswith(
-            f"[PASS] small-set inequality on {summary['count']} locally minimal "
-            f"vectors\n"
+            f"[PASS] small-set inequality on {count} locally minimal vectors\n"
         )
+
+    def test_vacuous_build_enumerates_nothing(self, tmp_path, monkeypatch, capsys):
+        def scanned(*args):
+            raise AssertionError("the small-set suite enumerated vectors")
+
+        config = PINNED_OUTPUTS["Z8"][0]
+        cfg = write_config(tmp_path, {**config, "c_x": "1/2", "c_y": "1/2"})
+        out = tmp_path / "out"
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_small_set_orbits", scanned)
+            assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "report.json").read_text())["small_set_checks"]
+        assert (summary["by"], summary["all_hold"], summary["count"]) == (
+            "sign", True, None
+        )
+        # verify keeps the full per-orbit scan
+        orbits = analysis._small_set_orbits
+        calls = []
+        monkeypatch.setattr(
+            analysis, "_small_set_orbits", lambda *args: calls.append(1) or orbits(*args)
+        )
+        assert main(["verify", "--config", cfg, "--suites", "small-set"]) == 0
+        assert calls == [1]
+        assert "[PASS] small-set inequality on" in capsys.readouterr().out
 
     def test_deterministic_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -226,7 +276,7 @@ PINNED_OUTPUTS = {
             "h_matrix.alist": "116f735580bddf2f12764b2e4661ce8a8a8503269914454fe03700cc623fe656",
             "h_matrix.txt": "dd7b44753dad0437b243793ff234830aaeacf8c6abfb34d191c7abf476c9bc21",
             "manifest.json": "ec8532008481fd6432b3a0721fe5ff424522cd2739536ba4e8c4261d895c00fa",
-            "report.json": "fde4dfae8630188f72c2b1819ff0c79295d98df15b96e80b1d468d9ece7ef9b5",
+            "report.json": "39885e5b8490cc839a9ca39b771a827d9a8fa4f932490f5ddebf064c5068af9d",
             "summary.csv": "7ebead7393989421163fcc4ebe6a287638e017f955fba6bba077dad2068ed83c",
         },
     ),
@@ -246,7 +296,7 @@ PINNED_OUTPUTS = {
             "h_matrix.alist": "5c0c1d31053a8ac45ef68cf63c4ab114bd6480be042f577f6a441bbfeb5fb01f",
             "h_matrix.txt": "a51676b5e9a6b8dbe4cb6e7e69157a3ea9bfde0a4bcc5fec8db36d0b3a1112d0",
             "manifest.json": "e8417c18826408ca11bedb60339e22f90f1cbd9fc22be612f098ce75502bbf0f",
-            "report.json": "95ac05153d0cbb2cd748b0fe6c2f49924e278a389b3c7ff1a939dc34cb9b93f6",
+            "report.json": "7ab3cbd5018d8aa50ef695107e3a807bab72051ecdd10826e9776383da7ddd1d",
             "summary.csv": "9cbd49241bf8d20e232be857e792dd22052edd7ba9b422f9c53f6a38875915a0",
         },
     ),
@@ -269,7 +319,7 @@ PINNED_OUTPUTS = {
             "h_matrix.alist": "5ffb0ccbc8d34f5ffaa8d93d2e7f774ab1559d1d3c697e92bf499e0697c30451",
             "h_matrix.txt": "351a5b60331f946083f29725ef6529593f007bfb964c7b625308c16495044049",
             "manifest.json": "265a58d49ff319d4733c57144d9b0019496aee3eb2f060b8d62bde66180e5c0c",
-            "report.json": "0f93abb6609f82f3d0bca6b4883b8042f9eeb03dc8c4838886729b6cf757a4e7",
+            "report.json": "8274421fa6dccda7545182d4d348598d5528b7c3891085c49a224362cf0539a4",
             "summary.csv": "d29ddc7d4cd60bd07d42997ef57aca2f4dc3c5729aed1c40385934ad9e9e4fb1",
         },
     ),
@@ -413,6 +463,35 @@ class TestVerificationFailure:
         )
         assert proc.returncode == 0, proc.stderr
         assert "ratio = 1/2" in proc.stdout
+
+    def test_input_checks_under_optimize(self, tmp_path):
+        # a bad subgraph selector and an over-long rational are real errors too
+        src = str(Path(expander_ltc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "c_y": "0." + "3" * 5000})
+        script = (
+            "from expander_ltc.errors import InvalidParameterError\n"
+            "from expander_ltc.graphs import certify_expansion\n"
+            "from expander_ltc.groups import make_cyclic\n"
+            "from expander_ltc.products import inherited_expansion, left_right_cayley\n"
+            "bp = left_right_cayley(make_cyclic(6), [1, 2], [1, 3])\n"
+            "cert = certify_expansion(bp.x, 1)\n"
+            "try:\n"
+            "    inherited_expansion(bp, cert, '2*')\n"
+            "except InvalidParameterError as exc:\n"
+            "    print(exc)\n"
+            "from expander_ltc.cli import main\n"
+            f"raise SystemExit(main(['build', '--config', {cfg!r}, '--dry-run']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == "unknown subgraph selector: '2*'\n"
+        assert proc.stderr == (
+            "config error: config key 'c_y' is longer than 4300 characters\n"
+        )
 
 
 class TestUsage:
@@ -830,6 +909,54 @@ class TestConfigLimits:
         ):
             assert _exit_and_err(capsys, argv) == build
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [
+        "0." + "1" * 4299,
+        "1" * 4299 + ".5",
+        "1" * 4301 + "/3",
+        "1/" + "3" * 4299,
+        "-1_0" + "0" * 4300 + ".5e-9",
+    ])
+    def test_rational_text_past_the_length_limit(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "c_x": value})
+        assert _exit_and_err(capsys, ["build", "--config", cfg, "--dry-run"]) == (
+            2, "config error: config key 'c_x' is longer than 4300 characters\n"
+        )
+
+    @pytest.mark.parametrize("value", [
+        "0." + "1" * 3400 + "e-1000",
+        "9" * 3400 + "e1000",
+    ])
+    def test_rational_value_past_the_digit_limit(self, tmp_path, capsys, value):
+        # short enough to read, but str() of the result would raise
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "c_x": value})
+        for argv in (["--dry-run"], ["--out", str(tmp_path / "o")]):
+            assert _exit_and_err(capsys, ["build", "--config", cfg, *argv]) == (
+                2,
+                "config error: config key 'c_x' has a numerator or denominator "
+                "of more than 4300 digits\n",
+            )
+        assert not (tmp_path / "o").exists()
+
+    def test_rational_at_the_digit_limit_is_read(self, tmp_path):
+        for value in ("0." + "1" * 4298, "1/" + "3" * 4298, "0." + "1_1" * 1432):
+            cfg = write_config(tmp_path, {**BASE_CONFIG, "c_x": value})
+            assert main(["build", "--config", cfg, "--dry-run"]) == 0
+
+    def test_full_build_at_the_digit_limit(self, tmp_path):
+        # the denominator, 10^4298, is written to report.json in full
+        value = "0." + "1" * 4298
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "c_x": value})
+        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert Fraction(report["expansion"]["x"]["c"]) == Fraction(value)
+
+    def test_out_of_range_at_the_digit_limit(self, tmp_path, capsys):
+        # the message quotes the value, a 4300-digit integer
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "c_x": "1" * 4300})
+        assert _exit_and_err(capsys, ["build", "--config", cfg, "--dry-run"]) == (
+            2, f"config error: config key 'c_x' must lie in (0, 1], got {'1' * 4300}\n"
+        )
 
     def test_search_trials_past_the_digit_limit(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -327,6 +327,13 @@ class TestInheritedExpansion:
         direct = certify_expansion(one_d_subgraph(bp, "0*").graph, inherited.c)
         assert inherited.epsilon == direct.epsilon
 
+    @pytest.mark.parametrize("which", ["2*", "xx", "", "*"])
+    def test_unknown_selector(self, which):
+        bp = left_right_cayley(make_cyclic(6), [1, 2], [1, 3])
+        cert = certify_expansion(bp.x, Fraction(1, 2))
+        with pytest.raises(InvalidParameterError, match="unknown subgraph selector"):
+            inherited_expansion(bp, cert, which)
+
 
 class TestManifest:
     def test_manifest_shape(self):

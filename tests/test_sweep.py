@@ -173,11 +173,20 @@ class TestBudgets:
         assert (exc.value.required, exc.value.budget) == (1 << bp.n00, (1 << bp.n00) - 1)
 
     def test_locally_minimal_distance(self):
+        # the budget counts the loop that runs: d_lm = 3 takes the subsets
+        # of weight 0, 1 and 2 (106 of them on Z7), fewer than 2^(dim-1);
+        # below that count the Gray sweep takes over and needs 2^dim
         bp = self._bp()
         dim = len(kernel_basis(bp.d1))
+        length = bp.n10 + bp.n01
+        steps = 1 + length + length * (length - 1) // 2
+        assert steps < 1 << (dim - 1)
+        lmd = locally_minimal_distance(bp, budget=1 << (dim - 1))
+        assert lmd == locally_minimal_distance(bp) and lmd.d_lm == 3
+        assert locally_minimal_distance(bp, budget=steps) == lmd
         with pytest.raises(BudgetExceededError) as exc:
-            locally_minimal_distance(bp, budget=1 << (dim - 1))
-        assert (exc.value.required, exc.value.budget) == (1 << dim, 1 << (dim - 1))
+            locally_minimal_distance(bp, budget=steps - 1)
+        assert (exc.value.required, exc.value.budget) == (1 << dim, steps - 1)
 
 
 def test_build_report_sweeps_once(monkeypatch):
