@@ -29,7 +29,6 @@ from .f2 import (
     BitVector,
     gray_sweep,
     kernel_basis,
-    min_preimages,
     min_weight_nonzero,
     rank,
 )
@@ -238,21 +237,47 @@ def _preimage_profile(
     smallest image of weight ``iw`` that has it, and that image's least preimage.
 
     Column ``j`` of ``d2`` joins the left masks ``g_s0.left_masks[j]`` (its
-    V10 part) and ``g_0s.left_masks[j]`` (its V01 part).  One
-    ``min_preimages`` sweep of the ``2^n00`` preimages, checked against the
-    budget before it starts.
+    V10 part) and ``g_0s.left_masks[j]`` (its V01 part).  Each kernel vector
+    of ``kernel_basis(bp.d2)`` is the only one that is 1 at its free column,
+    so every coset of ker d2 has exactly one element that is 0 on the free
+    columns, and the other ``rank`` columns are independent.  One
+    ``gray_sweep`` over those columns, with preimage bit ``j`` packed above
+    the image bits of column ``j``, meets each nonzero image once; its least
+    ``(weight, bits)`` preimage is the least of the ``2^k`` elements of that
+    coset.  No table is kept.  The ``2^rank * 2^k = 2^n00`` preimages the
+    loop visits are checked against the budget before it starts.
     """
     n = bp.n00
     if (1 << n) > budget:
         raise BudgetExceededError(f"2^{n} preimages exceed budget", 1 << n, budget)
-    columns = [a | b << bp.n10 for a, b in zip(bp.g_s0.left_masks, bp.g_0s.left_masks)]
-    profile = {}
-    for image, (w, pre) in min_preimages(columns, budget).items():
+    m = bp.n10 + bp.n01
+    kernel = [v.bits for v in kernel_basis(bp.d2)]
+    free = 0
+    for z in kernel:
+        free |= 1 << (z.bit_length() - 1)
+    vectors = [
+        a | b << bp.n10 | 1 << (m + j)
+        for j, (a, b) in enumerate(zip(bp.g_s0.left_masks, bp.g_0s.left_masks))
+        if not free >> j & 1
+    ]
+    shifts = [z for _, z in gray_sweep(kernel, budget)]  # ker d2 without 0
+    mask = (1 << m) - 1
+    worst = [-1] * (m + 1)  # per image weight; -1 while no image has it
+    witness: list[tuple[int, int] | None] = [None] * (m + 1)
+    for _, cur in gray_sweep(vectors, budget):
+        x = pre = cur >> m
+        w = x.bit_count()
+        for z in shifts:
+            y = x ^ z
+            v = y.bit_count()
+            if v < w or (v == w and y < pre):
+                w, pre = v, y
+        image = cur & mask
         iw = image.bit_count()
-        cur = profile.get(iw)
-        if iw and (cur is None or w > cur[0] or (w == cur[0] and image < cur[1])):
-            profile[iw] = (w, image, pre)
-    return profile
+        if w > worst[iw] or (w == worst[iw] and image < witness[iw][0]):
+            worst[iw] = w
+            witness[iw] = (image, pre)
+    return {iw: (w, *witness[iw]) for iw, w in enumerate(worst) if w >= 0}
 
 
 def soundness_exhaustive(code: CodeInstance, ltp: LTProfile) -> SoundnessReport:

@@ -13,11 +13,17 @@ that use them, after any ``--dry-run`` return, and ``search`` inside
 ``gettext`` and ``locale``) cost about 7 ms of every run; ``summary.csv`` is
 written without ``csv``.  Calls go through the module
 (``analysis.lt_profile(...)``) and ``main`` finds ``cmd_*`` by name at call
-time, so a wrapper installed on a module attribute sees every call.
+time, so a wrapper installed on a module attribute sees every call.  A process
+ends in ``entry``, which calls ``gc.freeze()`` once ``main`` has returned: the
+collections at interpreter shutdown then skip the import-time heap, which
+they would otherwise traverse for about 9 ms of every run (Z12 builds on a
+2-CPU host).  ``main`` itself never freezes, so callers in the same process
+keep normal collection.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
@@ -721,5 +727,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def entry() -> None:
+    """The process entry of ``python -m expander_ltc.cli`` and ``expander-ltc``.
+
+    ``gc.freeze()`` moves every live object into the permanent generation,
+    which the collections at interpreter shutdown skip.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -258,15 +258,3 @@ def min_weight_nonzero(
     w, bits = min((cur.bit_count(), cur) for _, cur in sweep)
     return w, BitVector(basis[0].length, bits)
 
-
-def min_preimages(columns: Sequence[int], budget: int) -> dict[int, tuple[int, int]]:
-    """Every image of the map with these columns, to its least ``(weight, bits)``
-    preimage; ties go to the smaller bits."""
-    least = {0: (0, 0)}
-    for i, image in gray_sweep(columns, budget):
-        bits = i ^ (i >> 1)
-        pre = (bits.bit_count(), bits)
-        cur = least.get(image)
-        if cur is None or pre < cur:
-            least[image] = pre
-    return least

@@ -1,10 +1,11 @@
 """Reference sweeps: one hand-written Gray loop per analysis.
 
-These are the straightforward versions of what ``f2.gray_sweep``,
-``f2.min_preimages`` and the shared per-weight profile replace.  Exact
-soundness and the LT profile each sweep the whole space and keep their own
-table, so they serve as an independent oracle.  The reference for the locally
-minimal distance is ``small_set_reference.reference_locally_minimal_distance``.
+These are the straightforward versions of what ``f2.gray_sweep`` and the
+table-free LT sweep replace.  Exact soundness and the LT profile each sweep
+the whole space and keep their own table, so they serve as an independent
+oracle; ``reference_min_preimages`` is that table for any list of columns.
+The reference for the locally minimal distance is
+``small_set_reference.reference_locally_minimal_distance``.
 """
 
 from fractions import Fraction
@@ -37,6 +38,19 @@ def reference_min_weight_nonzero(basis):
         if best_w is None or w < best_w or (w == best_w and cur < best):
             best_w, best = w, cur
     return best_w, BitVector(basis[0].length, best)
+
+
+def reference_min_preimages(columns):
+    """Every image of the map with these columns, to its least ``(weight, bits)``
+    preimage; ties go to the smaller bits."""
+    least = {0: (0, 0)}
+    for i, image in _gray(columns):
+        bits = i ^ (i >> 1)
+        pre = (bits.bit_count(), bits)
+        cur = least.get(image)
+        if cur is None or pre < cur:
+            least[image] = pre
+    return least
 
 
 def reference_soundness_exhaustive(code) -> SoundnessReport:

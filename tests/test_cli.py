@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
 import hashlib
 import inspect
 import json
@@ -339,6 +340,67 @@ def test_deterministic_output_bytes_are_pinned(name, tmp_path):
     }
     changed = sorted(f for f in expected.keys() | got.keys() if expected.get(f) != got.get(f))
     assert not changed, f"{name}: output bytes changed in {changed}"
+
+
+class TestProcessEntry:
+    """``cli.entry`` freezes the heap at exit; ``main`` never does."""
+
+    @staticmethod
+    def _env():
+        src = str(Path(expander_ltc.__file__).resolve().parent.parent)
+        return {**os.environ, "PYTHONPATH": src}
+
+    def test_main_keeps_normal_collection(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        before = gc.get_freeze_count()
+        assert main(["build", "--config", cfg, "--dry-run"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_entry_freezes_after_main(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        script = (
+            "import gc, sys\n"
+            "from expander_ltc import cli\n"
+            f"sys.argv = ['expander-ltc', 'build', '--config', {cfg!r}, '--dry-run']\n"
+            "try:\n"
+            "    cli.entry()\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=self._env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 True"
+
+    def test_console_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert scripts == {"expander-ltc": "expander_ltc.cli:entry"}
+
+    def test_module_run_writes_the_in_process_bytes(self, tmp_path):
+        config = PINNED_OUTPUTS["Z8"][0]
+        cfg = write_config(tmp_path, {**config, "c_x": "1/2", "c_y": "1/2"})
+        inproc, child = tmp_path / "inproc", tmp_path / "child"
+        assert main(["build", "--config", cfg, "--out", str(inproc), "--deterministic"]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "expander_ltc.cli", "build", "--config", cfg,
+             "--out", str(child), "--deterministic"],
+            capture_output=True, text=True, env=self._env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+        def files(out):
+            return {
+                p.relative_to(out).as_posix(): p.read_bytes()
+                for p in out.rglob("*") if p.is_file()
+            }
+
+        got = files(child)
+        assert "report.json" in got and got == files(inproc)
 
 
 class TestVerify:

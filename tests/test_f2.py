@@ -11,12 +11,11 @@ from expander_ltc.f2 import (
     BitMatrix,
     BitVector,
     kernel_basis,
-    min_preimages,
     min_weight_nonzero,
     rank,
 )
 
-from sweep_reference import column_bits
+from sweep_reference import column_bits, reference_min_preimages
 
 
 def random_matrix(rows, cols, rng):
@@ -151,7 +150,7 @@ class TestNearestCodeword:
 
     @staticmethod
     def _distance(h, x):
-        least = min_preimages([column_bits(h, j) for j in range(h.cols)], 1 << h.cols)
+        least = reference_min_preimages([column_bits(h, j) for j in range(h.cols)])
         return least[h.mul_vec(x).bits][0]
 
     def test_codeword_distance_zero(self):

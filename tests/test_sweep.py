@@ -1,6 +1,7 @@
-"""The Gray-sweep kernel and the shared min-preimage profile against the references."""
+"""The Gray-sweep kernel and the table-free LT sweep against the references."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from expander_ltc.f2 import (
     BitVector,
     gray_sweep,
     kernel_basis,
-    min_preimages,
     min_weight_nonzero,
     rank,
 )
@@ -32,6 +32,7 @@ from small_set_reference import reference_locally_minimal_distance
 from sweep_reference import (
     column_bits,
     reference_lt_profile,
+    reference_min_preimages,
     reference_min_weight_nonzero,
     reference_soundness_exhaustive,
 )
@@ -72,8 +73,23 @@ def _layered():
     return balanced_product(x, y, ax, ay)
 
 
+def _layered_kernel_dim_3():
+    """The first seeded ``_random_layered`` draw whose ``d2`` has a kernel of
+    dimension 3 or more."""
+    rng = random.Random(5)
+    while len(kernel_basis((bp := _random_layered(rng)).d2)) < 3:
+        pass
+    return bp
+
+
+# the LT sweep takes each image's least preimage over the 2^k elements of its
+# coset of ker d2, so these cover k = 0 (Z5, Z8-125-137), k = 1 (the
+# [1,2]/[1,3] ladder) and k >= 2 (the layered products)
 COMPLEXES = {
     "Z5": lambda: left_right_cayley(make_cyclic(5), [1], [1, 2]),
+    "Z8-125-137": lambda: left_right_cayley(make_cyclic(8), [1, 2, 5], [1, 3, 7]),
+    "Z12": lambda: left_right_cayley(make_cyclic(12), [1, 2], [1, 3]),
+    "layered-random": _layered_kernel_dim_3,
     "Z6": lambda: left_right_cayley(make_cyclic(6), [1, 2], [1, 3]),
     "Z7": lambda: left_right_cayley(make_cyclic(7), [1, 2], [1, 3]),
     "Z8": lambda: left_right_cayley(make_cyclic(8), [1, 2], [1, 3]),
@@ -116,7 +132,7 @@ class TestGraySweep:
                         image ^= c
                 pre = (bits.bit_count(), bits)
                 expected[image] = min(expected.get(image, pre), pre)
-            assert min_preimages(columns, 1 << len(columns)) == expected
+            assert reference_min_preimages(columns) == expected
 
 
 class TestRandomCodes:
@@ -148,7 +164,7 @@ class TestRandomCodes:
             ]
             leader = min((v.bit_count(), v) for v in coset)
             columns = [column_bits(code.h, j) for j in range(code.n)]
-            assert min_preimages(columns, 1 << code.n)[syndrome] == leader
+            assert reference_min_preimages(columns)[syndrome] == leader
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
@@ -160,6 +176,13 @@ def test_complex_matches_references(name):
     snd = soundness_exhaustive(code, lt_profile(bp, code.m))
     assert snd == reference_soundness_exhaustive(code)
     assert locally_minimal_distance(bp) == reference_locally_minimal_distance(bp)
+
+
+def test_complexes_cover_each_kernel_dimension():
+    dims = {name: len(kernel_basis(make().d2)) for name, make in COMPLEXES.items()}
+    assert dims["Z5"] == dims["Z8-125-137"] == 0
+    assert dims["Z8"] == dims["Z12"] == 1
+    assert dims["Z6-layered"] == 2 and dims["layered-random"] >= 3
 
 
 class TestBudgets:
@@ -191,13 +214,26 @@ class TestBudgets:
 
 def test_build_report_sweeps_once(monkeypatch):
     calls = []
+    profile = analysis._preimage_profile
 
-    def counting(columns, budget):
-        calls.append(len(columns))
-        return min_preimages(columns, budget)
+    def counting(bp, budget):
+        calls.append(bp.n00)
+        return profile(bp, budget)
 
-    monkeypatch.setattr(analysis, "min_preimages", counting)
+    monkeypatch.setattr(analysis, "_preimage_profile", counting)
     bp = left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
     report = build_report(bp, Fraction(1, 2), Fraction(1, 2), run_small_set=False)
     assert report["soundness"]["method"] == "exhaustive"
     assert calls == [bp.n00]
+
+
+def test_lt_sweep_keeps_no_table():
+    # a table of least preimages would hold 2^rank = 2^15 images here
+    bp = left_right_cayley(make_cyclic(16), [1, 2], [1, 3])
+    tracemalloc.start()
+    try:
+        lt_profile(bp, bp.n10 + bp.n01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
