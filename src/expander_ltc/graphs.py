@@ -261,22 +261,25 @@ def _scan_subsets(
     """Exact depth-first scan of the left subsets of sizes ``1..kmax``.
 
     Only subsets whose smallest vertex is in ``starts`` are visited.  Each
-    subset extends its prefix by one vertex, so the prefix's neighbor masks
-    are carried down instead of recomputed: ``once`` holds the right vertices
-    with exactly one neighbor in the subset, ``more`` those with two or more.
-    The score is ``|N(S)| = |once | more|``, or ``|once|`` (the unique
-    neighbors) when ``unique`` is set.  Depth-first order visits the subsets of
-    each size in lexicographic order.
+    subset extends its prefix by one vertex, so what the prefix's neighbor
+    masks give is carried down instead of recomputed, and each visited subset
+    reads one mask.  The score is ``|N(S)|`` or, when ``unique`` is set, the
+    number of unique neighbors.  The ``|N(S)|`` walk carries ``union =
+    N(prefix)`` and scores ``|union | masks[j]|``.  The unique walk carries
+    ``once``, the right vertices with exactly one neighbor in the subset, and
+    ``more``, those with two or more, and scores ``|once|``.  Depth-first
+    order visits the subsets of each size in lexicographic order.
 
     Returns three lists indexed by size ``k`` (index 0 unused): the least
     score, the first subset reaching it, and the first subset scoring below
-    ``below[k]`` together with its score.  Once a subset scores below
-    ``below``, only smaller sizes are scanned further, so only the smallest
-    size with such a subset is final.
+    ``below[k]`` together with its score.  ``below`` applies to the unique
+    walk only.  Once a subset scores below it, only smaller sizes are scanned
+    further, so only the smallest size with such a subset is final.
 
-    For ``|N(S)|`` the scan is a branch-and-bound: with ``cap[k]`` the largest
-    of ``least[k+1..kmax]``, a size-``k`` subset ``P`` scoring at least
-    ``cap[k]`` is not extended.  The result is still that of the full scan:
+    The ``|N(S)|`` walk is a branch-and-bound: with ``cap[k]`` the largest of
+    ``least[k+1..kmax]`` (0 at ``kmax``), a size-``k`` subset ``P`` scoring at
+    least ``cap[k]`` is not extended.  The result is still that of the full
+    scan:
 
     - ``S`` containing ``P`` has ``N(S)`` containing ``N(P)``, so every
       extension of ``P`` scores at least ``|N(P)|``, hence at least
@@ -285,23 +288,45 @@ def _scan_subsets(
     - Depth-first order visits each size in lexicographic order, so every
       subset below ``P`` comes after ``least_at[k']``; an equal score would
       not replace it.
-    - A skipped subset scores at least ``least[k']``.  If some visited
-      subset scored below ``below[k']``, ``hit[k']`` is already set;
-      otherwise ``least[k'] >= below[k']`` and the skipped one is no hit.
 
-    Hence ``least``, ``least_at`` and ``hit`` equal the full scan's.  Until
-    every larger size has a score, ``least`` holds a sentinel above any score
-    and nothing is skipped.  Unique-neighbor counts are not monotone in
-    ``S``, so with ``unique`` set every subset is visited.
+    Hence ``least`` and ``least_at`` equal the full scan's.  Until every
+    larger size has a score, ``least`` holds a sentinel above any score and
+    nothing is skipped.  Unique-neighbor counts are not monotone in ``S``,
+    so the unique walk visits every subset up to its early stop.
     """
     n = len(masks)
     sentinel = max(masks, default=0).bit_length() + 1  # above any score
     least = [sentinel] * (kmax + 1)
     least_at: list[tuple[int, ...] | None] = [None] * (kmax + 1)
     hit: list[tuple[tuple[int, ...], int] | None] = [None] * (kmax + 1)
-    cap = [sentinel] * kmax + [0]  # cap[k] = max(least[k+1..kmax])
-    limit = kmax
+    if kmax < 1:
+        return least, least_at, hit
     prefix: list[int] = []
+    if not unique:
+        if below is not None:
+            raise InvalidParameterError("below applies to the unique walk only")
+        cap = [sentinel] * kmax + [0]  # cap[k] = max(least[k+1..kmax])
+
+        def widen(candidates: Iterable[int], union: int, k: int) -> None:
+            for j in candidates:
+                union_j = union | masks[j]
+                score = union_j.bit_count()
+                if score < least[k]:
+                    least[k] = score
+                    least_at[k] = (*prefix, j)
+                    for i in range(k - 1, 0, -1):
+                        cap[i] = max(cap[i + 1], least[i + 1])
+                if score < cap[k]:
+                    prefix.append(j)
+                    widen(range(j + 1, n), union_j, k + 1)
+                    prefix.pop()
+
+        widen(starts, 0, 1)
+        return least, least_at, hit
+
+    if below is None:
+        below = [0] * (kmax + 1)  # no count is below 0
+    limit = kmax
 
     def extend(candidates: Iterable[int], once: int, more: int, k: int) -> None:
         nonlocal limit
@@ -309,24 +334,21 @@ def _scan_subsets(
             m = masks[j]
             more_j = more | (once & m)
             once_j = (once | m) & ~more_j
-            score = once_j.bit_count() if unique else (once_j | more_j).bit_count()
+            score = once_j.bit_count()
             if score < least[k]:
                 least[k] = score
                 least_at[k] = (*prefix, j)
-                for i in range(k - 1, 0, -1):
-                    cap[i] = max(cap[i + 1], least[i + 1])
-            if below is not None and score < below[k] and hit[k] is None:
+            if score < below[k] and hit[k] is None:
                 hit[k] = ((*prefix, j), score)
                 limit = k - 1
-            if k < limit and (unique or score < cap[k]):
+            if k < limit:
                 prefix.append(j)
                 extend(range(j + 1, n), once_j, more_j, k + 1)
                 prefix.pop()
             elif k > limit:
                 return
 
-    if kmax >= 1:
-        extend(starts, 0, 0, 1)
+    extend(starts, 0, 0, 1)
     return least, least_at, hit
 
 
@@ -382,10 +404,23 @@ def check_unique_neighbor_lemma(
     for certified expanders) and returns the first counterexample in order of
     size, then lexicographic order.  Otherwise the result carries the first
     subset in that order with the least ``|unique(v0)| / |v0|``.  An
-    ``action`` is checked and used as in ``certify_expansion``.
+    ``action`` is checked and used as in ``certify_expansion``.  A
+    certificate whose ``w0`` is not the graph's left degree, or whose
+    ``max_checked_size`` is not that of ``cert.c`` on this graph, was made
+    for another graph and raises ``InvalidParameterError``.
     """
-    bound_coeff = (1 - 2 * cert.epsilon) * cert.w0
-    kmax = cert.max_checked_size
+    w0 = check_regularity(x).w0
+    if cert.w0 != w0:
+        raise InvalidParameterError(
+            f"certificate has left degree {cert.w0}, the graph {w0}"
+        )
+    kmax = _strict_floor(Fraction(cert.c) * x.v0_size)
+    if cert.max_checked_size != kmax:
+        raise InvalidParameterError(
+            f"certificate checked sizes up to {cert.max_checked_size}, but c = "
+            f"{cert.c} on {x.v0_size} left vertices covers sizes up to {kmax}"
+        )
+    bound_coeff = (1 - 2 * cert.epsilon) * w0
     # an integer count u has u < bound_coeff * k exactly when u < ceil(...)
     below = [ceil(bound_coeff * k) for k in range(kmax + 1)]
     least, least_at, hit = _scan_subsets(

@@ -31,7 +31,7 @@ SUBSET_BUDGET = 2_000_000
 
 def random_generating_set(g: FiniteGroup, size: int, rng: random.Random) -> list[int]:
     """A duplicate-free random subset of group elements of the given size."""
-    if size > g.order:
+    if not 0 <= size <= g.order:
         raise InvalidParameterError(
             f"cannot draw {size} distinct generators from order {g.order}"
         )

@@ -1,9 +1,10 @@
 """Reference symmetry checks: every group element, one at a time.
 
-``groups.check_action_axioms`` and ``graphs.check_invariance`` prove their
-claims from a generating set.  These are the exhaustive versions they
-replace: the action law on every pair of elements and every point, and
-every element against every edge, so they serve as an independent oracle.
+``groups.check_group_axioms``, ``groups.check_action_axioms`` and
+``graphs.check_invariance`` prove their claims from a generating set.  These
+are the exhaustive versions they replace: associativity on every triple, the
+action law on every pair of elements and every point, and every element
+against every edge, so they serve as an independent oracle.
 
 Also the fixtures the symmetry tests build on and no command uses: left
 Cayley graphs, the trivial action and subgroups acting on their group.
@@ -14,6 +15,24 @@ from typing import Sequence
 from expander_ltc.errors import InvalidParameterError
 from expander_ltc.graphs import BipartiteGraph, _check_generators
 from expander_ltc.groups import FiniteGroup, GroupAction, _maybe_check
+
+
+def reference_group_axioms(g: FiniteGroup) -> None:
+    """Identity, inverses and ``(ab)c = a(bc)`` for every triple; raises
+    ``InvalidParameterError`` otherwise."""
+    n, t, e = g.order, g.table, g.identity
+    for a in range(n):
+        if t[e][a] != a or t[a][e] != a:
+            raise InvalidParameterError(f"identity axiom fails at element {a}")
+        if t[a][g.inverse[a]] != e or t[g.inverse[a]][a] != e:
+            raise InvalidParameterError(f"inverse axiom fails at element {a}")
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    raise InvalidParameterError(
+                        f"associativity fails on triple ({a}, {b}, {c})"
+                    )
 
 
 def reference_action_axioms(a) -> None:

@@ -227,6 +227,20 @@ class TestUniqueNeighborLemma:
         ok, _ = check_unique_neighbor_lemma(x, cert)
         assert ok
 
+    def test_certificate_of_smaller_group_rejected(self):
+        # same left degree, but the Z12 certificate covers sizes up to 5 and
+        # c = 1/2 on Z4 covers only size 1
+        cert = certify_expansion(cayley_right(make_cyclic(12), [1, 2]), Fraction(1, 2))
+        assert cert.max_checked_size == 5
+        with pytest.raises(InvalidParameterError, match="sizes up to 5"):
+            check_unique_neighbor_lemma(cayley_right(make_cyclic(4), [1, 2]), cert)
+
+    def test_certificate_of_other_degree_rejected(self):
+        g = make_cyclic(12)
+        cert = certify_expansion(cayley_right(g, [1, 2]), Fraction(1, 2))
+        with pytest.raises(InvalidParameterError, match="left degree 2, the graph 3"):
+            check_unique_neighbor_lemma(cayley_right(g, [1, 2, 5]), cert)
+
 
 class TestEdgeCountLemma:
     def test_empty_v1(self):
@@ -412,16 +426,29 @@ class TestSubsetKernel:
                 self.reads += 1
                 return super().__getitem__(i)
 
-        _, x, action, c = PRUNING_CASES[0]
-        kmax = graphs._strict_floor(c * x.v0_size)
-        masks = CountingMasks(x.left_masks)
-        graphs._scan_subsets(masks, kmax, graphs._scan_starts(x, action), unique)
-        full = sum(comb(15, k - 1) for k in range(1, kmax + 1))  # all S with min 0
-        assert full == 9949
-        if unique:  # unique-neighbor counts are not monotone: no pruning
-            assert masks.reads == full
-        else:
-            assert masks.reads < full // 4
+        # the |N(S)| walk's reads on each case, as first measured with the
+        # (once, more) walk: carrying the prefix union visits the same subsets
+        union_reads = {
+            "search-Z16-0x": 1956, "search-Z16-1x": 1909, "search-Z16-1y": 2379,
+            "search-Z16-3y": 1687, "search-Z16-4y": 1420, "search-Z16-8y": 2498,
+            "search-Z16-9y": 2464, "layered-Z8-2x3-c1/2": 285,
+        }
+        assert sorted(union_reads) == sorted(case[0] for case in PRUNING_CASES)
+        for name, x, action, c in PRUNING_CASES:
+            kmax = graphs._strict_floor(c * x.v0_size)
+            starts = graphs._scan_starts(x, action)
+            masks = CountingMasks(x.left_masks)
+            graphs._scan_subsets(masks, kmax, starts, unique)
+            # every S whose least vertex is a start
+            full = sum(
+                comb(x.v0_size - 1 - s, k - 1) for s in starts for k in range(1, kmax + 1)
+            )
+            if name.startswith("search-"):  # one orbit: vertex 0 starts every S
+                assert full == 9949
+            if unique:  # unique-neighbor counts are not monotone: no pruning
+                assert masks.reads == full, name
+            else:
+                assert masks.reads == union_reads[name], name
 
     def test_counterexample_found(self):
         x = cayley_right(make_cyclic(10), [1, 3])

@@ -49,6 +49,11 @@ class TestRandomCayley:
         with pytest.raises(InvalidParameterError):
             random_cayley(make_cyclic(3), 4, seed=0)
 
+    @pytest.mark.parametrize("size", [-1, -5])
+    def test_negative_size_rejected(self, size):
+        with pytest.raises(InvalidParameterError, match=f"cannot draw {size} "):
+            search.random_generating_set(make_cyclic(5), size, random.Random(0))
+
 
 class TestLayeredCayley:
     def test_degree_profile(self):

@@ -13,6 +13,7 @@ from expander_ltc.groups import (
     GroupAction,
     block_action,
     check_action_axioms,
+    check_group_axioms,
     left_regular_action,
     make_cyclic,
     make_direct_product,
@@ -24,6 +25,7 @@ from products_reference import s3
 from symmetry_reference import (
     cayley_left,
     reference_action_axioms,
+    reference_group_axioms,
     reference_invariance,
     subgroup,
 )
@@ -105,6 +107,32 @@ def test_action_proof_rejects_corrupted_tables(a, corruption, data):
     # check_invariance proves its actions first, whatever the graph
     x = BipartiteGraph(a.set_size, a.set_size, [(u, u) for u in range(a.set_size)])
     assert _verdict(check_invariance, x, broken, broken) == "rejected"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(GROUPS)), st.booleans(), st.data())
+def test_light_associativity_agrees_with_the_cubic_check(name, corrupt, data):
+    g = GROUPS[name]
+    if corrupt:
+        # an entry off the identity's row and column that is not the identity,
+        # changed to another non-identity element: the identity and inverse
+        # axioms still hold, so only associativity can reject the table
+        e = g.identity
+        cells = [
+            (a, b) for a in g.elements() for b in g.elements()
+            if e not in (a, b, g.table[a][b])
+        ]
+        assume(cells)
+        a, b = data.draw(st.sampled_from(cells))
+        v = data.draw(st.sampled_from(
+            [v for v in g.elements() if v not in (e, g.table[a][b])]
+        ))
+        table = [list(row) for row in g.table]
+        table[a][b] = v
+        g = g._replace(table=tuple(map(tuple, table)))
+    verdict = _verdict(check_group_axioms, g)
+    assert verdict == _verdict(reference_group_axioms, g)
+    assert (verdict == "rejected") == corrupt
 
 
 def _invariant_graphs(g, seed):
