@@ -100,10 +100,6 @@ class C1Vector(namedtuple("C1Vector", [
     __slots__ = ()
 
     @classmethod
-    def zero(cls, bp: BalancedProductComplex) -> "C1Vector":
-        return cls(BitVector(bp.n10), BitVector(bp.n01))
-
-    @classmethod
     def from_supports(
         cls, bp: BalancedProductComplex, s10: Iterable[int], s01: Iterable[int]
     ) -> "C1Vector":
@@ -127,12 +123,6 @@ class C1Vector(namedtuple("C1Vector", [
             self.v10.length + self.v01.length,
             self.v10.bits | (self.v01.bits << self.v10.length),
         )
-
-    def weight(self) -> int:
-        return self.v10.weight() + self.v01.weight()
-
-    def is_zero(self) -> bool:
-        return self.v10.bits == 0 and self.v01.bits == 0
 
 
 def weighted_norm(c1: C1Vector, bp: BalancedProductComplex) -> Fraction:
@@ -224,11 +214,6 @@ class SoundnessReport(namedtuple("SoundnessReport", [
 
     __slots__ = ()
 
-    def ratio_of(self, code: CodeInstance) -> Fraction:
-        syn = code.h.mul_vec(self.witness)
-        dist = self.witness.weight()  # witness is stored as a coset leader
-        return Fraction(syn.weight() * code.n, code.m * dist)
-
 
 def _preimage_profile(
     bp: BalancedProductComplex, budget: int
@@ -313,15 +298,12 @@ def soundness_exhaustive(code: CodeInstance, ltp: LTProfile) -> SoundnessReport:
 class LocallyMinimalDistance(namedtuple("LocallyMinimalDistance", [
     "d_lm",  # int | None
     "witness",  # C1Vector | None
-    "weighted_min",  # Fraction | None
 ])):
     """Minimum plain weight over nonzero weighted-locally-minimal kernel vectors.
 
-    ``d_lm is None`` signals that no such vector exists.  ``witness`` is a
-    vector of weight ``d_lm`` with the least weighted norm, ``weighted_min``;
-    of several such, the first in the Gray order of ``gray_sweep`` over
-    ``kernel_basis(bp.d1)``.  The record does not depend on which loop of
-    ``locally_minimal_distance`` found it.
+    ``d_lm is None`` signals that no such vector exists.  ``witness`` is the
+    vector of weight ``d_lm`` with the least weighted norm, then the least
+    stacked bits, whichever loop of ``locally_minimal_distance`` ran.
     """
 
     __slots__ = ()
@@ -333,15 +315,6 @@ class LocallyMinimalDistance(namedtuple("LocallyMinimalDistance", [
 _SUBSET_STEPS = 3
 
 
-def _gray_rank(code: int) -> int:
-    """The step ``i`` of ``gray_sweep`` whose Gray code ``i ^ (i >> 1)`` is ``code``."""
-    i = 0
-    while code:
-        i ^= code
-        code >>= 1
-    return i
-
-
 def locally_minimal_distance(
     bp: BalancedProductComplex, budget: int = DEFAULT_ENUM_BUDGET
 ) -> LocallyMinimalDistance:
@@ -351,11 +324,7 @@ def locally_minimal_distance(
     ``S`` of the c1 positions, in ``itertools.combinations`` order, each
     completed by a position above ``max S`` whose ``d1`` column equals the
     syndrome of ``S``; a dict from each column to its positions finds them.
-    Each is tested with ``is_locally_minimal``, and the first weight that has
-    a minimal vector is ``d_lm``.  Its witness is the least by weighted norm,
-    then by the step at which ``gray_sweep`` over ``kernel_basis(bp.d1)``
-    reaches it, which is how the sweep below breaks ties: the vector's bits at
-    the basis's free columns are that step's Gray code.
+    The first weight that has a locally minimal vector is ``d_lm``.
 
     One subset is one step of the budget.  A weight whose subsets would take
     the count past ``budget``, or past ``2^dim / _SUBSET_STEPS`` when the
@@ -363,72 +332,66 @@ def locally_minimal_distance(
     kernel vectors, which checks ``2^dim <= budget`` itself.  So the budget
     counts the loop that runs.  A search that hands off has spent at most
     ``2^dim / _SUBSET_STEPS`` subsets first, about as long as the sweep
-    itself, so it takes up to about twice the sweep.
+    itself, so it takes up to about twice the sweep.  Both loops pick the
+    witness with ``_least_minimal``.
     """
     basis = [v.bits for v in kernel_basis(bp.d1)]
     sweep = 1 << len(basis)
     limit = budget if sweep > budget else sweep // _SUBSET_STEPS
     columns = bp.g_1s.left_masks + bp.g_s1.left_masks  # d1's, by stacked position
-    length = len(columns)
     positions: dict[int, list[int]] = {}
     for j, column in enumerate(columns):
         positions.setdefault(column, []).append(j)
-    # basis vector k is 1 at its free column, its highest bit, and 0 at the
-    # other basis vectors' free columns
-    free = [b.bit_length() - 1 for b in basis]
-    wd, wr = bp.w_down, bp.w_right
-    steps = 0
-    for w in range(1, length + 1):
-        steps += math.comb(length, w - 1)
-        if steps > limit:
-            break
-        best = None
-        for prefix in itertools.combinations(range(length), w - 1):
+
+    def completions(w: int) -> Iterator[tuple[int, int]]:
+        for prefix in itertools.combinations(range(len(columns)), w - 1):
             syndrome = bits = 0
             for i in prefix:
                 syndrome ^= columns[i]
                 bits |= 1 << i
             above = prefix[-1] if prefix else -1
             for j in positions.get(syndrome, ()):
-                if j <= above:
-                    continue
-                cur = bits | 1 << j
-                c1 = C1Vector.from_stacked(bp, BitVector(length, cur))
-                if not is_locally_minimal(c1, bp)[0]:
-                    continue
-                code = 0
-                for k, f in enumerate(free):
-                    code |= (cur >> f & 1) << k
-                key = (c1.v10.weight() * wr + c1.v01.weight() * wd, _gray_rank(code))
-                if best is None or key < best[0]:
-                    best = (key, c1)
-        if best is not None:
-            c1 = best[1]
-            return LocallyMinimalDistance(
-                d_lm=w, witness=c1, weighted_min=weighted_norm(c1, bp)
-            )
-    return _locally_minimal_sweep(bp, basis, budget)
+                if j > above:
+                    yield w, bits | 1 << j
+
+    steps = 0
+    for w in range(1, len(columns) + 1):
+        steps += math.comb(len(columns), w - 1)
+        if steps > limit:
+            break
+        lmd = _least_minimal(bp, completions(w))
+        if lmd.d_lm is not None:
+            return lmd
+    return _least_minimal(bp, gray_sweep(basis, budget))
 
 
-def _locally_minimal_sweep(
-    bp: BalancedProductComplex, basis: list[int], budget: int
+def _least_minimal(
+    bp: BalancedProductComplex, candidates: Iterable[tuple[int, int]]
 ) -> LocallyMinimalDistance:
-    """``locally_minimal_distance`` over every nonzero kernel vector, in Gray order."""
-    best_w: int | None = None
-    best: C1Vector | None = None
-    best_norm: Fraction | None = None
-    length = bp.n10 + bp.n01
-    for _, cur in gray_sweep(basis, budget):
+    """The least ``(weight, w_right |v10| + w_down |v01|, bits)`` over the
+    locally minimal stacked vectors ``cur`` of the ``(_, cur)`` pairs of
+    ``candidates``, which is how ``gray_sweep`` yields them.
+
+    The middle term is the weighted norm times ``w_down * w_right``.  Only a
+    candidate below the least so far is tested.
+    """
+    n10, wd, wr = bp.n10, bp.w_down, bp.w_right
+    length, mask10 = n10 + bp.n01, (1 << n10) - 1
+    best = None
+    bound = length  # the weight of best, once there is one
+    for _, cur in candidates:
         w = cur.bit_count()
-        if best_w is not None and w > best_w:
+        if w > bound:
             continue
-        c1 = C1Vector.from_stacked(bp, BitVector(length, cur))
-        if not is_locally_minimal(c1, bp)[0]:
+        key = (w, (cur & mask10).bit_count() * wr + (cur >> n10).bit_count() * wd, cur)
+        if best is not None and key > best:
             continue
-        norm = weighted_norm(c1, bp)
-        if best_w is None or w < best_w or (w == best_w and norm < best_norm):
-            best_w, best, best_norm = w, c1, norm
-    return LocallyMinimalDistance(d_lm=best_w, witness=best, weighted_min=best_norm)
+        if is_locally_minimal(C1Vector.from_stacked(bp, BitVector(length, cur)), bp)[0]:
+            best, bound = key, w
+    if best is None:
+        return LocallyMinimalDistance(d_lm=None, witness=None)
+    witness = C1Vector.from_stacked(bp, BitVector(length, best[2]))
+    return LocallyMinimalDistance(d_lm=best[0], witness=witness)
 
 
 class LTProfile(namedtuple("LTProfile", [

@@ -24,6 +24,8 @@ class BitVector(namedtuple("BitVector", [
     __slots__ = ()
 
     def __new__(cls, length: int, bits: int = 0) -> "BitVector":
+        if length < 0:
+            raise InvalidParameterError(f"negative vector length {length}")
         if bits < 0 or bits >> length:
             raise InvalidParameterError("bits outside of vector length")
         return super().__new__(cls, length, bits)
@@ -36,14 +38,6 @@ class BitVector(namedtuple("BitVector", [
                 raise InvalidParameterError(f"index {i} outside length {length}")
             bits |= 1 << i
         return cls(length, bits)
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[int]) -> "BitVector":
-        bits = 0
-        for i, e in enumerate(entries):
-            if e & 1:
-                bits |= 1 << i
-        return cls(len(entries), bits)
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -85,25 +79,6 @@ class BitMatrix:
                 if r < 0 or (cols < r.bit_length()):
                     raise InvalidParameterError("row exceeds column count")
             self.row_bits = list(row_bits)
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        bits = []
-        for row in entries:
-            if len(row) != cols:
-                raise InvalidParameterError("ragged matrix")
-            b = 0
-            for j, e in enumerate(row):
-                if e & 1:
-                    b |= 1 << j
-            bits.append(b)
-        return cls(rows, cols, bits)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
 
     def set(self, i: int, j: int, value: int) -> None:
         if value & 1:
@@ -164,9 +139,6 @@ class BitMatrix:
                 out.append((i, j))
                 rr &= rr - 1
         return out
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, list(self.row_bits))
 
     def __eq__(self, other) -> bool:
         return (

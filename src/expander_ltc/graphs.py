@@ -247,36 +247,19 @@ def _scan_starts(x: BipartiteGraph, action: GraphAction | None) -> range | list[
     return [u for u in range(x.v0_size) if all(row[u] >= u for row in rows)]
 
 
-def _scan_subsets(
-    masks: Sequence[int],
-    kmax: int,
-    starts: Iterable[int],
-    unique: bool = False,
-    below: Sequence[int] | None = None,
-) -> tuple[
-    list[int],
-    list[tuple[int, ...] | None],
-    list[tuple[tuple[int, ...], int] | None],
-]:
-    """Exact depth-first scan of the left subsets of sizes ``1..kmax``.
+def _least_union(
+    masks: Sequence[int], kmax: int, starts: Iterable[int]
+) -> tuple[list[int], list[tuple[int, ...] | None]]:
+    """Exact depth-first scan of ``|N(S)|`` over the left subsets of sizes
+    ``1..kmax`` whose smallest vertex is in ``starts``.
 
-    Only subsets whose smallest vertex is in ``starts`` are visited.  Each
-    subset extends its prefix by one vertex, so what the prefix's neighbor
-    masks give is carried down instead of recomputed, and each visited subset
-    reads one mask.  The score is ``|N(S)|`` or, when ``unique`` is set, the
-    number of unique neighbors.  The ``|N(S)|`` walk carries ``union =
-    N(prefix)`` and scores ``|union | masks[j]|``.  The unique walk carries
-    ``once``, the right vertices with exactly one neighbor in the subset, and
-    ``more``, those with two or more, and scores ``|once|``.  Depth-first
-    order visits the subsets of each size in lexicographic order.
+    Returns two lists indexed by size ``k`` (index 0 unused): the least
+    ``|N(S)|`` and the first subset reaching it.  Each subset extends its
+    prefix by one vertex and reads one mask: the walk carries ``union =
+    N(prefix)`` and scores ``|union | masks[j]|``.  Depth-first order visits
+    the subsets of each size in lexicographic order.
 
-    Returns three lists indexed by size ``k`` (index 0 unused): the least
-    score, the first subset reaching it, and the first subset scoring below
-    ``below[k]`` together with its score.  ``below`` applies to the unique
-    walk only.  Once a subset scores below it, only smaller sizes are scanned
-    further, so only the smallest size with such a subset is final.
-
-    The ``|N(S)|`` walk is a branch-and-bound: with ``cap[k]`` the largest of
+    The walk is a branch-and-bound: with ``cap[k]`` the largest of
     ``least[k+1..kmax]`` (0 at ``kmax``), a size-``k`` subset ``P`` scoring at
     least ``cap[k]`` is not extended.  The result is still that of the full
     scan:
@@ -289,43 +272,57 @@ def _scan_subsets(
       subset below ``P`` comes after ``least_at[k']``; an equal score would
       not replace it.
 
-    Hence ``least`` and ``least_at`` equal the full scan's.  Until every
-    larger size has a score, ``least`` holds a sentinel above any score and
-    nothing is skipped.  Unique-neighbor counts are not monotone in ``S``,
-    so the unique walk visits every subset up to its early stop.
+    Until every larger size has a score, ``least`` holds a sentinel above
+    any score and nothing is skipped.
     """
     n = len(masks)
     sentinel = max(masks, default=0).bit_length() + 1  # above any score
     least = [sentinel] * (kmax + 1)
     least_at: list[tuple[int, ...] | None] = [None] * (kmax + 1)
-    hit: list[tuple[tuple[int, ...], int] | None] = [None] * (kmax + 1)
-    if kmax < 1:
-        return least, least_at, hit
+    cap = [sentinel] * kmax + [0]  # cap[k] = max(least[k+1..kmax])
     prefix: list[int] = []
-    if not unique:
-        if below is not None:
-            raise InvalidParameterError("below applies to the unique walk only")
-        cap = [sentinel] * kmax + [0]  # cap[k] = max(least[k+1..kmax])
 
-        def widen(candidates: Iterable[int], union: int, k: int) -> None:
-            for j in candidates:
-                union_j = union | masks[j]
-                score = union_j.bit_count()
-                if score < least[k]:
-                    least[k] = score
-                    least_at[k] = (*prefix, j)
-                    for i in range(k - 1, 0, -1):
-                        cap[i] = max(cap[i + 1], least[i + 1])
-                if score < cap[k]:
-                    prefix.append(j)
-                    widen(range(j + 1, n), union_j, k + 1)
-                    prefix.pop()
+    def widen(candidates: Iterable[int], union: int, k: int) -> None:
+        for j in candidates:
+            union_j = union | masks[j]
+            score = union_j.bit_count()
+            if score < least[k]:
+                least[k] = score
+                least_at[k] = (*prefix, j)
+                for i in range(k - 1, 0, -1):
+                    cap[i] = max(cap[i + 1], least[i + 1])
+            if score < cap[k]:
+                prefix.append(j)
+                widen(range(j + 1, n), union_j, k + 1)
+                prefix.pop()
 
+    if kmax > 0:
         widen(starts, 0, 1)
-        return least, least_at, hit
+    return least, least_at
 
-    if below is None:
-        below = [0] * (kmax + 1)  # no count is below 0
+
+def _least_unique(
+    masks: Sequence[int], kmax: int, starts: Iterable[int], below: Sequence[int]
+) -> tuple[
+    list[int],
+    list[tuple[int, ...] | None],
+    list[tuple[tuple[int, ...], int] | None],
+]:
+    """Depth-first scan of the unique-neighbor counts, as ``_least_union``
+    but with no bound: the counts are not monotone in ``S``.
+
+    The walk carries ``once``, the right vertices with exactly one neighbor in
+    the subset, and ``more``, those with two or more, and scores ``|once|``.
+    Besides the least count and the first subset reaching it, a third list
+    holds the first subset scoring below ``below[k]`` with its score.  Once a
+    subset scores below it, only smaller sizes are scanned further, so only
+    the smallest size with such a subset is final.
+    """
+    n = len(masks)
+    least = [max(masks, default=0).bit_length() + 1] * (kmax + 1)  # above any count
+    least_at: list[tuple[int, ...] | None] = [None] * (kmax + 1)
+    hit: list[tuple[tuple[int, ...], int] | None] = [None] * (kmax + 1)
+    prefix: list[int] = []
     limit = kmax
 
     def extend(candidates: Iterable[int], once: int, more: int, k: int) -> None:
@@ -348,7 +345,8 @@ def _scan_subsets(
             elif k > limit:
                 return
 
-    extend(starts, 0, 0, 1)
+    if kmax > 0:
+        extend(starts, 0, 0, 1)
     return least, least_at, hit
 
 
@@ -362,7 +360,7 @@ def certify_expansion(
 
     Every left subset with ``|v0| < c * |V0|`` is covered, so the returned
     epsilon is a true certificate: the scan skips only extensions of a prefix
-    that provably cannot lower a least ``|N(S)|`` (see ``_scan_subsets``), and
+    that provably cannot lower a least ``|N(S)|`` (see ``_least_union``), and
     the certificate and witness are those of the full scan.  ``max_evals``
     bounds the number of subsets of those sizes, checked before the scan,
     whether or not they are visited.  An ``action``, once ``check_invariance``
@@ -377,7 +375,7 @@ def certify_expansion(
     total = sum(comb(x.v0_size, k) for k in range(1, kmax + 1))
     if total > max_evals:
         raise BudgetExceededError("exhaustive subset scan too large", total, max_evals)
-    least, least_at, _ = _scan_subsets(x.left_masks, kmax, starts)
+    least, least_at = _least_union(x.left_masks, kmax, starts)
     # the worst size has the least |N(S)| / k; ties go to the smaller size
     witness: tuple[frozenset, Fraction] | None = None
     for k in range(1, kmax + 1):
@@ -423,8 +421,8 @@ def check_unique_neighbor_lemma(
     bound_coeff = (1 - 2 * cert.epsilon) * w0
     # an integer count u has u < bound_coeff * k exactly when u < ceil(...)
     below = [ceil(bound_coeff * k) for k in range(kmax + 1)]
-    least, least_at, hit = _scan_subsets(
-        x.left_masks, kmax, _scan_starts(x, action), unique=True, below=below
+    least, least_at, hit = _least_unique(
+        x.left_masks, kmax, _scan_starts(x, action), below
     )
     for found in hit:
         if found is not None:

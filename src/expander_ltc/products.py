@@ -120,23 +120,13 @@ class BalancedProductComplex(namedtuple("BalancedProductComplex", [
     def n01(self) -> int:
         return self.sizes[2]
 
-    @property
-    def n11(self) -> int:
-        return self.sizes[3]
-
     def label(self, corner: int, index: int) -> tuple[int, int, int]:
         """``(h, i_r, i_s)`` of a vertex; corner is 0:00, 1:10, 2:01, 3:11."""
-        ns = self._s_orbits(corner)
+        ns = self._y_labeling(corner).num_orbits
         g_order = self.group.order
         h = index % g_order
         rest = index // g_order
         return (h, rest // ns, rest % ns)
-
-    def vertex_index(self, corner: int, h: int, i_r: int, i_s: int) -> int:
-        return (i_r * self._s_orbits(corner) + i_s) * self.group.order + h
-
-    def _s_orbits(self, corner: int) -> int:
-        return self._y_labeling(corner).num_orbits
 
     def _x_labeling(self, corner: int) -> OrbitLabeling:
         return self.labelings[_sides(corner)[0]]
@@ -339,7 +329,6 @@ def left_right_cayley(
 
 
 class OneDSubgraph(namedtuple("OneDSubgraph", [
-    "which",  # SubgraphName
     "graph",  # BipartiteGraph
     "factor",  # BipartiteGraph
     "num_copies",  # int
@@ -405,7 +394,6 @@ def one_d_subgraph(bp: BalancedProductComplex, which: SubgraphName) -> OneDSubgr
     num_copies = len(set(copy_left) | set(copy_right))
 
     return OneDSubgraph(
-        which=which,
         graph=graph,
         factor=factor,
         num_copies=num_copies,

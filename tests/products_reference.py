@@ -81,7 +81,7 @@ def reference_boundaries(bp) -> tuple[BitMatrix, BitMatrix]:
         d2.set(i10, i00, 1)
     for i00, i01 in bp.g_0s.edges:
         d2.set(n10 + i01, i00, 1)
-    d1 = BitMatrix(bp.n11, n10 + bp.n01)
+    d1 = BitMatrix(bp.sizes[3], n10 + bp.n01)
     for i10, i11 in bp.g_1s.edges:
         d1.set(i11, i10, 1)
     for i01, i11 in bp.g_s1.edges:

@@ -93,13 +93,14 @@ def reference_greedy_flip(c1, bp) -> FlipResult:
 
 
 def reference_locally_minimal_distance(bp) -> LocallyMinimalDistance:
-    """Least weight, then least weighted norm, of a nonzero minimal kernel vector.
+    """The least ``(weight, weighted norm, stacked bits)`` over the nonzero
+    locally minimal kernel vectors, each of which it visits.
 
-    Visits the kernel vectors in the same Gray order as the library, without
-    skipping heavy ones, so ties resolve to the same witness.
+    The weighted norm is a ``Fraction`` and each vector of the Gray sweep of
+    ``kernel_basis`` is tested, heavy ones too.
     """
     basis = kernel_basis(bp.d1)
-    best_w = best = best_norm = None
+    best = None
     cur = 0
     length = bp.n10 + bp.n01
     for i in range(1, 1 << len(basis)):
@@ -107,11 +108,12 @@ def reference_locally_minimal_distance(bp) -> LocallyMinimalDistance:
         c1 = C1Vector.from_stacked(bp, BitVector(length, cur))
         if not reference_is_locally_minimal(c1, bp)[0]:
             continue
-        w = cur.bit_count()
-        norm = weighted_norm(c1, bp)
-        if best_w is None or w < best_w or (w == best_w and norm < best_norm):
-            best_w, best, best_norm = w, c1, norm
-    return LocallyMinimalDistance(d_lm=best_w, witness=best, weighted_min=best_norm)
+        key = (cur.bit_count(), weighted_norm(c1, bp), cur)
+        if best is None or key < best[0]:
+            best = (key, c1)
+    if best is None:
+        return LocallyMinimalDistance(d_lm=None, witness=None)
+    return LocallyMinimalDistance(d_lm=best[0][0], witness=best[1])
 
 
 def reference_square_count(bp, c1, masks=None) -> int:
@@ -148,7 +150,7 @@ class _Reference:
             lhs=lhs,
             rhs=rhs,
             holds=lhs <= rhs,
-            c1_weight=c1.weight(),
+            c1_weight=c1.stacked().weight(),
             squares=reference_square_count(bp, c1, self.masks),
         )
 
@@ -167,7 +169,7 @@ def reference_small_set_suite(bp, cert_x, cert_y):
     ref = _Reference(bp, cert_x, cert_y)
     out = []
     for c1 in enumerate_small_c1(bp, *ref.bounds):
-        if c1.is_zero():
+        if c1.stacked().bits == 0:
             continue
         if not reference_is_locally_minimal(c1, bp, ref.masks)[0]:
             continue

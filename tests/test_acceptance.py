@@ -314,7 +314,9 @@ def test_criterion_10_soundness_consistency(corpus):
         code = code_from_complex(bp)
         profile = lt_profile(bp, max_c1_weight=bp.n10 + bp.n01)
         exact = soundness_exhaustive(code, profile)
-        assert exact.ratio_of(code) == exact.s, f"{name}: witness mismatch"
+        syndrome = code.h.mul_vec(exact.witness)
+        ratio = Fraction(syndrome.weight() * code.n, code.m * exact.witness.weight())
+        assert ratio == exact.s, f"{name}: witness mismatch"
         bound = soundness_from_lt(code, profile)
         assert bound <= exact.s, f"{name}: {bound} > {exact.s}"
         checked += 1

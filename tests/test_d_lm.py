@@ -1,11 +1,13 @@
-"""The weight-first locally minimal distance against the Gray-order reference.
+"""The locally minimal distance against the reference that visits every vector.
 
-``reference_locally_minimal_distance`` visits every kernel vector of ``d1``
-in the Gray order of ``kernel_basis``, so equal records mean that the
-weight-first search finds the same ``d_lm``, the same witness and the same
-``weighted_min``: its tie-break is the sweep's.
+``reference_locally_minimal_distance`` tests every kernel vector of ``d1``
+and keeps the least ``(weight, weighted norm, stacked bits)``, so equal
+records mean the same ``d_lm`` and the same witness.  The library's two
+loops, weight first and the Gray sweep it hands off to, must each give that
+record.
 """
 
+import functools
 import random
 
 import pytest
@@ -50,11 +52,27 @@ for table, instances in TABLES.items():
             INSTANCES[f"{table}:{name}"] = make
 
 
+@functools.cache
+def _reference(name):
+    return reference_locally_minimal_distance(INSTANCES[name]())
+
+
 @pytest.mark.parametrize("name", sorted(INSTANCES.keys() - TOO_LARGE))
 def test_instance_tables_match_reference(name):
     bp = INSTANCES[name]()
     assert len(kernel_basis(bp.d1)) <= 16
-    assert locally_minimal_distance(bp) == reference_locally_minimal_distance(bp)
+    assert locally_minimal_distance(bp) == _reference(name)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES.keys() - TOO_LARGE))
+def test_forced_sweep_gives_the_same_record(name, monkeypatch):
+    # with no subset within 2^dim / _SUBSET_STEPS the sweep runs from the start
+    bp = INSTANCES[name]()
+    default = locally_minimal_distance(bp)
+    monkeypatch.setattr(analysis, "_SUBSET_STEPS", 1 << 40)
+    calls = _spy_on_gray_sweep(monkeypatch)
+    assert locally_minimal_distance(bp) == default == _reference(name)
+    assert calls == [(len(kernel_basis(bp.d1)), analysis.DEFAULT_ENUM_BUDGET)]
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

@@ -1,4 +1,4 @@
-"""A ratchet on the package exports that no library code uses.
+"""A ratchet on the package exports, and their members, that no library code uses.
 
 An exported name counts as used when some module of the package other than
 ``__init__.py`` refers to it in code: a ``Name`` or ``Attribute`` node of
@@ -7,6 +7,12 @@ comments, messages and imports do not count.  The unused ones are frozen
 below: a new export that only tests call fails this test, and so does a
 listed name that gains a caller in the library (remove it from the list then).
 The exports themselves are read from the package's lazy namespace.
+
+The members of the exported classes are their record fields, slots, methods
+and properties: the public names each class defines.  A member counts as
+read when an ``Attribute`` node names it outside a ``def`` of that name.
+Matching is by name alone, so a member that shares its name with another
+read attribute (``weight``, ``table``) counts as read.
 """
 
 import ast
@@ -54,41 +60,69 @@ TEST_ONLY_EXPORTS = frozenset({
     "matrix_from_dense_text",  # `verify --report` checks alist against dense text
 })
 
+# members that no library code reads, each with the reason it stays
+TEST_ONLY_MEMBERS = frozenset({
+    "BitMatrix.transpose",  # the benchmark tracer wraps it; test oracles use it
+    "FlipResult.final",  # the record of greedy_flip, a test-only export above
+    "FlipResult.flips",  # the record of greedy_flip
+    "FlipResult.steps",  # the record of greedy_flip
+    "SearchResult.complex",  # the product search_pair returns; tests re-verify it
+})
+
 
 def _exports() -> list[str]:
     return list(expander_ltc.__all__)
 
 
-def _references(node: ast.AST, names: set[str]) -> set[str]:
+def _members() -> dict[str, set[str]]:
+    """Each public member name of the exported classes -> its "Class.member"s."""
+    members: dict[str, set[str]] = {}
+    for name in _exports():
+        obj = getattr(expander_ltc, name)
+        if isinstance(obj, type):
+            for member in {*getattr(obj, "_fields", ()), *vars(obj)}:
+                if not member.startswith("_"):
+                    members.setdefault(member, set()).add(f"{name}.{member}")
+    return members
+
+
+def _references(node: ast.AST, names: set[str], attributes_only: bool) -> set[str]:
     """The names of ``names`` that code under ``node`` refers to, not counting
     references inside a name's own definition."""
     found = set()
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Name) and child.id in names:
+        if isinstance(child, ast.Name) and child.id in names and not attributes_only:
             found.add(child.id)
         elif isinstance(child, ast.Attribute) and child.attr in names:
             found.add(child.attr)
         inner = names
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = names - {child.name}
-        found |= _references(child, inner)
+        found |= _references(child, inner, attributes_only)
     return found
 
 
-def _unused(package: Path, names: list[str]) -> set[str]:
+def _unused(names: list[str], attributes_only: bool = False) -> set[str]:
+    package = Path(expander_ltc.__file__).resolve().parent
     used = set()
     for p in sorted(package.glob("*.py")):
         if p.name != "__init__.py":
             tree = ast.parse(p.read_text(encoding="utf-8"))
-            used |= _references(tree, set(names))
+            used |= _references(tree, set(names), attributes_only)
     return set(names) - used
 
 
 def test_test_only_exports_are_frozen():
-    package = Path(expander_ltc.__file__).resolve().parent
     names = _exports()
     assert TEST_ONLY_EXPORTS <= set(names)
-    assert _unused(package, names) == TEST_ONLY_EXPORTS
+    assert _unused(names) == TEST_ONLY_EXPORTS
+
+
+def test_test_only_members_are_frozen():
+    members = _members()
+    assert TEST_ONLY_MEMBERS <= set().union(*members.values())
+    unused = _unused(list(members), attributes_only=True)
+    assert set().union(*(members[m] for m in unused)) == TEST_ONLY_MEMBERS
 
 
 def test_exports_are_frozen():

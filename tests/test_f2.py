@@ -18,6 +18,16 @@ from expander_ltc.f2 import (
 from sweep_reference import column_bits, reference_min_preimages
 
 
+def vector(entries):
+    """The vector with these 0/1 entries."""
+    return BitVector.from_support(len(entries), [i for i, e in enumerate(entries) if e])
+
+
+def matrix(rows):
+    """The matrix with these rows of 0/1 entries."""
+    return BitMatrix(len(rows), len(rows[0]), [vector(row).bits for row in rows])
+
+
 def random_matrix(rows, cols, rng):
     return BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
 
@@ -29,12 +39,21 @@ class TestBitVector:
         assert v.weight() == 3
 
     def test_entries_round_trip(self):
-        v = BitVector.from_entries([1, 0, 1, 1])
+        v = vector([1, 0, 1, 1])
         assert v.entries() == [1, 0, 1, 1]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidParameterError):
             BitVector.from_support(4, [4])
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: BitVector(-1), lambda: BitVector.from_support(-1, [])],
+        ids=["init", "from_support"],
+    )
+    def test_negative_length_rejected(self, make):
+        with pytest.raises(InvalidParameterError, match="negative vector length"):
+            make()
 
     @pytest.mark.parametrize("bits", [8, -1])
     def test_bits_outside_length_rejected(self, bits):
@@ -42,27 +61,27 @@ class TestBitVector:
             BitVector(3, bits)
 
     def test_xor(self):
-        a = BitVector.from_entries([1, 1, 0])
-        b = BitVector.from_entries([0, 1, 1])
+        a = vector([1, 1, 0])
+        b = vector([0, 1, 1])
         assert (a ^ b).entries() == [1, 0, 1]
 
 
 class TestBitMatrix:
     def test_identity_rank_and_kernel(self):
-        m = BitMatrix.identity(4)
+        m = BitMatrix(4, 4, [1 << i for i in range(4)])
         assert rank(m) == 4
         assert kernel_basis(m) == []
 
     def test_single_row_kernel(self):
-        m = BitMatrix.from_entries([[1, 1]])
+        m = matrix([[1, 1]])
         basis = kernel_basis(m)
         assert len(basis) == 1
         assert basis[0].entries() == [1, 1]
 
     def test_mul_vec(self):
-        m = BitMatrix.from_entries([[1, 1, 0], [0, 1, 1]])
-        assert m.mul_vec(BitVector.from_entries([1, 0, 0])).entries() == [1, 0]
-        assert m.mul_vec(BitVector.from_entries([1, 1, 1])).entries() == [0, 0]
+        m = matrix([[1, 1, 0], [0, 1, 1]])
+        assert m.mul_vec(vector([1, 0, 0])).entries() == [1, 0]
+        assert m.mul_vec(vector([1, 1, 1])).entries() == [0, 0]
 
     def test_transpose_involution(self):
         rng = random.Random(0)
@@ -100,7 +119,7 @@ class TestRankNullity:
 class TestMinWeight:
     def test_repetition_code_length_5(self):
         # parity checks x_i + x_{i+1}
-        h = BitMatrix.from_entries(
+        h = matrix(
             [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1]]
         )
         w, witness = min_weight_nonzero(kernel_basis(h))
@@ -154,18 +173,18 @@ class TestNearestCodeword:
         return least[h.mul_vec(x).bits][0]
 
     def test_codeword_distance_zero(self):
-        h = BitMatrix.from_entries([[1, 1, 0], [0, 1, 1]])
-        x = BitVector.from_entries([1, 1, 1])
+        h = matrix([[1, 1, 0], [0, 1, 1]])
+        x = vector([1, 1, 1])
         assert self._distance(h, x) == 0
 
     def test_codeword_plus_one_bit(self):
-        h = BitMatrix.from_entries([[1, 1, 0], [0, 1, 1]])
-        x = BitVector.from_entries([0, 1, 1])
+        h = matrix([[1, 1, 0], [0, 1, 1]])
+        x = vector([0, 1, 1])
         assert self._distance(h, x) == 1
 
     def test_repetition_length_4_half_flipped(self):
-        h = BitMatrix.from_entries([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
-        x = BitVector.from_entries([1, 1, 0, 0])
+        h = matrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+        x = vector([1, 1, 0, 0])
         assert self._distance(h, x) == 2
 
 

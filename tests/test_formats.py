@@ -13,9 +13,11 @@ from expander_ltc.formats import (
     matrix_to_dense_text,
 )
 
+from test_f2 import matrix
+
 
 # a 3x3 matrix: line 4 + j of its alist lists column j, line 7 + i row i
-ALIST_3X3 = matrix_to_alist(BitMatrix.from_entries([[1, 0, 1], [0, 1, 1], [1, 1, 0]]))
+ALIST_3X3 = matrix_to_alist(matrix([[1, 0, 1], [0, 1, 1], [1, 1, 0]]))
 
 
 def _alist_with(index, line):
@@ -36,12 +38,12 @@ class TestAlist:
             assert matrix_from_alist(matrix_to_alist(m)) == m
 
     def test_header(self):
-        m = BitMatrix.from_entries([[1, 0, 1], [0, 1, 1]])
+        m = matrix([[1, 0, 1], [0, 1, 1]])
         lines = matrix_to_alist(m).splitlines()
         assert lines[0] == "3 2"  # cols (variables) first, then rows (checks)
 
     def test_one_based_indices(self):
-        m = BitMatrix.from_entries([[1, 0], [0, 1]])
+        m = matrix([[1, 0], [0, 1]])
         lines = matrix_to_alist(m).splitlines()
         # supports of the identity are the 1-based diagonal entries
         assert lines[4:] == ["1", "2", "1", "2"]
@@ -86,7 +88,7 @@ class TestDenseText:
             assert matrix_from_dense_text(matrix_to_dense_text(m)) == m
 
     def test_layout(self):
-        m = BitMatrix.from_entries([[1, 0, 1]])
+        m = matrix([[1, 0, 1]])
         assert matrix_to_dense_text(m) == "1 3\n101\n"
 
     def test_bad_row_rejected(self):

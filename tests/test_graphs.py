@@ -438,7 +438,10 @@ class TestSubsetKernel:
             kmax = graphs._strict_floor(c * x.v0_size)
             starts = graphs._scan_starts(x, action)
             masks = CountingMasks(x.left_masks)
-            graphs._scan_subsets(masks, kmax, starts, unique)
+            if unique:
+                graphs._least_unique(masks, kmax, starts, [0] * (kmax + 1))
+            else:
+                graphs._least_union(masks, kmax, starts)
             # every S whose least vertex is a start
             full = sum(
                 comb(x.v0_size - 1 - s, k - 1) for s in starts for k in range(1, kmax + 1)

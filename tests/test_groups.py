@@ -165,6 +165,11 @@ class TestActions:
         a = left_regular_action(make_cyclic(5))
         assert block_action(a, 1) is a
 
+    @pytest.mark.parametrize("blocks", [0, -2])
+    def test_block_action_needs_a_copy(self, blocks):
+        with pytest.raises(InvalidParameterError, match="at least one copy"):
+            block_action(left_regular_action(make_cyclic(5)), blocks)
+
 
 class TestSubgroup:
     def test_even_elements_of_z6(self):

@@ -12,6 +12,7 @@ from expander_ltc.errors import (
     InvalidWedgeError,
     MultiplicityViolationError,
 )
+from expander_ltc.f2 import BitMatrix
 from expander_ltc.graphs import BipartiteGraph, cayley_right, certify_expansion
 from expander_ltc.groups import group_from_spec, make_cyclic
 from expander_ltc.products import (
@@ -165,7 +166,7 @@ class TestBalancedProduct:
 
     def test_chain_identity_fault_injection(self):
         bp = left_right_cayley(make_cyclic(6), [1, 2], [1, 5])
-        d1 = bp.d1.copy()
+        d1 = BitMatrix(bp.d1.rows, bp.d1.cols, bp.d1.row_bits)  # a copy
         d1.set(0, 0, 1 - d1.get(0, 0))
         ok, witness = verify_chain_identity(d1, bp.d2)
         assert not ok
@@ -209,9 +210,10 @@ class TestLabels:
         y, ay, _ = layered_cayley(g, 3, 1, rng)
         bp = balanced_product(x, y, ax, ay)
         for corner in range(4):
+            ns = bp._y_labeling(corner).num_orbits
             for i in range(bp.sizes[corner]):
                 h, r, s = bp.label(corner, i)
-                assert bp.vertex_index(corner, h, r, s) == i
+                assert (r * ns + s) * g.order + h == i  # (i_r, i_s, h) order
 
 
 class TestCompleteSquare:

@@ -299,7 +299,7 @@ def test_single_check_matches_reference():
     cert_x, cert_y = _certified(bp)
     ss = analysis._SmallSet(bp, cert_x, cert_y)
     for c1 in (
-        C1Vector.zero(bp),
+        C1Vector.from_supports(bp, [], []),
         C1Vector.from_supports(bp, [0], []),
         C1Vector.from_supports(bp, [], [5]),
         C1Vector.from_supports(bp, [3], [1]),
