@@ -1,33 +1,37 @@
 """Command-line interface: build, verify, search, and the sharp-example demo.
 
 Exit codes: 0 success, 1 a verification or analysis check failed, 2 bad usage
-or configuration, 3 an enumeration exceeded its budget.
+or configuration, or an output (``--out`` or standard output) that cannot be
+written, 3 an enumeration exceeded its budget.
 
 Start-up: each run is a fresh process, so the module loads only what its
-subcommand runs.  The top imports the core layers every subcommand needs
-(``errors``, ``f2``, ``groups``, ``graphs``, ``products``) and a few small
-stdlib modules.  ``analysis`` and ``formats`` are imported inside the functions
-that use them, after any ``--dry-run`` return, and ``search`` inside
-``cmd_search``.  The flags are read by ``parse_args`` from one table,
+subcommand runs.  The top imports the layers that read and check a config
+(``errors``, ``f2`` for ``DEFAULT_ENUM_BUDGET``, ``groups``, ``graphs``) and
+a few small stdlib modules.  ``products``, ``analysis`` and ``formats`` are
+imported inside the functions that use them, after any ``--dry-run`` return,
+and ``search`` inside ``cmd_search``; so ``search`` and ``build --dry-run``
+never load ``products``.  The flags are read by ``parse_args`` from one table,
 ``_COMMANDS``, not by ``argparse``, whose import and parser set-up (with
 ``gettext`` and ``locale``) cost about 7 ms of every run; ``summary.csv`` is
 written without ``csv``.  Calls go through the module
-(``analysis.lt_profile(...)``) and ``main`` finds ``cmd_*`` by name at call
-time, so a wrapper installed on a module attribute sees every call.  A process
-ends in ``entry``, which calls ``gc.freeze()`` once ``main`` has returned: the
-collections at interpreter shutdown then skip the import-time heap, which
-they would otherwise traverse for about 9 ms of every run (Z12 builds on a
-2-CPU host).  ``main`` itself never freezes, so callers in the same process
-keep normal collection.
+(``products.left_right_cayley(...)``, ``analysis.lt_profile(...)``) and
+``main`` finds ``cmd_*`` by name at call time, so a wrapper installed on a
+module attribute sees every call.  A process ends in ``entry``, which flushes
+the standard streams and calls ``os._exit`` with ``main``'s code.  That skips
+interpreter finalization (clearing every module, the final collections), on
+which nothing the run writes depends: 7 to 14 ms of a Z16 ``search`` on a
+2-CPU host (medians of 100 fresh processes against ``sys.exit``, two runs).
+``main`` itself returns its code, so callers in the same process keep normal
+teardown.
 """
 
 from __future__ import annotations
 
-import gc
 import json
+import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -47,15 +51,6 @@ from .graphs import (
     graph_to_edge_list,
 )
 from .groups import FiniteGroup, group_from_spec, make_cyclic
-from .products import (
-    BalancedProductComplex,
-    complex_manifest,
-    left_right_cayley,
-    one_d_subgraph,
-    inherited_expansion,
-    verify_chain_identity,
-    verify_copy_decomposition,
-)
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -248,7 +243,7 @@ def _stage(name: str, setting: str = "raise --budget"):
 
 
 def _certify_factors(
-    bp: BalancedProductComplex, c_x: Fraction, c_y: Fraction
+    bp: products.BalancedProductComplex, c_x: Fraction, c_y: Fraction
 ) -> tuple[ExpansionCertificate, ExpansionCertificate]:
     """Exhaustive certificates of both factors, under their graph actions.
 
@@ -262,7 +257,7 @@ def _certify_factors(
 
 
 def build_report(
-    bp: BalancedProductComplex,
+    bp: products.BalancedProductComplex,
     c_x: Fraction,
     c_y: Fraction,
     max_c1_weight: int | None = None,
@@ -270,11 +265,11 @@ def build_report(
     run_small_set: bool = True,
 ) -> dict:
     """The full analysis record of one complex, as a JSON-ready dict."""
-    from . import analysis
+    from . import analysis, products
 
     code = analysis.code_from_complex(bp)
     cert_x, cert_y = _certify_factors(bp, c_x, c_y)
-    sub_cert = inherited_expansion(bp, cert_x, "*0")
+    sub_cert = products.inherited_expansion(bp, cert_x, "*0")
 
     # the exact distance is skipped, not failed, when 2^k exceeds the budget
     dist = analysis.distance_certificate(code, bp, sub_cert, budget=budget)
@@ -327,8 +322,10 @@ def build_report(
 
 
 def _write_outputs(
-    out_dir: Path, report: dict, bp: BalancedProductComplex, deterministic: bool
+    out_dir: Path, report: dict, bp: products.BalancedProductComplex,
+    deterministic: bool,
 ) -> None:
+    from . import products
     from .formats import matrix_to_alist, matrix_to_dense_text
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,7 +358,7 @@ def _write_outputs(
     (out_dir / "d1_matrix.alist").write_text(matrix_to_alist(bp.d1))
     (out_dir / "d1_matrix.txt").write_text(matrix_to_dense_text(bp.d1))
     (out_dir / "manifest.json").write_text(
-        json.dumps(complex_manifest(bp), indent=2, sort_keys=True) + "\n"
+        json.dumps(products.complex_manifest(bp), indent=2, sort_keys=True) + "\n"
     )
     graphs_dir = out_dir / "graphs"
     graphs_dir.mkdir(exist_ok=True)
@@ -387,7 +384,9 @@ def cmd_build(args) -> int:
     if args.dry_run:
         print("config ok")
         return EXIT_OK
-    bp = left_right_cayley(*inputs)
+    from . import products
+
+    bp = products.left_right_cayley(*inputs)
     report = build_report(bp, budget=args.budget, **settings)
     with _writing_outputs(args.out):
         _write_outputs(Path(args.out), report, bp, args.deterministic)
@@ -415,7 +414,9 @@ def cmd_verify(args) -> int:
     if args.dry_run:
         print("config ok")
         return EXIT_OK
-    bp = left_right_cayley(*inputs)
+    from . import products
+
+    bp = products.left_right_cayley(*inputs)
     failed = 0
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -428,14 +429,14 @@ def cmd_verify(args) -> int:
             failed += 1
 
     if "chain" in suites:
-        ok, witness = verify_chain_identity(bp.d1, bp.d2)
+        ok, witness = products.verify_chain_identity(bp.d1, bp.d2)
         check("chain identity d1.d2 = 0", ok, f"entry {witness}")
     if "copies" in suites:
         for name in ("*0", "*1", "0*", "1*"):
-            sub = one_d_subgraph(bp, name)
+            sub = products.one_d_subgraph(bp, name)
             check(
                 f"copy decomposition of subgraph {name}",
-                verify_copy_decomposition(sub),
+                products.verify_copy_decomposition(sub),
             )
     if "unique" in suites or "small-set" in suites:
         cert_x, cert_y = _certify_factors(bp, settings["c_x"], settings["c_y"])
@@ -511,13 +512,13 @@ def cmd_search(args) -> int:
 
 
 def cmd_demo_sharp(args) -> int:
-    from . import analysis
+    from . import analysis, products
 
     if args.config:
         inputs = _build_config(args.config)[0]
     else:
         inputs = (make_cyclic(8), [1, 2], [1, 3])
-    bp = left_right_cayley(*inputs)
+    bp = products.left_right_cayley(*inputs)
     c1 = analysis.sharp_example(bp, 0)
     norm1 = analysis.weighted_norm(c1, bp)
     norm0 = analysis.c0_weighted_norm(analysis.boundary_1(bp, c1), bp)
@@ -730,12 +731,34 @@ def main(argv=None) -> int:
 def entry() -> None:
     """The process entry of ``python -m expander_ltc.cli`` and ``expander-ltc``.
 
-    ``gc.freeze()`` moves every live object into the permanent generation,
-    which the collections at interpreter shutdown skip.
+    The exit status is ``main``'s code (or that of ``--help`` or a usage
+    error).  Both standard streams are flushed, then ``os._exit`` ends the
+    process without interpreter finalization.  An ``OSError`` on standard
+    output, from a ``print`` or the final flush (a pipe whose reader has
+    closed, a full disk), exits 2 with one line on stderr.  ``main`` maps
+    every other file error to a config error, so one that reaches here came
+    from a standard stream.
     """
-    status = main()
-    gc.freeze()
-    sys.exit(status)
+    try:
+        try:
+            status = main()
+        except SystemExit as exc:  # --help, or a usage error
+            status = exc.code
+        _flush(sys.stdout)
+    except OSError as exc:
+        status = EXIT_USAGE
+        with suppress(OSError):
+            print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
+    with suppress(OSError):
+        _flush(sys.stderr)
+    os._exit(status)
+
+
+def _flush(stream) -> None:
+    """Flush a standard stream; it is ``None`` if its descriptor was closed
+    when the process started."""
+    if stream is not None:
+        stream.flush()
 
 
 if __name__ == "__main__":

@@ -165,11 +165,13 @@ def _check_generators(g: FiniteGroup, gens: Sequence[int]) -> list[int]:
     out = list(gens)
     if not out:
         raise InvalidParameterError("generating set must be nonempty")
+    for a in out:
+        if not (isinstance(a, int) and 0 <= a < g.order):
+            raise InvalidParameterError(
+                f"generator {a!r} is not an element 0..{g.order - 1} of the group"
+            )
     if len(set(out)) != len(out):
         raise InvalidParameterError("generating set contains duplicates")
-    for a in out:
-        if not 0 <= a < g.order:
-            raise InvalidParameterError(f"generator {a} outside group of order {g.order}")
     return out
 
 
@@ -365,10 +367,13 @@ def certify_expansion(
     bounds the number of subsets of those sizes, checked before the scan,
     whether or not they are visited.  An ``action``, once ``check_invariance``
     proves it acts by graph automorphisms, lets the scan start at one vertex
-    per orbit; the certificate is the same as without it.
+    per orbit; the certificate is the same as without it.  A cutoff that is
+    not an ``int`` or a ``Fraction`` in (0, 1] raises ``InvalidParameterError``.
     """
-    if not 0 < c <= 1:
-        raise InvalidParameterError(f"c must lie in (0, 1], got {c}")
+    if not (isinstance(c, (int, Fraction)) and 0 < c <= 1):
+        raise InvalidParameterError(
+            f"c must be an int or a Fraction in (0, 1], got {c!r}"
+        )
     w0 = check_regularity(x).w0
     kmax = _strict_floor(Fraction(c) * x.v0_size)
     starts = _scan_starts(x, action)

@@ -3,9 +3,10 @@
 The search draws random generating sets, builds the two factor graphs (layered
 when a degree skew is requested), certifies their expansion exhaustively (once
 per translation class of generating sets), and scores each trial by the
-combined loss parameter the testability inequality depends on.  Only the best
-trial's balanced product is built.  Nothing is ever reported as certified
-unless the exhaustive scan said so.
+combined loss parameter the testability inequality depends on.  No balanced
+product is built: the result reports the best trial's generating sets, from
+which the factors and their product can be rebuilt.  Nothing is ever reported
+as certified unless the exhaustive scan said so.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from .errors import InvalidParameterError, SearchExhaustedError
 from .graphs import (
     BipartiteGraph,
     ExpansionCertificate,
+    GraphAction,
     certify_expansion,
     maps_onto,
     small_set_epsilon,
 )
 from .groups import FiniteGroup, block_action, left_regular_action
-from .products import GraphAction, balanced_product
 
 #: Cap on the exhaustive subset evaluations of each factor certification.
 SUBSET_BUDGET = 2_000_000
@@ -31,7 +32,7 @@ SUBSET_BUDGET = 2_000_000
 
 def random_generating_set(g: FiniteGroup, size: int, rng: random.Random) -> list[int]:
     """A duplicate-free random subset of group elements of the given size."""
-    if not 0 <= size <= g.order:
+    if not (isinstance(size, int) and 0 <= size <= g.order):
         raise InvalidParameterError(
             f"cannot draw {size} distinct generators from order {g.order}"
         )
@@ -48,8 +49,10 @@ def layered_cayley(
     is a right-multiplication Cayley graph on its own random generating set.
     Left multiplication acts freely on both sides and preserves the edges.
     """
-    if layers < 1 or degree < 1:
-        raise InvalidParameterError("layers and degree must be positive")
+    if not all(isinstance(k, int) and k >= 1 for k in (layers, degree)):
+        raise InvalidParameterError(
+            f"layers and degree must be positive integers, got {layers!r}, {degree!r}"
+        )
     gen_sets = [random_generating_set(g, degree, rng) for _ in range(layers)]
     edges = [
         (i * g.order + x, g.mul(x, b))
@@ -107,7 +110,6 @@ class SearchSpec(namedtuple("SearchSpec", [
 
 
 class SearchResult(namedtuple("SearchResult", [
-    "complex",  # BalancedProductComplex
     "cert_x",  # ExpansionCertificate
     "cert_y",  # ExpansionCertificate
     "epsilon",  # Fraction
@@ -176,9 +178,9 @@ def search_pair(spec: SearchSpec) -> SearchResult:
 
     Every trial gets its own derived seed, so runs are reproducible and
     individual trials can be replayed.  Trials are scored from their two
-    certificates alone; the balanced product is built once, for the best
-    trial.  A missed ``eps_target`` is recorded in ``inequalities`` rather than
-    hidden; ``SearchExhaustedError`` is raised only when there are no trials.
+    certificates alone, and no balanced product is built.  A missed
+    ``eps_target`` is recorded in ``inequalities`` rather than hidden;
+    ``SearchExhaustedError`` is raised only when there are no trials.
     """
     g = spec.group
     layers_x = spec.w_up // spec.w_down
@@ -204,12 +206,11 @@ def search_pair(spec: SearchSpec) -> SearchResult:
             "eps": str(eps),
         })
         if best is None or eps < best[0]:
-            best = (eps, trial, trial_seed, (x, ax, gens_x, cert_x),
-                    (y, ay, gens_y, cert_y))
+            best = (eps, trial, trial_seed, gens_x, cert_x, gens_y, cert_y)
 
     if best is None:
         raise SearchExhaustedError("no trial produced a certifiable pair", tuple(log))
-    eps, trial, trial_seed, (x, ax, gens_x, cert_x), (y, ay, gens_y, cert_y) = best
+    eps, trial, trial_seed, gens_x, cert_x, gens_y, cert_y = best
     inequalities = None
     if spec.eps_target is not None:
         t = spec.eps_target
@@ -219,7 +220,6 @@ def search_pair(spec: SearchSpec) -> SearchResult:
             "eps_x_le_eps": cert_x.epsilon <= t,
         }
     return SearchResult(
-        complex=balanced_product(x, y, ax, ay),
         cert_x=cert_x,
         cert_y=cert_y,
         epsilon=eps,

@@ -4,17 +4,26 @@
 ``search.search_pair`` replaces: every trial builds its balanced product and
 certifies both factors from scratch, and the best result is rebuilt at every
 improvement.  It shares only the trial draw (``layered_cayley`` on the derived
-seed) with the optimized search, so it serves as an oracle for the product
-built once and the certificates reused across translates.
+seed) with the optimized search, so it serves as an oracle for a search that
+builds no product and reuses certificates across translates.
+
+``rebuild_product`` makes the balanced product of a search result from the
+generator sets it reports, as a caller of the search would.
 """
 
 import random
+from collections.abc import Sequence
 
 from expander_ltc.analysis import small_set_epsilon
 from expander_ltc.errors import MultiplicityViolationError, SearchExhaustedError
-from expander_ltc.graphs import BipartiteGraph, cayley_right, certify_expansion
-from expander_ltc.groups import FiniteGroup
-from expander_ltc.products import balanced_product
+from expander_ltc.graphs import (
+    BipartiteGraph,
+    GraphAction,
+    cayley_right,
+    certify_expansion,
+)
+from expander_ltc.groups import FiniteGroup, block_action, left_regular_action
+from expander_ltc.products import BalancedProductComplex, balanced_product
 from expander_ltc.search import (
     SUBSET_BUDGET,
     SearchResult,
@@ -27,6 +36,37 @@ from expander_ltc.search import (
 def random_cayley(g: FiniteGroup, degree: int, seed: int) -> BipartiteGraph:
     """A right-multiplication Cayley graph on a seeded random generating set."""
     return cayley_right(g, random_generating_set(g, degree, random.Random(seed)))
+
+
+def layered_graph(g: FiniteGroup, gen_sets: Sequence[Sequence[int]]) -> BipartiteGraph:
+    """The ``layered_cayley`` graph on given generator sets."""
+    return BipartiteGraph(
+        len(gen_sets) * g.order,
+        g.order,
+        [
+            (i * g.order + u, g.mul(u, b))
+            for i, gens in enumerate(gen_sets)
+            for u in g.elements()
+            for b in gens
+        ],
+    )
+
+
+def rebuild_product(
+    g: FiniteGroup,
+    gen_sets_x: Sequence[Sequence[int]],
+    gen_sets_y: Sequence[Sequence[int]],
+) -> BalancedProductComplex:
+    """The balanced product of the two layered factors on the given generator
+    sets, under the actions ``layered_cayley`` gives them."""
+    regular = left_regular_action(g)
+    x, y = layered_graph(g, gen_sets_x), layered_graph(g, gen_sets_y)
+    return balanced_product(
+        x,
+        y,
+        GraphAction(block_action(regular, len(gen_sets_x)), regular),
+        GraphAction(block_action(regular, len(gen_sets_y)), regular),
+    )
 
 
 def reference_search_pair(spec: SearchSpec) -> SearchResult:
@@ -61,7 +101,6 @@ def reference_search_pair(spec: SearchSpec) -> SearchResult:
         log.append(entry)
         if best is None or eps < best.epsilon:
             best = SearchResult(
-                complex=bp,
                 cert_x=cert_x,
                 cert_y=cert_y,
                 epsilon=eps,
@@ -82,7 +121,6 @@ def reference_search_pair(spec: SearchSpec) -> SearchResult:
             "eps_x_le_eps": best.cert_x.epsilon <= t,
         }
     return SearchResult(
-        complex=best.complex,
         cert_x=best.cert_x,
         cert_y=best.cert_y,
         epsilon=best.epsilon,

@@ -63,11 +63,10 @@ class TestBuild:
                 return original(*args)
             return wrapper
 
-        for module in (cli, products):
-            monkeypatch.setattr(
-                module, "one_d_subgraph",
-                counted("one_d_subgraph", products.one_d_subgraph),
-            )
+        monkeypatch.setattr(
+            products, "one_d_subgraph",
+            counted("one_d_subgraph", products.one_d_subgraph),
+        )
         monkeypatch.setattr(
             BitMatrix, "transpose", counted("transpose", BitMatrix.transpose)
         )
@@ -343,12 +342,16 @@ def test_deterministic_output_bytes_are_pinned(name, tmp_path):
 
 
 class TestProcessEntry:
-    """``cli.entry`` freezes the heap at exit; ``main`` never does."""
+    """``cli.entry`` flushes the standard streams and exits with ``main``'s
+    code, skipping interpreter teardown; ``main`` only returns its code."""
 
     @staticmethod
-    def _env():
+    def _env(**extra):
+        # without PYTHONUNBUFFERED a piped stdout is block-buffered, so output
+        # still in the buffer when main returns must be flushed by entry
         src = str(Path(expander_ltc.__file__).resolve().parent.parent)
-        return {**os.environ, "PYTHONPATH": src}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return {**env, "PYTHONPATH": src, **extra}
 
     def test_main_keeps_normal_collection(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -356,23 +359,68 @@ class TestProcessEntry:
         assert main(["build", "--config", cfg, "--dry-run"]) == 0
         assert gc.get_freeze_count() == before
 
-    def test_entry_freezes_after_main(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG)
+    def test_entry_exits_with_mains_code_and_complete_stdout(self):
         script = (
-            "import gc, sys\n"
             "from expander_ltc import cli\n"
-            f"sys.argv = ['expander-ltc', 'build', '--config', {cfg!r}, '--dry-run']\n"
-            "try:\n"
-            "    cli.entry()\n"
-            "except SystemExit as exc:\n"
-            "    print(exc.code, gc.get_freeze_count() > 0)\n"
+            "def main():\n"
+            "    for i in range(20000):\n"
+            "        print(i)\n"
+            "    return 3\n"
+            "cli.main = main\n"
+            "cli.entry()\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, env=self._env(), timeout=120,
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 True"
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout.split() == [str(i) for i in range(20000)]
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--dry-run"],
+        ["build", "--no-such-flag"],
+        ["verify", "--suites", "chain,nope"],
+        ["build", "--help"],
+    ], ids=["ok", "usage", "unknown-suite", "help"])
+    def test_module_run_exits_as_main_returns(self, tmp_path, capsys, argv):
+        argv = [*argv, "--config", write_config(tmp_path, BASE_CONFIG)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "expander_ltc.cli", *argv],
+            capture_output=True, text=True, env=self._env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, captured.out, captured.err
+        )
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_2_with_one_line(self, tmp_path, unbuffered):
+        # a pipe whose read end is closed before the run starts: unbuffered,
+        # cmd_search's print fails; buffered, entry's final flush does
+        cfg = write_config(tmp_path, SEARCH_CONFIG)
+        out = tmp_path / "out"
+        env = self._env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "expander_ltc.cli", "search",
+                 "--config", cfg, "--out", str(out)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: cannot write to standard output: [Errno 32] Broken pipe\n"
+        )
+        assert (out / "search_result.json").is_file()
 
     def test_console_script_is_the_entry(self):
         tomllib = pytest.importorskip("tomllib")

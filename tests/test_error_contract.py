@@ -1,18 +1,25 @@
-"""Library calls that take a size raise only the package's own errors.
+"""Library calls raise only the package's own errors on bad sizes, cutoffs and
+generator lists.
 
-Each call gets two drawn integers, negative ones included, as its sizes (and
-as a seed where it needs one).  It must either return or raise an
+Each call gets drawn values of the wrong type or range (negative or
+non-integer sizes, cutoffs that are text, ``None``, floats or fractions
+outside (0, 1], generator lists with floats, negatives, elements outside the
+group or duplicates).  It must either return or raise an
 ``errors.ExpanderLtcError``; any other exception fails the test.
 """
 
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expander_ltc import errors
 from expander_ltc.f2 import BitMatrix, BitVector
+from expander_ltc.graphs import cayley_right, certify_expansion
 from expander_ltc.groups import block_action, left_regular_action, make_cyclic
+from expander_ltc.products import left_right_cayley
 from expander_ltc.search import layered_cayley, random_generating_set
 
 CALLS = {
@@ -28,10 +35,76 @@ CALLS = {
 }
 
 
+def _returns_or_raises_package_error(call) -> None:
+    try:
+        call()
+    except errors.ExpanderLtcError:
+        pass
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(CALLS)), st.integers(-3, 8), st.integers(-3, 8))
 def test_sizes_raise_only_package_errors(name, n, m):
-    try:
-        CALLS[name](n, m)
-    except errors.ExpanderLtcError:
-        pass
+    _returns_or_raises_package_error(lambda: CALLS[name](n, m))
+
+
+# a size of the wrong type: a float, even a whole one, text or None
+ODD_SIZES = st.one_of(st.integers(-3, 8), st.floats(-3, 8), st.just(2.0), st.none(),
+                      st.just("2"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ODD_SIZES, ODD_SIZES)
+def test_layered_cayley_sizes_raise_only_package_errors(layers, degree):
+    _returns_or_raises_package_error(
+        lambda: layered_cayley(make_cyclic(4), layers, degree, random.Random(0))
+    )
+
+
+CUTOFFS = st.one_of(
+    st.none(),
+    st.text(max_size=4),
+    st.sampled_from(["1/2", "1", "0.5"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.fractions(min_value=-2, max_value=2, max_denominator=12),
+    st.integers(-2, 2),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(CUTOFFS)
+def test_cutoffs_raise_only_package_errors(c):
+    x = cayley_right(make_cyclic(6), [1, 2])
+    _returns_or_raises_package_error(lambda: certify_expansion(x, c))
+
+
+@pytest.mark.parametrize("c", ["1/2", None, 0.5, Fraction(0), Fraction(3, 2), -1])
+def test_cutoff_not_in_the_unit_interval_as_int_or_fraction_raises(c):
+    with pytest.raises(errors.InvalidParameterError):
+        certify_expansion(cayley_right(make_cyclic(6), [1, 2]), c)
+
+
+# elements of Z_5 mixed with floats, negatives and elements outside the group;
+# the small range makes duplicates common
+GENERATORS = st.lists(
+    st.one_of(st.integers(-2, 7), st.floats(-2, 7), st.sampled_from([1.0, 2.0])),
+    max_size=5,
+)
+GENERATOR_CALLS = {
+    "cayley_right": lambda a, _: cayley_right(make_cyclic(5), a),
+    "left_right_cayley": lambda a, b: left_right_cayley(make_cyclic(5), a, b),
+    "left_right_cayley-b": lambda a, b: left_right_cayley(make_cyclic(5), b, a),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(GENERATOR_CALLS)), GENERATORS, GENERATORS)
+def test_generator_lists_raise_only_package_errors(name, a, b):
+    _returns_or_raises_package_error(lambda: GENERATOR_CALLS[name](a, b))
+
+
+@pytest.mark.parametrize("gens", [[1.0], [1, 2.0], [-1], [5], [1, 1], []])
+@pytest.mark.parametrize("name", sorted(GENERATOR_CALLS))
+def test_bad_generator_list_raises(name, gens):
+    with pytest.raises(errors.InvalidParameterError):
+        GENERATOR_CALLS[name](gens, [1])

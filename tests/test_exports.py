@@ -66,7 +66,6 @@ TEST_ONLY_MEMBERS = frozenset({
     "FlipResult.final",  # the record of greedy_flip, a test-only export above
     "FlipResult.flips",  # the record of greedy_flip
     "FlipResult.steps",  # the record of greedy_flip
-    "SearchResult.complex",  # the product search_pair returns; tests re-verify it
 })
 
 

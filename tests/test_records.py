@@ -75,6 +75,8 @@ _SEARCH_Z6 = {
     "w_down": 2, "w_up": 2, "w_right": 2, "w_left": 2, "trials": 3,
 }
 _LATE = {"expander_ltc.analysis", "expander_ltc.formats"}
+# a search, and a build that stops at --dry-run, builds no balanced product
+_NO_PRODUCT = {"expander_ltc.products", *_LATE}
 # stdlib modules no run needs: the CLI reads its flags from a table, the
 # records are plain namedtuples and summary.csv is written as text
 _NEVER = {"argparse", "gettext", "locale", "csv", "typing", "dataclasses"}
@@ -83,10 +85,10 @@ _NEVER = {"argparse", "gettext", "locale", "csv", "typing", "dataclasses"}
 @pytest.mark.parametrize("argv, config, absent", [
     (None, None, _SUBMODULES),
     ([], None, {"expander_ltc.search", *_LATE}),
-    (["build", "--dry-run"], _BUILD_Z8, {"expander_ltc.search", *_LATE}),
+    (["build", "--dry-run"], _BUILD_Z8, {"expander_ltc.search", *_NO_PRODUCT}),
     (["build"], _BUILD_Z8, {"expander_ltc.search"}),
-    (["search", "--dry-run"], _SEARCH_Z6, _LATE),
-    (["search"], _SEARCH_Z6, _LATE),
+    (["search", "--dry-run"], _SEARCH_Z6, _NO_PRODUCT),
+    (["search"], _SEARCH_Z6, _NO_PRODUCT),
 ], ids=["import", "cli-import", "build-dry-run", "build", "search-dry-run", "search"])
 def test_each_run_loads_only_its_layers(tmp_path, argv, config, absent):
     # -S: site hooks of the interpreter's installation preload nothing

@@ -1,5 +1,6 @@
 """Tests for the randomized expander-pair search."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from expander_ltc import search
 from expander_ltc.errors import InvalidParameterError, SearchExhaustedError
-from expander_ltc.graphs import BipartiteGraph, check_invariance, check_regularity
+from expander_ltc import cli, products
+from expander_ltc.graphs import certify_expansion, check_invariance, check_regularity
 from expander_ltc.groups import (
     make_cyclic,
     make_direct_product,
@@ -21,7 +23,27 @@ from expander_ltc.search import (
     layered_cayley,
     search_pair,
 )
-from search_reference import random_cayley, reference_search_pair
+from search_reference import (
+    layered_graph,
+    random_cayley,
+    rebuild_product,
+    reference_search_pair,
+)
+
+
+def assert_round_trip(spec, gen_sets_x, gen_sets_y, cert_x, cert_y):
+    """The product rebuilt from a search's reported generator sets is a chain
+    complex of the spec's degrees, and re-certifying its factors gives the
+    reported certificates (compared as ``to_json`` records, which a written
+    ``search_result.json`` holds too)."""
+    bp = rebuild_product(spec.group, gen_sets_x, gen_sets_y)
+    ok, _ = verify_chain_identity(bp.d1, bp.d2)
+    assert ok
+    assert (bp.w_down, bp.w_up, bp.w_right, bp.w_left) == (
+        spec.w_down, spec.w_up, spec.w_right, spec.w_left
+    )
+    assert certify_expansion(bp.x, spec.c_x, action=bp.ax).to_json() == cert_x
+    assert certify_expansion(bp.y, spec.c_y, action=bp.ay).to_json() == cert_y
 
 
 class TestRandomCayley:
@@ -137,15 +159,30 @@ class TestSearchPair:
         assert a.log == b.log
 
     def test_result_certificates_reverify(self):
-        from expander_ltc.graphs import certify_expansion
+        spec = self._spec()
+        res = search_pair(spec)
+        assert_round_trip(
+            spec, res.gen_sets_x, res.gen_sets_y,
+            res.cert_x.to_json(), res.cert_y.to_json(),
+        )
 
-        res = search_pair(self._spec())
-        redo_x = certify_expansion(res.complex.x, res.cert_x.c)
-        redo_y = certify_expansion(res.complex.y, res.cert_y.c)
-        assert redo_x.epsilon == res.cert_x.epsilon
-        assert redo_y.epsilon == res.cert_y.epsilon
-        ok, _ = verify_chain_identity(res.complex.d1, res.complex.d2)
-        assert ok
+    def test_written_result_rebuilds_and_reverifies(self, tmp_path):
+        # the generator sets and certificates read back from search_result.json
+        spec = self._spec()
+        cfg = tmp_path / "search.json"
+        cfg.write_text(json.dumps({
+            "group": {"kind": "cyclic", "n": 6},
+            "w_down": 2, "w_up": 2, "w_right": 2, "w_left": 2,
+            "c_x": "1/3", "c_y": "1/3", "trials": 6,
+        }))
+        out = tmp_path / "out"
+        argv = ["search", "--config", str(cfg), "--out", str(out), "--seed", "1"]
+        assert cli.main(argv) == 0
+        written = json.loads((out / "search_result.json").read_text())
+        assert_round_trip(
+            spec, written["gen_sets_x"], written["gen_sets_y"],
+            written["cert_x"], written["cert_y"],
+        )
 
     def test_best_so_far_monotone(self):
         res = search_pair(self._spec(trials=10))
@@ -175,13 +212,15 @@ class TestSearchPair:
             assert isinstance(value, bool)
 
     def test_skewed_search_builds_skewed_complex(self):
-        res = search_pair(
-            self._spec(w_down=1, w_up=2, w_right=1, w_left=2, trials=4)
+        spec = self._spec(w_down=1, w_up=2, w_right=1, w_left=2, trials=4)
+        res = search_pair(spec)
+        assert [len(s) for s in res.gen_sets_x] == [1, 1]
+        assert [len(s) for s in res.gen_sets_y] == [1, 1]
+        # the rebuilt complex has degrees (1, 2, 1, 2)
+        assert_round_trip(
+            spec, res.gen_sets_x, res.gen_sets_y,
+            res.cert_x.to_json(), res.cert_y.to_json(),
         )
-        bp = res.complex
-        assert (bp.w_down, bp.w_up, bp.w_right, bp.w_left) == (1, 2, 1, 2)
-        ok, _ = verify_chain_identity(bp.d1, bp.d2)
-        assert ok
 
 
 def _product_group(*orders):
@@ -229,11 +268,11 @@ SEARCH_TRIALS = dict(group=make_cyclic(16), trials=10, seed=0)
 
 
 class TestSearchMatchesReference:
-    """One product per search and certificates shared across translates give
-    the result of the loop that builds and certifies every trial afresh."""
+    """No product and certificates shared across translates give the result of
+    the loop that builds and certifies every trial afresh."""
 
     @staticmethod
-    def _assert_same(res, ref):
+    def _assert_same(spec, res, ref):
         assert res.log == ref.log
         assert (res.trial, res.seed, res.epsilon) == (ref.trial, ref.seed, ref.epsilon)
         # certificates compare field by field, worst_witness included
@@ -241,8 +280,10 @@ class TestSearchMatchesReference:
         assert res.cert_y == ref.cert_y
         assert (res.gen_sets_x, res.gen_sets_y) == (ref.gen_sets_x, ref.gen_sets_y)
         assert res.inequalities == ref.inequalities
-        assert res.complex.d1 == ref.complex.d1
-        assert res.complex.d2 == ref.complex.d2
+        assert_round_trip(
+            spec, res.gen_sets_x, res.gen_sets_y,
+            res.cert_x.to_json(), res.cert_y.to_json(),
+        )
 
     @pytest.mark.parametrize(
         "spec",
@@ -259,64 +300,51 @@ class TestSearchMatchesReference:
         ids=["Z6", "Z8", "Z16", "Z2xZ4", "Z8-skew"],
     )
     def test_equals_reference(self, spec):
-        self._assert_same(search_pair(spec), reference_search_pair(spec))
+        self._assert_same(spec, search_pair(spec), reference_search_pair(spec))
 
     @staticmethod
-    def _counting(monkeypatch, name):
+    def _counting(monkeypatch, module, name):
         calls = []
-        original = getattr(search, name)
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(search, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_one_product_and_one_certificate_per_translation_class(
         self, monkeypatch
     ):
-        products = self._counting(monkeypatch, "balanced_product")
-        certs = self._counting(monkeypatch, "certify_expansion")
+        # no balanced product at all, and one certificate per translation class
+        made = self._counting(monkeypatch, products, "balanced_product")
+        certs = self._counting(monkeypatch, search, "certify_expansion")
         search_pair(_search_spec(**SEARCH_TRIALS))
-        assert (len(products), len(certs)) == (1, 7)
+        assert (len(made), len(certs)) == (0, 7)
 
     def test_failed_relabeling_check_certifies_afresh(self, monkeypatch):
-        certs = self._counting(monkeypatch, "certify_expansion")
+        certs = self._counting(monkeypatch, search, "certify_expansion")
         monkeypatch.setattr(search, "_relabels_onto", lambda *args: False)
         spec = _search_spec(**SEARCH_TRIALS)
         res = search_pair(spec)
         assert len(certs) == 20
-        self._assert_same(res, reference_search_pair(spec))
-
-
-def _layered_graph(g, gen_sets):
-    """The ``layered_cayley`` graph on given generator sets."""
-    return BipartiteGraph(
-        len(gen_sets) * g.order,
-        g.order,
-        [
-            (i * g.order + u, g.mul(u, b))
-            for i, gens in enumerate(gen_sets)
-            for u in g.elements()
-            for b in gens
-        ],
-    )
+        self._assert_same(spec, res, reference_search_pair(spec))
 
 
 class TestRelabelsOnto:
     def test_only_the_translating_element_maps_onto_the_translate(self):
         g = make_cyclic(8)
         gen_sets = [[0, 1], [0, 3]]  # no nonzero translate fixes both sets
-        x = _layered_graph(g, gen_sets)
+        x = layered_graph(g, gen_sets)
         for t in g.elements():
-            target = _layered_graph(g, [[g.mul(b, t) for b in s] for s in gen_sets])
+            target = layered_graph(g, [[g.mul(b, t) for b in s] for s in gen_sets])
             assert [search._relabels_onto(x, target, g, s) for s in g.elements()] == [
                 s == t for s in g.elements()
             ]
 
     def test_other_class_never_maps(self):
         g = make_cyclic(8)
-        x = _layered_graph(g, [[0, 1], [0, 3]])
-        other = _layered_graph(g, [[0, 1], [0, 2]])
+        x = layered_graph(g, [[0, 1], [0, 3]])
+        other = layered_graph(g, [[0, 1], [0, 2]])
         assert not any(search._relabels_onto(x, other, g, t) for t in g.elements())
