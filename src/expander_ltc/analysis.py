@@ -4,7 +4,7 @@ Everything here is a pure function of an immutable complex: code parameters,
 weighted local minimality and greedy flipping, the two distance notions they
 induce, the LT profile and the exact soundness read off it, square counting,
 and the small-set testability inequality with its sharp example.  No record
-caches anything: ``lt_profile`` runs the one min-preimage sweep of ``d2``, and
+caches anything: ``lt_profile`` runs the one min-preimage search of ``d2``, and
 ``soundness_exhaustive`` takes the profile it returns.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
@@ -22,6 +22,7 @@ from .errors import (
     InvalidParameterError,
     PreconditionViolationError,
     VerificationError,
+    _record,
 )
 from .f2 import (
     DEFAULT_ENUM_BUDGET,
@@ -34,6 +35,7 @@ from .f2 import (
 )
 from .graphs import (
     ExpansionCertificate,
+    _mask_to_list,
     _preserves,
     _strict_floor,
     small_set_epsilon,
@@ -46,7 +48,7 @@ from .products import BalancedProductComplex
 # code instances
 
 
-class CodeInstance(namedtuple("CodeInstance", [
+class CodeInstance(_record("CodeInstance", [
     "h",  # BitMatrix
     "n",  # int
     "m",  # int
@@ -91,7 +93,7 @@ def code_from_complex(bp: BalancedProductComplex) -> CodeInstance:
 # C1 vectors and weighted norms
 
 
-class C1Vector(namedtuple("C1Vector", [
+class C1Vector(_record("C1Vector", [
     "v10",  # BitVector
     "v01",  # BitVector
 ])):
@@ -175,7 +177,7 @@ def is_locally_minimal(
     return j is None, j
 
 
-FlipResult = namedtuple("FlipResult", [
+FlipResult = _record("FlipResult", [
     "final",  # C1Vector
     "flips",  # BitVector: accumulated toggles over V00
     "steps",  # int
@@ -206,13 +208,30 @@ def greedy_flip(c1: C1Vector, bp: BalancedProductComplex) -> FlipResult:
 # soundness
 
 
-class SoundnessReport(namedtuple("SoundnessReport", [
+class SoundnessReport(_record("SoundnessReport", [
     "s",  # Fraction
     "witness",  # BitVector
 ])):
     """Exact minimum of ``(|Hx| / m) * (n / d(x, C))`` over non-codewords ``x``."""
 
     __slots__ = ()
+
+
+def _by_weight(
+    part: int, counter: Sequence[int], i: int = 0, key: int = 0
+) -> Iterator[tuple[int, int]]:
+    """``(iw, images)`` for each image weight ``iw`` met by the index set
+    ``part``: its indices whose image has that weight.  ``counter[i]`` holds
+    the indices whose image weight has bit ``i``; depth first, so no more
+    than one path of subsets is alive at a time."""
+    if i == len(counter):
+        yield key, part
+        return
+    hit = part & counter[i]
+    if hit:
+        yield from _by_weight(hit, counter, i + 1, key | 1 << i)
+    if hit != part:
+        yield from _by_weight(part ^ hit, counter, i + 1, key)
 
 
 def _preimage_profile(
@@ -224,45 +243,98 @@ def _preimage_profile(
     Column ``j`` of ``d2`` joins the left masks ``g_s0.left_masks[j]`` (its
     V10 part) and ``g_0s.left_masks[j]`` (its V01 part).  Each kernel vector
     of ``kernel_basis(bp.d2)`` is the only one that is 1 at its free column,
-    so every coset of ker d2 has exactly one element that is 0 on the free
-    columns, and the other ``rank`` columns are independent.  One
-    ``gray_sweep`` over those columns, with preimage bit ``j`` packed above
-    the image bits of column ``j``, meets each nonzero image once; its least
-    ``(weight, bits)`` preimage is the least of the ``2^k`` elements of that
-    coset.  No table is kept.  The ``2^rank * 2^k = 2^n00`` preimages the
-    loop visits are checked against the budget before it starts.
+    so the other ``rank`` (pivot) columns are independent, and each image is
+    indexed by the pivot columns that sum to it: index bit ``t`` is pivot
+    ``t``.  A set of images is one ``2^rank``-bit int, bit ``i`` for index
+    ``i``.
+
+    An image's least preimage weight is its distance from 0 when each step
+    adds one column, so a breadth-first search finds it: layer ``w + 1`` is
+    layer ``w`` translated by every column's index vector, minus the images
+    seen.  A pivot's index vector is one bit, a free column's the pivot part
+    of its kernel vector, and translating a set by one bit is a masked block
+    swap.  A bit-sliced counter of the image bits splits each layer by image
+    weight; the deepest layer that meets a weight holds its worst images, and
+    a greedy from the top image bit picks the smallest of them.  Its least
+    ``(weight, bits)`` preimage is the least of the ``2^k`` elements of its
+    coset of ker d2.  No table is kept.  The ``2^n00`` preimages bound the
+    work and are checked against the budget before it starts.
     """
     n = bp.n00
     if (1 << n) > budget:
         raise BudgetExceededError(f"2^{n} preimages exceed budget", 1 << n, budget)
     m = bp.n10 + bp.n01
+    columns = [a | b << bp.n10 for a, b in zip(bp.g_s0.left_masks, bp.g_0s.left_masks)]
     kernel = [v.bits for v in kernel_basis(bp.d2)]
     free = 0
     for z in kernel:
         free |= 1 << (z.bit_length() - 1)
-    vectors = [
-        a | b << bp.n10 | 1 << (m + j)
-        for j, (a, b) in enumerate(zip(bp.g_s0.left_masks, bp.g_0s.left_masks))
-        if not free >> j & 1
-    ]
-    shifts = [z for _, z in gray_sweep(kernel, budget)]  # ker d2 without 0
-    mask = (1 << m) - 1
-    worst = [-1] * (m + 1)  # per image weight; -1 while no image has it
-    witness: list[tuple[int, int] | None] = [None] * (m + 1)
-    for _, cur in gray_sweep(vectors, budget):
-        x = pre = cur >> m
-        w = x.bit_count()
-        for z in shifts:
-            y = x ^ z
-            v = y.bit_count()
-            if v < w or (v == w and y < pre):
-                w, pre = v, y
-        image = cur & mask
-        iw = image.bit_count()
-        if w > worst[iw] or (w == worst[iw] and image < witness[iw][0]):
-            worst[iw] = w
-            witness[iw] = (image, pre)
-    return {iw: (w, *witness[iw]) for iw, w in enumerate(worst) if w >= 0}
+    pivots = [j for j in range(n) if not free >> j & 1]
+    r = len(pivots)
+    full = (1 << (1 << r)) - 1  # every index
+    # low[t]: the indices with bit t clear, each mask made from the next one;
+    # low[r - 1] is the lower half of the indices
+    low = [(1 << (1 << r >> 1)) - 1] * r
+    for t in reversed(range(r - 1)):
+        low[t] = low[t + 1] ^ low[t + 1] << (1 << t)
+    # per column, the masked block swaps that translate a set by its index vector
+    moves = [[(1 << t, low[t])] for t in range(r)]
+    for z in kernel:
+        moves.append([(1 << t, low[t]) for t, j in enumerate(pivots) if z >> j & 1])
+    rows = [0] * m  # rows[e]: the index bits whose pivot column has image bit e
+    for t, j in enumerate(pivots):
+        for e in _mask_to_list(columns[j]):
+            rows[e] |= 1 << t
+
+    def plane(e: int) -> int:
+        """The indices whose image has bit ``e``: the xor of the complements
+        of ``low[t]`` over the pivots ``t`` that have it."""
+        p = full if rows[e].bit_count() & 1 else 0
+        for t in _mask_to_list(rows[e]):
+            p ^= low[t]
+        return p
+
+    counter: list[int] = []  # ripple-carry sum of the planes, one int per bit
+    for e in range(m):
+        carry = plane(e)
+        for i, part in enumerate(counter):
+            counter[i] = part ^ carry
+            carry &= part
+            if not carry:
+                break
+        if carry:
+            counter.append(carry)
+    worst: dict[int, tuple[int, int]] = {}  # iw -> (w, its images in layer w)
+    w, layer, seen = 0, 1, 1  # layer 0 is index 0, the zero image
+    while layer:
+        for iw, part in _by_weight(layer, counter):
+            worst[iw] = (w, part)
+        grown = 0
+        for swaps in moves:
+            moved = layer
+            for s, mask in swaps:
+                moved = (moved & mask) << s | (moved >> s) & mask
+            grown |= moved
+        layer = (grown | seen) ^ seen
+        seen |= layer
+        w += 1
+    del worst[0]
+    candidates = {iw: part for iw, (_, part) in worst.items()}
+    for e in reversed(range(m)):  # keep the images without bit e, if any
+        clear = full ^ plane(e)
+        for iw, part in candidates.items():
+            if rest := part & clear:
+                candidates[iw] = rest
+    profile = {}
+    for iw, (w, _) in worst.items():
+        i = candidates[iw].bit_length() - 1  # the one index left
+        image = x = 0
+        for t in _mask_to_list(i):
+            image ^= columns[pivots[t]]
+            x |= 1 << pivots[t]
+        coset = itertools.chain((x,), (x ^ z for _, z in gray_sweep(kernel, budget)))
+        profile[iw] = (w, image, min((y.bit_count(), y) for y in coset)[1])
+    return profile
 
 
 def soundness_exhaustive(code: CodeInstance, ltp: LTProfile) -> SoundnessReport:
@@ -295,7 +367,7 @@ def soundness_exhaustive(code: CodeInstance, ltp: LTProfile) -> SoundnessReport:
 # locally minimal / locally testable distances
 
 
-class LocallyMinimalDistance(namedtuple("LocallyMinimalDistance", [
+class LocallyMinimalDistance(_record("LocallyMinimalDistance", [
     "d_lm",  # int | None
     "witness",  # C1Vector | None
 ])):
@@ -394,7 +466,7 @@ def _least_minimal(
     return LocallyMinimalDistance(d_lm=best[0], witness=witness)
 
 
-class LTProfile(namedtuple("LTProfile", [
+class LTProfile(_record("LTProfile", [
     "table",  # dict[int, int]
     "witnesses",  # dict[int, tuple[BitVector, BitVector]]: w -> (image, preimage)
     "kappa",  # Fraction
@@ -454,7 +526,7 @@ def soundness_from_lt(code: CodeInstance, ltp: LTProfile) -> Fraction:
 # squares and the small-set inequality
 
 
-class SmallSetCheck(namedtuple("SmallSetCheck", [
+class SmallSetCheck(_record("SmallSetCheck", [
     "lhs",  # Fraction
     "rhs",  # Fraction
     "holds",  # bool
@@ -484,7 +556,7 @@ def small_set_smallness_bounds(
     return bound10, bound01
 
 
-class _Part(namedtuple("_Part", [
+class _Part(_record("_Part", [
     "bits",  # int
     "weight",  # int
     # list[int]: levels[a] holds the d2 columns whose part in this corner
@@ -711,7 +783,7 @@ def small_set_vacuous(epsilon: Fraction) -> bool:
     return Fraction(1, 2) - 8 * epsilon <= 0
 
 
-class SmallSetSummary(namedtuple("SmallSetSummary", [
+class SmallSetSummary(_record("SmallSetSummary", [
     "count",  # int | None
     "orbits",  # int | None
     "all_hold",  # bool
@@ -878,7 +950,7 @@ def sharp_example(bp: BalancedProductComplex, x00: int) -> C1Vector:
         raise PreconditionViolationError(
             f"degrees (w_down={bp.w_down}, w_right={bp.w_right}) must both be even"
         )
-    if not 0 <= x00 < bp.n00:
+    if not (isinstance(x00, int) and 0 <= x00 < bp.n00):
         raise InvalidParameterError(f"vertex {x00} outside V00")
     n10_all = bp.g_s0.left_neighbors(x00)
     n01_all = bp.g_0s.left_neighbors(x00)
@@ -919,7 +991,7 @@ def sharp_example(bp: BalancedProductComplex, x00: int) -> C1Vector:
 # distance certificate
 
 
-class DistanceReport(namedtuple("DistanceReport", [
+class DistanceReport(_record("DistanceReport", [
     "bound",  # Fraction | None
     "exact",  # int | None
     "witness",  # BitVector | None

@@ -306,7 +306,7 @@ def build_report(
     }
     if dist.reason is not None:
         report["d"]["reason"] = dist.reason
-    # read off the profile of the LT sweep above: one sweep per build
+    # read off the profile of the LT search above: one search per build
     snd = analysis.soundness_exhaustive(code, ltp)
     report["soundness"] = {
         "s": str(snd.s),

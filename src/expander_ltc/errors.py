@@ -1,10 +1,16 @@
-"""Exception taxonomy shared across the library.
+"""Exception taxonomy shared across the library, and its record factory.
 
 Every failure mode carries enough context (witnesses, offending keys) for a
 caller to print a useful diagnostic without re-running the computation.
+
+``_record`` makes the library's record classes.  It lives here because every
+module that defines a record already imports this one.
 """
 
 from __future__ import annotations
+
+import sys
+from collections import _tuplegetter
 
 
 class ExpanderLtcError(Exception):
@@ -90,3 +96,80 @@ class VerificationError(ExpanderLtcError):
     Raised instead of a bare ``assert`` so the check also runs under
     ``python -O``; it points at a bug, not at a bad input.
     """
+
+
+def _record(name: str, fields: list[str], defaults: tuple = ()) -> type:
+    """A tuple subclass with named fields, as ``collections.namedtuple`` makes
+    one, but built without compiling code.
+
+    The class keeps the contract the library's records rely on: construction
+    by position or keyword with ``defaults`` for the last fields, ``_fields``,
+    ``_make`` and ``_replace``, read-only fields, no instance dict, a
+    ``Name(field=value, ...)`` repr, equality and hash as a tuple,
+    ``__getnewargs__`` and ``__match_args__``.  ``__module__`` is the
+    caller's module, so records pickle.  Exactly ``len(fields)`` positional
+    arguments go straight to ``tuple.__new__``.
+    """
+    fields = tuple(fields)
+    n = len(fields)
+    field_defaults = dict(zip(fields[n - len(defaults):], defaults))
+    tuple_new = tuple.__new__
+    repr_fmt = "(" + ", ".join(f"{f}=%r" for f in fields) + ")"
+
+    def bind(args: tuple, kwargs: dict) -> list:
+        if len(args) > n:
+            raise TypeError(
+                f"{name}() takes {n} positional arguments but {len(args)} were given"
+            )
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in field_defaults:
+                values.append(field_defaults[field])
+            else:
+                raise TypeError(f"{name}() missing required argument: {field!r}")
+        for key in kwargs:
+            problem = "multiple values for" if key in fields else "an unexpected keyword"
+            raise TypeError(f"{name}() got {problem} argument {key!r}")
+        return values
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        return tuple_new(cls, args)
+
+    def _make(cls, iterable):
+        result = tuple_new(cls, iterable)
+        if len(result) != n:
+            raise TypeError(f"Expected {n} arguments, got {len(result)}")
+        return result
+
+    def _replace(self, /, **kwds):
+        result = self._make(map(kwds.pop, fields, self))
+        if kwds:
+            raise ValueError(f"Got unexpected field names: {list(kwds)!r}")
+        return result
+
+    def __repr__(self):
+        return self.__class__.__name__ + repr_fmt % self
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    namespace = {
+        "__doc__": f"{name}({', '.join(fields)})",
+        "__slots__": (),
+        "_fields": fields,
+        "__new__": __new__,
+        "_make": classmethod(_make),
+        "_replace": _replace,
+        "__repr__": __repr__,
+        "__getnewargs__": __getnewargs__,
+        "__match_args__": fields,
+    }
+    for index, field in enumerate(fields):
+        namespace[field] = _tuplegetter(index, f"Alias for field number {index}")
+    cls = type(name, (tuple,), namespace)
+    cls.__module__ = sys._getframe(1).f_globals.get("__name__", "__main__")
+    return cls

@@ -7,15 +7,14 @@ sparser, and ``int.bit_count`` keeps weight computations cheap.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, InvalidParameterError
+from .errors import BudgetExceededError, InvalidParameterError, _record
 
 DEFAULT_ENUM_BUDGET = 1 << 24  # the one default budget of every GF(2) sweep
 
 
-class BitVector(namedtuple("BitVector", [
+class BitVector(_record("BitVector", [
     "length",  # int
     "bits",  # int: bit i is entry i
 ], defaults=(0,))):

@@ -18,12 +18,11 @@ def matrix_to_alist(m: BitMatrix) -> str:
     Columns are treated as variable nodes and rows as check nodes; indices in
     the neighbor lists are 1-based per the format's convention.
     """
-    col_supports = [
-        [i + 1 for i in range(m.rows) if m.get(i, j)] for j in range(m.cols)
-    ]
-    row_supports = [
-        [j + 1 for j in range(m.cols) if m.get(i, j)] for i in range(m.rows)
-    ]
+    col_supports: list[list[int]] = [[] for _ in range(m.cols)]
+    row_supports: list[list[int]] = [[] for _ in range(m.rows)]
+    for i, j in m.nonzero_entries():  # row by row, each row's columns ascending
+        col_supports[j].append(i + 1)
+        row_supports[i].append(j + 1)
     max_col = max((len(s) for s in col_supports), default=0)
     max_row = max((len(s) for s in row_supports), default=0)
     lines = [
@@ -93,8 +92,9 @@ def _alist_support(entries: list[int], degree: int, size: int, what: str) -> lis
 def matrix_to_dense_text(m: BitMatrix) -> str:
     """A "rows cols" header followed by one unpadded 0/1 string per row."""
     lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append("".join(str(m.get(i, j)) for j in range(m.cols)))
+    # a 1 set above the last column pads bin() to cols digits; reversed, and
+    # cut before its "0b1", they read column 0 first
+    lines += [bin(r | 1 << m.cols)[:2:-1] for r in m.row_bits]
     return "\n".join(lines) + "\n"
 
 

@@ -6,12 +6,16 @@ integer bitmasks so that subset-expansion scans reduce to OR + popcount.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Sequence, Set
 from fractions import Fraction
 from math import ceil, comb
 
-from .errors import BudgetExceededError, InvalidParameterError, IrregularGraphError
+from .errors import (
+    BudgetExceededError,
+    InvalidParameterError,
+    IrregularGraphError,
+    _record,
+)
 from .groups import FiniteGroup, GroupAction, check_action_axioms
 
 #: Default cap on exhaustive subset evaluations in ``certify_expansion``.
@@ -84,7 +88,7 @@ def _mask_to_list(mask: int) -> list[int]:
     return out
 
 
-class GraphAction(namedtuple("GraphAction", [
+class GraphAction(_record("GraphAction", [
     "on_v0",  # GroupAction
     "on_v1",  # GroupAction
 ])):
@@ -97,13 +101,13 @@ class GraphAction(namedtuple("GraphAction", [
         return self.on_v0.group
 
 
-Regularity = namedtuple("Regularity", [
+Regularity = _record("Regularity", [
     "w0",  # int: the degree of every left vertex
     "w1",  # int: the degree of every right vertex
 ])
 
 
-class ExpansionCertificate(namedtuple("ExpansionCertificate", [
+class ExpansionCertificate(_record("ExpansionCertificate", [
     "c",  # Fraction
     "epsilon",  # Fraction
     "w0",  # int

@@ -7,9 +7,13 @@ regime the rest of the library operates in.
 
 from __future__ import annotations
 
-from collections import namedtuple
 
-from .errors import FreenessViolationError, InvalidParameterError, SizeLimitError
+from .errors import (
+    FreenessViolationError,
+    InvalidParameterError,
+    SizeLimitError,
+    _record,
+)
 
 #: Hard cap on group orders; groups beyond this raise ``SizeLimitError``.
 MAX_GROUP_ORDER = 4096
@@ -19,7 +23,7 @@ MAX_GROUP_ORDER = 4096
 AXIOM_CHECK_ORDER = 256
 
 
-class FiniteGroup(namedtuple("FiniteGroup", [
+class FiniteGroup(_record("FiniteGroup", [
     "order",  # int
     "table",  # tuple[tuple[int, ...], ...]: table[a][b] = ab
     "identity",  # int
@@ -66,7 +70,7 @@ class FiniteGroup(namedtuple("FiniteGroup", [
         return f"FiniteGroup({self.name or 'order=%d' % self.order})"
 
 
-class GroupAction(namedtuple("GroupAction", [
+class GroupAction(_record("GroupAction", [
     "group",  # FiniteGroup
     "set_size",  # int
     "table",  # tuple[tuple[int, ...], ...]: table[g][x] = g.x
@@ -79,7 +83,7 @@ class GroupAction(namedtuple("GroupAction", [
         return self.table[g][x]
 
 
-class OrbitLabeling(namedtuple("OrbitLabeling", [
+class OrbitLabeling(_record("OrbitLabeling", [
     "action",  # GroupAction
     "representatives",  # tuple[int, ...]
     "label",  # tuple[tuple[int, int], ...]

@@ -9,7 +9,7 @@ bit matrices, with ``d1 @ d2 == 0`` asserted at construction time.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -18,6 +18,7 @@ from .errors import (
     InvalidWedgeError,
     MultiplicityViolationError,
     SizeLimitError,
+    _record,
 )
 from .f2 import BitMatrix
 from .graphs import (
@@ -55,7 +56,7 @@ def regular_graph_action(g: FiniteGroup) -> GraphAction:
     return GraphAction(a, a)
 
 
-class BalancedProductComplex(namedtuple("BalancedProductComplex", [
+class BalancedProductComplex(_record("BalancedProductComplex", [
     "group",  # FiniteGroup
     "x",  # BipartiteGraph
     "y",  # BipartiteGraph
@@ -328,7 +329,7 @@ def left_right_cayley(
     return balanced_product(x, y, regular_graph_action(g), regular_graph_action(g))
 
 
-class OneDSubgraph(namedtuple("OneDSubgraph", [
+class OneDSubgraph(_record("OneDSubgraph", [
     "graph",  # BipartiteGraph
     "factor",  # BipartiteGraph
     "num_copies",  # int
@@ -356,6 +357,12 @@ _SUBGRAPH_CORNERS: dict[str, tuple[str, int, int, str]] = {
 }
 
 
+def _subgraph_corners(which: SubgraphName) -> tuple[str, int, int, str]:
+    if isinstance(which, str) and which in _SUBGRAPH_CORNERS:
+        return _SUBGRAPH_CORNERS[which]
+    raise InvalidParameterError(f"unknown subgraph selector: {which!r}")
+
+
 def one_d_subgraph(bp: BalancedProductComplex, which: SubgraphName) -> OneDSubgraph:
     """One of the four corner-to-corner subgraphs with its copy witness.
 
@@ -364,9 +371,7 @@ def one_d_subgraph(bp: BalancedProductComplex, which: SubgraphName) -> OneDSubgr
     disjoint copies of the matching factor, one copy per orbit of the other
     factor's paired side.
     """
-    if which not in _SUBGRAPH_CORNERS:
-        raise InvalidParameterError(f"unknown subgraph selector: {which!r}")
-    name, ca, cb, factor_kind = _SUBGRAPH_CORNERS[which]
+    name, ca, cb, factor_kind = _subgraph_corners(which)
     graph = getattr(bp, name)
     g = bp.group
 
@@ -446,9 +451,7 @@ def inherited_expansion(
     The cutoff scales by |factor left side| / |subgraph left side| and epsilon
     carries over unchanged.
     """
-    if which not in _SUBGRAPH_CORNERS:
-        raise InvalidParameterError(f"unknown subgraph selector: {which!r}")
-    _, ca, _, factor_kind = _SUBGRAPH_CORNERS[which]
+    _, ca, _, factor_kind = _subgraph_corners(which)
     factor = bp.x if factor_kind == "x" else bp.y
     scale = Fraction(factor.v0_size, bp.sizes[ca])
     return ExpansionCertificate(

@@ -12,10 +12,9 @@ as certified unless the exhaustive scan said so.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
 from fractions import Fraction
 
-from .errors import InvalidParameterError, SearchExhaustedError
+from .errors import InvalidParameterError, SearchExhaustedError, _record
 from .graphs import (
     BipartiteGraph,
     ExpansionCertificate,
@@ -65,7 +64,7 @@ def layered_cayley(
     return graph, GraphAction(block_action(regular, layers), regular), gen_sets
 
 
-class SearchSpec(namedtuple("SearchSpec", [
+class SearchSpec(_record("SearchSpec", [
     "group",  # FiniteGroup
     "w_down",  # int
     "w_up",  # int
@@ -109,7 +108,7 @@ class SearchSpec(namedtuple("SearchSpec", [
         return self
 
 
-class SearchResult(namedtuple("SearchResult", [
+class SearchResult(_record("SearchResult", [
     "cert_x",  # ExpansionCertificate
     "cert_y",  # ExpansionCertificate
     "epsilon",  # Fraction

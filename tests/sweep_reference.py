@@ -1,7 +1,7 @@
 """Reference sweeps: one hand-written Gray loop per analysis.
 
 These are the straightforward versions of what ``f2.gray_sweep`` and the
-table-free LT sweep replace.  Exact soundness and the LT profile each sweep
+LT profile's breadth-first search replace.  Exact soundness and the LT profile each sweep
 the whole space and keep their own table, so they serve as an independent
 oracle; ``reference_min_preimages`` is that table for any list of columns.
 The reference for the locally minimal distance is

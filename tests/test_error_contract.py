@@ -1,10 +1,11 @@
-"""Library calls raise only the package's own errors on bad sizes, cutoffs and
-generator lists.
+"""Library calls raise only the package's own errors on bad sizes, cutoffs,
+generator lists, subgraph selectors and vertices.
 
 Each call gets drawn values of the wrong type or range (negative or
 non-integer sizes, cutoffs that are text, ``None``, floats or fractions
 outside (0, 1], generator lists with floats, negatives, elements outside the
-group or duplicates).  It must either return or raise an
+group or duplicates, selectors that are unhashable, ``None`` or unknown
+strings, vertices that are floats, negative or out of range).  It must either return or raise an
 ``errors.ExpanderLtcError``; any other exception fails the test.
 """
 
@@ -16,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expander_ltc import errors
+from expander_ltc.analysis import sharp_example
 from expander_ltc.f2 import BitMatrix, BitVector
 from expander_ltc.graphs import cayley_right, certify_expansion
 from expander_ltc.groups import block_action, left_regular_action, make_cyclic
-from expander_ltc.products import left_right_cayley
+from expander_ltc.products import inherited_expansion, left_right_cayley, one_d_subgraph
 from expander_ltc.search import layered_cayley, random_generating_set
 
 CALLS = {
@@ -108,3 +110,52 @@ def test_generator_lists_raise_only_package_errors(name, a, b):
 def test_bad_generator_list_raises(name, gens):
     with pytest.raises(errors.InvalidParameterError):
         GENERATOR_CALLS[name](gens, [1])
+
+
+_BP = left_right_cayley(make_cyclic(6), [1, 2], [1, 3])
+_CERT = certify_expansion(_BP.x, Fraction(1, 2))
+SELECTORS = st.one_of(
+    st.sampled_from(["*0", "*1", "0*", "1*"]),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.sampled_from(["*0", "1*"]), max_size=2),
+    st.dictionaries(st.sampled_from(["*0"]), st.integers(), max_size=1),
+    st.sets(st.sampled_from(["*0", "0*"]), max_size=2),
+    st.integers(-1, 3),
+)
+SELECTOR_CALLS = {
+    "one_d_subgraph": lambda which: one_d_subgraph(_BP, which),
+    "inherited_expansion": lambda which: inherited_expansion(_BP, _CERT, which),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(SELECTOR_CALLS)), SELECTORS)
+def test_selectors_raise_only_package_errors(name, which):
+    _returns_or_raises_package_error(lambda: SELECTOR_CALLS[name](which))
+
+
+@pytest.mark.parametrize("which", [["*0"], {}, None, "*2", ""])
+@pytest.mark.parametrize("name", sorted(SELECTOR_CALLS))
+def test_bad_selector_raises(name, which):
+    with pytest.raises(errors.InvalidParameterError):
+        SELECTOR_CALLS[name](which)
+
+
+# V00 of the Z6 complex has 6 vertices
+VERTICES = st.one_of(
+    st.integers(-3, 12), st.floats(-3, 12), st.sampled_from([1.0, 1.5]), st.none(),
+    st.just("1"),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(VERTICES)
+def test_vertices_raise_only_package_errors(x00):
+    _returns_or_raises_package_error(lambda: sharp_example(_BP, x00))
+
+
+@pytest.mark.parametrize("x00", [1.5, 1.0, -1, 6, None, "1"])
+def test_bad_vertex_raises(x00):
+    with pytest.raises(errors.InvalidParameterError):
+        sharp_example(_BP, x00)

@@ -1,15 +1,19 @@
 """The library's records: read-only fields, equality by fields alone, cheap import."""
 
+import copy
 import inspect
 import json
+import pickle
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
 import expander_ltc
 from expander_ltc import analysis, f2, graphs, groups, products, search
+from expander_ltc.errors import _record
 from expander_ltc.groups import block_action, left_regular_action, make_cyclic, orbit_labeling
 from lemma_checks import DegreeSplit
 
@@ -38,6 +42,77 @@ def test_fields_are_read_only(cls):
             setattr(record, field, None)
     # no instance dict: nothing but the fields can be stored on a record
     assert not hasattr(record, "__dict__")
+
+
+# one record shape made both ways: the factory's class against namedtuple's
+Point = _record("Point", ["x", "y", "z"], defaults=(0,))
+NTPoint = namedtuple("NTPoint", ["x", "y", "z"], defaults=(0,))
+
+
+class TestFactoryMatchesNamedtuple:
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, 2, 3), {}),
+        ((1, 2), {}),
+        ((), {"x": 1, "y": 2}),
+        ((1,), {"z": 5, "y": 2}),
+        ((), {"z": [], "y": None, "x": "a"}),
+    ])
+    def test_construction(self, args, kwargs):
+        p, q = Point(*args, **kwargs), NTPoint(*args, **kwargs)
+        assert tuple(p) == tuple(q)
+        assert (p.x, p.y, p.z) == (q.x, q.y, q.z)
+        assert repr(p).removeprefix("Point") == repr(q).removeprefix("NTPoint")
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {}),
+        ((1,), {}),
+        ((1, 2, 3, 4), {}),
+        ((1, 2), {"x": 3}),
+        ((1, 2), {"w": 3}),
+    ])
+    def test_bad_arguments_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            NTPoint(*args, **kwargs)
+        with pytest.raises(TypeError):
+            Point(*args, **kwargs)
+
+    def test_class_attributes(self):
+        for attr in ("_fields", "__match_args__"):
+            assert getattr(Point, attr) == getattr(NTPoint, attr)
+        assert Point.__module__ == NTPoint.__module__ == __name__
+        assert Point.__mro__[1:] == (tuple, object)
+
+    def test_make_and_replace(self):
+        p, q = Point._make([1, 2, 3]), NTPoint._make([1, 2, 3])
+        assert type(p) is Point and tuple(p) == tuple(q)
+        assert tuple(p._replace(y=7)) == tuple(q._replace(y=7)) == (1, 7, 3)
+        assert type(p._replace(y=7)) is Point
+        with pytest.raises(TypeError):
+            Point._make([1, 2])
+        with pytest.raises(ValueError, match="'w'"):
+            p._replace(w=1)
+
+    def test_equality_and_hash_are_the_tuple_s(self):
+        p = Point(1, 2)
+        assert p == (1, 2, 0) == NTPoint(1, 2) and p != Point(1, 2, 1)
+        assert hash(p) == hash((1, 2, 0)) == hash(NTPoint(1, 2))
+
+    def test_fields_are_read_only(self):
+        p = Point(1, 2)
+        with pytest.raises(AttributeError):
+            p.x = 5
+        assert not hasattr(p, "__dict__")
+
+    def test_copy_and_pickle_round_trip(self):
+        p = Point(1, [2], {"z": 3})
+        assert p.__getnewargs__() == NTPoint(*p).__getnewargs__() == (1, [2], {"z": 3})
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(clone) is Point and clone == p
+
+    def test_match_statement_binds_by_position(self):
+        match Point(1, 2):
+            case Point(a, b, c):
+                assert (a, b, c) == (1, 2, 0)
 
 
 class TestMemo:
@@ -78,7 +153,7 @@ _LATE = {"expander_ltc.analysis", "expander_ltc.formats"}
 # a search, and a build that stops at --dry-run, builds no balanced product
 _NO_PRODUCT = {"expander_ltc.products", *_LATE}
 # stdlib modules no run needs: the CLI reads its flags from a table, the
-# records are plain namedtuples and summary.csv is written as text
+# records are tuples made by one factory and summary.csv is written as text
 _NEVER = {"argparse", "gettext", "locale", "csv", "typing", "dataclasses"}
 
 
@@ -114,3 +189,25 @@ def test_each_run_loads_only_its_layers(tmp_path, argv, config, absent):
     assert proc.returncode == 0, proc.stderr
     loaded = set(listing.read_text().split())
     assert not loaded & (absent | _NEVER)
+
+
+def test_no_library_record_is_made_by_namedtuple():
+    # a namedtuple record compiles its __new__ in every fresh process; a child
+    # whose namedtuple refuses the package's modules imports each of them
+    code = "\n".join([
+        f"import sys; sys.path.insert(0, {str(_PACKAGE.parent)!r})",
+        "import collections, importlib",
+        "original = collections.namedtuple",
+        "def refuse(*args, **kwargs):",
+        "    caller = sys._getframe(1).f_globals.get('__name__', '')",
+        "    if caller.startswith('expander_ltc'):",
+        "        raise RuntimeError(f'{caller} makes a record with namedtuple')",
+        "    return original(*args, **kwargs)",
+        "collections.namedtuple = refuse",
+        f"for name in {sorted(_SUBMODULES)!r}:",
+        "    importlib.import_module(name)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,13 @@
-"""The Gray-sweep kernel and the table-free LT sweep against the references."""
+"""The Gray-sweep kernel and the LT profile's breadth-first search against
+the references."""
 
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from expander_ltc import analysis
 from expander_ltc.analysis import (
@@ -82,8 +85,8 @@ def _layered_kernel_dim_3():
     return bp
 
 
-# the LT sweep takes each image's least preimage over the 2^k elements of its
-# coset of ker d2, so these cover k = 0 (Z5, Z8-125-137), k = 1 (the
+# the LT search takes each witness's least preimage over the 2^k elements of
+# its coset of ker d2, so these cover k = 0 (Z5, Z8-125-137), k = 1 (the
 # [1,2]/[1,3] ladder) and k >= 2 (the layered products)
 COMPLEXES = {
     "Z5": lambda: left_right_cayley(make_cyclic(5), [1], [1, 2]),
@@ -97,6 +100,45 @@ COMPLEXES = {
     "Z10": lambda: left_right_cayley(make_cyclic(10), [1, 2], [1, 3]),
     "Z6-layered": _layered,
 }
+
+
+def _layered_product(order, layers_x, layers_y, degree_x, degree_y, seed):
+    rng = random.Random(seed)
+    g = make_cyclic(order)
+    x, ax, _ = layered_cayley(g, layers_x, degree_x, rng)
+    y, ay, _ = layered_cayley(g, layers_y, degree_y, rng)
+    return balanced_product(x, y, ax, ay)
+
+
+@st.composite
+def layered_products(draw, max_bits=18):
+    """Layered Cayley products on Z_2 .. Z_4 with at most ``max_bits`` bits;
+    their ``d2`` kernels have every dimension from 0 to 8, and 10."""
+    order = draw(st.integers(2, 4))
+    layers_x = draw(st.integers(1, min(3, max_bits // order)))
+    layers_y = draw(st.integers(1, min(3, max_bits // (order * layers_x))))
+    degree = st.integers(1, min(2, order - 1))
+    return _layered_product(
+        order, layers_x, layers_y, draw(degree), draw(degree), draw(st.integers(0, 3))
+    )
+
+
+# the two largest kernels the draws reach, run on every test run
+HIGH_KERNEL = [_layered_product(2, 3, 3, 1, 1, 0), _layered_product(3, 2, 3, 2, 2, 0)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(layered_products())
+@example(HIGH_KERNEL[0])
+@example(HIGH_KERNEL[1])
+def test_lt_profile_matches_the_oracle_on_layered_draws(bp):
+    event(f"k = {len(kernel_basis(bp.d2))}")
+    m = bp.n10 + bp.n01
+    assert lt_profile(bp, m) == reference_lt_profile(bp, m)
+
+
+def test_layered_draws_reach_kernel_dimension_8():
+    assert [len(kernel_basis(bp.d2)) for bp in HIGH_KERNEL] == [8, 10]
 
 
 class TestGraySweep:
@@ -228,7 +270,8 @@ def test_build_report_sweeps_once(monkeypatch):
 
 
 def test_lt_sweep_keeps_no_table():
-    # a table of least preimages would hold 2^rank = 2^15 images here
+    # a table of least preimages would hold 2^rank = 2^15 images here, one
+    # Python int each, over 1 MB; the BFS keeps packed 2^15-bit sets instead
     bp = left_right_cayley(make_cyclic(16), [1, 2], [1, 3])
     tracemalloc.start()
     try:
@@ -236,4 +279,4 @@ def test_lt_sweep_keeps_no_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 1024
+    assert peak < 512 * 1024
