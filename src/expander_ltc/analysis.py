@@ -304,11 +304,12 @@ def _preimage_profile(
                 break
         if carry:
             counter.append(carry)
-    worst: dict[int, tuple[int, int]] = {}  # iw -> (w, its images in layer w)
+    depth: dict[int, int] = {}  # iw -> the deepest layer w that meets it
+    candidates: dict[int, int] = {}  # iw -> its images in layer depth[iw]
     w, layer, seen = 0, 1, 1  # layer 0 is index 0, the zero image
     while layer:
         for iw, part in _by_weight(layer, counter):
-            worst[iw] = (w, part)
+            depth[iw], candidates[iw] = w, part
         grown = 0
         for swaps in moves:
             moved = layer
@@ -318,15 +319,14 @@ def _preimage_profile(
         layer = (grown | seen) ^ seen
         seen |= layer
         w += 1
-    del worst[0]
-    candidates = {iw: part for iw, (_, part) in worst.items()}
+    del depth[0], candidates[0]
     for e in reversed(range(m)):  # keep the images without bit e, if any
         clear = full ^ plane(e)
         for iw, part in candidates.items():
             if rest := part & clear:
                 candidates[iw] = rest
     profile = {}
-    for iw, (w, _) in worst.items():
+    for iw, w in depth.items():
         i = candidates[iw].bit_length() - 1  # the one index left
         image = x = 0
         for t in _mask_to_list(i):
