@@ -48,7 +48,6 @@ _EXPORTS = {
         "IrregularGraphError",
         "MultiplicityViolationError",
         "PreconditionViolationError",
-        "SearchExhaustedError",
         "SizeLimitError",
         "VerificationError",
     ),

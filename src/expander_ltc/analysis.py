@@ -332,7 +332,7 @@ def _preimage_profile(
         for t in _mask_to_list(i):
             image ^= columns[pivots[t]]
             x |= 1 << pivots[t]
-        coset = itertools.chain((x,), (x ^ z for _, z in gray_sweep(kernel, budget)))
+        coset = itertools.chain((x,), (x ^ z for z in gray_sweep(kernel, budget)))
         profile[iw] = (w, image, min((y.bit_count(), y) for y in coset)[1])
     return profile
 
@@ -415,7 +415,7 @@ def locally_minimal_distance(
     for j, column in enumerate(columns):
         positions.setdefault(column, []).append(j)
 
-    def completions(w: int) -> Iterator[tuple[int, int]]:
+    def completions(w: int) -> Iterator[int]:
         for prefix in itertools.combinations(range(len(columns)), w - 1):
             syndrome = bits = 0
             for i in prefix:
@@ -424,7 +424,7 @@ def locally_minimal_distance(
             above = prefix[-1] if prefix else -1
             for j in positions.get(syndrome, ()):
                 if j > above:
-                    yield w, bits | 1 << j
+                    yield bits | 1 << j
 
     steps = 0
     for w in range(1, len(columns) + 1):
@@ -438,11 +438,10 @@ def locally_minimal_distance(
 
 
 def _least_minimal(
-    bp: BalancedProductComplex, candidates: Iterable[tuple[int, int]]
+    bp: BalancedProductComplex, candidates: Iterable[int]
 ) -> LocallyMinimalDistance:
     """The least ``(weight, w_right |v10| + w_down |v01|, bits)`` over the
-    locally minimal stacked vectors ``cur`` of the ``(_, cur)`` pairs of
-    ``candidates``, which is how ``gray_sweep`` yields them.
+    locally minimal stacked vectors ``cur`` of ``candidates``.
 
     The middle term is the weighted norm times ``w_down * w_right``.  Only a
     candidate below the least so far is tested.
@@ -451,7 +450,7 @@ def _least_minimal(
     length, mask10 = n10 + bp.n01, (1 << n10) - 1
     best = None
     bound = length  # the weight of best, once there is one
-    for _, cur in candidates:
+    for cur in candidates:
         w = cur.bit_count()
         if w > bound:
             continue

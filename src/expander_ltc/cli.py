@@ -77,8 +77,6 @@ _SEARCH_KEYS = {
     "c_y",
     "trials",
     "eps_target",
-    "ratio_x_interval",
-    "ratio_y_interval",
 }
 
 
@@ -176,17 +174,6 @@ def _flag(cfg: dict, key: str, default: bool) -> bool:
     return value
 
 
-def _interval(cfg: dict, key: str) -> tuple[Fraction, Fraction] | None:
-    if key not in cfg:
-        return None
-    value = cfg[key]
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(
-            f"config key {key!r} must be a list [low, high], got {value!r}", key
-        )
-    return (_rational(value[0], key), _rational(value[1], key))
-
-
 def _complex_inputs(cfg: dict) -> tuple[FiniteGroup, list[int], list[int]]:
     """The group and the two generator lists of a build config, checked."""
     construction = cfg.get("construction", "left_right_cayley")
@@ -276,7 +263,7 @@ def build_report(
     with _stage("d_lm"):
         lmd = analysis.locally_minimal_distance(bp, budget=budget)
     max_w = max_c1_weight if max_c1_weight is not None else code.m
-    with _stage("min-preimage sweep (LT profile/soundness)"):
+    with _stage("LT profile"):
         ltp = analysis.lt_profile(bp, max_w, budget=budget)
 
     report: dict = {
@@ -480,8 +467,6 @@ def cmd_search(args) -> int:
         trials=_integer(cfg, "trials", 1, default=50),
         seed=args.seed,
         eps_target=eps_target,
-        ratio_x_interval=_interval(cfg, "ratio_x_interval"),
-        ratio_y_interval=_interval(cfg, "ratio_y_interval"),
     )
     if args.dry_run:
         print("config ok")
@@ -551,7 +536,10 @@ _COMMANDS = {
     "build": ("construct a code and write its report", {
         "--config": _CONFIG,
         "--out": _OUT,
-        "--budget": (_positive_int, DEFAULT_ENUM_BUDGET, "the cap on each GF(2) sweep"),
+        "--budget": (
+            _positive_int, DEFAULT_ENUM_BUDGET,
+            "the cap on the distance, d_lm and LT profile stages",
+        ),
         "--deterministic": (None, False, "leave the timestamp out of report.json"),
         "--dry-run": _DRY_RUN,
     }),

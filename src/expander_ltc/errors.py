@@ -74,14 +74,6 @@ class DegenerateCodeError(ExpanderLtcError):
     """The code equals the full space, so distance-to-code is always zero."""
 
 
-class SearchExhaustedError(ExpanderLtcError):
-    """No trial of a randomized search produced a certifiable candidate."""
-
-    def __init__(self, message: str, trial_log: list):
-        super().__init__(message)
-        self.trial_log = trial_log
-
-
 class ConfigError(ExpanderLtcError):
     """A pipeline configuration failed schema validation."""
 

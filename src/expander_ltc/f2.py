@@ -85,9 +85,6 @@ class BitMatrix:
         else:
             self.row_bits[i] &= ~(1 << j)
 
-    def get(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
     def mul_vec(self, v: BitVector) -> BitVector:
         """Matrix-vector product over GF(2)."""
         if v.length != self.cols:
@@ -196,12 +193,13 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
     return basis
 
 
-def gray_sweep(vectors: Sequence[int], budget: int) -> Iterator[tuple[int, int]]:
+def gray_sweep(vectors: Sequence[int], budget: int) -> Iterator[int]:
     """The xor of every nonempty subset of ``vectors``, one toggle per step.
 
-    Yields ``(i, cur)`` for ``i = 1 .. 2^k - 1``; the subset in ``cur`` is
-    the Gray code ``i ^ (i >> 1)`` (bit ``j`` selects ``vectors[j]``).  The
-    ``2^k <= budget`` check runs once, before the first step.
+    The ``i``-th value yielded, for ``i = 1 .. 2^k - 1``, is the xor of the
+    subset in the Gray code ``i ^ (i >> 1)`` (bit ``j`` selects
+    ``vectors[j]``).  The ``2^k <= budget`` check runs once, before the
+    first step.
     """
     count = 1 << len(vectors)
     if count > budget:
@@ -211,7 +209,7 @@ def gray_sweep(vectors: Sequence[int], budget: int) -> Iterator[tuple[int, int]]
     cur = 0
     for i in range(1, count):
         cur ^= vectors[(i & -i).bit_length() - 1]
-        yield i, cur
+        yield cur
 
 
 def min_weight_nonzero(
@@ -226,6 +224,6 @@ def min_weight_nonzero(
     if not basis:
         return None
     sweep = gray_sweep([v.bits for v in basis], budget)
-    w, bits = min((cur.bit_count(), cur) for _, cur in sweep)
+    w, bits = min((cur.bit_count(), cur) for cur in sweep)
     return w, BitVector(basis[0].length, bits)
 

@@ -1,6 +1,6 @@
 """Bipartite graphs, Cayley constructions, and expansion certification.
 
-Graphs are simple (edge sets, no multi-edges).  Neighborhoods are cached as
+Graphs are simple (edge sets, no multi-edges).  Neighborhoods are kept as
 integer bitmasks so that subset-expansion scans reduce to OR + popcount.
 """
 
@@ -25,39 +25,24 @@ DEFAULT_SUBSET_BUDGET = 20_000_000
 class BipartiteGraph:
     """A simple bipartite graph on vertex sets ``0..v0_size-1`` / ``0..v1_size-1``."""
 
-    __slots__ = ("v0_size", "v1_size", "edges", "_left_masks", "_right_masks")
+    __slots__ = ("v0_size", "v1_size", "edges", "left_masks", "right_masks")
 
     def __init__(self, v0_size: int, v1_size: int, edges: Iterable[tuple[int, int]]):
         if v0_size <= 0 or v1_size <= 0:
             raise InvalidParameterError("vertex sets must be nonempty")
         edge_set = frozenset((int(u), int(v)) for u, v in edges)
+        # the neighborhood of each vertex as a bitmask over the other side
+        left, right = [0] * v0_size, [0] * v1_size
         for u, v in edge_set:
             if not (0 <= u < v0_size and 0 <= v < v1_size):
                 raise InvalidParameterError(f"edge ({u}, {v}) out of range")
+            left[u] |= 1 << v
+            right[v] |= 1 << u
         self.v0_size = v0_size
         self.v1_size = v1_size
         self.edges = edge_set
-        self._left_masks: list[int] | None = None
-        self._right_masks: list[int] | None = None
-
-    @property
-    def left_masks(self) -> list[int]:
-        """Neighborhood of each left vertex as a bitmask over the right side."""
-        if self._left_masks is None:
-            masks = [0] * self.v0_size
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-            self._left_masks = masks
-        return self._left_masks
-
-    @property
-    def right_masks(self) -> list[int]:
-        if self._right_masks is None:
-            masks = [0] * self.v1_size
-            for u, v in self.edges:
-                masks[v] |= 1 << u
-            self._right_masks = masks
-        return self._right_masks
+        self.left_masks = left
+        self.right_masks = right
 
     def left_neighbors(self, u: int) -> list[int]:
         return _mask_to_list(self.left_masks[u])

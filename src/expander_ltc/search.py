@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import InvalidParameterError, SearchExhaustedError, _record
+from .errors import InvalidParameterError, _record
 from .graphs import (
     BipartiteGraph,
     ExpansionCertificate,
@@ -75,17 +75,21 @@ class SearchSpec(_record("SearchSpec", [
     "trials",  # int
     "seed",  # int
     "eps_target",  # Fraction | None
-    "ratio_x_interval",  # tuple[Fraction, Fraction] | None
-    "ratio_y_interval",  # tuple[Fraction, Fraction] | None
-], defaults=(50, 0, None, None, None))):
+], defaults=(50, 0, None))):
     """Target shape for one random expander-pair search."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "SearchSpec":
         self = super().__new__(cls, *args, **kwargs)
-        if min(self.w_down, self.w_up, self.w_right, self.w_left) < 1:
-            raise InvalidParameterError("degrees must be >= 1")
+        for key in ("w_down", "w_up", "w_right", "w_left", "trials"):
+            value = getattr(self, key)
+            if not (isinstance(value, int) and value >= 1):
+                raise InvalidParameterError(
+                    f"{key} must be an integer >= 1, got {value!r}"
+                )
+        if not isinstance(self.seed, int):
+            raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
         if self.w_up % self.w_down or self.w_left % self.w_right:
             raise InvalidParameterError(
                 "skewed degrees must be integer multiples of the base degrees"
@@ -97,14 +101,6 @@ class SearchSpec(_record("SearchSpec", [
                 )
         if self.eps_target is not None and not 0 < self.eps_target < 1:
             raise InvalidParameterError("eps target must lie in (0, 1)")
-        for interval, ratio, tag in (
-            (self.ratio_x_interval, Fraction(self.w_down, self.w_up), "first"),
-            (self.ratio_y_interval, Fraction(self.w_right, self.w_left), "second"),
-        ):
-            if interval is not None and not interval[0] <= ratio <= interval[1]:
-                raise InvalidParameterError(
-                    f"{tag} factor degree ratio {ratio} outside {interval}"
-                )
         return self
 
 
@@ -178,8 +174,7 @@ def search_pair(spec: SearchSpec) -> SearchResult:
     Every trial gets its own derived seed, so runs are reproducible and
     individual trials can be replayed.  Trials are scored from their two
     certificates alone, and no balanced product is built.  A missed
-    ``eps_target`` is recorded in ``inequalities`` rather than hidden;
-    ``SearchExhaustedError`` is raised only when there are no trials.
+    ``eps_target`` is recorded in ``inequalities`` rather than hidden.
     """
     g = spec.group
     layers_x = spec.w_up // spec.w_down
@@ -207,8 +202,6 @@ def search_pair(spec: SearchSpec) -> SearchResult:
         if best is None or eps < best[0]:
             best = (eps, trial, trial_seed, gens_x, cert_x, gens_y, cert_y)
 
-    if best is None:
-        raise SearchExhaustedError("no trial produced a certifiable pair", tuple(log))
     eps, trial, trial_seed, gens_x, cert_x, gens_y, cert_y = best
     inequalities = None
     if spec.eps_target is not None:

@@ -15,7 +15,7 @@ import random
 from collections.abc import Sequence
 
 from expander_ltc.analysis import small_set_epsilon
-from expander_ltc.errors import MultiplicityViolationError, SearchExhaustedError
+from expander_ltc.errors import MultiplicityViolationError
 from expander_ltc.graphs import (
     BipartiteGraph,
     GraphAction,
@@ -110,8 +110,7 @@ def reference_search_pair(spec: SearchSpec) -> SearchResult:
                 gen_sets_y=tuple(tuple(s) for s in gens_y),
                 log=tuple(log),
             )
-    if best is None:
-        raise SearchExhaustedError("no trial produced a certifiable pair", tuple(log))
+    assert best is not None, "no trial produced a certifiable pair"
     inequalities = None
     if spec.eps_target is not None:
         t = spec.eps_target

@@ -37,7 +37,6 @@ def build_keys(n: int) -> dict:
 
 
 def search_keys(n: int) -> dict:
-    interval = st.sampled_from([["0", "1"], ["1/2", 1], ["1/3", "1/2"]])
     return {
         "group": st.just({"kind": "cyclic", "n": n}),
         "w_down": st.integers(1, 2),
@@ -48,8 +47,6 @@ def search_keys(n: int) -> dict:
         "c_y": CUTOFF,
         "trials": st.integers(1, 2),
         "eps_target": st.sampled_from(["1/16", "1/4", "1/2", 0.75]),
-        "ratio_x_interval": interval,
-        "ratio_y_interval": interval,
     }
 
 

@@ -1,12 +1,14 @@
 """Library calls raise only the package's own errors on bad sizes, cutoffs,
-generator lists, subgraph selectors and vertices.
+generator lists, subgraph selectors, vertices and search specs.
 
 Each call gets drawn values of the wrong type or range (negative or
 non-integer sizes, cutoffs that are text, ``None``, floats or fractions
 outside (0, 1], generator lists with floats, negatives, elements outside the
 group or duplicates, selectors that are unhashable, ``None`` or unknown
-strings, vertices that are floats, negative or out of range).  It must either return or raise an
-``errors.ExpanderLtcError``; any other exception fails the test.
+strings, vertices that are floats, negative or out of range, search trials,
+seeds and degrees that are text, ``None``, floats, 0 or negative).  It must
+either return or raise an ``errors.ExpanderLtcError``; any other exception
+fails the test.
 """
 
 import random
@@ -22,7 +24,12 @@ from expander_ltc.f2 import BitMatrix, BitVector
 from expander_ltc.graphs import cayley_right, certify_expansion
 from expander_ltc.groups import block_action, left_regular_action, make_cyclic
 from expander_ltc.products import inherited_expansion, left_right_cayley, one_d_subgraph
-from expander_ltc.search import layered_cayley, random_generating_set
+from expander_ltc.search import (
+    SearchSpec,
+    layered_cayley,
+    random_generating_set,
+    search_pair,
+)
 
 CALLS = {
     "BitVector": lambda n, m: BitVector(n, m),
@@ -159,3 +166,38 @@ def test_vertices_raise_only_package_errors(x00):
 def test_bad_vertex_raises(x00):
     with pytest.raises(errors.InvalidParameterError):
         sharp_example(_BP, x00)
+
+
+SPEC_FIELDS = ("trials", "seed", "w_down", "w_up", "w_right", "w_left")
+
+
+def _search(**values) -> None:
+    """A search on Z4 with c = 1/4, which certifies every valid draw at once."""
+    spec = dict(trials=1, seed=0, w_down=1, w_up=2, w_right=1, w_left=2)
+    spec.update(values)
+    quarter = Fraction(1, 4)
+    search_pair(SearchSpec(group=make_cyclic(4), c_x=quarter, c_y=quarter, **spec))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({}, optional={
+    field: st.one_of(ODD_SIZES, st.just(0), st.integers(-3, -1))
+    for field in SPEC_FIELDS
+}))
+def test_search_specs_raise_only_package_errors(values):
+    _returns_or_raises_package_error(lambda: _search(**values))
+
+
+# every integer is a seed, so only the non-integers are bad there
+BAD_SPEC_VALUES = [
+    (field, value)
+    for field in SPEC_FIELDS
+    for value in ["x", "2", None, 2.0, 1.5, 0, -1]
+    if not (field == "seed" and isinstance(value, int))
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_SPEC_VALUES)
+def test_bad_search_spec_raises(field, value):
+    with pytest.raises(errors.InvalidParameterError, match=field):
+        _search(**{field: value})

@@ -95,8 +95,10 @@ class TestBitMatrix:
         c = a.matmul(b)
         for i in range(4):
             for j in range(5):
-                expected = sum(a.get(i, t) * b.get(t, j) for t in range(6)) % 2
-                assert c.get(i, j) == expected
+                expected = sum(
+                    (a.row_bits[i] >> t & 1) * (b.row_bits[t] >> j & 1) for t in range(6)
+                ) % 2
+                assert c.row_bits[i] >> j & 1 == expected
 
 
 class TestRankNullity:

@@ -146,7 +146,7 @@ class TestGraySweep:
         rng = random.Random(1)
         vectors = [rng.getrandbits(9) for _ in range(5)]
         seen = []
-        for i, cur in gray_sweep(vectors, 1 << 5):
+        for i, cur in enumerate(gray_sweep(vectors, 1 << 5), start=1):
             gray = i ^ (i >> 1)
             expected = 0
             for j, v in enumerate(vectors):
