@@ -6,11 +6,12 @@ written, 3 an enumeration exceeded its budget.
 
 Start-up: each run is a fresh process, so the module loads only what its
 subcommand runs.  The top imports the layers that read and check a config
-(``errors``, ``f2`` for ``DEFAULT_ENUM_BUDGET``, ``groups``, ``graphs``) and
-a few small stdlib modules.  ``products``, ``analysis`` and ``formats`` are
-imported inside the functions that use them, after any ``--dry-run`` return,
-and ``search`` inside ``cmd_search``; so ``search`` and ``build --dry-run``
-never load ``products``.  The flags are read by ``parse_args`` from one table,
+(``errors``, which also holds ``DEFAULT_ENUM_BUDGET``, ``groups``,
+``graphs``) and a few small stdlib modules.  ``products`` (which loads
+``f2``), ``analysis`` and ``formats`` are imported inside the functions that
+use them, after any ``--dry-run`` return, and ``search`` inside
+``cmd_search``; so ``search`` and ``build --dry-run`` never load ``products``
+or ``f2``.  The flags are read by ``parse_args`` from one table,
 ``_COMMANDS``, not by ``argparse``, whose import and parser set-up (with
 ``gettext`` and ``locale``) cost about 7 ms of every run; ``summary.csv`` is
 written without ``csv``.  Calls go through the module
@@ -37,13 +38,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import (
+    DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     ConfigError,
     ExpanderLtcError,
     PreconditionViolationError,
     VerificationError,
 )
-from .f2 import DEFAULT_ENUM_BUDGET
 from .graphs import (
     ExpansionCertificate,
     certify_expansion,

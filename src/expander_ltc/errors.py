@@ -12,6 +12,9 @@ from __future__ import annotations
 import sys
 from collections import _tuplegetter
 
+# the one default budget of every GF(2) sweep, here so that a search loads no f2
+DEFAULT_ENUM_BUDGET = 1 << 24
+
 
 class ExpanderLtcError(Exception):
     """Base class for all library errors."""

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, InvalidParameterError, _record
-
-DEFAULT_ENUM_BUDGET = 1 << 24  # the one default budget of every GF(2) sweep
+from .errors import (
+    DEFAULT_ENUM_BUDGET, BudgetExceededError, InvalidParameterError, _record
+)
 
 
 class BitVector(_record("BitVector", [

@@ -9,7 +9,6 @@ bit matrices, with ``d1 @ d2 == 0`` asserted at construction time.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -123,11 +122,16 @@ class BalancedProductComplex(_record("BalancedProductComplex", [
 
     def label(self, corner: int, index: int) -> tuple[int, int, int]:
         """``(h, i_r, i_s)`` of a vertex; corner is 0:00, 1:10, 2:01, 3:11."""
-        ns = self._y_labeling(corner).num_orbits
-        g_order = self.group.order
-        h = index % g_order
-        rest = index // g_order
-        return (h, rest // ns, rest % ns)
+        self._check_vertex(corner, index)
+        rest, h = divmod(index, self.group.order)
+        i_r, i_s = divmod(rest, self._y_labeling(corner).num_orbits)
+        return (h, i_r, i_s)
+
+    def _check_vertex(self, corner: int, index: int) -> None:
+        if not (isinstance(corner, int) and 0 <= corner < 4):
+            raise InvalidParameterError(f"corner {corner!r} is not 0, 1, 2 or 3")
+        if not (isinstance(index, int) and 0 <= index < self.sizes[corner]):
+            raise InvalidParameterError(f"vertex {index!r} outside corner {corner}")
 
     def _x_labeling(self, corner: int) -> OrbitLabeling:
         return self.labelings[_sides(corner)[0]]
@@ -137,6 +141,8 @@ class BalancedProductComplex(_record("BalancedProductComplex", [
 
     def complete_square(self, x00: int, x10: int, x01: int) -> int:
         """The unique ``x11`` making ``(x00, x10, x01, x11)`` a face."""
+        for corner, vertex in enumerate((x00, x10, x01)):
+            self._check_vertex(corner, vertex)
         key = (x00, x10, x01)
         if key not in self.wedge_to_face:
             raise InvalidWedgeError(
@@ -153,8 +159,10 @@ def balanced_product(
 ) -> BalancedProductComplex:
     """Quotient the hypergraph product of two G-graphs by the diagonal action.
 
-    Both actions must be free and leave their graph invariant.  Any doubled
-    incidence created by the quotient is rejected (it would cancel in GF(2)).
+    Both actions must be free and leave their graph invariant, so each orbit
+    of the diagonal action holds one pair whose first-factor vertex is labeled
+    ``(identity, i)``; only those pairs are walked.  A doubled incidence, or a
+    subgraph with the wrong edge count, is rejected (it would cancel in GF(2)).
     """
     g = ax.group
     if ay.group.order != g.order or ay.group.table != g.table:
@@ -165,11 +173,8 @@ def balanced_product(
         raise InvalidParameterError("second factor is not invariant under its action")
 
     # orbit labelings; freeness is enforced here (raises with a witness)
-    lab_x0 = orbit_labeling(ax.on_v0)
-    lab_x1 = orbit_labeling(ax.on_v1)
-    lab_y0 = orbit_labeling(ay.on_v0)
-    lab_y1 = orbit_labeling(ay.on_v1)
-    labelings = (lab_x0, lab_x1, lab_y0, lab_y1)
+    labelings = tuple(map(orbit_labeling, (ax.on_v0, ax.on_v1, ay.on_v0, ay.on_v1)))
+    lab_x0, lab_x1, lab_y0, lab_y1 = labelings
 
     n_r = (lab_x0.num_orbits, lab_x1.num_orbits)
     n_s = (lab_y0.num_orbits, lab_y1.num_orbits)
@@ -177,75 +182,58 @@ def balanced_product(
     if max(sizes) > MAX_PRODUCT_VERTICES:
         raise SizeLimitError(f"quotient corner of size {max(sizes)} exceeds cap")
 
-    def quotient_table(corner: int) -> list[list[int]]:
-        """``q[x][y]``: the index of the orbit of ``(x, y)`` in a corner."""
-        a, b = _sides(corner)
-        rows = []
-        for gx, i_r in labelings[a].label:
-            gx_inv = g.table[g.inv(gx)]  # h = gx^-1 gy is gx_inv[gy]
-            rows.append([
-                (i_r * n_s[b] + i_s) * g.order + gx_inv[gy]
-                for gy, i_s in labelings[2 + b].label
-            ])
-        return rows
-
-    q00, q10, q01, q11 = (quotient_table(corner) for corner in range(4))
+    def orbit(b: int, gx: int, j: int, y_vertex: int) -> int:
+        """The orbit index of ``(gx . r_j, y_vertex)``, ``y_vertex`` on side ``b``."""
+        gy, i_s = labelings[2 + b].label[y_vertex]
+        return (j * n_s[b] + i_s) * g.order + g.mul(g.inv(gx), gy)
 
     def quotient_edges(
-        pairs: Iterable[tuple[int, int]],
-        corner_a: int,
-        corner_b: int,
-        expected: int,
-        what: str,
+        pairs: Iterable[tuple[int, int]], which: SubgraphName, expected: int
     ) -> BipartiteGraph:
-        counts = Counter(pairs)
-        for pair, cnt in counts.items():
-            if cnt != g.order:
-                raise MultiplicityViolationError(
-                    f"{what}: incidence {pair} has multiplicity {cnt}/{g.order}"
-                )
-        if len(counts) != expected:
+        _, corner_a, corner_b, _ = _SUBGRAPH_CORNERS[which]
+        edges: set = set()
+        for pair in pairs:
+            if pair in edges:
+                raise MultiplicityViolationError(f"E{which}: edge {pair} met twice")
+            edges.add(pair)
+        if len(edges) != expected:
             raise MultiplicityViolationError(
-                f"{what}: got {len(counts)} edge orbits, expected {expected}"
+                f"E{which}: got {len(edges)} edge orbits, expected {expected}"
             )
-        return BipartiteGraph(sizes[corner_a], sizes[corner_b], counts)
+        return BipartiteGraph(sizes[corner_a], sizes[corner_b], edges)
 
-    g_s0 = quotient_edges(
-        (pair for (x0, x1) in x.edges for pair in zip(q00[x0], q10[x1])),
-        0, 1, len(x.edges) * y.v0_size // g.order, "E*0",
-    )
-    g_s1 = quotient_edges(
-        (pair for (x0, x1) in x.edges for pair in zip(q01[x0], q11[x1])),
-        2, 3, len(x.edges) * y.v1_size // g.order, "E*1",
-    )
-    g_0s = quotient_edges(
-        ((r00[y0], r01[y1]) for r00, r01 in zip(q00, q01) for (y0, y1) in y.edges),
-        0, 2, x.v0_size * len(y.edges) // g.order, "E0*",
-    )
-    g_1s = quotient_edges(
-        ((r10[y0], r11[y1]) for r10, r11 in zip(q10, q11) for (y0, y1) in y.edges),
-        1, 3, x.v1_size * len(y.edges) // g.order, "E1*",
-    )
-
-    face_counts: Counter = Counter()
-    for (x0, x1) in x.edges:
-        r00, r10, r01, r11 = q00[x0], q10[x1], q01[x0], q11[x1]
-        face_counts.update(
-            (r00[y0], r10[y0], r01[y1], r11[y1]) for (y0, y1) in y.edges
+    # per side the x-vertices labeled (identity, i), and the x-edges from them
+    e = g.identity
+    reps = [[i for h, i in lab.label if h == e] for lab in (lab_x0, lab_x1)]
+    rep_edges = [
+        (lab_x0.label[x0][1], lab_x1.label[x1])
+        for (x0, x1) in x.edges
+        if lab_x0.label[x0][0] == e
+    ]
+    g_s0, g_s1 = (
+        quotient_edges(
+            ((orbit(b, e, i, v), orbit(b, gx, j, v))
+             for i, (gx, j) in rep_edges for v in range(y_size)),
+            f"*{b}", len(x.edges) * y_size // g.order,
         )
-    for face, cnt in face_counts.items():
-        if cnt != g.order:
-            raise MultiplicityViolationError(
-                f"face {face} has multiplicity {cnt}/{g.order}"
-            )
-    faces = tuple(sorted(face_counts))
-
+        for b, y_size in enumerate((y.v0_size, y.v1_size))
+    )
+    g_0s, g_1s = (
+        quotient_edges(
+            ((orbit(0, e, i, y0), orbit(1, e, i, y1))
+             for i in reps[a] for (y0, y1) in y.edges),
+            f"{a}*", x_size * len(y.edges) // g.order,
+        )
+        for a, x_size in enumerate((x.v0_size, x.v1_size))
+    )
     wedge_to_face: dict = {}
-    for (i00, i10, i01, i11) in faces:
-        key = (i00, i10, i01)
-        if key in wedge_to_face:
-            raise MultiplicityViolationError(f"wedge {key} completed by two faces")
-        wedge_to_face[key] = i11
+    for i, (gx, j) in rep_edges:
+        for (y0, y1) in y.edges:
+            key = (orbit(0, e, i, y0), orbit(0, gx, j, y0), orbit(1, e, i, y1))
+            if key in wedge_to_face:
+                raise MultiplicityViolationError(f"wedge {key} completed by two faces")
+            wedge_to_face[key] = orbit(1, gx, j, y1)
+    faces = tuple(sorted(key + (i11,) for key, i11 in wedge_to_face.items()))
 
     reg_x = check_regularity(x)
     reg_y = check_regularity(y)

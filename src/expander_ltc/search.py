@@ -82,6 +82,8 @@ class SearchSpec(_record("SearchSpec", [
 
     def __new__(cls, *args, **kwargs) -> "SearchSpec":
         self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.group, FiniteGroup):
+            raise InvalidParameterError(f"group is not a FiniteGroup: {self.group!r}")
         for key in ("w_down", "w_up", "w_right", "w_left", "trials"):
             value = getattr(self, key)
             if not (isinstance(value, int) and value >= 1):
@@ -99,8 +101,9 @@ class SearchSpec(_record("SearchSpec", [
                 raise InvalidParameterError(
                     f"base degree {key}={w} exceeds the group order {self.group.order}"
                 )
-        if self.eps_target is not None and not 0 < self.eps_target < 1:
-            raise InvalidParameterError("eps target must lie in (0, 1)")
+        eps = self.eps_target
+        if eps is not None and not (isinstance(eps, (int, Fraction)) and 0 < eps < 1):
+            raise InvalidParameterError(f"eps_target must lie in (0, 1), got {eps!r}")
         return self
 
 
@@ -123,10 +126,12 @@ class SearchResult(_record("SearchResult", [
 def _least_translate(
     g: FiniteGroup, gen_sets: list[list[int]]
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The lexicographically least right translate ``(S_i * t)_i`` and its ``t``."""
+    """The lexicographically least right translate ``(S_i * t)_i`` and its ``t``;
+    its ``S_0 * t`` holds element 0, so only ``t = s^-1 * 0`` for ``s`` in ``S_0``
+    can win."""
     return min(
         (tuple(tuple(sorted(g.mul(b, t) for b in gens)) for gens in gen_sets), t)
-        for t in g.elements()
+        for t in [g.mul(g.inv(s), 0) for s in gen_sets[0]]
     )
 
 

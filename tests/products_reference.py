@@ -1,19 +1,38 @@
-"""References for the product tests: the hypergraph product and the
-entry-by-entry boundary maps.
+"""References for the product tests: the hypergraph product, the |G|-fold
+quotient and the entry-by-entry boundary maps.
 
 With the trivial group acting, ``balanced_product`` must give exactly the
 hypergraph (Cartesian) product, so the tests use it as an oracle for the
-quotient's corners, edge sets and faces.  ``reference_boundaries`` sets each
-entry of ``d1`` and ``d2`` from one edge of a subgraph, as an oracle for the
-boundary maps that ``balanced_product`` assembles from neighbourhood masks.
+quotient's corners, edge sets and faces.  ``reference_balanced_product``
+walks every member of every orbit and checks that each quotient cell is met
+exactly |G| times, as an oracle for ``balanced_product``, which walks one
+member per orbit.  ``reference_boundaries`` sets each entry of ``d1`` and
+``d2`` from one edge of a subgraph, as an oracle for the boundary maps that
+``balanced_product`` assembles from neighbourhood masks.
 """
 
 import itertools
+from collections import Counter
 from typing import NamedTuple
 
+from expander_ltc.errors import (
+    InvalidParameterError,
+    MultiplicityViolationError,
+    SizeLimitError,
+)
 from expander_ltc.f2 import BitMatrix
-from expander_ltc.graphs import BipartiteGraph
-from expander_ltc.groups import FiniteGroup
+from expander_ltc.graphs import (
+    BipartiteGraph,
+    GraphAction,
+    check_invariance,
+    check_regularity,
+)
+from expander_ltc.groups import FiniteGroup, orbit_labeling
+from expander_ltc.products import (
+    MAX_PRODUCT_VERTICES,
+    BalancedProductComplex,
+    verify_chain_identity,
+)
 
 
 class HypergraphProduct(NamedTuple):
@@ -66,6 +85,109 @@ def hypergraph_product(x: BipartiteGraph, y: BipartiteGraph) -> HypergraphProduc
         )
     )
     return HypergraphProduct(x, y, *sizes, e_s0, e_s1, e_0s, e_1s, faces)
+
+
+def reference_balanced_product(
+    x: BipartiteGraph, y: BipartiteGraph, ax: GraphAction, ay: GraphAction
+) -> BalancedProductComplex:
+    """``balanced_product`` by the |G|-fold enumeration: every pair of every
+    orbit is mapped through a full quotient table, and each quotient cell
+    must be met exactly |G| times."""
+    g = ax.group
+    if ay.group.order != g.order or ay.group.table != g.table:
+        raise InvalidParameterError("the two factors must share one group")
+    if not check_invariance(x, ax.on_v0, ax.on_v1):
+        raise InvalidParameterError("first factor is not invariant under its action")
+    if not check_invariance(y, ay.on_v0, ay.on_v1):
+        raise InvalidParameterError("second factor is not invariant under its action")
+    labelings = tuple(map(orbit_labeling, (ax.on_v0, ax.on_v1, ay.on_v0, ay.on_v1)))
+    n_r = (labelings[0].num_orbits, labelings[1].num_orbits)
+    n_s = (labelings[2].num_orbits, labelings[3].num_orbits)
+    sides = [(0, 0), (1, 0), (0, 1), (1, 1)]  # corners 00, 10, 01, 11
+    sizes = tuple(n_r[a] * n_s[b] * g.order for a, b in sides)
+    if max(sizes) > MAX_PRODUCT_VERTICES:
+        raise SizeLimitError(f"quotient corner of size {max(sizes)} exceeds cap")
+
+    def quotient_table(a: int, b: int) -> list[list[int]]:
+        """``q[x][y]``: the index of the orbit of ``(x, y)`` in a corner."""
+        return [
+            [
+                (i_r * n_s[b] + i_s) * g.order + g.mul(g.inv(gx), gy)
+                for gy, i_s in labelings[2 + b].label
+            ]
+            for gx, i_r in labelings[a].label
+        ]
+
+    q00, q10, q01, q11 = (quotient_table(a, b) for a, b in sides)
+
+    def counted(cells, what: str) -> Counter:
+        counts = Counter(cells)
+        for cell, cnt in counts.items():
+            if cnt != g.order:
+                raise MultiplicityViolationError(
+                    f"{what} {cell} has multiplicity {cnt}/{g.order}"
+                )
+        return counts
+
+    def quotient_edges(pairs, corner_a, corner_b, expected, what) -> BipartiteGraph:
+        counts = counted(pairs, f"{what}: incidence")
+        if len(counts) != expected:
+            raise MultiplicityViolationError(
+                f"{what}: got {len(counts)} edge orbits, expected {expected}"
+            )
+        return BipartiteGraph(sizes[corner_a], sizes[corner_b], counts)
+
+    g_s0 = quotient_edges(
+        (pair for (x0, x1) in x.edges for pair in zip(q00[x0], q10[x1])),
+        0, 1, len(x.edges) * y.v0_size // g.order, "E*0",
+    )
+    g_s1 = quotient_edges(
+        (pair for (x0, x1) in x.edges for pair in zip(q01[x0], q11[x1])),
+        2, 3, len(x.edges) * y.v1_size // g.order, "E*1",
+    )
+    g_0s = quotient_edges(
+        ((r00[y0], r01[y1]) for r00, r01 in zip(q00, q01) for (y0, y1) in y.edges),
+        0, 2, x.v0_size * len(y.edges) // g.order, "E0*",
+    )
+    g_1s = quotient_edges(
+        ((r10[y0], r11[y1]) for r10, r11 in zip(q10, q11) for (y0, y1) in y.edges),
+        1, 3, x.v1_size * len(y.edges) // g.order, "E1*",
+    )
+    faces = tuple(sorted(counted(
+        (
+            (q00[x0][y0], q10[x1][y0], q01[x0][y1], q11[x1][y1])
+            for (x0, x1) in x.edges
+            for (y0, y1) in y.edges
+        ),
+        "face",
+    )))
+    wedge_to_face: dict = {}
+    for (i00, i10, i01, i11) in faces:
+        key = (i00, i10, i01)
+        if key in wedge_to_face:
+            raise MultiplicityViolationError(f"wedge {key} completed by two faces")
+        wedge_to_face[key] = i11
+    reg_x, reg_y = check_regularity(x), check_regularity(y)
+
+    d2 = BitMatrix(
+        sizes[1] + sizes[2], sizes[0], g_s0.right_masks + g_0s.right_masks
+    )
+    d1 = BitMatrix(
+        sizes[3],
+        sizes[1] + sizes[2],
+        [a | b << sizes[1] for a, b in zip(g_1s.right_masks, g_s1.right_masks)],
+    )
+    ok, bad = verify_chain_identity(d1, d2)
+    if not ok:
+        raise MultiplicityViolationError(
+            f"chain condition d1 d2 = 0 violated at entry {bad}"
+        )
+    return BalancedProductComplex(
+        group=g, x=x, y=y, ax=ax, ay=ay, labelings=labelings, sizes=sizes,
+        g_s0=g_s0, g_s1=g_s1, g_0s=g_0s, g_1s=g_1s, faces=faces,
+        reg_x=reg_x, reg_y=reg_y,
+        d2=d2, d1=d1, wedge_to_face=wedge_to_face,
+    )
 
 
 def reference_boundaries(bp) -> tuple[BitMatrix, BitMatrix]:

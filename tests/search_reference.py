@@ -9,6 +9,8 @@ builds no product and reuses certificates across translates.
 
 ``rebuild_product`` makes the balanced product of a search result from the
 generator sets it reports, as a caller of the search would.
+``reference_least_translate`` scans every right translate of a list of
+generator sets, as an oracle for the search's memo key.
 """
 
 import random
@@ -36,6 +38,16 @@ from expander_ltc.search import (
 def random_cayley(g: FiniteGroup, degree: int, seed: int) -> BipartiteGraph:
     """A right-multiplication Cayley graph on a seeded random generating set."""
     return cayley_right(g, random_generating_set(g, degree, random.Random(seed)))
+
+
+def reference_least_translate(
+    g: FiniteGroup, gen_sets: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The least right translate ``(S_i * t)_i`` and its ``t``, over every ``t``."""
+    return min(
+        (tuple(tuple(sorted(g.mul(b, t) for b in gens)) for gens in gen_sets), t)
+        for t in g.elements()
+    )
 
 
 def layered_graph(g: FiniteGroup, gen_sets: Sequence[Sequence[int]]) -> BipartiteGraph:

@@ -5,10 +5,11 @@ Each call gets drawn values of the wrong type or range (negative or
 non-integer sizes, cutoffs that are text, ``None``, floats or fractions
 outside (0, 1], generator lists with floats, negatives, elements outside the
 group or duplicates, selectors that are unhashable, ``None`` or unknown
-strings, vertices that are floats, negative or out of range, search trials,
-seeds and degrees that are text, ``None``, floats, 0 or negative).  It must
-either return or raise an ``errors.ExpanderLtcError``; any other exception
-fails the test.
+strings, vertices and corners that are floats, lists, negative or out of
+range, search trials, seeds and degrees that are text, ``None``, floats, 0 or
+negative, search groups that are not groups and eps targets outside (0, 1) or
+of the wrong type).  It must either return or raise an
+``errors.ExpanderLtcError``; any other exception fails the test.
 """
 
 import random
@@ -168,32 +169,78 @@ def test_bad_vertex_raises(x00):
         sharp_example(_BP, x00)
 
 
+# corners of the Z6 complex are 0..3, and each has 6 vertices
+CORNERS = st.one_of(VERTICES, st.lists(st.integers(0, 3), max_size=2))
+VERTEX_CALLS = {
+    "label": lambda corner, v, w: _BP.label(corner, v),
+    "complete_square": lambda corner, v, w: _BP.complete_square(corner, v, w),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(VERTEX_CALLS)), CORNERS, CORNERS, CORNERS)
+def test_complex_vertices_raise_only_package_errors(name, corner, v, w):
+    _returns_or_raises_package_error(lambda: VERTEX_CALLS[name](corner, v, w))
+
+
+@pytest.mark.parametrize("corner, index", [
+    (0, 99), (0, 6), (0, -1), (4, 0), (5, 0), (-1, 0), ("a", 0), (None, 0),
+    (1.0, 0), (0, 1.0), (0, "1"), (0, [0]),
+])
+def test_bad_label_raises(corner, index):
+    with pytest.raises(errors.InvalidParameterError):
+        _BP.label(corner, index)
+
+
+@pytest.mark.parametrize("triple", [
+    ([0], 0, 0), (0, [1], 2), (0, 1, {}), (0.0, 1, 2), (6, 0, 0), (0, -1, 0),
+    (0, 1, 6), (None, 1, 2), ("0", 1, 2),
+])
+def test_bad_square_vertex_raises(triple):
+    with pytest.raises(errors.InvalidParameterError):
+        _BP.complete_square(*triple)
+
+
 SPEC_FIELDS = ("trials", "seed", "w_down", "w_up", "w_right", "w_left")
+_Z4 = make_cyclic(4)
 
 
 def _search(**values) -> None:
     """A search on Z4 with c = 1/4, which certifies every valid draw at once."""
-    spec = dict(trials=1, seed=0, w_down=1, w_up=2, w_right=1, w_left=2)
+    spec = dict(group=_Z4, trials=1, seed=0, w_down=1, w_up=2, w_right=1, w_left=2)
     spec.update(values)
     quarter = Fraction(1, 4)
-    search_pair(SearchSpec(group=make_cyclic(4), c_x=quarter, c_y=quarter, **spec))
+    search_pair(SearchSpec(c_x=quarter, c_y=quarter, **spec))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.fixed_dictionaries({}, optional={
-    field: st.one_of(ODD_SIZES, st.just(0), st.integers(-3, -1))
-    for field in SPEC_FIELDS
+    **{
+        field: st.one_of(ODD_SIZES, st.just(0), st.integers(-3, -1))
+        for field in SPEC_FIELDS
+    },
+    "group": st.one_of(
+        st.just(_Z4), st.none(), st.integers(1, 4), st.just("Z4"),
+        st.just(_Z4.table), st.just(left_regular_action(_Z4)),
+    ),
+    "eps_target": st.one_of(CUTOFFS, st.just(Fraction(1, 2))),
 }))
 def test_search_specs_raise_only_package_errors(values):
     _returns_or_raises_package_error(lambda: _search(**values))
 
 
-# every integer is a seed, so only the non-integers are bad there
+# every integer is a seed, so only the non-integers are bad there; an eps
+# target must be an int or Fraction in (0, 1), and a group a FiniteGroup
 BAD_SPEC_VALUES = [
     (field, value)
     for field in SPEC_FIELDS
     for value in ["x", "2", None, 2.0, 1.5, 0, -1]
     if not (field == "seed" and isinstance(value, int))
+] + [
+    ("group", value) for value in [None, 4, "Z4", _Z4.table, left_regular_action(_Z4)]
+] + [
+    ("eps_target", value)
+    for value in ["x", "1/2", 0.5, Fraction(0), Fraction(1), Fraction(3, 2), 0, 1, -1]
 ]
 
 

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import products_reference
 from expander_ltc import products
 from expander_ltc.errors import (
     FreenessViolationError,
@@ -14,7 +17,7 @@ from expander_ltc.errors import (
 )
 from expander_ltc.f2 import BitMatrix
 from expander_ltc.graphs import BipartiteGraph, cayley_right, certify_expansion
-from expander_ltc.groups import group_from_spec, make_cyclic
+from expander_ltc.groups import group_from_spec, make_cyclic, make_direct_product
 from expander_ltc.products import (
     GraphAction,
     balanced_product,
@@ -27,7 +30,12 @@ from expander_ltc.products import (
     verify_copy_decomposition,
 )
 from expander_ltc.search import layered_cayley
-from products_reference import hypergraph_product, reference_boundaries, s3
+from products_reference import (
+    hypergraph_product,
+    reference_balanced_product,
+    reference_boundaries,
+    s3,
+)
 from symmetry_reference import trivial_action
 
 
@@ -175,8 +183,8 @@ class TestBalancedProduct:
         assert d1.matmul(bp.d2).row_bits[i] >> j & 1 == 1
 
     def test_wrong_orbit_label_rejected(self, monkeypatch):
-        # left vertex 0 of the first factor takes vertex 1's label, so the
-        # quotient counts vertex 0's incidences as vertex 1's
+        # left vertex 0 of the first factor takes vertex 1's label, so no
+        # vertex carries the representative's label (identity, 0)
         real_labeling = products.orbit_labeling
         labelings = []
 
@@ -190,9 +198,107 @@ class TestBalancedProduct:
             return lab
 
         monkeypatch.setattr(products, "orbit_labeling", mislabel)
-        with pytest.raises(MultiplicityViolationError, match="E\\*0: incidence"):
+        with pytest.raises(
+            MultiplicityViolationError, match="E\\*0: got 0 edge orbits, expected 16"
+        ):
             left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
         assert len(labelings) == 4
+
+
+def _assert_same_complex(bp, ref):
+    for field in bp._fields:
+        assert getattr(bp, field) == getattr(ref, field), field
+
+
+def _mislabeling(real_labeling, side):
+    """``orbit_labeling`` whose ``side``-th call gives vertex 0 vertex 1's label."""
+    calls = []
+
+    def mislabel(action):
+        lab = real_labeling(action)
+        if len(calls) == side:
+            label = list(lab.label)
+            label[0] = label[1]
+            lab = lab._replace(label=tuple(label))
+        calls.append(lab)
+        return lab
+
+    return mislabel
+
+
+_Z2XZ3 = {"kind": "product", "factors": [
+    {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}]}
+ORACLE_INSTANCES = {
+    **{f"Z{n}": (lambda n=n: left_right_cayley(make_cyclic(n), [1, 2], [1, 3]))
+       for n in (6, 8, 12, 16, 24)},
+    "Z2xZ3": lambda: left_right_cayley(group_from_spec(_Z2XZ3), [1, 2], [1, 3]),
+    **BOUNDARY_INSTANCES,
+}
+
+ORACLE_GROUPS = {
+    "Z2": lambda: make_cyclic(2),
+    "Z3": lambda: make_cyclic(3),
+    "Z5": lambda: make_cyclic(5),
+    "Z6": lambda: make_cyclic(6),
+    "Z2xZ2": lambda: make_direct_product(make_cyclic(2), make_cyclic(2)),
+    "Z2xZ3": lambda: group_from_spec(_Z2XZ3),
+    "S3": s3,
+}
+
+
+def _flipped(graph, action):
+    """The same graph with its two sides swapped."""
+    edges = [(v, u) for u, v in graph.edges]
+    return (
+        BipartiteGraph(graph.v1_size, graph.v0_size, edges),
+        GraphAction(action.on_v1, action.on_v0),
+    )
+
+
+@st.composite
+def layered_factors(draw):
+    """Two layered factors (1-3 layers of degree 1-3), each with its sides
+    swapped or not, so that either side of either factor may hold several
+    orbits."""
+    g = ORACLE_GROUPS[draw(st.sampled_from(sorted(ORACLE_GROUPS)))]()
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    factors = []
+    for _ in range(2):
+        graph, action, _ = layered_cayley(
+            g, draw(st.integers(1, 3)), draw(st.integers(1, min(3, g.order))), rng
+        )
+        factors.append(_flipped(graph, action) if draw(st.booleans()) else (graph, action))
+    (x, ax), (y, ay) = factors
+    return x, y, ax, ay
+
+
+class TestOnePairPerOrbit:
+    """``balanced_product`` walks one pair per orbit; the reference walks all
+    |G| of them and counts each quotient cell."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
+    def test_matches_the_oracle(self, name):
+        bp = ORACLE_INSTANCES[name]()
+        _assert_same_complex(bp, reference_balanced_product(bp.x, bp.y, bp.ax, bp.ay))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(layered_factors())
+    def test_matches_the_oracle_on_layered_draws(self, factors):
+        _assert_same_complex(
+            balanced_product(*factors), reference_balanced_product(*factors)
+        )
+
+    @pytest.mark.parametrize("side", range(4))
+    def test_a_repeated_label_on_any_side_is_rejected(self, monkeypatch, side):
+        bp = left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
+        for module, build in (
+            (products, balanced_product),
+            (products_reference, reference_balanced_product),
+        ):
+            mislabel = _mislabeling(module.orbit_labeling, side)
+            monkeypatch.setattr(module, "orbit_labeling", mislabel)
+            with pytest.raises(MultiplicityViolationError):
+                build(bp.x, bp.y, bp.ax, bp.ay)
 
 
 class TestLabels:

@@ -151,7 +151,8 @@ _SEARCH_Z6 = {
 }
 _LATE = {"expander_ltc.analysis", "expander_ltc.formats"}
 # a search, and a build that stops at --dry-run, builds no balanced product
-_NO_PRODUCT = {"expander_ltc.products", *_LATE}
+# and sweeps nothing over GF(2)
+_NO_PRODUCT = {"expander_ltc.products", "expander_ltc.f2", *_LATE}
 # stdlib modules no run needs: the CLI reads its flags from a table, the
 # records are tuples made by one factory and summary.csv is written as text
 _NEVER = {"argparse", "gettext", "locale", "csv", "typing", "dataclasses"}

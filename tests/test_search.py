@@ -13,6 +13,8 @@ from expander_ltc.errors import InvalidParameterError
 from expander_ltc import cli, products
 from expander_ltc.graphs import certify_expansion, check_invariance, check_regularity
 from expander_ltc.groups import (
+    FiniteGroup,
+    check_group_axioms,
     make_cyclic,
     make_direct_product,
     orbit_labeling,
@@ -23,10 +25,12 @@ from expander_ltc.search import (
     layered_cayley,
     search_pair,
 )
+from products_reference import s3
 from search_reference import (
     layered_graph,
     random_cayley,
     rebuild_product,
+    reference_least_translate,
     reference_search_pair,
 )
 
@@ -239,6 +243,41 @@ def test_layered_balanced_product_never_raises(group, layers, degrees, seed):
     y, ay, _ = layered_cayley(group, layers[1], w_right, rng)
     bp = balanced_product(x, y, ax, ay)
     assert (bp.w_up, bp.w_left) == (layers[0] * w_down, layers[1] * w_right)
+
+
+def _renamed(g, shift):
+    """``g`` with element ``a`` renamed ``a + shift`` mod its order, so that
+    its identity is not element 0."""
+    n = g.order
+
+    def new(a):
+        return (a + shift) % n
+
+    old = [(a - shift) % n for a in range(n)]
+    table = tuple(tuple(new(g.mul(old[a], old[b])) for b in range(n)) for a in range(n))
+    inverse = tuple(new(g.inv(old[a])) for a in range(n))
+    renamed = FiniteGroup(n, table, new(g.identity), inverse, f"{g.name}+{shift}")
+    check_group_axioms(renamed)
+    return renamed
+
+
+TRANSLATE_GROUPS = GROUPS + [s3(), _renamed(make_cyclic(5), 2), _renamed(s3(), 4)]
+
+
+@st.composite
+def translate_draws(draw):
+    """A group and one to three nonempty generator sets of it."""
+    g = draw(st.sampled_from(TRANSLATE_GROUPS))
+    gens = st.lists(st.integers(0, g.order - 1), min_size=1, max_size=4, unique=True)
+    return g, draw(st.lists(gens, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(translate_draws())
+def test_least_translate_matches_the_full_scan(draw):
+    g, gen_sets = draw
+    expected = reference_least_translate(g, gen_sets)
+    assert search._least_translate(g, gen_sets) == expected
 
 
 def _search_spec(group, w_down=2, w_up=2, w_right=2, w_left=2, c_x="1/2",
