@@ -63,13 +63,13 @@ _EXPORTS = {
         "ExpansionCertificate",
         "GraphAction",
         "Regularity",
-        "cayley_right",
         "certify_expansion",
         "check_invariance",
         "check_regularity",
         "check_unique_neighbor_lemma",
         "graph_from_edge_list",
         "graph_to_edge_list",
+        "layered_cayley",
         "small_set_epsilon",
     ),
     "groups": (
@@ -91,14 +91,12 @@ _EXPORTS = {
         "inherited_expansion",
         "left_right_cayley",
         "one_d_subgraph",
-        "regular_graph_action",
         "verify_chain_identity",
         "verify_copy_decomposition",
     ),
     "search": (
         "SearchResult",
         "SearchSpec",
-        "layered_cayley",
         "random_generating_set",
         "search_pair",
     ),

@@ -530,7 +530,6 @@ class SmallSetCheck(_record("SmallSetCheck", [
     "rhs",  # Fraction
     "holds",  # bool
     "c1_weight",  # int
-    "squares",  # int
 ])):
     """One evaluation of the small-set testability inequality."""
 
@@ -687,6 +686,7 @@ class _SmallSet:
         """The inequality for the locally minimal ``c1 = (p10, p01)``, and its
         margin as the integer ``q·|d1 c1| − p·(w_right·|v10| + w_down·|v01|)``
         for ``factor = p/q``: ``margin`` times ``q·w_down·w_right``."""
+        # the square count is in the key, so both of its methods run every time
         key = (
             p10.weight,
             p01.weight,
@@ -695,7 +695,7 @@ class _SmallSet:
         )
         found = self._checks.get(key)
         if found is None:
-            w10, w01, syndrome, squares = key
+            w10, w01, syndrome, _ = key
             wd, wr = self.bp.w_down, self.bp.w_right
             lhs = self.factor * Fraction(w10 * wr + w01 * wd, wd * wr)
             rhs = Fraction(syndrome, wd * wr)
@@ -704,7 +704,6 @@ class _SmallSet:
                 rhs=rhs,
                 holds=lhs <= rhs,
                 c1_weight=w10 + w01,
-                squares=squares,
             )
             p, q = self.factor.numerator, self.factor.denominator
             found = self._checks[key] = (check, q * syndrome - p * (w10 * wr + w01 * wd))
@@ -740,7 +739,7 @@ def _translations(bp: BalancedProductComplex) -> list[tuple[int, ...]]:
     subgraphs = (bp.g_s0, bp.g_s1, bp.g_0s, bp.g_1s)
     cell_sets = [(set(bp.faces), (a,) * 4)] + [(x.edges, (a, a)) for x in subgraphs]
     if _preserves(g, cell_sets):
-        return [a.table[g.inv(t)] for t in g.elements()]
+        return [a.table[t_inv] for t_inv in g.inverse]
     return [tuple(range(size))]
 
 

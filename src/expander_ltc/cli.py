@@ -42,11 +42,13 @@ from .errors import (
     BudgetExceededError,
     ConfigError,
     ExpanderLtcError,
+    InvalidParameterError,
     PreconditionViolationError,
     VerificationError,
 )
 from .graphs import (
     ExpansionCertificate,
+    _check_generators,
     certify_expansion,
     check_unique_neighbor_lemma,
     graph_to_edge_list,
@@ -185,19 +187,10 @@ def _complex_inputs(cfg: dict) -> tuple[FiniteGroup, list[int], list[int]]:
     group = group_from_spec(cfg["group"])
     sets = []
     for key in ("a_set", "b_set"):
-        value = cfg[key]
-        if not (
-            isinstance(value, list)
-            and value
-            and all(type(a) is int and 0 <= a < group.order for a in value)
-            and len(set(value)) == len(value)
-        ):
-            raise ConfigError(
-                f"config key {key!r} must be a nonempty list of distinct group "
-                f"elements 0..{group.order - 1}, got {value!r}",
-                key,
-            )
-        sets.append(value)
+        try:
+            sets.append(_check_generators(group, cfg[key]))
+        except InvalidParameterError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}", key) from None
     return group, sets[0], sets[1]
 
 

@@ -16,7 +16,14 @@ from .errors import (
     IrregularGraphError,
     _record,
 )
-from .groups import FiniteGroup, GroupAction, check_action_axioms
+from .groups import (
+    FiniteGroup,
+    GroupAction,
+    _index,
+    block_action,
+    check_action_axioms,
+    left_regular_action,
+)
 
 #: Default cap on exhaustive subset evaluations in ``certify_expansion``.
 DEFAULT_SUBSET_BUDGET = 20_000_000
@@ -143,22 +150,43 @@ def small_set_epsilon(
     return max(w_up * cert_y.epsilon, cert_y.epsilon, cert_x.epsilon)
 
 
-def cayley_right(g: FiniteGroup, b_set: Sequence[int]) -> BipartiteGraph:
-    """Bipartite Cayley graph with edges ``(x, x*b)`` for ``b`` in ``b_set``."""
-    gens = _check_generators(g, b_set)
-    edges = [(x, g.mul(x, b)) for x in g.elements() for b in gens]
-    return BipartiteGraph(g.order, g.order, edges)
+def layered_cayley(
+    g: FiniteGroup, gen_sets: Sequence[Sequence[int]]
+) -> tuple[BipartiteGraph, GraphAction]:
+    """Right Cayley graphs from copies of ``G`` to one ``G``: left vertex
+    ``i*|G| + x`` joins ``x*b`` for ``b`` in ``gen_sets[i]``.  Left
+    multiplication acts freely on both sides and preserves the edges."""
+    sets = [_check_generators(g, s) for s in _nonempty_list(gen_sets, "gen_sets")]
+    n, table = g.order, g.table
+    edges = [
+        (i * n + x, table[x][b])
+        for i, gens in enumerate(sets)
+        for x in range(n)
+        for b in gens
+    ]
+    regular = left_regular_action(g)
+    action = GraphAction(block_action(regular, len(sets)), regular)
+    return BipartiteGraph(len(sets) * n, n, edges), action
+
+
+def _nonempty_list(values, what: str) -> list:
+    """``values`` as a list, or ``InvalidParameterError`` if it is empty or no
+    iterable."""
+    try:
+        out = list(values)
+    except TypeError:
+        out = []
+    if not out:
+        raise InvalidParameterError(f"{what} must be a nonempty list, got {values!r}")
+    return out
 
 
 def _check_generators(g: FiniteGroup, gens: Sequence[int]) -> list[int]:
-    out = list(gens)
-    if not out:
-        raise InvalidParameterError("generating set must be nonempty")
+    """``gens`` as a list of distinct ``int`` elements of ``g``, or
+    ``InvalidParameterError``."""
+    out = _nonempty_list(gens, "a generating set")
     for a in out:
-        if not (isinstance(a, int) and 0 <= a < g.order):
-            raise InvalidParameterError(
-                f"generator {a!r} is not an element 0..{g.order - 1} of the group"
-            )
+        _index(a, g.order, "generator")
     if len(set(out)) != len(out):
         raise InvalidParameterError("generating set contains duplicates")
     return out

@@ -23,6 +23,13 @@ MAX_GROUP_ORDER = 4096
 AXIOM_CHECK_ORDER = 256
 
 
+def _index(i: int, size: int, what: str) -> int:
+    """``i`` if it is an ``int`` in ``0..size-1``, else ``InvalidParameterError``."""
+    if type(i) is not int or not 0 <= i < size:
+        raise InvalidParameterError(f"{what} {i!r} is not an int in 0..{size - 1}")
+    return i
+
+
 class FiniteGroup(_record("FiniteGroup", [
     "order",  # int
     "table",  # tuple[tuple[int, ...], ...]: table[a][b] = ab
@@ -35,10 +42,11 @@ class FiniteGroup(_record("FiniteGroup", [
     __slots__ = ()
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        n = self.order
+        return self.table[_index(a, n, "element")][_index(b, n, "element")]
 
     def inv(self, a: int) -> int:
-        return self.inverse[a]
+        return self.inverse[_index(a, self.order, "element")]
 
     def elements(self) -> range:
         return range(self.order)
@@ -80,7 +88,8 @@ class GroupAction(_record("GroupAction", [
     __slots__ = ()
 
     def act(self, g: int, x: int) -> int:
-        return self.table[g][x]
+        row = self.table[_index(g, self.group.order, "element")]
+        return row[_index(x, self.set_size, "point")]
 
 
 class OrbitLabeling(_record("OrbitLabeling", [
@@ -158,23 +167,13 @@ def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     if order > MAX_GROUP_ORDER:
         raise SizeLimitError(f"product order {order} exceeds cap {MAX_GROUP_ORDER}")
     m = h.order
-
-    def pair(a: int, b: int) -> int:
-        return a * m + b
-
     table = tuple(
-        tuple(
-            pair(g.mul(a1, a2), h.mul(b1, b2))
-            for a2 in range(g.order)
-            for b2 in range(h.order)
-        )
-        for a1 in range(g.order)
-        for b1 in range(h.order)
+        tuple(a * m + b for a in row_a for b in row_b)
+        for row_a in g.table
+        for row_b in h.table
     )
-    inverse = tuple(
-        pair(g.inv(a), h.inv(b)) for a in range(g.order) for b in range(h.order)
-    )
-    identity = pair(g.identity, h.identity)
+    inverse = tuple(a * m + b for a in g.inverse for b in h.inverse)
+    identity = g.identity * m + h.identity
     name = f"({g.name or g.order}x{h.name or h.order})"
     return _maybe_check(FiniteGroup(order, table, identity, inverse, name=name))
 
@@ -235,7 +234,7 @@ def check_action_axioms(a: GroupAction) -> None:
         if sorted(row_s) != list(range(n)):
             raise InvalidParameterError(f"element {s} does not act as a permutation")
         for t, row_t in enumerate(table):
-            if tuple(map(row_t.__getitem__, row_s)) != tuple(table[g.mul(t, s)]):
+            if tuple(map(row_t.__getitem__, row_s)) != tuple(table[g.table[t][s]]):
                 raise InvalidParameterError(f"action not compatible on ({t}, {s})")
 
 
@@ -290,8 +289,8 @@ def orbit_labeling(a: GroupAction) -> OrbitLabeling:
             continue
         rep_index = len(reps)
         reps.append(x)  # x is minimal in its orbit by scan order
-        for g in a.group.elements():
-            y = a.act(g, x)
+        for g, row in enumerate(a.table):
+            y = row[x]
             if label[y] is None:
                 label[y] = (g, rep_index)
     return OrbitLabeling(a, tuple(reps), tuple(label))

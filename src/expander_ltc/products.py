@@ -25,16 +25,11 @@ from .graphs import (
     ExpansionCertificate,
     GraphAction,
     _check_generators,
-    cayley_right,
     check_invariance,
     check_regularity,
+    layered_cayley,
 )
-from .groups import (
-    FiniteGroup,
-    OrbitLabeling,
-    left_regular_action,
-    orbit_labeling,
-)
+from .groups import FiniteGroup, OrbitLabeling, orbit_labeling
 
 MAX_PRODUCT_VERTICES = 1 << 20
 
@@ -47,12 +42,6 @@ def _sides(corner: int) -> tuple[int, int]:
     """The factor sides of a corner (0:00, 1:10, 2:01, 3:11): the first
     factor's side, then the second factor's."""
     return corner & 1, corner >> 1
-
-
-def regular_graph_action(g: FiniteGroup) -> GraphAction:
-    """The left regular action on both sides of a Cayley graph on ``G``."""
-    a = left_regular_action(g)
-    return GraphAction(a, a)
 
 
 class BalancedProductComplex(_record("BalancedProductComplex", [
@@ -182,10 +171,12 @@ def balanced_product(
     if max(sizes) > MAX_PRODUCT_VERTICES:
         raise SizeLimitError(f"quotient corner of size {max(sizes)} exceeds cap")
 
+    table, inverse = g.table, g.inverse
+
     def orbit(b: int, gx: int, j: int, y_vertex: int) -> int:
         """The orbit index of ``(gx . r_j, y_vertex)``, ``y_vertex`` on side ``b``."""
         gy, i_s = labelings[2 + b].label[y_vertex]
-        return (j * n_s[b] + i_s) * g.order + g.mul(g.inv(gx), gy)
+        return (j * n_s[b] + i_s) * g.order + table[inverse[gx]][gy]
 
     def quotient_edges(
         pairs: Iterable[tuple[int, int]], which: SubgraphName, expected: int
@@ -311,10 +302,9 @@ def left_right_cayley(
     All four corners biject with ``G`` and the faces are the squares
     ``(g, ag, gb, agb)``.
     """
-    a_inv = [g.inv(a) for a in _check_generators(g, a_set)]
-    x = cayley_right(g, a_inv)
-    y = cayley_right(g, list(b_set))
-    return balanced_product(x, y, regular_graph_action(g), regular_graph_action(g))
+    x, ax = layered_cayley(g, [[g.inverse[a] for a in _check_generators(g, a_set)]])
+    y, ay = layered_cayley(g, [b_set])
+    return balanced_product(x, y, ax, ay)
 
 
 class OneDSubgraph(_record("OneDSubgraph", [
@@ -371,7 +361,7 @@ def one_d_subgraph(bp: BalancedProductComplex, which: SubgraphName) -> OneDSubgr
         def project(corner: int, index: int) -> tuple[int, int]:
             h, i_r, i_s = bp.label(corner, index)
             lab = bp._x_labeling(corner)
-            return i_s, lab.action.act(g.inv(h), lab.representatives[i_r])
+            return i_s, lab.action.table[g.inverse[h]][lab.representatives[i_r]]
 
     else:
         factor = bp.y
@@ -380,7 +370,7 @@ def one_d_subgraph(bp: BalancedProductComplex, which: SubgraphName) -> OneDSubgr
         def project(corner: int, index: int) -> tuple[int, int]:
             h, i_r, i_s = bp.label(corner, index)
             lab = bp._y_labeling(corner)
-            return i_r, lab.action.act(h, lab.representatives[i_s])
+            return i_r, lab.action.table[h][lab.representatives[i_s]]
 
     copy_left, iso_left = zip(*(project(ca, i) for i in range(bp.sizes[ca])))
     copy_right, iso_right = zip(*(project(cb, i) for i in range(bp.sizes[cb])))

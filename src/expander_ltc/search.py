@@ -1,9 +1,10 @@
 """Randomized search for pairs of small expanding Cayley-type factors.
 
-The search draws random generating sets, builds the two factor graphs (layered
-when a degree skew is requested), certifies their expansion exhaustively (once
-per translation class of generating sets), and scores each trial by the
-combined loss parameter the testability inequality depends on.  No balanced
+The search draws random generating sets, builds the two factor graphs from
+them with ``graphs.layered_cayley`` (several layers when a degree skew is
+requested), certifies their expansion exhaustively (once per translation
+class of generating sets), and scores each trial by the combined loss
+parameter the testability inequality depends on.  No balanced
 product is built: the result reports the best trial's generating sets, from
 which the factors and their product can be rebuilt.  Nothing is ever reported
 as certified unless the exhaustive scan said so.
@@ -20,10 +21,11 @@ from .graphs import (
     ExpansionCertificate,
     GraphAction,
     certify_expansion,
+    layered_cayley,
     maps_onto,
     small_set_epsilon,
 )
-from .groups import FiniteGroup, block_action, left_regular_action
+from .groups import FiniteGroup
 
 #: Cap on the exhaustive subset evaluations of each factor certification.
 SUBSET_BUDGET = 2_000_000
@@ -36,32 +38,6 @@ def random_generating_set(g: FiniteGroup, size: int, rng: random.Random) -> list
             f"cannot draw {size} distinct generators from order {g.order}"
         )
     return sorted(rng.sample(range(g.order), size))
-
-
-def layered_cayley(
-    g: FiniteGroup, layers: int, degree: int, rng: random.Random
-) -> tuple[BipartiteGraph, GraphAction, list[list[int]]]:
-    """A (degree, layers*degree)-biregular graph with a free G-action.
-
-    The left side is ``layers`` disjoint copies of ``G`` (copy ``i`` holds the
-    indices ``i*|G| .. i*|G|+|G|-1``), the right side is ``G``, and copy ``i``
-    is a right-multiplication Cayley graph on its own random generating set.
-    Left multiplication acts freely on both sides and preserves the edges.
-    """
-    if not all(isinstance(k, int) and k >= 1 for k in (layers, degree)):
-        raise InvalidParameterError(
-            f"layers and degree must be positive integers, got {layers!r}, {degree!r}"
-        )
-    gen_sets = [random_generating_set(g, degree, rng) for _ in range(layers)]
-    edges = [
-        (i * g.order + x, g.mul(x, b))
-        for i, gens in enumerate(gen_sets)
-        for x in g.elements()
-        for b in gens
-    ]
-    graph = BipartiteGraph(layers * g.order, g.order, edges)
-    regular = left_regular_action(g)
-    return graph, GraphAction(block_action(regular, layers), regular), gen_sets
 
 
 class SearchSpec(_record("SearchSpec", [
@@ -101,6 +77,12 @@ class SearchSpec(_record("SearchSpec", [
                 raise InvalidParameterError(
                     f"base degree {key}={w} exceeds the group order {self.group.order}"
                 )
+        for key in ("c_x", "c_y"):
+            c = getattr(self, key)
+            if not (isinstance(c, (int, Fraction)) and 0 < c <= 1):
+                raise InvalidParameterError(
+                    f"{key} must be an int or a Fraction in (0, 1], got {c!r}"
+                )
         eps = self.eps_target
         if eps is not None and not (isinstance(eps, (int, Fraction)) and 0 < eps < 1):
             raise InvalidParameterError(f"eps_target must lie in (0, 1), got {eps!r}")
@@ -129,9 +111,10 @@ def _least_translate(
     """The lexicographically least right translate ``(S_i * t)_i`` and its ``t``;
     its ``S_0 * t`` holds element 0, so only ``t = s^-1 * 0`` for ``s`` in ``S_0``
     can win."""
+    table = g.table
     return min(
-        (tuple(tuple(sorted(g.mul(b, t) for b in gens)) for gens in gen_sets), t)
-        for t in [g.mul(g.inv(s), 0) for s in gen_sets[0]]
+        (tuple(tuple(sorted(table[b][t] for b in gens)) for gens in gen_sets), t)
+        for t in [table[g.inverse[s]][0] for s in gen_sets[0]]
     )
 
 
@@ -191,8 +174,10 @@ def search_pair(spec: SearchSpec) -> SearchResult:
     for trial in range(spec.trials):
         trial_seed = spec.seed * 1_000_003 + trial
         rng = random.Random(trial_seed)
-        x, ax, gens_x = layered_cayley(g, layers_x, spec.w_down, rng)
-        y, ay, gens_y = layered_cayley(g, layers_y, spec.w_right, rng)
+        gens_x = [random_generating_set(g, spec.w_down, rng) for _ in range(layers_x)]
+        gens_y = [random_generating_set(g, spec.w_right, rng) for _ in range(layers_y)]
+        x, ax = layered_cayley(g, gens_x)
+        y, ay = layered_cayley(g, gens_y)
         cert_x = _certify_layered(x, ax, gens_x, spec.c_x, memo)
         cert_y = _certify_layered(y, ay, gens_y, spec.c_y, memo)
         eps = small_set_epsilon(spec.w_up, cert_x, cert_y)

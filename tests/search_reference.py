@@ -3,12 +3,12 @@
 ``reference_search_pair`` is the straightforward loop that
 ``search.search_pair`` replaces: every trial builds its balanced product and
 certifies both factors from scratch, and the best result is rebuilt at every
-improvement.  It shares only the trial draw (``layered_cayley`` on the derived
+improvement.  It shares only the trial draw (``draw_layered`` on the derived
 seed) with the optimized search, so it serves as an oracle for a search that
 builds no product and reuses certificates across translates.
 
-``rebuild_product`` makes the balanced product of a search result from the
-generator sets it reports, as a caller of the search would.
+``draw_layered`` draws a factor's generator sets in the order the search
+draws them and builds its ``graphs.layered_cayley`` graph.
 ``reference_least_translate`` scans every right translate of a list of
 generator sets, as an oracle for the search's memo key.
 """
@@ -21,23 +21,31 @@ from expander_ltc.errors import MultiplicityViolationError
 from expander_ltc.graphs import (
     BipartiteGraph,
     GraphAction,
-    cayley_right,
     certify_expansion,
+    layered_cayley,
 )
-from expander_ltc.groups import FiniteGroup, block_action, left_regular_action
-from expander_ltc.products import BalancedProductComplex, balanced_product
+from expander_ltc.groups import FiniteGroup
+from expander_ltc.products import balanced_product
 from expander_ltc.search import (
     SUBSET_BUDGET,
     SearchResult,
     SearchSpec,
-    layered_cayley,
     random_generating_set,
 )
 
 
+def draw_layered(
+    g: FiniteGroup, layers: int, degree: int, rng: random.Random
+) -> tuple[BipartiteGraph, GraphAction, list[list[int]]]:
+    """``layers`` random generating sets of ``degree`` elements, drawn one
+    after another from ``rng``, with their ``layered_cayley`` graph and action."""
+    gen_sets = [random_generating_set(g, degree, rng) for _ in range(layers)]
+    return (*layered_cayley(g, gen_sets), gen_sets)
+
+
 def random_cayley(g: FiniteGroup, degree: int, seed: int) -> BipartiteGraph:
     """A right-multiplication Cayley graph on a seeded random generating set."""
-    return cayley_right(g, random_generating_set(g, degree, random.Random(seed)))
+    return draw_layered(g, 1, degree, random.Random(seed))[0]
 
 
 def reference_least_translate(
@@ -47,37 +55,6 @@ def reference_least_translate(
     return min(
         (tuple(tuple(sorted(g.mul(b, t) for b in gens)) for gens in gen_sets), t)
         for t in g.elements()
-    )
-
-
-def layered_graph(g: FiniteGroup, gen_sets: Sequence[Sequence[int]]) -> BipartiteGraph:
-    """The ``layered_cayley`` graph on given generator sets."""
-    return BipartiteGraph(
-        len(gen_sets) * g.order,
-        g.order,
-        [
-            (i * g.order + u, g.mul(u, b))
-            for i, gens in enumerate(gen_sets)
-            for u in g.elements()
-            for b in gens
-        ],
-    )
-
-
-def rebuild_product(
-    g: FiniteGroup,
-    gen_sets_x: Sequence[Sequence[int]],
-    gen_sets_y: Sequence[Sequence[int]],
-) -> BalancedProductComplex:
-    """The balanced product of the two layered factors on the given generator
-    sets, under the actions ``layered_cayley`` gives them."""
-    regular = left_regular_action(g)
-    x, y = layered_graph(g, gen_sets_x), layered_graph(g, gen_sets_y)
-    return balanced_product(
-        x,
-        y,
-        GraphAction(block_action(regular, len(gen_sets_x)), regular),
-        GraphAction(block_action(regular, len(gen_sets_y)), regular),
     )
 
 
@@ -93,8 +70,8 @@ def reference_search_pair(spec: SearchSpec) -> SearchResult:
         rng = random.Random(trial_seed)
         entry: dict = {"trial": trial, "seed": trial_seed}
         try:
-            x, ax, gens_x = layered_cayley(g, layers_x, spec.w_down, rng)
-            y, ay, gens_y = layered_cayley(g, layers_y, spec.w_right, rng)
+            x, ax, gens_x = draw_layered(g, layers_x, spec.w_down, rng)
+            y, ay, gens_y = draw_layered(g, layers_y, spec.w_right, rng)
             bp = balanced_product(x, y, ax, ay)
             cert_x = certify_expansion(x, spec.c_x, max_evals=SUBSET_BUDGET, action=ax)
             cert_y = certify_expansion(y, spec.c_y, max_evals=SUBSET_BUDGET, action=ay)

@@ -4,10 +4,11 @@ These are the straightforward implementations that ``analysis`` replaces with
 one integer flip test on per-complex masks and a small-set suite that
 precomputes everything independent of the vector and checks one vector per
 translation orbit.  Here every flip is scored as a ``Fraction``, and the suite
-checks every vector on its own: its weighted norms as ``Fraction``s, its
-boundary by a matrix product, and its squares by both methods.  Only the
-``d2`` transpose and the flip scores per overlap pair are shared between
-vectors, so they serve as an independent oracle.
+checks every vector on its own: its weighted norms as ``Fraction``s and its
+boundary by a matrix product.  ``reference_square_count`` counts a vector's
+squares by degrees and by faces.  Only the ``d2`` transpose and the flip
+scores per overlap pair are shared between vectors, so they serve as an
+independent oracle.
 """
 
 import functools
@@ -151,7 +152,6 @@ class _Reference:
             rhs=rhs,
             holds=lhs <= rhs,
             c1_weight=c1.stacked().weight(),
-            squares=reference_square_count(bp, c1, self.masks),
         )
 
 

@@ -44,7 +44,8 @@ from expander_ltc.products import (
     verify_chain_identity,
     verify_copy_decomposition,
 )
-from expander_ltc.search import layered_cayley
+
+from search_reference import draw_layered
 
 
 def _report(ok: bool, number: int, message: str) -> None:
@@ -64,8 +65,8 @@ def _cyclic_corpus():
 def _skewed_instance():
     rng = random.Random(13)
     g = make_cyclic(6)
-    x, ax, _ = layered_cayley(g, 2, 2, rng)
-    y, ay, _ = layered_cayley(g, 3, 1, rng)
+    x, ax, _ = draw_layered(g, 2, 2, rng)
+    y, ay, _ = draw_layered(g, 3, 1, rng)
     return balanced_product(x, y, ax, ay)
 
 

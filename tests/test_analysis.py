@@ -33,7 +33,6 @@ from expander_ltc.errors import (
 from expander_ltc.f2 import BitMatrix, BitVector
 from expander_ltc.graphs import BipartiteGraph, certify_expansion, small_set_epsilon
 from expander_ltc.groups import make_cyclic
-from expander_ltc.search import layered_cayley
 from expander_ltc.products import (
     GraphAction,
     balanced_product,
@@ -41,6 +40,7 @@ from expander_ltc.products import (
     left_right_cayley,
 )
 
+from search_reference import draw_layered
 from sweep_reference import column_bits
 from symmetry_reference import trivial_action
 
@@ -438,8 +438,8 @@ class TestVerificationErrors:
     def test_rate_bound(self, monkeypatch):
         rng = random.Random(1)
         g = make_cyclic(5)
-        x, ax, _ = layered_cayley(g, 3, 1, rng)
-        y, ay, _ = layered_cayley(g, 3, 1, rng)
+        x, ax, _ = draw_layered(g, 3, 1, rng)
+        y, ay, _ = draw_layered(g, 3, 1, rng)
         bp = balanced_product(x, y, ax, ay)  # rate bound 1 - 1/3 - 1/3 > 0
         monkeypatch.setattr(analysis, "rank", lambda h: h.cols)  # forces k = 0
         with pytest.raises(VerificationError, match="rate"):

@@ -1,15 +1,18 @@
 """Library calls raise only the package's own errors on bad sizes, cutoffs,
-generator lists, subgraph selectors, vertices and search specs.
+group elements, generator lists, subgraph selectors, vertices and search specs.
 
 Each call gets drawn values of the wrong type or range (negative or
 non-integer sizes, cutoffs that are text, ``None``, floats or fractions
-outside (0, 1], generator lists with floats, negatives, elements outside the
-group or duplicates, selectors that are unhashable, ``None`` or unknown
-strings, vertices and corners that are floats, lists, negative or out of
-range, search trials, seeds and degrees that are text, ``None``, floats, 0 or
-negative, search groups that are not groups and eps targets outside (0, 1) or
-of the wrong type).  It must either return or raise an
-``errors.ExpanderLtcError``; any other exception fails the test.
+outside (0, 1], group elements and action points that are negative, outside
+the group, floats, bools, text or lists, generator lists with floats, bools,
+negatives, elements outside the group or duplicates, lists of generator sets
+that are empty or hold an empty set or a non-list, selectors that are
+unhashable, ``None`` or unknown strings, vertices and corners that are
+floats, lists, negative or out of range, search trials, seeds and degrees
+that are text, ``None``, floats, 0 or negative, search groups that are not
+groups, cutoffs outside (0, 1] and eps targets outside (0, 1) or of the wrong
+type).  It must either return or raise an ``errors.ExpanderLtcError``; any
+other exception fails the test.
 """
 
 import random
@@ -22,15 +25,10 @@ from hypothesis import strategies as st
 from expander_ltc import errors
 from expander_ltc.analysis import sharp_example
 from expander_ltc.f2 import BitMatrix, BitVector
-from expander_ltc.graphs import cayley_right, certify_expansion
+from expander_ltc.graphs import certify_expansion, layered_cayley
 from expander_ltc.groups import block_action, left_regular_action, make_cyclic
 from expander_ltc.products import inherited_expansion, left_right_cayley, one_d_subgraph
-from expander_ltc.search import (
-    SearchSpec,
-    layered_cayley,
-    random_generating_set,
-    search_pair,
-)
+from expander_ltc.search import SearchSpec, random_generating_set, search_pair
 
 CALLS = {
     "BitVector": lambda n, m: BitVector(n, m),
@@ -41,7 +39,6 @@ CALLS = {
     "random_generating_set": lambda n, m: random_generating_set(
         make_cyclic(5), n, random.Random(m)
     ),
-    "layered_cayley": lambda n, m: layered_cayley(make_cyclic(4), n, m, random.Random(0)),
 }
 
 
@@ -63,12 +60,45 @@ ODD_SIZES = st.one_of(st.integers(-3, 8), st.floats(-3, 8), st.just(2.0), st.non
                       st.just("2"))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(ODD_SIZES, ODD_SIZES)
-def test_layered_cayley_sizes_raise_only_package_errors(layers, degree):
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ODD_SIZES, st.integers(0, 3))
+def test_random_generating_set_sizes_raise_only_package_errors(size, seed):
     _returns_or_raises_package_error(
-        lambda: layered_cayley(make_cyclic(4), layers, degree, random.Random(0))
+        lambda: random_generating_set(make_cyclic(4), size, random.Random(seed))
     )
+
+
+# elements of Z_4, which are also the points of its left regular action
+ELEMENTS = st.one_of(
+    st.integers(-5, 9), st.floats(-2, 5), st.booleans(), st.none(), st.just("1"),
+    st.just([0]),
+)
+_Z4 = make_cyclic(4)
+_REGULAR = left_regular_action(_Z4)
+ELEMENT_CALLS = {
+    "mul": _Z4.mul,
+    "inv": lambda a, _: _Z4.inv(a),
+    "act": _REGULAR.act,
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(ELEMENT_CALLS)), ELEMENTS, ELEMENTS)
+def test_group_elements_raise_only_package_errors(name, a, b):
+    _returns_or_raises_package_error(lambda: ELEMENT_CALLS[name](a, b))
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 1.0, True, None, "1", [0]])
+@pytest.mark.parametrize("call", [
+    lambda bad: _Z4.mul(bad, 1),
+    lambda bad: _Z4.mul(1, bad),
+    lambda bad: _Z4.inv(bad),
+    lambda bad: _REGULAR.act(bad, 1),
+    lambda bad: _REGULAR.act(1, bad),
+], ids=["mul-a", "mul-b", "inv", "act-g", "act-x"])
+def test_bad_group_element_raises(call, bad):
+    with pytest.raises(errors.InvalidParameterError):
+        call(bad)
 
 
 CUTOFFS = st.one_of(
@@ -84,14 +114,14 @@ CUTOFFS = st.one_of(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(CUTOFFS)
 def test_cutoffs_raise_only_package_errors(c):
-    x = cayley_right(make_cyclic(6), [1, 2])
+    x = layered_cayley(make_cyclic(6), [[1, 2]])[0]
     _returns_or_raises_package_error(lambda: certify_expansion(x, c))
 
 
 @pytest.mark.parametrize("c", ["1/2", None, 0.5, Fraction(0), Fraction(3, 2), -1])
 def test_cutoff_not_in_the_unit_interval_as_int_or_fraction_raises(c):
     with pytest.raises(errors.InvalidParameterError):
-        certify_expansion(cayley_right(make_cyclic(6), [1, 2]), c)
+        certify_expansion(layered_cayley(make_cyclic(6), [[1, 2]])[0], c)
 
 
 # elements of Z_5 mixed with floats, negatives and elements outside the group;
@@ -101,7 +131,8 @@ GENERATORS = st.lists(
     max_size=5,
 )
 GENERATOR_CALLS = {
-    "cayley_right": lambda a, _: cayley_right(make_cyclic(5), a),
+    "layered_cayley": lambda a, _: layered_cayley(make_cyclic(5), [a]),
+    "layered_cayley-2": lambda a, b: layered_cayley(make_cyclic(5), [b, a]),
     "left_right_cayley": lambda a, b: left_right_cayley(make_cyclic(5), a, b),
     "left_right_cayley-b": lambda a, b: left_right_cayley(make_cyclic(5), b, a),
 }
@@ -113,11 +144,36 @@ def test_generator_lists_raise_only_package_errors(name, a, b):
     _returns_or_raises_package_error(lambda: GENERATOR_CALLS[name](a, b))
 
 
-@pytest.mark.parametrize("gens", [[1.0], [1, 2.0], [-1], [5], [1, 1], []])
+@pytest.mark.parametrize("gens", [[1.0], [1, 2.0], [-1], [5], [1, 1], [], [True]])
 @pytest.mark.parametrize("name", sorted(GENERATOR_CALLS))
 def test_bad_generator_list_raises(name, gens):
     with pytest.raises(errors.InvalidParameterError):
         GENERATOR_CALLS[name](gens, [1])
+
+
+# lists of generator sets of Z_5: empty, or holding an empty set, a bad
+# generator list or something that is no list at all
+GENERATOR_SETS = st.one_of(
+    st.lists(st.one_of(GENERATORS, st.lists(st.booleans(), max_size=2), st.none(),
+                       st.integers(0, 4)), max_size=3),
+    st.none(),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(GENERATOR_SETS)
+def test_layered_cayley_generator_sets_raise_only_package_errors(gen_sets):
+    _returns_or_raises_package_error(lambda: layered_cayley(make_cyclic(5), gen_sets))
+
+
+@pytest.mark.parametrize("gen_sets", [
+    [], [[]], [[1], []], [[5]], [[-1]], [[1, 1]], [[True]], [[1.0]], [["1"]],
+    [[1], None], [1], None, 3,
+])
+def test_bad_generator_sets_raise(gen_sets):
+    with pytest.raises(errors.InvalidParameterError):
+        layered_cayley(make_cyclic(5), gen_sets)
 
 
 _BP = left_right_cayley(make_cyclic(6), [1, 2], [1, 3])
@@ -202,15 +258,15 @@ def test_bad_square_vertex_raises(triple):
 
 
 SPEC_FIELDS = ("trials", "seed", "w_down", "w_up", "w_right", "w_left")
-_Z4 = make_cyclic(4)
 
 
 def _search(**values) -> None:
     """A search on Z4 with c = 1/4, which certifies every valid draw at once."""
-    spec = dict(group=_Z4, trials=1, seed=0, w_down=1, w_up=2, w_right=1, w_left=2)
-    spec.update(values)
     quarter = Fraction(1, 4)
-    search_pair(SearchSpec(c_x=quarter, c_y=quarter, **spec))
+    spec = dict(group=_Z4, trials=1, seed=0, w_down=1, w_up=2, w_right=1, w_left=2,
+                c_x=quarter, c_y=quarter)
+    spec.update(values)
+    search_pair(SearchSpec(**spec))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -224,13 +280,16 @@ def _search(**values) -> None:
         st.just(_Z4.table), st.just(left_regular_action(_Z4)),
     ),
     "eps_target": st.one_of(CUTOFFS, st.just(Fraction(1, 2))),
+    "c_x": CUTOFFS,
+    "c_y": CUTOFFS,
 }))
 def test_search_specs_raise_only_package_errors(values):
     _returns_or_raises_package_error(lambda: _search(**values))
 
 
 # every integer is a seed, so only the non-integers are bad there; an eps
-# target must be an int or Fraction in (0, 1), and a group a FiniteGroup
+# target must be an int or Fraction in (0, 1), a cutoff one in (0, 1], and a
+# group a FiniteGroup
 BAD_SPEC_VALUES = [
     (field, value)
     for field in SPEC_FIELDS
@@ -241,6 +300,10 @@ BAD_SPEC_VALUES = [
 ] + [
     ("eps_target", value)
     for value in ["x", "1/2", 0.5, Fraction(0), Fraction(1), Fraction(3, 2), 0, 1, -1]
+] + [
+    (field, value)
+    for field in ("c_x", "c_y")
+    for value in ["x", "1/2", None, 0.5, Fraction(0), Fraction(3, 2), 0, -1, 2]
 ]
 
 

@@ -42,16 +42,16 @@ EXPORTS = frozenset({
     "matrix_from_alist", "matrix_from_dense_text", "matrix_to_alist",
     "matrix_to_dense_text",
     "BipartiteGraph", "ExpansionCertificate", "GraphAction", "Regularity",
-    "cayley_right", "certify_expansion", "check_invariance", "check_regularity",
+    "certify_expansion", "check_invariance", "check_regularity",
     "check_unique_neighbor_lemma", "graph_from_edge_list", "graph_to_edge_list",
+    "layered_cayley",
     "FiniteGroup", "GroupAction", "OrbitLabeling", "block_action",
     "group_from_spec", "left_regular_action", "make_cyclic",
     "make_direct_product", "orbit_labeling", "right_regular_action_as_left",
     "BalancedProductComplex", "OneDSubgraph", "balanced_product",
     "inherited_expansion", "left_right_cayley", "one_d_subgraph",
-    "regular_graph_action", "verify_chain_identity", "verify_copy_decomposition",
-    "SearchResult", "SearchSpec", "layered_cayley", "random_generating_set",
-    "search_pair",
+    "verify_chain_identity", "verify_copy_decomposition",
+    "SearchResult", "SearchSpec", "random_generating_set", "search_pair",
 })
 
 # test-only exports, each with the reason it stays in the library
@@ -68,6 +68,8 @@ TEST_ONLY_MEMBERS = frozenset({
     "FlipResult.final",  # the record of greedy_flip, a test-only export above
     "FlipResult.flips",  # the record of greedy_flip
     "FlipResult.steps",  # the record of greedy_flip
+    # the checked point lookup of the error contract; library loops read rows
+    "GroupAction.act",
 })
 
 # builtin types whose attribute names a member may share
@@ -158,7 +160,7 @@ def test_members_named_like_builtin_attributes_are_read_where_listed():
 
 
 def test_exports_are_frozen():
-    assert len(EXPORTS) == 79
+    assert len(EXPORTS) == 77
     assert set(_exports()) == EXPORTS
 
 

@@ -21,25 +21,28 @@ from expander_ltc.graphs import (
     BipartiteGraph,
     ExpansionCertificate,
     GraphAction,
-    cayley_right,
     certify_expansion,
     check_invariance,
     check_regularity,
     check_unique_neighbor_lemma,
     graph_from_edge_list,
     graph_to_edge_list,
+    layered_cayley,
 )
 from expander_ltc.groups import (
     GroupAction,
     left_regular_action,
     make_cyclic,
     make_direct_product,
+    orbit_labeling,
     right_regular_action_as_left,
 )
-from expander_ltc.search import _least_translate, layered_cayley
+from expander_ltc.search import _least_translate
 
 import lemma_checks
 from lemma_checks import DegreeSplit, check_edge_count_lemma, degree_split, majorizes
+from products_reference import s3
+from search_reference import draw_layered
 from subset_reference import (
     reference_certificate,
     reference_unique_lemma,
@@ -81,16 +84,16 @@ class TestCayley:
 
     def test_left_invariance_of_right_cayley(self):
         g = make_cyclic(6)
-        x = cayley_right(g, [1, 3])
+        x = layered_cayley(g, [[1, 3]])[0]
         assert check_invariance(x, left_regular_action(g), left_regular_action(g))
 
     def test_identity_generator_matching(self):
-        x = cayley_right(make_cyclic(5), [0])
+        x = layered_cayley(make_cyclic(5), [[0]])[0]
         assert x.edges == frozenset((i, i) for i in range(5))
 
     def test_abelian_left_right_agree(self):
         g = make_cyclic(6)
-        assert cayley_right(g, [1, 3]).edges == cayley_left(g, [1, 3]).edges
+        assert layered_cayley(g, [[1, 3]])[0].edges == cayley_left(g, [1, 3]).edges
 
     def test_empty_generating_set_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -98,7 +101,47 @@ class TestCayley:
 
     def test_duplicate_generators_rejected(self):
         with pytest.raises(InvalidParameterError):
-            cayley_right(make_cyclic(5), [1, 1])
+            layered_cayley(make_cyclic(5), [[1, 1]])
+
+
+# Z_n, and S3 x Z2, where x*b and b*x differ
+BUILDER_GROUPS = {
+    "Z5": make_cyclic(5),
+    "Z8": make_cyclic(8),
+    "S3xZ2": make_direct_product(s3(), make_cyclic(2)),
+}
+
+
+class TestLayeredCayley:
+    """``layered_cayley`` against edges and action tables written out here."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(BUILDER_GROUPS))
+    def test_edges_and_action_match_a_direct_build(self, name, layers):
+        g = BUILDER_GROUPS[name]
+        n = g.order
+        rng = random.Random(n * 10 + layers)
+        gen_sets = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(layers)]
+        x, action = layered_cayley(g, gen_sets)
+        # copy i of G on the left, one G on the right, x -- x*b for b in S_i
+        assert (x.v0_size, x.v1_size) == (layers * n, n)
+        assert x.edges == {
+            (i * n + u, g.mul(u, b))
+            for i, gens in enumerate(gen_sets)
+            for u in range(n)
+            for b in gens
+        }
+        # h sends u in copy i to h*u in copy i, and v on the right to h*v
+        assert action.on_v0.table == tuple(
+            tuple(i * n + g.mul(h, u) for i in range(layers) for u in range(n))
+            for h in range(n)
+        )
+        assert action.on_v1.table == tuple(
+            tuple(g.mul(h, v) for v in range(n)) for h in range(n)
+        )
+        assert action.group is g and action.on_v1.group is g
+        assert check_invariance(x, action.on_v0, action.on_v1)
+        assert orbit_labeling(action.on_v0).num_orbits == layers  # free
 
 
 class TestRegularity:
@@ -230,16 +273,18 @@ class TestUniqueNeighborLemma:
     def test_certificate_of_smaller_group_rejected(self):
         # same left degree, but the Z12 certificate covers sizes up to 5 and
         # c = 1/2 on Z4 covers only size 1
-        cert = certify_expansion(cayley_right(make_cyclic(12), [1, 2]), Fraction(1, 2))
+        x12, _ = layered_cayley(make_cyclic(12), [[1, 2]])
+        cert = certify_expansion(x12, Fraction(1, 2))
         assert cert.max_checked_size == 5
+        x4, _ = layered_cayley(make_cyclic(4), [[1, 2]])
         with pytest.raises(InvalidParameterError, match="sizes up to 5"):
-            check_unique_neighbor_lemma(cayley_right(make_cyclic(4), [1, 2]), cert)
+            check_unique_neighbor_lemma(x4, cert)
 
     def test_certificate_of_other_degree_rejected(self):
         g = make_cyclic(12)
-        cert = certify_expansion(cayley_right(g, [1, 2]), Fraction(1, 2))
+        cert = certify_expansion(layered_cayley(g, [[1, 2]])[0], Fraction(1, 2))
         with pytest.raises(InvalidParameterError, match="left degree 2, the graph 3"):
-            check_unique_neighbor_lemma(cayley_right(g, [1, 2, 5]), cert)
+            check_unique_neighbor_lemma(layered_cayley(g, [[1, 2, 5]])[0], cert)
 
 
 class TestEdgeCountLemma:
@@ -331,7 +376,7 @@ def _cayley_cases():
         (z3z3, [1, 3], Fraction(1, 2)),
     ):
         left = GraphAction(left_regular_action(g), left_regular_action(g))
-        cases.append((f"right-{g.name}", cayley_right(g, gens), left, c))
+        cases.append((f"right-{g.name}", layered_cayley(g, [gens])[0], left, c))
         flip = right_regular_action_as_left(g)
         right = GraphAction(flip, flip)
         cases.append((f"left-{g.name}", cayley_left(g, gens), right, c))
@@ -349,7 +394,7 @@ def _layered_cases():
         itertools.product((1, 2), (2, 3), cutoffs)
     ):
         g = groups[i % len(groups)]
-        x, action, _ = layered_cayley(g, layers, degree, rng)
+        x, action, _ = draw_layered(g, layers, degree, rng)
         cases.append((f"layered-{g.name}-{layers}x{degree}-c{c}", x, action, c))
     return cases
 
@@ -366,12 +411,12 @@ def _pruning_cases():
     for trial in range(10):
         rng = random.Random(trial)
         for side in "xy":
-            x, action, gens = layered_cayley(g, 1, 2, rng)
+            x, action, gens = draw_layered(g, 1, 2, rng)
             key = _least_translate(g, gens)[0]
             if key not in seen:
                 seen.add(key)
                 cases.append((f"search-Z16-{trial}{side}", x, action, Fraction(1, 2)))
-    x, action, _ = layered_cayley(make_cyclic(8), 2, 3, random.Random(0))
+    x, action, _ = draw_layered(make_cyclic(8), 2, 3, random.Random(0))
     cases.append(("layered-Z8-2x3-c1/2", x, action, Fraction(1, 2)))
     return cases
 
@@ -454,7 +499,7 @@ class TestSubsetKernel:
                 assert masks.reads == union_reads[name], name
 
     def test_counterexample_found(self):
-        x = cayley_right(make_cyclic(10), [1, 3])
+        x = layered_cayley(make_cyclic(10), [[1, 3]])[0]
         cert = certify_expansion(x, Fraction(1, 2))
         strict = ExpansionCertificate(
             c=cert.c, epsilon=Fraction(0), w0=cert.w0,
@@ -490,7 +535,7 @@ class TestSubsetKernel:
     @pytest.mark.parametrize("use_action", [False, True], ids=["all", "orbits"])
     def test_budget_counts_every_subset(self, use_action):
         g = make_cyclic(12)
-        x = cayley_right(g, [1, 5])
+        x = layered_cayley(g, [[1, 5]])[0]
         action = GraphAction(left_regular_action(g), left_regular_action(g))
         act = action if use_action else None
         total = sum(comb(12, k) for k in range(1, 6))  # sizes below 12 / 2

@@ -16,7 +16,7 @@ from expander_ltc.errors import (
     MultiplicityViolationError,
 )
 from expander_ltc.f2 import BitMatrix
-from expander_ltc.graphs import BipartiteGraph, cayley_right, certify_expansion
+from expander_ltc.graphs import BipartiteGraph, certify_expansion, layered_cayley
 from expander_ltc.groups import group_from_spec, make_cyclic, make_direct_product
 from expander_ltc.products import (
     GraphAction,
@@ -25,25 +25,24 @@ from expander_ltc.products import (
     inherited_expansion,
     left_right_cayley,
     one_d_subgraph,
-    regular_graph_action,
     verify_chain_identity,
     verify_copy_decomposition,
 )
-from expander_ltc.search import layered_cayley
 from products_reference import (
     hypergraph_product,
     reference_balanced_product,
     reference_boundaries,
     s3,
 )
+from search_reference import draw_layered
 from symmetry_reference import trivial_action
 
 
 def _layered_z5(seed):
     rng = random.Random(seed)
     g = make_cyclic(5)
-    x, ax, _ = layered_cayley(g, 3, 2, rng)
-    y, ay, _ = layered_cayley(g, 3, 2, rng)
+    x, ax, _ = draw_layered(g, 3, 2, rng)
+    y, ay, _ = draw_layered(g, 3, 2, rng)
     return balanced_product(x, y, ax, ay)
 
 
@@ -100,6 +99,18 @@ class TestBalancedProduct:
         with pytest.raises(InvalidParameterError):
             left_right_cayley(make_cyclic(7), a_set, [1, 3])
 
+    @pytest.mark.parametrize("g, a_set, b_set", [
+        (make_cyclic(5), [1, 2], [1, 3]),
+        (make_cyclic(12), [1, 2, 5], [1, 3, 7]),
+        (group_from_spec(_Z2XZ4), [1, 2], [1, 3]),
+        (s3(), [1, 2], [1, 3]),
+        (s3(), [1, 2], [3, 4]),
+    ], ids=["Z5", "Z12", "Z2xZ4", "S3", "S3-3-cycles"])
+    def test_is_the_product_of_two_one_layer_builds(self, g, a_set, b_set):
+        x, ax = layered_cayley(g, [[g.inv(a) for a in a_set]])
+        y, ay = layered_cayley(g, [b_set])
+        assert left_right_cayley(g, a_set, b_set) == balanced_product(x, y, ax, ay)
+
     def test_edge_sets_match_direct_formulas(self):
         g = make_cyclic(5)
         bp = left_right_cayley(g, [1, 2], [1, 3])
@@ -139,22 +150,17 @@ class TestBalancedProduct:
             balanced_product(x, x, bad, bad)
 
     def test_mismatched_groups_rejected(self):
-        x5 = cayley_right(make_cyclic(5), [1])
-        x7 = cayley_right(make_cyclic(7), [1])
+        x5, a5 = layered_cayley(make_cyclic(5), [[1]])
+        x7, a7 = layered_cayley(make_cyclic(7), [[1]])
         with pytest.raises(InvalidParameterError):
-            balanced_product(
-                x5,
-                x7,
-                regular_graph_action(make_cyclic(5)),
-                regular_graph_action(make_cyclic(7)),
-            )
+            balanced_product(x5, x7, a5, a7)
 
     def test_corner_size_ratio(self):
         # skewed degrees: (w_down, w_up) = (2, 4), (w_right, w_left) = (1, 2)
         rng = random.Random(11)
         g = make_cyclic(7)
-        x, ax, _ = layered_cayley(g, 2, 2, rng)
-        y, ay, _ = layered_cayley(g, 2, 1, rng)
+        x, ax, _ = draw_layered(g, 2, 2, rng)
+        y, ay, _ = draw_layered(g, 2, 1, rng)
         bp = balanced_product(x, y, ax, ay)
         wu, wd, wr, wl = bp.w_up, bp.w_down, bp.w_right, bp.w_left
         target = (wu * wl, wd * wl, wu * wr, wd * wr)
@@ -264,7 +270,7 @@ def layered_factors(draw):
     rng = random.Random(draw(st.integers(0, 1 << 16)))
     factors = []
     for _ in range(2):
-        graph, action, _ = layered_cayley(
+        graph, action, _ = draw_layered(
             g, draw(st.integers(1, 3)), draw(st.integers(1, min(3, g.order))), rng
         )
         factors.append(_flipped(graph, action) if draw(st.booleans()) else (graph, action))
@@ -312,8 +318,8 @@ class TestLabels:
     def test_label_round_trip(self):
         rng = random.Random(2)
         g = make_cyclic(5)
-        x, ax, _ = layered_cayley(g, 2, 1, rng)
-        y, ay, _ = layered_cayley(g, 3, 1, rng)
+        x, ax, _ = draw_layered(g, 2, 1, rng)
+        y, ay, _ = draw_layered(g, 3, 1, rng)
         bp = balanced_product(x, y, ax, ay)
         for corner in range(4):
             ns = bp._y_labeling(corner).num_orbits
@@ -356,8 +362,8 @@ class TestCompleteSquare:
         # labeled (h10 * h00^-1 * h01, r1, s1)
         rng = random.Random(4)
         g = make_cyclic(6)
-        x, ax, _ = layered_cayley(g, 2, 1, rng)
-        y, ay, _ = layered_cayley(g, 2, 1, rng)
+        x, ax, _ = draw_layered(g, 2, 1, rng)
+        y, ay, _ = draw_layered(g, 2, 1, rng)
         bp = balanced_product(x, y, ax, ay)
         for (i00, i10, i01, i11) in bp.faces:
             h00, _, _ = bp.label(0, i00)
@@ -383,9 +389,9 @@ class TestOneDSubgraph:
         # X with two left orbits: the right-facing subgraph splits in two
         rng = random.Random(8)
         g = make_cyclic(5)
-        x, ax, _ = layered_cayley(g, 2, 1, rng)
-        y = cayley_right(g, [1, 2])
-        bp = balanced_product(x, y, ax, regular_graph_action(g))
+        x, ax, _ = draw_layered(g, 2, 1, rng)
+        y, ay = layered_cayley(g, [[1, 2]])
+        bp = balanced_product(x, y, ax, ay)
         sub = one_d_subgraph(bp, "0*")
         assert sub.num_copies == 2
         assert verify_copy_decomposition(sub)
@@ -393,8 +399,8 @@ class TestOneDSubgraph:
     def test_all_four_subgraphs_decompose(self):
         rng = random.Random(13)
         g = make_cyclic(6)
-        x, ax, _ = layered_cayley(g, 2, 2, rng)
-        y, ay, _ = layered_cayley(g, 3, 1, rng)
+        x, ax, _ = draw_layered(g, 2, 2, rng)
+        y, ay, _ = draw_layered(g, 3, 1, rng)
         bp = balanced_product(x, y, ax, ay)
         for which in ("*0", "*1", "0*", "1*"):
             sub = one_d_subgraph(bp, which)
@@ -425,9 +431,9 @@ class TestInheritedExpansion:
     def test_multi_copy_scaling_and_epsilon(self):
         rng = random.Random(21)
         g = make_cyclic(5)
-        x, ax, _ = layered_cayley(g, 2, 1, rng)
-        y = cayley_right(g, [1, 2])
-        bp = balanced_product(x, y, ax, regular_graph_action(g))
+        x, ax, _ = draw_layered(g, 2, 1, rng)
+        y, ay = layered_cayley(g, [[1, 2]])
+        bp = balanced_product(x, y, ax, ay)
         cert = certify_expansion(y, Fraction(2, 5))
         inherited = inherited_expansion(bp, cert, "0*")
         # the 0* subgraph has 2 copies: cutoff shrinks by |V_Y0| / |V00|

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from expander_ltc import search
 from expander_ltc.errors import InvalidParameterError
 from expander_ltc import cli, products
-from expander_ltc.graphs import certify_expansion, check_invariance, check_regularity
+from expander_ltc.graphs import (
+    certify_expansion,
+    check_invariance,
+    check_regularity,
+    layered_cayley,
+)
 from expander_ltc.groups import (
     FiniteGroup,
     check_group_axioms,
@@ -20,34 +25,35 @@ from expander_ltc.groups import (
     orbit_labeling,
 )
 from expander_ltc.products import balanced_product, verify_chain_identity
-from expander_ltc.search import (
-    SearchSpec,
-    layered_cayley,
-    search_pair,
-)
+from expander_ltc.search import SearchSpec, search_pair
 from products_reference import s3
 from search_reference import (
-    layered_graph,
+    draw_layered,
     random_cayley,
-    rebuild_product,
     reference_least_translate,
     reference_search_pair,
 )
 
 
 def assert_round_trip(spec, gen_sets_x, gen_sets_y, cert_x, cert_y):
-    """The product rebuilt from a search's reported generator sets is a chain
-    complex of the spec's degrees, and re-certifying its factors gives the
-    reported certificates (compared as ``to_json`` records, which a written
-    ``search_result.json`` holds too)."""
-    bp = rebuild_product(spec.group, gen_sets_x, gen_sets_y)
+    """The product built by ``layered_cayley`` and ``balanced_product`` from a
+    search's reported generator sets is a chain complex of the spec's degrees,
+    and re-certifying its factors gives the reported certificates (compared
+    as ``to_json`` records, which a written ``search_result.json`` holds too)."""
+    x, ax = layered_cayley(spec.group, gen_sets_x)
+    y, ay = layered_cayley(spec.group, gen_sets_y)
+    bp = balanced_product(x, y, ax, ay)
     ok, _ = verify_chain_identity(bp.d1, bp.d2)
     assert ok
     assert (bp.w_down, bp.w_up, bp.w_right, bp.w_left) == (
         spec.w_down, spec.w_up, spec.w_right, spec.w_left
     )
-    assert certify_expansion(bp.x, spec.c_x, action=bp.ax).to_json() == cert_x
-    assert certify_expansion(bp.y, spec.c_y, action=bp.ay).to_json() == cert_y
+    certs = (
+        certify_expansion(bp.x, spec.c_x, action=bp.ax),
+        certify_expansion(bp.y, spec.c_y, action=bp.ay),
+    )
+    assert [c.to_json() for c in certs] == [cert_x, cert_y]
+    return certs
 
 
 class TestRandomCayley:
@@ -84,7 +90,7 @@ class TestRandomCayley:
 class TestLayeredCayley:
     def test_degree_profile(self):
         g = make_cyclic(6)
-        x, action, gens = layered_cayley(g, 3, 2, random.Random(1))
+        x, action, gens = draw_layered(g, 3, 2, random.Random(1))
         reg = check_regularity(x)
         assert (reg.w0, reg.w1) == (2, 6)
         assert len(gens) == 3
@@ -93,7 +99,7 @@ class TestLayeredCayley:
 
     def test_one_layer_shares_one_action(self):
         # both sides carry the same action object, so certification proves it once
-        x, action, _ = layered_cayley(make_cyclic(6), 1, 2, random.Random(1))
+        x, action, _ = draw_layered(make_cyclic(6), 1, 2, random.Random(1))
         assert action.on_v0 is action.on_v1
         assert check_invariance(x, action.on_v0, action.on_v1)
 
@@ -156,23 +162,37 @@ class TestSearchPair:
             res.cert_x.to_json(), res.cert_y.to_json(),
         )
 
-    def test_written_result_rebuilds_and_reverifies(self, tmp_path):
-        # the generator sets and certificates read back from search_result.json
-        spec = self._spec()
+    @staticmethod
+    def _assert_written_result_rebuilds(tmp_path, spec, degrees):
+        """``search_result.json`` of a CLI search, with its certificates
+        replaced by those of the factors rebuilt from its generator sets, is
+        the same file byte for byte."""
         cfg = tmp_path / "search.json"
         cfg.write_text(json.dumps({
-            "group": {"kind": "cyclic", "n": 6},
-            "w_down": 2, "w_up": 2, "w_right": 2, "w_left": 2,
-            "c_x": "1/3", "c_y": "1/3", "trials": 6,
+            "group": {"kind": "cyclic", "n": spec.group.order}, **degrees,
+            "c_x": str(spec.c_x), "c_y": str(spec.c_y), "trials": spec.trials,
         }))
         out = tmp_path / "out"
         argv = ["search", "--config", str(cfg), "--out", str(out), "--seed", "1"]
         assert cli.main(argv) == 0
-        written = json.loads((out / "search_result.json").read_text())
-        assert_round_trip(
+        text = (out / "search_result.json").read_text()
+        written = json.loads(text)
+        cert_x, cert_y = assert_round_trip(
             spec, written["gen_sets_x"], written["gen_sets_y"],
             written["cert_x"], written["cert_y"],
         )
+        rebuilt = {**written, "cert_x": cert_x.to_json(), "cert_y": cert_y.to_json()}
+        assert json.dumps(rebuilt, indent=2, sort_keys=True) + "\n" == text
+
+    def test_written_result_rebuilds_and_reverifies(self, tmp_path):
+        degrees = dict(w_down=2, w_up=2, w_right=2, w_left=2)
+        self._assert_written_result_rebuilds(tmp_path, self._spec(), degrees)
+
+    def test_written_layered_result_rebuilds_and_reverifies(self, tmp_path):
+        # two layers on each side: w_up = 2 w_down and w_left = 2 w_right
+        degrees = dict(w_down=1, w_up=2, w_right=1, w_left=2)
+        spec = self._spec(group=make_cyclic(8), c_x=Fraction(1, 2), **degrees)
+        self._assert_written_result_rebuilds(tmp_path, spec, degrees)
 
     def test_best_so_far_monotone(self):
         res = search_pair(self._spec(trials=10))
@@ -239,8 +259,8 @@ def test_layered_balanced_product_never_raises(group, layers, degrees, seed):
     double an incidence, so the search needs no per-trial fallback."""
     rng = random.Random(seed)
     w_down, w_right = (min(d, group.order) for d in degrees)
-    x, ax, _ = layered_cayley(group, layers[0], w_down, rng)
-    y, ay, _ = layered_cayley(group, layers[1], w_right, rng)
+    x, ax, _ = draw_layered(group, layers[0], w_down, rng)
+    y, ay, _ = draw_layered(group, layers[1], w_right, rng)
     bp = balanced_product(x, y, ax, ay)
     assert (bp.w_up, bp.w_left) == (layers[0] * w_down, layers[1] * w_right)
 
@@ -361,15 +381,15 @@ class TestRelabelsOnto:
     def test_only_the_translating_element_maps_onto_the_translate(self):
         g = make_cyclic(8)
         gen_sets = [[0, 1], [0, 3]]  # no nonzero translate fixes both sets
-        x = layered_graph(g, gen_sets)
+        x = layered_cayley(g, gen_sets)[0]
         for t in g.elements():
-            target = layered_graph(g, [[g.mul(b, t) for b in s] for s in gen_sets])
+            target = layered_cayley(g, [[g.mul(b, t) for b in s] for s in gen_sets])[0]
             assert [search._relabels_onto(x, target, g, s) for s in g.elements()] == [
                 s == t for s in g.elements()
             ]
 
     def test_other_class_never_maps(self):
         g = make_cyclic(8)
-        x = layered_graph(g, [[0, 1], [0, 3]])
-        other = layered_graph(g, [[0, 1], [0, 2]])
+        x = layered_cayley(g, [[0, 1], [0, 3]])[0]
+        other = layered_cayley(g, [[0, 1], [0, 2]])[0]
         assert not any(search._relabels_onto(x, other, g, t) for t in g.elements())

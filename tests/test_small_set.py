@@ -21,9 +21,9 @@ from expander_ltc.f2 import BitVector
 from expander_ltc.graphs import certify_expansion
 from expander_ltc.groups import group_from_spec, make_cyclic
 from expander_ltc.products import balanced_product, left_right_cayley
-from expander_ltc.search import layered_cayley
 
 from products_reference import s3
+from search_reference import draw_layered
 from small_set_reference import (
     column_masks,
     flip_delta,
@@ -32,6 +32,7 @@ from small_set_reference import (
     reference_locally_minimal_distance,
     reference_small_set_ltc_check,
     reference_small_set_suite,
+    reference_square_count,
     reference_translations,
 )
 from sweep_reference import column_bits
@@ -50,8 +51,8 @@ def _product_group():
 def _layered(order, layers_y, seed):
     rng = random.Random(seed)
     g = make_cyclic(order)
-    x, ax, _ = layered_cayley(g, 2, 2, rng)  # w_down = 2, w_up = 4
-    y, ay, _ = layered_cayley(g, layers_y, 2, rng)
+    x, ax, _ = draw_layered(g, 2, 2, rng)  # w_down = 2, w_up = 4
+    y, ay, _ = draw_layered(g, layers_y, 2, rng)
     return balanced_product(x, y, ax, ay)
 
 
@@ -93,9 +94,7 @@ def _random_c1(bp, rng):
 
 
 def _key(check):
-    return (
-        check.c1_weight, check.lhs, check.rhs, check.holds, check.squares,
-    )
+    return check.c1_weight, check.lhs, check.rhs, check.holds
 
 
 def _expanded(orbits):
@@ -253,7 +252,8 @@ def test_mask_kernel_matches_best_flip(name):
         o01 = analysis._overlaps(hi, p01.bits)
         minimal = ss.minimal(p10, p01)
         assert minimal == (analysis._best_flip(bp, o10, o01) is None)
-        assert ss.squares(p10, p01) == sum(map(mul, o10, o01))
+        squares = reference_square_count(bp, C1Vector.from_supports(bp, s10, s01))
+        assert ss.squares(p10, p01) == sum(map(mul, o10, o01)) == squares
         seen[minimal] += 1
     assert seen[True] and seen[False]
 

@@ -29,8 +29,8 @@ from expander_ltc.f2 import (
 )
 from expander_ltc.groups import make_cyclic
 from expander_ltc.products import balanced_product, left_right_cayley
-from expander_ltc.search import layered_cayley
 
+from search_reference import draw_layered
 from small_set_reference import reference_locally_minimal_distance
 from sweep_reference import (
     column_bits,
@@ -63,16 +63,16 @@ def _random_layered(rng):
     g = make_cyclic(order)
     layers_x = rng.randint(1, 12 // order)
     layers_y = rng.randint(1, 12 // (order * layers_x))
-    x, ax, _ = layered_cayley(g, layers_x, rng.randint(1, order), rng)
-    y, ay, _ = layered_cayley(g, layers_y, rng.randint(1, order), rng)
+    x, ax, _ = draw_layered(g, layers_x, rng.randint(1, order), rng)
+    y, ay, _ = draw_layered(g, layers_y, rng.randint(1, order), rng)
     return balanced_product(x, y, ax, ay)
 
 
 def _layered():
     rng = random.Random(0)
     g = make_cyclic(6)
-    x, ax, _ = layered_cayley(g, 2, 2, rng)  # w_down = 2, w_up = 4
-    y, ay, _ = layered_cayley(g, 1, 2, rng)
+    x, ax, _ = draw_layered(g, 2, 2, rng)  # w_down = 2, w_up = 4
+    y, ay, _ = draw_layered(g, 1, 2, rng)
     return balanced_product(x, y, ax, ay)
 
 
@@ -105,8 +105,8 @@ COMPLEXES = {
 def _layered_product(order, layers_x, layers_y, degree_x, degree_y, seed):
     rng = random.Random(seed)
     g = make_cyclic(order)
-    x, ax, _ = layered_cayley(g, layers_x, degree_x, rng)
-    y, ay, _ = layered_cayley(g, layers_y, degree_y, rng)
+    x, ax, _ = draw_layered(g, layers_x, degree_x, rng)
+    y, ay, _ = draw_layered(g, layers_y, degree_y, rng)
     return balanced_product(x, y, ax, ay)
 
 

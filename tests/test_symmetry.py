@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expander_ltc.errors import InvalidParameterError
-from expander_ltc.graphs import BipartiteGraph, cayley_right, check_invariance
+from expander_ltc.graphs import BipartiteGraph, check_invariance, layered_cayley
 from expander_ltc.groups import (
     GroupAction,
     block_action,
@@ -19,9 +19,9 @@ from expander_ltc.groups import (
     make_direct_product,
     right_regular_action_as_left,
 )
-from expander_ltc.search import layered_cayley
 
 from products_reference import s3
+from search_reference import draw_layered
 from symmetry_reference import (
     cayley_left,
     reference_action_axioms,
@@ -141,10 +141,10 @@ def _invariant_graphs(g, seed):
     degree = rng.randint(1, min(3, g.order))
     gens = sorted(rng.sample(range(g.order), degree))
     left, right = left_regular_action(g), right_regular_action_as_left(g)
-    x, action, _ = layered_cayley(g, rng.randint(1, 2), degree, rng)
+    x, action, _ = draw_layered(g, rng.randint(1, 2), degree, rng)
     return [
         (x, action.on_v0, action.on_v1),
-        (cayley_right(g, gens), left, left),
+        (layered_cayley(g, [gens])[0], left, left),
         (cayley_left(g, gens), right, right),
     ]
 
@@ -175,7 +175,7 @@ def test_cayley_graphs_over_s3(gens):
     normal = all(g.mul(g.mul(h, a), g.inv(h)) in gens for h in range(6) for a in gens)
     left, right = left_regular_action(g), right_regular_action_as_left(g)
     for x, same, other in ((cayley_left(g, gens), right, left),
-                           (cayley_right(g, gens), left, right)):
+                           (layered_cayley(g, [gens])[0], left, right)):
         assert check_invariance(x, same, same) and reference_invariance(x, same, same)
         assert check_invariance(x, other, other) == normal
         assert reference_invariance(x, other, other) == normal
