@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     InvalidParameterError,
     PreconditionViolationError,
     VerificationError,
+    _at_least,
     _record,
 )
 from .f2 import (
@@ -30,7 +31,6 @@ from .f2 import (
     BitVector,
     gray_sweep,
     kernel_basis,
-    min_weight_nonzero,
     rank,
 )
 from .graphs import (
@@ -387,30 +387,20 @@ class LocallyMinimalDistance(_record("LocallyMinimalDistance", [
 _SUBSET_STEPS = 3
 
 
-def locally_minimal_distance(
-    bp: BalancedProductComplex, budget: int = DEFAULT_ENUM_BUDGET
-) -> LocallyMinimalDistance:
-    """The least weight of a nonzero weighted-locally-minimal vector of ker d1.
-
-    Weight first: the kernel vectors of weight ``w`` are the ``(w-1)``-subsets
-    ``S`` of the c1 positions, in ``itertools.combinations`` order, each
-    completed by a position above ``max S`` whose ``d1`` column equals the
-    syndrome of ``S``; a dict from each column to its positions finds them.
-    The first weight that has a locally minimal vector is ``d_lm``.
-
-    One subset is one step of the budget.  A weight whose subsets would take
-    the count past ``budget``, or past ``2^dim / _SUBSET_STEPS`` when the
-    sweep fits the budget, hands off to the sweep of all ``2^dim - 1``
-    kernel vectors, which checks ``2^dim <= budget`` itself.  So the budget
-    counts the loop that runs.  A search that hands off has spent at most
-    ``2^dim / _SUBSET_STEPS`` subsets first, about as long as the sweep
-    itself, so it takes up to about twice the sweep.  Both loops pick the
-    witness with ``_least_minimal``.
-    """
-    basis = [v.bits for v in kernel_basis(bp.d1)]
+def _weight_first(
+    columns: Sequence[int], basis: Sequence[int], budget: int, least: Callable
+) -> tuple | None:
+    """``least`` of the nonzero kernel vectors of weight ``w`` of the map with
+    these ``columns``, at the first ``w`` where it is not ``None``: each is a
+    ``(w-1)``-subset ``S`` of the positions, in ``combinations`` order,
+    completed by a position above ``max S`` whose column is the syndrome of
+    ``S``.  One subset is one step of the budget.  A weight whose subsets
+    would take the count past ``budget``, or past ``2^dim / _SUBSET_STEPS``
+    when the sweep fits it, hands off to ``least`` of the Gray sweep of the
+    span of ``basis``, which checks ``2^dim <= budget`` itself; so the budget
+    counts the loop that runs."""
     sweep = 1 << len(basis)
     limit = budget if sweep > budget else sweep // _SUBSET_STEPS
-    columns = bp.g_1s.left_masks + bp.g_s1.left_masks  # d1's, by stacked position
     positions: dict[int, list[int]] = {}
     for j, column in enumerate(columns):
         positions.setdefault(column, []).append(j)
@@ -421,9 +411,8 @@ def locally_minimal_distance(
             for i in prefix:
                 syndrome ^= columns[i]
                 bits |= 1 << i
-            above = prefix[-1] if prefix else -1
             for j in positions.get(syndrome, ()):
-                if j > above:
+                if not bits >> j:  # j lies above max S
                     yield bits | 1 << j
 
     steps = 0
@@ -431,17 +420,30 @@ def locally_minimal_distance(
         steps += math.comb(len(columns), w - 1)
         if steps > limit:
             break
-        lmd = _least_minimal(bp, completions(w))
-        if lmd.d_lm is not None:
-            return lmd
-    return _least_minimal(bp, gray_sweep(basis, budget))
+        if (found := least(completions(w))) is not None:
+            return found
+    return least(gray_sweep(basis, budget))
+
+
+def locally_minimal_distance(
+    bp: BalancedProductComplex, budget: int = DEFAULT_ENUM_BUDGET
+) -> LocallyMinimalDistance:
+    """The least weight of a nonzero weighted-locally-minimal vector of ker d1:
+    ``_weight_first`` over ``d1``'s columns by stacked position, folded by
+    ``_least_minimal``."""
+    _at_least(budget, 1, "budget")
+    columns = bp.g_1s.left_masks + bp.g_s1.left_masks
+    basis = [v.bits for v in kernel_basis(bp.d1)]
+    found = _weight_first(columns, basis, budget, lambda vs: _least_minimal(bp, vs))
+    return found or LocallyMinimalDistance(d_lm=None, witness=None)
 
 
 def _least_minimal(
     bp: BalancedProductComplex, candidates: Iterable[int]
-) -> LocallyMinimalDistance:
-    """The least ``(weight, w_right |v10| + w_down |v01|, bits)`` over the
-    locally minimal stacked vectors ``cur`` of ``candidates``.
+) -> LocallyMinimalDistance | None:
+    """The record of the least ``(weight, w_right |v10| + w_down |v01|,
+    bits)`` over the locally minimal stacked vectors ``cur`` of
+    ``candidates``, or ``None`` if there is none.
 
     The middle term is the weighted norm times ``w_down * w_right``.  Only a
     candidate below the least so far is tested.
@@ -459,10 +461,9 @@ def _least_minimal(
             continue
         if is_locally_minimal(C1Vector.from_stacked(bp, BitVector(length, cur)), bp)[0]:
             best, bound = key, w
-    if best is None:
-        return LocallyMinimalDistance(d_lm=None, witness=None)
-    witness = C1Vector.from_stacked(bp, BitVector(length, best[2]))
-    return LocallyMinimalDistance(d_lm=best[0], witness=witness)
+    if best is not None:
+        witness = C1Vector.from_stacked(bp, BitVector(length, best[2]))
+        return LocallyMinimalDistance(d_lm=best[0], witness=witness)
 
 
 class LTProfile(_record("LTProfile", [
@@ -490,7 +491,8 @@ def lt_profile(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> LTProfile:
     """Profile minimum preimage weights over the full image of ``d2``."""
-    profile = sorted(_preimage_profile(bp, budget).items())
+    _at_least(max_c1_weight, 0, "max_c1_weight")
+    profile = sorted(_preimage_profile(bp, _at_least(budget, 1, "budget")).items())
     table = {iw: w for iw, (w, _, _) in profile}
     witnesses = {
         iw: (BitVector(bp.n10 + bp.n01, image), BitVector(bp.n00, pre))
@@ -948,7 +950,7 @@ def sharp_example(bp: BalancedProductComplex, x00: int) -> C1Vector:
         raise PreconditionViolationError(
             f"degrees (w_down={bp.w_down}, w_right={bp.w_right}) must both be even"
         )
-    if not (isinstance(x00, int) and 0 <= x00 < bp.n00):
+    if not (type(x00) is int and 0 <= x00 < bp.n00):
         raise InvalidParameterError(f"vertex {x00} outside V00")
     n10_all = bp.g_s0.left_neighbors(x00)
     n01_all = bp.g_0s.left_neighbors(x00)
@@ -995,8 +997,9 @@ class DistanceReport(_record("DistanceReport", [
     "witness",  # BitVector | None
     "reason",  # str | None
 ], defaults=(None,))):
-    """``bound`` is ``None`` when the certificate's epsilon does not give one;
-    ``reason`` then says why."""
+    """``bound`` is ``None`` when the certificate's epsilon does not give one,
+    and ``exact`` when k = 0 or when its search passes the budget; ``reason``
+    says why, for a missing bound and for a skipped search."""
 
     __slots__ = ()
 
@@ -1007,18 +1010,22 @@ def distance_certificate(
     subgraph_cert: ExpansionCertificate,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DistanceReport:
-    """Expansion-implied lower bound on distance, with exact value if feasible.
+    """Expansion-implied lower bound on distance, with its exact value.
 
     ``subgraph_cert`` certifies the downward subgraph on (V00, V10).  Its
     cutoff times ``|V00|`` lower-bounds the distance when epsilon < 1/2: a set
     S of bits with ``|N(S)| >= (1 - eps) w |S|`` then has ``(1 - 2 eps) w |S|
     > 0`` unique neighbors, so no nonzero codeword is that small (Sipser and
     Spielman's expander-code argument).
-    For 1/2 <= epsilon < 1 the bound is ``None``.
+    For 1/2 <= epsilon < 1 the bound is ``None``, and ``reason`` says why.
+    ``exact`` and ``witness`` are the least ``(weight, bits)`` nonzero
+    codeword, by ``_weight_first`` over the columns of ``d2``; ``None`` when
+    ``k = 0``, or when its sweep exceeds ``budget``, and ``reason`` says so.
     """
+    _at_least(budget, 1, "budget")
     if subgraph_cert.epsilon >= 1:
         raise PreconditionViolationError("epsilon >= 1 vacates the bound")
-    bound = reason = None
+    bound = reason = exact = witness = None
     if subgraph_cert.epsilon < Fraction(1, 2):
         bound = subgraph_cert.c * bp.n00
     else:
@@ -1026,15 +1033,22 @@ def distance_certificate(
             f"subgraph epsilon {subgraph_cert.epsilon} >= 1/2: the unique-neighbor "
             f"bound d >= c*|V00| needs epsilon < 1/2"
         )
-    basis = kernel_basis(code.h)
-    exact = None
-    witness = None
-    if (1 << len(basis)) <= budget:
-        res = min_weight_nonzero(basis, budget=budget)
-        if res is not None:
-            exact, witness = res
-            if bound is not None and exact < bound:
-                raise VerificationError(
-                    f"distance {exact} is below the expansion bound {bound}"
-                )
+    columns = [a | b << bp.n10 for a, b in zip(bp.g_s0.left_masks, bp.g_0s.left_masks)]
+    basis = [v.bits for v in kernel_basis(code.h)]
+    try:
+        found = _weight_first(
+            columns, basis, budget,
+            lambda vs: min(((v.bit_count(), v) for v in vs), default=None),
+        )
+    except BudgetExceededError as exc:
+        found = None
+        skipped = (f"exact distance: {exc} (needs {exc.required}, budget "
+                   f"{exc.budget}); raise --budget")
+        reason = f"{reason}; {skipped}" if reason else skipped
+    if found is not None:
+        exact, witness = found[0], BitVector(code.n, found[1])
+        if bound is not None and exact < bound:
+            raise VerificationError(
+                f"distance {exact} is below the expansion bound {bound}"
+            )
     return DistanceReport(bound=bound, exact=exact, witness=witness, reason=reason)

@@ -252,7 +252,7 @@ def build_report(
     cert_x, cert_y = _certify_factors(bp, c_x, c_y)
     sub_cert = products.inherited_expansion(bp, cert_x, "*0")
 
-    # the exact distance is skipped, not failed, when 2^k exceeds the budget
+    # the exact distance is skipped, with a reason, not failed, over the budget
     dist = analysis.distance_certificate(code, bp, sub_cert, budget=budget)
     with _stage("d_lm"):
         lmd = analysis.locally_minimal_distance(bp, budget=budget)
@@ -532,7 +532,9 @@ _COMMANDS = {
         "--out": _OUT,
         "--budget": (
             _positive_int, DEFAULT_ENUM_BUDGET,
-            "the cap on the distance, d_lm and LT profile stages",
+            "the cap on the distance and d_lm searches (supports, then sweep "
+            "steps) and the LT profile (2^n00 preimages); a distance over it "
+            "is skipped",
         ),
         "--deterministic": (None, False, "leave the timestamp out of report.json"),
         "--dry-run": _DRY_RUN,

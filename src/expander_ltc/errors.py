@@ -93,6 +93,16 @@ class VerificationError(ExpanderLtcError):
     """
 
 
+def _at_least(value: int, minimum: int, what: str) -> int:
+    """``value`` if it is an ``int`` (a bool is not one) of at least
+    ``minimum``, else ``InvalidParameterError`` naming ``what``."""
+    if type(value) is not int or value < minimum:
+        raise InvalidParameterError(
+            f"{what} must be an integer >= {minimum}, got {value!r}"
+        )
+    return value
+
+
 def _record(name: str, fields: list[str], defaults: tuple = ()) -> type:
     """A tuple subclass with named fields, as ``collections.namedtuple`` makes
     one, but built without compiling code.

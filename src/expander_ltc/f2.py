@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
-    DEFAULT_ENUM_BUDGET, BudgetExceededError, InvalidParameterError, _record
+    DEFAULT_ENUM_BUDGET, BudgetExceededError, InvalidParameterError, _at_least, _record
 )
 
 
@@ -23,6 +23,10 @@ class BitVector(_record("BitVector", [
     __slots__ = ()
 
     def __new__(cls, length: int, bits: int = 0) -> "BitVector":
+        if type(length) is not int or type(bits) is not int:
+            raise InvalidParameterError(
+                f"vector length {length!r} and bits {bits!r} must be ints"
+            )
         if length < 0:
             raise InvalidParameterError(f"negative vector length {length}")
         if bits < 0 or bits >> length:
@@ -65,8 +69,8 @@ class BitMatrix:
     __slots__ = ("rows", "cols", "row_bits")
 
     def __init__(self, rows: int, cols: int, row_bits: Sequence[int] | None = None):
-        if rows < 0 or cols < 0:
-            raise InvalidParameterError("negative matrix dimension")
+        _at_least(rows, 0, "rows")
+        _at_least(cols, 0, "cols")
         self.rows = rows
         self.cols = cols
         if row_bits is None:
@@ -202,7 +206,7 @@ def gray_sweep(vectors: Sequence[int], budget: int) -> Iterator[int]:
     first step.
     """
     count = 1 << len(vectors)
-    if count > budget:
+    if count > _at_least(budget, 1, "budget"):
         raise BudgetExceededError(
             f"2^{len(vectors)} combinations exceed budget", count, budget
         )

@@ -14,6 +14,7 @@ from .errors import (
     BudgetExceededError,
     InvalidParameterError,
     IrregularGraphError,
+    _at_least,
     _record,
 )
 from .groups import (
@@ -369,6 +370,15 @@ def _least_unique(
     return least, least_at, hit
 
 
+def _cutoff(c: Fraction, what: str) -> None:
+    """``InvalidParameterError`` naming ``what`` unless ``c`` is an ``int`` (a
+    bool is not one) or a ``Fraction`` in (0, 1]."""
+    if not ((type(c) is int or isinstance(c, Fraction)) and 0 < c <= 1):
+        raise InvalidParameterError(
+            f"{what} must be an int or a Fraction in (0, 1], got {c!r}"
+        )
+
+
 def certify_expansion(
     x: BipartiteGraph,
     c: Fraction,
@@ -385,12 +395,11 @@ def certify_expansion(
     whether or not they are visited.  An ``action``, once ``check_invariance``
     proves it acts by graph automorphisms, lets the scan start at one vertex
     per orbit; the certificate is the same as without it.  A cutoff that is
-    not an ``int`` or a ``Fraction`` in (0, 1] raises ``InvalidParameterError``.
+    not an ``int`` or a ``Fraction`` in (0, 1] (a bool is not one), or a
+    ``max_evals`` that is not an ``int >= 1``, raises ``InvalidParameterError``.
     """
-    if not (isinstance(c, (int, Fraction)) and 0 < c <= 1):
-        raise InvalidParameterError(
-            f"c must be an int or a Fraction in (0, 1], got {c!r}"
-        )
+    _cutoff(c, "c")
+    _at_least(max_evals, 1, "max_evals")
     w0 = check_regularity(x).w0
     kmax = _strict_floor(Fraction(c) * x.v0_size)
     starts = _scan_starts(x, action)

@@ -12,6 +12,7 @@ from .errors import (
     FreenessViolationError,
     InvalidParameterError,
     SizeLimitError,
+    _at_least,
     _record,
 )
 
@@ -152,8 +153,7 @@ def _maybe_check(g: FiniteGroup) -> FiniteGroup:
 
 def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order ``n`` with addition mod ``n``."""
-    if n < 1:
-        raise InvalidParameterError(f"cyclic group order must be >= 1, got {n}")
+    _at_least(n, 1, "cyclic group order")
     if n > MAX_GROUP_ORDER:
         raise SizeLimitError(f"cyclic group order {n} exceeds cap {MAX_GROUP_ORDER}")
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))

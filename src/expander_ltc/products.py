@@ -117,9 +117,9 @@ class BalancedProductComplex(_record("BalancedProductComplex", [
         return (h, i_r, i_s)
 
     def _check_vertex(self, corner: int, index: int) -> None:
-        if not (isinstance(corner, int) and 0 <= corner < 4):
+        if not (type(corner) is int and 0 <= corner < 4):
             raise InvalidParameterError(f"corner {corner!r} is not 0, 1, 2 or 3")
-        if not (isinstance(index, int) and 0 <= index < self.sizes[corner]):
+        if not (type(index) is int and 0 <= index < self.sizes[corner]):
             raise InvalidParameterError(f"vertex {index!r} outside corner {corner}")
 
     def _x_labeling(self, corner: int) -> OrbitLabeling:

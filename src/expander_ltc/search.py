@@ -15,11 +15,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import InvalidParameterError, _record
+from .errors import InvalidParameterError, _at_least, _record
 from .graphs import (
     BipartiteGraph,
     ExpansionCertificate,
     GraphAction,
+    _cutoff,
     certify_expansion,
     layered_cayley,
     maps_onto,
@@ -33,7 +34,7 @@ SUBSET_BUDGET = 2_000_000
 
 def random_generating_set(g: FiniteGroup, size: int, rng: random.Random) -> list[int]:
     """A duplicate-free random subset of group elements of the given size."""
-    if not (isinstance(size, int) and 0 <= size <= g.order):
+    if not (type(size) is int and 0 <= size <= g.order):
         raise InvalidParameterError(
             f"cannot draw {size} distinct generators from order {g.order}"
         )
@@ -61,12 +62,8 @@ class SearchSpec(_record("SearchSpec", [
         if not isinstance(self.group, FiniteGroup):
             raise InvalidParameterError(f"group is not a FiniteGroup: {self.group!r}")
         for key in ("w_down", "w_up", "w_right", "w_left", "trials"):
-            value = getattr(self, key)
-            if not (isinstance(value, int) and value >= 1):
-                raise InvalidParameterError(
-                    f"{key} must be an integer >= 1, got {value!r}"
-                )
-        if not isinstance(self.seed, int):
+            _at_least(getattr(self, key), 1, key)
+        if type(self.seed) is not int:
             raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
         if self.w_up % self.w_down or self.w_left % self.w_right:
             raise InvalidParameterError(
@@ -78,13 +75,9 @@ class SearchSpec(_record("SearchSpec", [
                     f"base degree {key}={w} exceeds the group order {self.group.order}"
                 )
         for key in ("c_x", "c_y"):
-            c = getattr(self, key)
-            if not (isinstance(c, (int, Fraction)) and 0 < c <= 1):
-                raise InvalidParameterError(
-                    f"{key} must be an int or a Fraction in (0, 1], got {c!r}"
-                )
+            _cutoff(getattr(self, key), key)
         eps = self.eps_target
-        if eps is not None and not (isinstance(eps, (int, Fraction)) and 0 < eps < 1):
+        if eps is not None and not (isinstance(eps, Fraction) and 0 < eps < 1):
             raise InvalidParameterError(f"eps_target must lie in (0, 1), got {eps!r}")
         return self
 

@@ -260,7 +260,8 @@ class TestBuild:
 
 
 # sha256 of every file that ``build --deterministic`` writes, pinned so that
-# any change to the output bytes shows; an announced schema change updates them
+# any change to the output bytes shows; an announced schema change updates them.
+# Each config builds with c_x = c_y = 1/2 unless it sets them.
 PINNED_OUTPUTS = {
     "Z8": (
         {"group": {"kind": "cyclic", "n": 8}, "a_set": [1, 2], "b_set": [1, 3]},
@@ -300,6 +301,33 @@ PINNED_OUTPUTS = {
             "summary.csv": "9cbd49241bf8d20e232be857e792dd22052edd7ba9b422f9c53f6a38875915a0",
         },
     ),
+    # the benchmark's ``build-sweep`` config: k = 0, so ``d`` has no exact value
+    # and no reason, and d_lm hands off to the sweep of its 20-dimensional kernel
+    "Z20-125-137": (
+        {
+            "group": {"kind": "cyclic", "n": 20},
+            "a_set": [1, 2, 5],
+            "b_set": [1, 3, 7],
+            "c_x": "1/4",
+            "c_y": "1/4",
+            "small_set": False,
+        },
+        {
+            "d1_matrix.alist": "714cc68b04ff51ece4cfe2262d4302ada1b665103ca608f9fa3d804bf4a1f055",
+            "d1_matrix.txt": "b4cdb20ad74a500b1e7fd0124135197512076f006a0971da3fba739c13517cba",
+            "graphs/factor_x.edges": "e91d5abd18f19ef49fe79d3e168cf16f2190f754540c7a48be5e72d2276c8021",
+            "graphs/factor_y.edges": "c9baadf0ce5a7bed7f70b8b392604c3c342f93e6b21dbd44af284267ee589fd5",
+            "graphs/sub_down.edges": "cfcf45cdd28e626d560308811f9c5e83787ce799667f4188943cdd53c28c87ea",
+            "graphs/sub_left.edges": "c9baadf0ce5a7bed7f70b8b392604c3c342f93e6b21dbd44af284267ee589fd5",
+            "graphs/sub_right.edges": "c9baadf0ce5a7bed7f70b8b392604c3c342f93e6b21dbd44af284267ee589fd5",
+            "graphs/sub_up.edges": "cfcf45cdd28e626d560308811f9c5e83787ce799667f4188943cdd53c28c87ea",
+            "h_matrix.alist": "a0df64bbd0577d4f3aa7f1d47ec0e4401d37482b83c89a53f8fd4ec0b4e61e94",
+            "h_matrix.txt": "1df6f137e91182788d86f2b684097544c2336ddbb95050c81dbc186dcbedcac3",
+            "manifest.json": "6ee5d8ec32016e6b01a21e60dfac7945d45d2fad37d46a1d28d6c39144ad5b9e",
+            "report.json": "b7ecf3a131e1eeaab279b7bc3e171817a049288af57e8bb4c8bf37a98e714824",
+            "summary.csv": "ff711113c30fefc930312dc25f8819d13fcbe95bfa648a3f2d6352e029e629a5",
+        },
+    ),
     "Z2xZ4": (
         {
             "group": {"kind": "product", "factors": [
@@ -329,7 +357,7 @@ PINNED_OUTPUTS = {
 @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
 def test_deterministic_output_bytes_are_pinned(name, tmp_path):
     config, expected = PINNED_OUTPUTS[name]
-    cfg = write_config(tmp_path, {**config, "c_x": "1/2", "c_y": "1/2"})
+    cfg = write_config(tmp_path, {"c_x": "1/2", "c_y": "1/2", **config})
     out = tmp_path / "out"
     assert main(["build", "--config", cfg, "--out", str(out), "--deterministic"]) == 0
     got = {

@@ -1,5 +1,6 @@
-"""Library calls raise only the package's own errors on bad sizes, cutoffs,
-group elements, generator lists, subgraph selectors, vertices and search specs.
+"""Library calls raise only the package's own errors on bad sizes, budgets,
+cutoffs, group elements, generator lists, subgraph selectors, vertices and
+search specs.
 
 Each call gets drawn values of the wrong type or range (negative or
 non-integer sizes, cutoffs that are text, ``None``, floats or fractions
@@ -11,7 +12,8 @@ unhashable, ``None`` or unknown strings, vertices and corners that are
 floats, lists, negative or out of range, search trials, seeds and degrees
 that are text, ``None``, floats, 0 or negative, search groups that are not
 groups, cutoffs outside (0, 1] and eps targets outside (0, 1) or of the wrong
-type).  It must either return or raise an ``errors.ExpanderLtcError``; any
+type, budgets and profile weights that are text, ``None``, floats, bools, 0 or
+negative).  It must either return or raise an ``errors.ExpanderLtcError``; any
 other exception fails the test.
 """
 
@@ -23,7 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expander_ltc import errors
-from expander_ltc.analysis import sharp_example
+from expander_ltc.analysis import (
+    code_from_complex,
+    distance_certificate,
+    locally_minimal_distance,
+    lt_profile,
+    sharp_example,
+)
 from expander_ltc.f2 import BitMatrix, BitVector
 from expander_ltc.graphs import certify_expansion, layered_cayley
 from expander_ltc.groups import block_action, left_regular_action, make_cyclic
@@ -61,7 +69,7 @@ ODD_SIZES = st.one_of(st.integers(-3, 8), st.floats(-3, 8), st.just(2.0), st.non
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(ODD_SIZES, st.integers(0, 3))
+@given(st.one_of(ODD_SIZES, st.booleans()), st.integers(0, 3))
 def test_random_generating_set_sizes_raise_only_package_errors(size, seed):
     _returns_or_raises_package_error(
         lambda: random_generating_set(make_cyclic(4), size, random.Random(seed))
@@ -86,6 +94,25 @@ ELEMENT_CALLS = {
 @given(st.sampled_from(sorted(ELEMENT_CALLS)), ELEMENTS, ELEMENTS)
 def test_group_elements_raise_only_package_errors(name, a, b):
     _returns_or_raises_package_error(lambda: ELEMENT_CALLS[name](a, b))
+
+
+@pytest.mark.parametrize("call, bad", [
+    (make_cyclic, 1.5), (make_cyclic, 2.0), (make_cyclic, True), (make_cyclic, "3"),
+    (lambda bad: BitVector(3, bad), "x"), (lambda bad: BitVector(3, bad), 1.0),
+    (lambda bad: BitVector(3, bad), True), (lambda bad: BitVector(bad, 1), "3"),
+    (lambda bad: BitVector(bad, 1), 3.0), (lambda bad: BitMatrix(bad, 2), 2.0),
+    (lambda bad: BitMatrix(2, bad), "2"),
+    (lambda bad: random_generating_set(make_cyclic(6), bad, random.Random(0)), True),
+    (lambda bad: random_generating_set(make_cyclic(6), bad, random.Random(0)), 2.0),
+], ids=[
+    "make_cyclic-1.5", "make_cyclic-2.0", "make_cyclic-True", "make_cyclic-str",
+    "BitVector-bits-str", "BitVector-bits-float", "BitVector-bits-True",
+    "BitVector-length-str", "BitVector-length-float", "BitMatrix-rows-float",
+    "BitMatrix-cols-str", "random_generating_set-True", "random_generating_set-2.0",
+])
+def test_bad_size_raises(call, bad):
+    with pytest.raises(errors.InvalidParameterError):
+        call(bad)
 
 
 @pytest.mark.parametrize("bad", [-1, 4, 1.0, True, None, "1", [0]])
@@ -178,6 +205,38 @@ def test_bad_generator_sets_raise(gen_sets):
 
 _BP = left_right_cayley(make_cyclic(6), [1, 2], [1, 3])
 _CERT = certify_expansion(_BP.x, Fraction(1, 2))
+_CODE = code_from_complex(_BP)
+_SUB_CERT = inherited_expansion(_BP, _CERT, "*0")
+# a budget of the wrong type or range: text, None, a float, a bool, 0 or negative
+BUDGETS = st.one_of(ODD_SIZES, st.booleans(), st.just(1.5), st.integers(-2, 1),
+                    st.just(1 << 24))
+BUDGET_CALLS = {
+    "distance_certificate": lambda b: distance_certificate(_CODE, _BP, _SUB_CERT, b),
+    "locally_minimal_distance": lambda b: locally_minimal_distance(_BP, b),
+    "lt_profile": lambda b: lt_profile(_BP, 4, b),
+    "lt_profile-max_c1_weight": lambda w: lt_profile(_BP, w),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(BUDGET_CALLS)), BUDGETS)
+def test_budgets_raise_only_package_errors(name, budget):
+    _returns_or_raises_package_error(lambda: BUDGET_CALLS[name](budget))
+
+
+@pytest.mark.parametrize("budget", [0, -1, True, False, 1.5, 2.0, "x", None])
+@pytest.mark.parametrize("name", sorted(BUDGET_CALLS.keys() - {"lt_profile-max_c1_weight"}))
+def test_bad_budget_raises(name, budget):
+    with pytest.raises(errors.InvalidParameterError, match="budget"):
+        BUDGET_CALLS[name](budget)
+
+
+@pytest.mark.parametrize("weight", [-1, True, 1.5, "x", None])
+def test_bad_max_c1_weight_raises(weight):
+    with pytest.raises(errors.InvalidParameterError, match="max_c1_weight"):
+        lt_profile(_BP, weight)
+
+
 SELECTORS = st.one_of(
     st.sampled_from(["*0", "*1", "0*", "1*"]),
     st.none(),
@@ -219,7 +278,7 @@ def test_vertices_raise_only_package_errors(x00):
     _returns_or_raises_package_error(lambda: sharp_example(_BP, x00))
 
 
-@pytest.mark.parametrize("x00", [1.5, 1.0, -1, 6, None, "1"])
+@pytest.mark.parametrize("x00", [1.5, 1.0, -1, 6, None, "1", True])
 def test_bad_vertex_raises(x00):
     with pytest.raises(errors.InvalidParameterError):
         sharp_example(_BP, x00)
@@ -241,7 +300,7 @@ def test_complex_vertices_raise_only_package_errors(name, corner, v, w):
 
 @pytest.mark.parametrize("corner, index", [
     (0, 99), (0, 6), (0, -1), (4, 0), (5, 0), (-1, 0), ("a", 0), (None, 0),
-    (1.0, 0), (0, 1.0), (0, "1"), (0, [0]),
+    (1.0, 0), (0, 1.0), (0, "1"), (0, [0]), (True, 0), (0, True),
 ])
 def test_bad_label_raises(corner, index):
     with pytest.raises(errors.InvalidParameterError):
@@ -272,7 +331,7 @@ def _search(**values) -> None:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.fixed_dictionaries({}, optional={
     **{
-        field: st.one_of(ODD_SIZES, st.just(0), st.integers(-3, -1))
+        field: st.one_of(ODD_SIZES, st.just(0), st.integers(-3, -1), st.booleans())
         for field in SPEC_FIELDS
     },
     "group": st.one_of(
@@ -304,6 +363,9 @@ BAD_SPEC_VALUES = [
     (field, value)
     for field in ("c_x", "c_y")
     for value in ["x", "1/2", None, 0.5, Fraction(0), Fraction(3, 2), 0, -1, 2]
+] + [
+    # a bool is no integer, so no degree, trial count, seed or cutoff
+    (field, True) for field in (*SPEC_FIELDS, "c_x", "c_y")
 ]
 
 

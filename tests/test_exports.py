@@ -60,6 +60,9 @@ TEST_ONLY_EXPORTS = frozenset({
     "graph_from_edge_list",  # `verify --report` (ROADMAP item 7) reads edge lists
     "matrix_from_alist",  # `verify --report` reads the alist matrices
     "matrix_from_dense_text",  # `verify --report` checks alist against dense text
+    # the Gray-sweep oracle of the weight-first distance; the benchmark tracer
+    # wraps it by name
+    "min_weight_nonzero",
 })
 
 # members that no library code reads, each with the reason it stays

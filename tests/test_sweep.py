@@ -13,6 +13,7 @@ from expander_ltc import analysis
 from expander_ltc.analysis import (
     CodeInstance,
     code_from_complex,
+    distance_certificate,
     locally_minimal_distance,
     lt_profile,
     soundness_exhaustive,
@@ -27,6 +28,7 @@ from expander_ltc.f2 import (
     min_weight_nonzero,
     rank,
 )
+from expander_ltc.graphs import ExpansionCertificate
 from expander_ltc.groups import make_cyclic
 from expander_ltc.products import balanced_product, left_right_cayley
 
@@ -139,6 +141,93 @@ def test_lt_profile_matches_the_oracle_on_layered_draws(bp):
 
 def test_layered_draws_reach_kernel_dimension_8():
     assert [len(kernel_basis(bp.d2)) for bp in HIGH_KERNEL] == [8, 10]
+
+
+def _certificate(epsilon):
+    """A subgraph certificate that gives no distance bound at epsilon 1/2,
+    and the bound c·|V00| = 0 at epsilon 0."""
+    return ExpansionCertificate(c=Fraction(0), epsilon=epsilon, w0=1, max_checked_size=0)
+
+
+def _distance(bp, budget=analysis.DEFAULT_ENUM_BUDGET):
+    code = code_from_complex(bp)
+    rep = distance_certificate(code, bp, _certificate(Fraction(1, 2)), budget)
+    return rep.exact, rep.witness
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(layered_products())
+@example(HIGH_KERNEL[0])
+@example(HIGH_KERNEL[1])
+def test_distance_matches_the_gray_sweep_on_layered_draws(bp):
+    basis = kernel_basis(bp.d2)
+    event(f"k = {len(basis)}")
+    expected = reference_min_weight_nonzero(basis) or (None, None)
+    assert _distance(bp) == expected
+    # weight first to the last subset, then the sweep from the start; with
+    # k = 0 weight first would take every subset of the bits
+    for steps in ([Fraction(1, 1 << 40)] if basis else []) + [1 << 40]:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(analysis, "_SUBSET_STEPS", steps)
+            assert _distance(bp) == expected
+
+
+def _spy_on_gray_sweep(monkeypatch):
+    calls = []
+
+    def spy(vectors, budget):
+        calls.append(len(vectors))
+        return gray_sweep(vectors, budget)
+
+    monkeypatch.setattr(analysis, "gray_sweep", spy)
+    return calls
+
+
+class TestWeightFirstDistance:
+    """Layered products named as in the ROADMAP: Z6 3x2/3x2 is three layers of
+    degree 2 on each side, drawn x's layers first from ``random.Random(seed)``."""
+
+    def test_z6_3x2_seed_1_gets_its_distance(self, monkeypatch):
+        # k = 29: the 2^29 sweep is over the default budget, weight 3 is not
+        bp = _layered_product(6, 3, 3, 2, 2, 1)
+        assert (bp.n00, len(kernel_basis(bp.d2))) == (54, 29)
+        calls = _spy_on_gray_sweep(monkeypatch)
+        exact, witness = _distance(bp)
+        assert exact == 3 and witness.weight() == 3 and calls == []
+        assert bp.d2.mul_vec(witness).bits == 0
+
+    def test_z5_3x3_matches_the_sweep_without_running_it(self, monkeypatch):
+        bp = _layered_product(5, 3, 3, 3, 3, 0)
+        basis = kernel_basis(bp.d2)
+        assert len(basis) == 20
+        expected = min_weight_nonzero(basis)
+        calls = _spy_on_gray_sweep(monkeypatch)
+        assert _distance(bp) == expected and expected[0] == 4
+        assert calls == []
+
+    def test_the_budget_counts_the_subsets(self):
+        # d = 4 on Z5 3x3/3x3 takes C(45, 0) + ... + C(45, 3) = 15,226 subsets
+        bp = _layered_product(5, 3, 3, 3, 3, 0)
+        assert _distance(bp, budget=15_226)[0] == 4
+        rep = distance_certificate(
+            code_from_complex(bp), bp, _certificate(Fraction(0)), budget=15_225
+        )
+        assert (rep.exact, rep.witness) == (None, None)
+        assert rep.reason == (
+            "exact distance: 2^20 combinations exceed budget (needs 1048576, "
+            "budget 15225); raise --budget"
+        )
+        # with no bound, its reason comes first
+        bounded = distance_certificate(
+            code_from_complex(bp), bp, _certificate(Fraction(1, 2)), budget=15_225
+        )
+        assert bounded.reason.startswith("subgraph epsilon 1/2 >= 1/2")
+        assert bounded.reason.endswith(f"; {rep.reason}")
+
+    def test_no_kernel_has_no_distance_and_no_reason(self):
+        bp = COMPLEXES["Z8-125-137"]()
+        rep = distance_certificate(code_from_complex(bp), bp, _certificate(Fraction(0)))
+        assert (rep.exact, rep.witness, rep.reason) == (None, None, None)
 
 
 class TestGraySweep:
