@@ -591,6 +591,48 @@ class TestVerificationFailure:
         assert main(["demo-sharp"]) == 1
         assert "analysis failure" in capsys.readouterr().err
 
+    # Z10 [1,2]/[1,3]: with epsilon read as 0 the small-set inequality fails
+    _Z10 = {"group": {"kind": "cyclic", "n": 10}, "a_set": [1, 2], "b_set": [1, 3],
+            "c_x": "1/2", "c_y": "1/2"}
+
+    def test_failed_small_set_check_fails_verify(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "small_set_epsilon", lambda *args: Fraction(0))
+        cfg = write_config(tmp_path, self._Z10)
+        assert main(["verify", "--config", cfg, "--suites", "small-set"]) == 1
+        assert capsys.readouterr().out == (
+            "[FAIL] small-set inequality on 2765 locally minimal vectors\n"
+        )
+
+    def test_failed_small_set_check_fails_build(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "small_set_epsilon", lambda *args: Fraction(0))
+        cfg = write_config(tmp_path, self._Z10)
+        out = tmp_path / "out"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "small-set inequality FAILED on at least one vector\n"
+        )
+        summary = json.loads((out / "report.json").read_text())["small_set_checks"]
+        assert (summary["all_hold"], summary["count"]) == (False, 2765)
+        assert summary["least_margin"] == {
+            "margin": "-3/4", "lhs": "3/4", "rhs": "0", "c1_weight": 3,
+            "witness": {"v10": [0], "v01": [0, 1]},
+        }
+
+    def test_understated_certificate_fails_unique(self, tmp_path, monkeypatch, capsys):
+        certify = cli._certify_factors
+
+        def understated(*args):
+            cert_x, cert_y = certify(*args)
+            return cert_x._replace(epsilon=Fraction(0)), cert_y
+
+        monkeypatch.setattr(cli, "_certify_factors", understated)
+        cfg = write_config(tmp_path, self._Z10)
+        assert main(["verify", "--config", cfg, "--suites", "unique"]) == 1
+        assert capsys.readouterr().out == (
+            "[FAIL] unique-neighbor bound on factor x ((frozenset({0, 1}), 2))\n"
+            "[PASS] unique-neighbor bound on factor y\n"
+        )
+
     def test_demo_sharp_under_optimize(self):
         # the theorem checks are real errors, not asserts, so -O keeps them
         src = str(Path(expander_ltc.__file__).resolve().parent.parent)

@@ -406,6 +406,49 @@ class TestOneDSubgraph:
             sub = one_d_subgraph(bp, which)
             assert verify_copy_decomposition(sub)
 
+    @staticmethod
+    def _tampered(sub):
+        """Broken copies of a valid witness with two copies, one per fault."""
+        left, right = sub.copy_of_left, sub.copy_of_right
+        u, (v, w) = 0, [v for v in range(len(right)) if right[v] == left[0]][:2]
+        dropped = sorted(sub.graph.edges)[1:]
+        # an edge of u moved to a right vertex of its copy that it does not
+        # meet in the factor
+        u_edges = [e for e in sub.graph.edges if e[0] == u]
+        far = next(
+            v for v in range(len(right))
+            if right[v] == left[u] and (sub.iso_left[u], sub.iso_right[v])
+            not in sub.factor.edges
+        )
+        moved = (sub.graph.edges - {u_edges[0]}) | {(u, far)}
+
+        def graph(edges):
+            return BipartiteGraph(sub.graph.v0_size, sub.graph.v1_size, edges)
+
+        return {
+            "vertex-in-another-copy": sub._replace(
+                copy_of_right=(*right[:v], 1 - right[v], *right[v + 1:])),
+            "two-vertices-one-image": sub._replace(
+                iso_right=tuple(sub.iso_right[w] if i == v else im
+                                for i, im in enumerate(sub.iso_right))),
+            "edge-dropped": sub._replace(graph=graph(dropped)),
+            "one-more-copy": sub._replace(num_copies=sub.num_copies + 1),
+            "edge-onto-a-non-edge": sub._replace(graph=graph(moved)),
+        }
+
+    @pytest.mark.parametrize("fault", [
+        "vertex-in-another-copy", "two-vertices-one-image", "edge-dropped",
+        "one-more-copy", "edge-onto-a-non-edge",
+    ])
+    def test_tampered_witness_rejected(self, fault):
+        rng = random.Random(8)
+        g = make_cyclic(5)
+        x, ax, _ = draw_layered(g, 2, 1, rng)
+        y, ay = layered_cayley(g, [[1, 2]])
+        sub = one_d_subgraph(balanced_product(x, y, ax, ay), "0*")
+        assert sub.num_copies == 2 and verify_copy_decomposition(sub)
+        assert not verify_copy_decomposition(self._tampered(sub)[fault])
+
     def test_subgraph_degrees_match_factor(self):
         bp = left_right_cayley(make_cyclic(7), [1, 3], [2])
         sub = one_d_subgraph(bp, "*0")

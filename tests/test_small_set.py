@@ -22,6 +22,7 @@ from expander_ltc.graphs import certify_expansion
 from expander_ltc.groups import group_from_spec, make_cyclic
 from expander_ltc.products import balanced_product, left_right_cayley
 
+import small_set_reference
 from products_reference import s3
 from search_reference import draw_layered
 from small_set_reference import (
@@ -214,6 +215,25 @@ def test_least_margin_matches_reference_and_reproduces(name):
     check = reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
     assert (str(check.lhs), str(check.rhs)) == (least["lhs"], least["rhs"])
     assert check.c1_weight == least["c1_weight"]
+
+
+@pytest.mark.parametrize("name", ["Z10", "Z12-unit1"])
+def test_failing_inequality_is_reported(name, monkeypatch):
+    # with epsilon read as 0 the factor is 1/2 and the inequality fails on
+    # c1 = ([0], [0, 1]), whose boundary is 0
+    for module in (analysis, small_set_reference):
+        monkeypatch.setattr(module, "small_set_epsilon", lambda *args: Fraction(0))
+    bp = {**INSTANCES, **LARGER}[name]()
+    cert_x, cert_y = _certified(bp)
+    summary = small_set_suite(bp, cert_x, cert_y)
+    expected = reference_small_set_suite(bp, cert_x, cert_y)
+    assert not summary.all_hold and not all(c.holds for c in expected)
+    assert summary.count == len(expected)
+    assert summary.least == analysis.SmallSetCheck(
+        lhs=Fraction(3, 4), rhs=Fraction(0), holds=False, c1_weight=3
+    )
+    assert summary.least.margin == min(c.margin for c in expected)
+    assert (summary.witness.v10.support(), summary.witness.v01.support()) == ([0], [0, 1])
 
 
 @pytest.mark.parametrize("name", ["Z8", "Z2xZ4", "Z6-layered"])
