@@ -602,11 +602,13 @@ class _SmallSet:
         cert_x: ExpansionCertificate,
         cert_y: ExpansionCertificate,
     ):
-        self.bp = bp
         self.bounds = small_set_smallness_bounds(bp, cert_x, cert_y)
         self.max_weights = tuple(_strict_floor(b) for b in self.bounds)
-        epsilon = small_set_epsilon(bp.w_up, cert_x, cert_y)
-        self.factor = Fraction(1, 2) - 8 * epsilon
+        # the margin's integer coefficients, for factor = 1/2 - 8 eps = p/q
+        factor = Fraction(1, 2) - 8 * small_set_epsilon(bp.w_up, cert_x, cert_y)
+        self.q = factor.denominator
+        self.p_right = factor.numerator * bp.w_right
+        self.p_down = factor.numerator * bp.w_down
         # by corner (v10, v01): each vertex's part of the d2 columns, and its
         # d1 column
         self.d2_masks = (bp.g_s0.left_masks, bp.g_0s.left_masks)
@@ -624,7 +626,6 @@ class _SmallSet:
             layers.extend([0] * (count - len(layers)))
             for k in range(count):
                 layers[k] |= 1 << i01
-        self._checks: dict[tuple[int, int, int, int], tuple[SmallSetCheck, int]] = {}
 
     def part(self, corner: int, support: Sequence[int]) -> _Part:
         """Corner 0 is ``v10``, corner 1 is ``v01``; its weight must lie
@@ -684,32 +685,17 @@ class _SmallSet:
             )
         return by_faces
 
-    def check(self, p10: _Part, p01: _Part) -> tuple[SmallSetCheck, int]:
-        """The inequality for the locally minimal ``c1 = (p10, p01)``, and its
-        margin as the integer ``q·|d1 c1| − p·(w_right·|v10| + w_down·|v01|)``
-        for ``factor = p/q``: ``margin`` times ``q·w_down·w_right``."""
-        # the square count is in the key, so both of its methods run every time
-        key = (
-            p10.weight,
-            p01.weight,
-            (p10.syndrome ^ p01.syndrome).bit_count(),
-            self.squares(p10, p01),
+    def margin(self, p10: _Part, p01: _Part) -> int:
+        """The inequality's margin for the locally minimal ``c1 = (p10,
+        p01)``, times ``q·w_down·w_right`` for ``factor = p/q``: the integer
+        ``q·|d1 c1| − p·w_right·|v10| − p·w_down·|v01|``.  Both square counts
+        run on every call (``squares``)."""
+        self.squares(p10, p01)
+        return (
+            self.q * (p10.syndrome ^ p01.syndrome).bit_count()
+            - self.p_right * p10.weight
+            - self.p_down * p01.weight
         )
-        found = self._checks.get(key)
-        if found is None:
-            w10, w01, syndrome, _ = key
-            wd, wr = self.bp.w_down, self.bp.w_right
-            lhs = self.factor * Fraction(w10 * wr + w01 * wd, wd * wr)
-            rhs = Fraction(syndrome, wd * wr)
-            check = SmallSetCheck(
-                lhs=lhs,
-                rhs=rhs,
-                holds=lhs <= rhs,
-                c1_weight=w10 + w01,
-            )
-            p, q = self.factor.numerator, self.factor.denominator
-            found = self._checks[key] = (check, q * syndrome - p * (w10 * wr + w01 * wd))
-        return found
 
 
 def enumerate_small_c1(
@@ -833,11 +819,11 @@ def _small_set_orbits(
     bp: BalancedProductComplex,
     cert_x: ExpansionCertificate,
     cert_y: ExpansionCertificate,
-) -> Iterator[tuple[SmallSetCheck, int, int, int, int]]:
-    """``(check, size, v10 bits, v01 bits, margin)`` per translation orbit of
-    locally minimal small c1: every vector of the orbit gives ``check``,
-    ``size`` is ``|G| / |stabiliser of the (v10, v01) pair|``, and
-    ``margin`` is the check's margin as the integer of ``_SmallSet.check``.
+) -> Iterator[tuple[int, int, _Part, _Part]]:
+    """``(margin, size, v10 part, v01 part)`` per translation orbit of
+    locally minimal small c1: every vector of the orbit has the integer
+    ``margin`` of ``_SmallSet.margin``, and ``size`` is ``|G| / |stabiliser
+    of the (v10, v01) pair|``.
 
     The translations ``h -> h t`` are used only if ``_translations`` proves
     each to be an automorphism of this complex; otherwise every orbit is a
@@ -863,7 +849,7 @@ def _small_set_orbits(
     moving = [[1 << v for v in tau] for tau in maps if tau != identity]
     fixed = len(maps) - len(moving)
     parts01 = [(s, ss.part(1, s)) for s in _small_supports(bp.n01, max01)]
-    minimal, check = ss.minimal, ss.check
+    minimal, margin = ss.minimal, ss.margin
     for s10 in _small_supports(bp.n10, max10):
         fixing10 = _fixing(s10, moving)
         if fixing10 is None:
@@ -875,8 +861,7 @@ def _small_set_orbits(
             fixing = _fixing(s01, fixing10) if fixing10 else []
             if fixing is None:
                 continue
-            found, margin = check(p10, p01)
-            yield found, len(maps) // (fixed + len(fixing)), p10.bits, p01.bits, margin
+            yield margin(p10, p01), len(maps) // (fixed + len(fixing)), p10, p01
 
 
 def small_set_suite(
@@ -885,28 +870,31 @@ def small_set_suite(
     cert_y: ExpansionCertificate,
 ) -> SmallSetSummary:
     """Run the inequality once per translation orbit of locally minimal small
-    c1 (see ``_small_set_orbits``), folding the checks as they come: the
-    least margin is compared as an integer, and the first orbit to reach it
-    is kept."""
+    c1 (see ``_small_set_orbits``), folding the integer margins as they come:
+    the first orbit with the least margin is kept, and its check, built once
+    at the end, holds exactly when every orbit's does."""
+    epsilon = small_set_epsilon(bp.w_up, cert_x, cert_y)
     count = orbits = 0
-    all_hold = True
-    least = least_margin = least_bits = None
-    for check, size, v10, v01, margin in _small_set_orbits(bp, cert_x, cert_y):
+    least_margin = least_parts = None
+    for margin, size, p10, p01 in _small_set_orbits(bp, cert_x, cert_y):
         count += size
         orbits += 1
-        if not check.holds:
-            all_hold = False
-        if least is None or margin < least_margin:
-            least, least_margin, least_bits = check, margin, (v10, v01)
-    witness = None
-    if least is not None:
-        v10, v01 = least_bits
-        witness = C1Vector(BitVector(bp.n10, v10), BitVector(bp.n01, v01))
+        if least_parts is None or margin < least_margin:
+            least_margin, least_parts = margin, (p10, p01)
+    least = witness = None
+    if least_parts is not None:
+        p10, p01 = least_parts
+        witness = C1Vector(BitVector(bp.n10, p10.bits), BitVector(bp.n01, p01.bits))
+        lhs = (Fraction(1, 2) - 8 * epsilon) * weighted_norm(witness, bp)
+        rhs = c0_weighted_norm(boundary_1(bp, witness), bp)
+        least = SmallSetCheck(
+            lhs=lhs, rhs=rhs, holds=lhs <= rhs, c1_weight=p10.weight + p01.weight
+        )
     return SmallSetSummary(
         count=count,
         orbits=orbits,
-        all_hold=all_hold,
-        epsilon=small_set_epsilon(bp.w_up, cert_x, cert_y),
+        all_hold=least is None or least.holds,
+        epsilon=epsilon,
         least=least,
         witness=witness,
         by="scan",

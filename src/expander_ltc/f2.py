@@ -37,8 +37,8 @@ class BitVector(_record("BitVector", [
     def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":
         bits = 0
         for i in support:
-            if not 0 <= i < length:
-                raise InvalidParameterError(f"index {i} outside length {length}")
+            if type(i) is not int or not 0 <= i < length:
+                raise InvalidParameterError(f"index {i!r} is no int below {length}")
             bits |= 1 << i
         return cls(length, bits)
 
@@ -79,8 +79,8 @@ class BitMatrix:
             if len(row_bits) != rows:
                 raise InvalidParameterError("row count mismatch")
             for r in row_bits:
-                if r < 0 or (cols < r.bit_length()):
-                    raise InvalidParameterError("row exceeds column count")
+                if type(r) is not int or r < 0 or cols < r.bit_length():
+                    raise InvalidParameterError(f"row {r!r} is no int of {cols} bits")
             self.row_bits = list(row_bits)
 
     def set(self, i: int, j: int, value: int) -> None:

@@ -36,19 +36,20 @@ class BipartiteGraph:
     __slots__ = ("v0_size", "v1_size", "edges", "left_masks", "right_masks")
 
     def __init__(self, v0_size: int, v1_size: int, edges: Iterable[tuple[int, int]]):
-        if v0_size <= 0 or v1_size <= 0:
-            raise InvalidParameterError("vertex sets must be nonempty")
-        edge_set = frozenset((int(u), int(v)) for u, v in edges)
+        _at_least(v0_size, 1, "v0_size")
+        _at_least(v1_size, 1, "v1_size")
+        pairs = [(u, v) for u, v in edges]
         # the neighborhood of each vertex as a bitmask over the other side
         left, right = [0] * v0_size, [0] * v1_size
-        for u, v in edge_set:
-            if not (0 <= u < v0_size and 0 <= v < v1_size):
-                raise InvalidParameterError(f"edge ({u}, {v}) out of range")
+        for u, v in pairs:
+            if not (type(u) is int and 0 <= u < v0_size
+                    and type(v) is int and 0 <= v < v1_size):
+                raise InvalidParameterError(f"edge {(u, v)!r} is no int pair in range")
             left[u] |= 1 << v
             right[v] |= 1 << u
         self.v0_size = v0_size
         self.v1_size = v1_size
-        self.edges = edge_set
+        self.edges = frozenset(pairs)
         self.left_masks = left
         self.right_masks = right
 
@@ -334,19 +335,16 @@ def _least_unique(
     The walk carries ``once``, the right vertices with exactly one neighbor in
     the subset, and ``more``, those with two or more, and scores ``|once|``.
     Besides the least count and the first subset reaching it, a third list
-    holds the first subset scoring below ``below[k]`` with its score.  Once a
-    subset scores below it, only smaller sizes are scanned further, so only
-    the smallest size with such a subset is final.
+    holds the first subset scoring below ``below[k]`` with its score.  Every
+    subset is visited, so all three lists are those of the full scan.
     """
     n = len(masks)
     least = [max(masks, default=0).bit_length() + 1] * (kmax + 1)  # above any count
     least_at: list[tuple[int, ...] | None] = [None] * (kmax + 1)
     hit: list[tuple[tuple[int, ...], int] | None] = [None] * (kmax + 1)
     prefix: list[int] = []
-    limit = kmax
 
     def extend(candidates: Iterable[int], once: int, more: int, k: int) -> None:
-        nonlocal limit
         for j in candidates:
             m = masks[j]
             more_j = more | (once & m)
@@ -357,13 +355,10 @@ def _least_unique(
                 least_at[k] = (*prefix, j)
             if score < below[k] and hit[k] is None:
                 hit[k] = ((*prefix, j), score)
-                limit = k - 1
-            if k < limit:
+            if k < kmax:
                 prefix.append(j)
                 extend(range(j + 1, n), once_j, more_j, k + 1)
                 prefix.pop()
-            elif k > limit:
-                return
 
     if kmax > 0:
         extend(starts, 0, 0, 1)

@@ -257,8 +257,8 @@ def block_action(a: GroupAction, blocks: int) -> GroupAction:
     copy the result is ``a`` itself, so an action shared by both sides of a
     graph is proved once.
     """
-    if blocks < 1:
-        raise InvalidParameterError(f"need at least one copy, got {blocks}")
+    if type(blocks) is not int or blocks < 1:
+        raise InvalidParameterError(f"need at least one copy, got {blocks!r}")
     if blocks == 1:
         return a
     n = a.set_size

@@ -388,35 +388,21 @@ def one_d_subgraph(bp: BalancedProductComplex, which: SubgraphName) -> OneDSubgr
 
 
 def verify_copy_decomposition(sub: OneDSubgraph) -> bool:
-    """Check the copy witness: the projection is a per-copy graph isomorphism."""
-    # edges stay within one copy and project onto factor edges
-    seen_per_copy: dict[int, set[tuple[int, int]]] = {}
-    for (u, v) in sub.graph.edges:
-        if sub.copy_of_left[u] != sub.copy_of_right[v]:
+    """Check the copy witness as two bijections: each side's ``(copy, factor
+    vertex)`` pairs are the copies times the factor's side, each once; and
+    the edges map onto the copies times the factor's edges, inside one copy
+    (one to one, as the vertex maps are)."""
+    copies = range(sub.num_copies)
+    left = list(zip(sub.copy_of_left, sub.iso_left))
+    right = list(zip(sub.copy_of_right, sub.iso_right))
+    for pairs, size in ((left, sub.factor.v0_size), (right, sub.factor.v1_size)):
+        if len(pairs) != len(copies) * size or set(pairs) != {
+            (c, v) for c in copies for v in range(size)
+        }:
             return False
-        img = (sub.iso_left[u], sub.iso_right[v])
-        if img not in sub.factor.edges:
-            return False
-        seen_per_copy.setdefault(sub.copy_of_left[u], set()).add(img)
-    # each copy covers the whole factor edge set, and vertex maps are bijective
-    if len(seen_per_copy) != sub.num_copies:
-        return False
-    for imgs in seen_per_copy.values():
-        if imgs != sub.factor.edges:
-            return False
-    for copy_of, iso, size in (
-        (sub.copy_of_left, sub.iso_left, sub.factor.v0_size),
-        (sub.copy_of_right, sub.iso_right, sub.factor.v1_size),
-    ):
-        per_copy: dict[int, set[int]] = {}
-        for c, im in zip(copy_of, iso):
-            bucket = per_copy.setdefault(c, set())
-            if im in bucket:
-                return False
-            bucket.add(im)
-        if any(len(b) != size for b in per_copy.values()):
-            return False
-    return True
+    return {(left[u], right[v]) for u, v in sub.graph.edges} == {
+        ((c, a), (c, b)) for c in copies for a, b in sub.factor.edges
+    }
 
 
 def inherited_expansion(

@@ -33,7 +33,7 @@ from expander_ltc.analysis import (
     sharp_example,
 )
 from expander_ltc.f2 import BitMatrix, BitVector
-from expander_ltc.graphs import certify_expansion, layered_cayley
+from expander_ltc.graphs import BipartiteGraph, certify_expansion, layered_cayley
 from expander_ltc.groups import block_action, left_regular_action, make_cyclic
 from expander_ltc.products import inherited_expansion, left_right_cayley, one_d_subgraph
 from expander_ltc.search import SearchSpec, random_generating_set, search_pair
@@ -42,6 +42,7 @@ CALLS = {
     "BitVector": lambda n, m: BitVector(n, m),
     "BitVector.from_support": lambda n, m: BitVector.from_support(n, [m]),
     "BitMatrix": lambda n, m: BitMatrix(n, m),
+    "BipartiteGraph": lambda n, m: BipartiteGraph(n, m, [(0, 0)]),
     "block_action": lambda n, _: block_action(left_regular_action(make_cyclic(3)), n),
     "make_cyclic": lambda n, _: make_cyclic(n),
     "random_generating_set": lambda n, m: random_generating_set(
@@ -102,15 +103,37 @@ def test_group_elements_raise_only_package_errors(name, a, b):
     (lambda bad: BitVector(3, bad), True), (lambda bad: BitVector(bad, 1), "3"),
     (lambda bad: BitVector(bad, 1), 3.0), (lambda bad: BitMatrix(bad, 2), 2.0),
     (lambda bad: BitMatrix(2, bad), "2"),
+    (lambda bad: BipartiteGraph(bad, 2, []), True),
+    (lambda bad: BipartiteGraph(bad, 2, []), 2.0),
+    (lambda bad: BipartiteGraph(2, bad, []), "2"),
+    (lambda bad: block_action(_REGULAR, bad), True),
+    (lambda bad: block_action(_REGULAR, bad), 1.5),
     (lambda bad: random_generating_set(make_cyclic(6), bad, random.Random(0)), True),
     (lambda bad: random_generating_set(make_cyclic(6), bad, random.Random(0)), 2.0),
 ], ids=[
     "make_cyclic-1.5", "make_cyclic-2.0", "make_cyclic-True", "make_cyclic-str",
     "BitVector-bits-str", "BitVector-bits-float", "BitVector-bits-True",
     "BitVector-length-str", "BitVector-length-float", "BitMatrix-rows-float",
-    "BitMatrix-cols-str", "random_generating_set-True", "random_generating_set-2.0",
+    "BitMatrix-cols-str", "BipartiteGraph-v0-True", "BipartiteGraph-v0-2.0",
+    "BipartiteGraph-v1-str", "block_action-True", "block_action-1.5",
+    "random_generating_set-True", "random_generating_set-2.0",
 ])
 def test_bad_size_raises(call, bad):
+    with pytest.raises(errors.InvalidParameterError):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None, -1, 4])
+@pytest.mark.parametrize("call", [
+    lambda bad: BipartiteGraph(2, 2, [(bad, 1)]),
+    lambda bad: BipartiteGraph(2, 2, [(0, bad)]),
+    # 1.0 and True would be equal to the edge before them
+    lambda bad: BipartiteGraph(2, 2, [(1, 1), (bad, 1)]),
+    lambda bad: BitVector.from_support(3, [bad]),
+    lambda bad: BitMatrix(2, 2, [bad, 0]),
+], ids=["edge-u", "edge-v", "edge-u-repeated", "from_support", "BitMatrix-row"])
+def test_bad_vertex_index_or_row_raises(call, bad):
+    # 4 lies outside 0..2 and needs more bits than two columns
     with pytest.raises(errors.InvalidParameterError):
         call(bad)
 

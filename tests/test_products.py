@@ -409,21 +409,23 @@ class TestOneDSubgraph:
     @staticmethod
     def _tampered(sub):
         """Broken copies of a valid witness with two copies, one per fault."""
-        left, right = sub.copy_of_left, sub.copy_of_right
-        u, (v, w) = 0, [v for v in range(len(right)) if right[v] == left[0]][:2]
-        dropped = sorted(sub.graph.edges)[1:]
-        # an edge of u moved to a right vertex of its copy that it does not
+        right = sub.copy_of_right
+        # the right vertices in the copy of left vertex 0
+        same = [v for v in range(len(right)) if right[v] == sub.copy_of_left[0]]
+        v, w = same[:2]
+        # an edge of vertex 0 moved to a vertex of its copy that it does not
         # meet in the factor
-        u_edges = [e for e in sub.graph.edges if e[0] == u]
-        far = next(
-            v for v in range(len(right))
-            if right[v] == left[u] and (sub.iso_left[u], sub.iso_right[v])
-            not in sub.factor.edges
-        )
-        moved = (sub.graph.edges - {u_edges[0]}) | {(u, far)}
+        far = next(x for x in same
+                   if (sub.iso_left[0], sub.iso_right[x]) not in sub.factor.edges)
+        first = min(e for e in sub.graph.edges if e[0] == 0)
+        moved = (sub.graph.edges - {first}) | {(0, far)}
+        dropped = sorted(sub.graph.edges)[1:]
+        # a new left vertex n with the copy, image and edges of vertex 0
+        n = sub.graph.v0_size
+        twin_edges = sub.graph.edges | {(n, b) for a, b in sub.graph.edges if a == 0}
 
-        def graph(edges):
-            return BipartiteGraph(sub.graph.v0_size, sub.graph.v1_size, edges)
+        def graph(edges, v0_size=n):
+            return BipartiteGraph(v0_size, sub.graph.v1_size, edges)
 
         return {
             "vertex-in-another-copy": sub._replace(
@@ -434,11 +436,15 @@ class TestOneDSubgraph:
             "edge-dropped": sub._replace(graph=graph(dropped)),
             "one-more-copy": sub._replace(num_copies=sub.num_copies + 1),
             "edge-onto-a-non-edge": sub._replace(graph=graph(moved)),
+            "left-vertex-twinned": sub._replace(
+                graph=graph(twin_edges, n + 1),
+                copy_of_left=(*sub.copy_of_left, sub.copy_of_left[0]),
+                iso_left=(*sub.iso_left, sub.iso_left[0])),
         }
 
     @pytest.mark.parametrize("fault", [
         "vertex-in-another-copy", "two-vertices-one-image", "edge-dropped",
-        "one-more-copy", "edge-onto-a-non-edge",
+        "one-more-copy", "edge-onto-a-non-edge", "left-vertex-twinned",
     ])
     def test_tampered_witness_rejected(self, fault):
         rng = random.Random(8)

@@ -18,7 +18,7 @@ from expander_ltc.analysis import (
 )
 from expander_ltc.errors import PreconditionViolationError, VerificationError
 from expander_ltc.f2 import BitVector
-from expander_ltc.graphs import certify_expansion
+from expander_ltc.graphs import certify_expansion, small_set_epsilon
 from expander_ltc.groups import group_from_spec, make_cyclic
 from expander_ltc.products import balanced_product, left_right_cayley
 
@@ -62,6 +62,8 @@ INSTANCES = {
     "Z8": lambda: _cayley(8, [1, 2], [1, 3]),
     "Z10": lambda: _cayley(10, [1, 2], [1, 3]),
     "Z8-unit3": lambda: _cayley(8, [3, 6], [3, 1]),
+    # w_down = 3 against w_right = 2: the margin weighs the corners apart
+    "Z8-3x2": lambda: _cayley(8, [1, 2, 5], [1, 3]),
     "Z2xZ4": _product_group,
     "Z6-layered": lambda: _layered(6, 1, 0),
     "Z5-layered-both": lambda: _layered(5, 2, 1),
@@ -94,15 +96,22 @@ def _random_c1(bp, rng):
     )
 
 
-def _key(check):
-    return check.c1_weight, check.lhs, check.rhs, check.holds
+def _scale(bp, cert_x, cert_y):
+    """What ``_SmallSet.margin`` multiplies a check's margin by."""
+    factor = Fraction(1, 2) - 8 * small_set_epsilon(bp.w_up, cert_x, cert_y)
+    return factor.denominator * bp.w_down * bp.w_right
+
+
+def _keys(orbits):
+    """The c1 weight and integer margin of each orbit."""
+    return [(p10.weight + p01.weight, margin) for margin, _, p10, p01 in orbits]
 
 
 def _expanded(orbits):
-    """The multiset of checks the orbits stand for, each counted by its size."""
+    """The multiset of keys the orbits stand for, each counted by its size."""
     counts = Counter()
-    for check, size, _, _, _ in orbits:
-        counts[_key(check)] += size
+    for margin, size, p10, p01 in orbits:
+        counts[p10.weight + p01.weight, margin] += size
     return counts
 
 
@@ -125,9 +134,11 @@ def test_suite_matches_reference(name, fallback, monkeypatch):
     orbits = list(analysis._small_set_orbits(bp, cert_x, cert_y))
     expected = reference_small_set_suite(bp, cert_x, cert_y)
     assert expected  # the instance exercises the suite
-    assert all(size >= 1 for _, size, _, _, _ in orbits)
-    assert _expanded(orbits) == Counter(map(_key, expected))
-    assert not fallback or [check for check, _, _, _, _ in orbits] == expected
+    assert all(size >= 1 for _, size, _, _ in orbits)
+    scale = _scale(bp, cert_x, cert_y)
+    keys = [(c.c1_weight, c.margin * scale) for c in expected]
+    assert _expanded(orbits) == Counter(keys)
+    assert not fallback or _keys(orbits) == keys
 
 
 @pytest.mark.parametrize(
@@ -143,6 +154,9 @@ def test_summary_is_the_reference_folded(name, fallback, monkeypatch):
     assert summary.count == len(expected)
     assert summary.all_hold == all(c.holds for c in expected)
     assert summary.least.margin == min(c.margin for c in expected)
+    assert summary.least == reference_small_set_ltc_check(
+        bp, cert_x, cert_y, summary.witness
+    )
 
 
 def test_suite_keeps_no_per_orbit_records():
@@ -164,13 +178,12 @@ def test_suite_keeps_no_per_orbit_records():
 def test_each_representative_matches_its_reference_check(name):
     bp = INSTANCES[name]()
     cert_x, cert_y = _certified(bp)
-    factor = Fraction(1, 2) - 8 * small_set_suite(bp, cert_x, cert_y).epsilon
-    scale = factor.denominator * bp.w_down * bp.w_right
-    for check, size, v10, v01, margin in analysis._small_set_orbits(bp, cert_x, cert_y):
-        c1 = C1Vector(BitVector(bp.n10, v10), BitVector(bp.n01, v01))
-        assert check == reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
+    scale = _scale(bp, cert_x, cert_y)
+    for margin, size, p10, p01 in analysis._small_set_orbits(bp, cert_x, cert_y):
+        c1 = C1Vector(BitVector(bp.n10, p10.bits), BitVector(bp.n01, p01.bits))
+        check = reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
+        assert (p10.weight + p01.weight, margin) == (check.c1_weight, check.margin * scale)
         assert bp.group.order % size == 0
-        assert margin == check.margin * scale
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES) + sorted(LARGER))
@@ -326,9 +339,8 @@ def test_single_check_matches_reference():
     ):
         p10, p01 = ss.part(0, c1.v10.support()), ss.part(1, c1.v01.support())
         assert ss.minimal(p10, p01)
-        assert ss.check(p10, p01)[0] == (
-            reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
-        )
+        check = reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
+        assert ss.margin(p10, p01) == check.margin * _scale(bp, cert_x, cert_y)
 
 
 def test_single_check_rejects_heavy_vector():

@@ -4,6 +4,7 @@ the references."""
 import random
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -159,14 +160,19 @@ def _distance(bp, budget=analysis.DEFAULT_ENUM_BUDGET):
 @given(layered_products())
 @example(HIGH_KERNEL[0])
 @example(HIGH_KERNEL[1])
+@example(_layered_product(8, 2, 2, 2, 2, 0))  # n = 32, k = 11, d = 4
+@example(_layered_product(9, 2, 2, 2, 2, 0))  # n = 36, k = 12, d = 9
 def test_distance_matches_the_gray_sweep_on_layered_draws(bp):
     basis = kernel_basis(bp.d2)
     event(f"k = {len(basis)}")
     expected = reference_min_weight_nonzero(basis) or (None, None)
     assert _distance(bp) == expected
-    # weight first to the last subset, then the sweep from the start; with
-    # k = 0 weight first would take every subset of the bits
-    for steps in ([Fraction(1, 1 << 40)] if basis else []) + [1 << 40]:
+    # weight first to the last subset, then the sweep from the start.  Weight
+    # first takes C(n, 0) + ... + C(n, d - 1) subsets: 5,489 on Z8 but
+    # 40,999,516 on Z9, and every subset of the bits with k = 0
+    d = expected[0]
+    weight_first = bool(basis) and sum(comb(bp.n00, w) for w in range(d)) <= 1 << 20
+    for steps in ([Fraction(1, 1 << 40)] if weight_first else []) + [1 << 40]:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(analysis, "_SUBSET_STEPS", steps)
             assert _distance(bp) == expected
