@@ -563,13 +563,10 @@ class _Part(_record("_Part", [
     # meets ``bits`` in at least ``a`` vertices, for a = 0 .. the largest
     # column part
     "levels",
-    # list[int]: the nonzero levels[a] for a >= 1; column j lies in o[j] of
-    # them, where o[j] is its overlap with this part
-    "upper",
     "syndrome",  # int: d1 of this part
-    "face_masks",  # list[int], v10 only: V01 ends of the faces on this part
 ])):
-    """One corner's part of a c1 (``v10`` or ``v01``) and what it contributes."""
+    """One corner's part of a c1 (``v10`` or ``v01``): its level masks for
+    the flip test and its syndrome for the margin."""
 
     __slots__ = ()
 
@@ -594,7 +591,16 @@ def _flip_levels(w_down: int, w_right: int, top10: int, top01: int) -> list[tupl
 
 
 class _SmallSet:
-    """Everything the small-set inequality reads that does not depend on c1."""
+    """Everything the small-set inequality reads that does not depend on c1.
+
+    Building one checks the square identity of the complex once: each V10
+    vertex and each V01 vertex share as many faces as common V00 neighbours,
+    else ``VerificationError``.  A c1's squares, counted by degrees
+    (``sum_j o10[j]·o01[j]`` over the d2 columns) or by faces, are sums of
+    these two numbers over its (v10, v01) pairs, bilinear in the pair; so
+    one pass over all pairs proves the two counts equal for every c1, not
+    only for those the suite scans.
+    """
 
     def __init__(
         self,
@@ -617,15 +623,22 @@ class _SmallSet:
             max((m.bit_count() for m in masks), default=0) for masks in self.d2_masks
         )
         self.flip_levels = _flip_levels(bp.w_down, bp.w_right, *self.tops)
-        # faces by V10 vertex: its k-th mask holds the V01 vertices that share
-        # more than k faces with it
-        self.faces_by_v10: list[list[int]] = [[] for _ in range(bp.n10)]
+        # the square identity, pair by pair (see the class docstring)
         shared = Counter((i10, i01) for (_, i10, i01, _) in bp.faces)
-        for (i10, i01), count in shared.items():
-            layers = self.faces_by_v10[i10]
-            layers.extend([0] * (count - len(layers)))
-            for k in range(count):
-                layers[k] |= 1 << i01
+        for i10, m10 in enumerate(bp.g_s0.right_masks):
+            for i01, m01 in enumerate(bp.g_0s.right_masks):
+                by_degrees = (m10 & m01).bit_count()
+                by_faces = shared.pop((i10, i01), 0)
+                if by_degrees != by_faces:
+                    raise VerificationError(
+                        f"square counting methods disagree at (v10 {i10}, v01 "
+                        f"{i01}): {by_degrees} by degrees, {by_faces} by faces"
+                    )
+        if shared:
+            raise VerificationError(
+                f"square counting methods disagree: faces at {sorted(shared)} "
+                "outside V10 x V01"
+            )
 
     def part(self, corner: int, support: Sequence[int]) -> _Part:
         """Corner 0 is ``v10``, corner 1 is ``v01``; its weight must lie
@@ -646,15 +659,7 @@ class _SmallSet:
             levels[o] |= 1 << j
         for a in range(len(levels) - 2, -1, -1):
             levels[a] |= levels[a + 1]
-        faces = [m for i in support for m in self.faces_by_v10[i]] if corner == 0 else []
-        return _Part(
-            bits=bits,
-            weight=weight,
-            levels=levels,
-            upper=[m for m in levels[1:] if m],
-            syndrome=syndrome,
-            face_masks=faces,
-        )
+        return _Part(bits=bits, weight=weight, levels=levels, syndrome=syndrome)
 
     def minimal(self, p10: _Part, p01: _Part) -> bool:
         """Exact weighted local minimality: no bit of C2 lies in
@@ -666,31 +671,10 @@ class _SmallSet:
                 return False
         return True
 
-    def squares(self, p10: _Part, p01: _Part) -> int:
-        """The square count by degrees, ``sum_j o10[j] o01[j]``, as
-        ``sum_{a, b >= 1} |levels10[a] & levels01[b]|`` over the ``upper``
-        levels, checked against the count by faces."""
-        by_levels = by_faces = 0
-        u01 = p01.upper
-        for x in p10.upper:
-            for y in u01:
-                by_levels += (x & y).bit_count()
-        v01 = p01.bits
-        for m in p10.face_masks:
-            by_faces += (m & v01).bit_count()
-        if by_levels != by_faces:
-            raise VerificationError(
-                f"square counting methods disagree: {by_levels} by degrees, "
-                f"{by_faces} by faces"
-            )
-        return by_faces
-
     def margin(self, p10: _Part, p01: _Part) -> int:
         """The inequality's margin for the locally minimal ``c1 = (p10,
         p01)``, times ``q·w_down·w_right`` for ``factor = p/q``: the integer
-        ``q·|d1 c1| − p·w_right·|v10| − p·w_down·|v01|``.  Both square counts
-        run on every call (``squares``)."""
-        self.squares(p10, p01)
+        ``q·|d1 c1| − p·w_right·|v10| − p·w_down·|v01|``."""
         return (
             self.q * (p10.syndrome ^ p01.syndrome).bit_count()
             - self.p_right * p10.weight
@@ -833,13 +817,14 @@ def _small_set_orbits(
     representative is the first vector of its orbit in that order, and the
     orbits come in the order of their representatives.  Each ``v10`` and each
     ``v01`` part is evaluated once, with its weight bound, and every pair only
-    combines the two.  Local minimality and the two-method square count are
-    checked on every representative; the zero vector is left out.  The orbit
-    and stabiliser tests compare image bitmasks (see ``_fixing``).
+    combines the two.  Local minimality is checked on every representative;
+    the zero vector is left out.  The square identity is checked once, for
+    every c1 at once, when ``_SmallSet`` is built.  The orbit and stabiliser
+    tests compare image bitmasks (see ``_fixing``).
 
     Every mask a part reads is a left mask of a subgraph the complex stores:
-    ``g_s0`` and ``g_0s`` give the ``d2`` columns of the flip test and the
-    square count, ``g_1s`` and ``g_s1`` the ``d1`` columns the syndromes read.
+    ``g_s0`` and ``g_0s`` give the ``d2`` columns of the flip test, ``g_1s``
+    and ``g_s1`` the ``d1`` columns the syndromes read.
     """
     ss = _SmallSet(bp, cert_x, cert_y)
     max10, max01 = ss.max_weights

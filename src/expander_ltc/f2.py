@@ -84,7 +84,13 @@ class BitMatrix:
             self.row_bits = list(row_bits)
 
     def set(self, i: int, j: int, value: int) -> None:
-        if value & 1:
+        """Entry (i, j) := value, for ints i, j in range and value 0 or 1."""
+        for k, size, what in ((i, self.rows, "row"), (j, self.cols, "column")):
+            if type(k) is not int or not 0 <= k < size:
+                raise InvalidParameterError(f"{what} {k!r} is no int below {size}")
+        if type(value) is not int or value not in (0, 1):
+            raise InvalidParameterError(f"entry value {value!r} is not 0 or 1")
+        if value:
             self.row_bits[i] |= 1 << j
         else:
             self.row_bits[i] &= ~(1 << j)

@@ -391,7 +391,12 @@ def verify_copy_decomposition(sub: OneDSubgraph) -> bool:
     """Check the copy witness as two bijections: each side's ``(copy, factor
     vertex)`` pairs are the copies times the factor's side, each once; and
     the edges map onto the copies times the factor's edges, inside one copy
-    (one to one, as the vertex maps are)."""
+    (one to one, as the vertex maps are).  Each map must have one entry per
+    vertex of its side of the graph."""
+    g = sub.graph
+    lengths = map(len, (sub.copy_of_left, sub.iso_left, sub.copy_of_right, sub.iso_right))
+    if tuple(lengths) != (g.v0_size, g.v0_size, g.v1_size, g.v1_size):
+        return False
     copies = range(sub.num_copies)
     left = list(zip(sub.copy_of_left, sub.iso_left))
     right = list(zip(sub.copy_of_right, sub.iso_right))
@@ -400,7 +405,7 @@ def verify_copy_decomposition(sub: OneDSubgraph) -> bool:
             (c, v) for c in copies for v in range(size)
         }:
             return False
-    return {(left[u], right[v]) for u, v in sub.graph.edges} == {
+    return {(left[u], right[v]) for u, v in g.edges} == {
         ((c, a), (c, b)) for c in copies for a, b in sub.factor.edges
     }
 

@@ -41,6 +41,7 @@ from expander_ltc.products import (
 )
 
 from search_reference import draw_layered
+from small_set_reference import column_masks, reference_square_count
 from sweep_reference import column_bits
 from symmetry_reference import trivial_action
 
@@ -299,43 +300,38 @@ class TestSoundnessFromLT:
         assert soundness_from_lt(code, ltp) <= soundness_exhaustive(code, ltp).s
 
 
-def _any_weight_small_set(bp):
-    """The small-set suite's per-complex tables, factors certified at c = 1/2,
-    with the weight bound lifted: the square count holds for any c1."""
-    cert_x = certify_expansion(bp.x, Fraction(1, 2))
-    cert_y = certify_expansion(bp.y, Fraction(1, 2))
-    ss = analysis._SmallSet(bp, cert_x, cert_y)
-    ss.max_weights = (bp.n10, bp.n01)
-    return ss
-
-
-def _square_count(ss, c1):
-    """``_SmallSet.squares``: by level masks, checked against the faces."""
-    return ss.squares(ss.part(0, c1.v10.support()), ss.part(1, c1.v01.support()))
-
-
 class TestSquareCount:
+    """The oracle's square counts: ``reference_square_count`` raises when the
+    count by degrees and the count by faces disagree."""
+
     def test_zero(self):
         bp = left_right_cayley(make_cyclic(6), [1, 2], [1, 3])
         zero = C1Vector.from_supports(bp, [], [])
-        assert _square_count(_any_weight_small_set(bp), zero) == 0
+        assert reference_square_count(bp, zero) == 0
 
     def test_sharp_example_count(self):
         bp = left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
         c1 = sharp_example(bp, 0)
         # |n10| * |n01| wedges at x00
-        assert _square_count(_any_weight_small_set(bp), c1) == 1
+        assert reference_square_count(bp, c1) == 1
 
     def test_methods_agree_on_random_inputs(self):
+        # both counts, and the sum over (v10, v01) pairs of their common V00
+        # neighbours that the suite's per-complex identity check reads
         bp = left_right_cayley(make_cyclic(7), [1, 2], [1, 3])
-        ss = _any_weight_small_set(bp)
+        masks = column_masks(bp)
+        right10, right01 = bp.g_s0.right_masks, bp.g_0s.right_masks
         rng = random.Random(9)
         for _ in range(300):
             c1 = C1Vector(
                 BitVector(bp.n10, rng.getrandbits(bp.n10)),
                 BitVector(bp.n01, rng.getrandbits(bp.n01)),
             )
-            _square_count(ss, c1)  # the internal cross-check raises on disagreement
+            by_pairs = sum(
+                (right10[a] & right01[b]).bit_count()
+                for a in c1.v10.support() for b in c1.v01.support()
+            )
+            assert reference_square_count(bp, c1, masks) == by_pairs
 
 
 class TestSmallSetCheck:
@@ -443,13 +439,19 @@ class TestVerificationErrors:
         with pytest.raises(VerificationError, match="rate"):
             code_from_complex(bp)
 
-    def test_square_count_agreement(self, monkeypatch):
+    def test_square_count_agreement(self):
+        # one face dropped, one listed twice, one off the V10 side: the
+        # identity check of the small-set tables sees each
         bp = left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
-        c1 = sharp_example(bp, 0)
-        # every d2 column overlap reads 0: the degree count of squares is 0
-        monkeypatch.setattr(analysis, "_overlaps", lambda masks, bits: [0] * len(masks))
-        with pytest.raises(VerificationError, match="disagree"):
-            _square_count(_any_weight_small_set(bp), c1)
+        certs = [certify_expansion(f, Fraction(1, 2)) for f in (bp.x, bp.y)]
+        analysis._SmallSet(bp, *certs)
+        for faces, message in (
+            (bp.faces[1:], "1 by degrees, 0 by faces"),
+            (bp.faces[:1] * 2 + bp.faces[1:], "1 by degrees, 2 by faces"),
+            (bp.faces + ((0, bp.n10, 0, 0),), r"faces at \[\(8, 0\)\] outside"),
+        ):
+            with pytest.raises(VerificationError, match=message):
+                analysis._SmallSet(bp._replace(faces=faces), *certs)
 
     def _sharp_instance(self):
         return left_right_cayley(make_cyclic(8), [1, 2], [1, 3])

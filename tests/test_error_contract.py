@@ -8,13 +8,13 @@ outside (0, 1], group elements and action points that are negative, outside
 the group, floats, bools, text or lists, generator lists with floats, bools,
 negatives, elements outside the group or duplicates, lists of generator sets
 that are empty or hold an empty set or a non-list, selectors that are
-unhashable, ``None`` or unknown strings, vertices and corners that are
-floats, lists, negative or out of range, search trials, seeds and degrees
-that are text, ``None``, floats, 0 or negative, search groups that are not
-groups, cutoffs outside (0, 1] and eps targets outside (0, 1) or of the wrong
-type, budgets and profile weights that are text, ``None``, floats, bools, 0 or
-negative).  It must either return or raise an ``errors.ExpanderLtcError``; any
-other exception fails the test.
+unhashable, ``None`` or unknown strings, vertices, corners and matrix
+entries that are floats, lists, negative or out of range, search trials,
+seeds and degrees that are text, ``None``, floats, 0 or negative, search
+groups that are not groups, cutoffs outside (0, 1] and eps targets outside
+(0, 1) or of the wrong type, budgets and profile weights that are text,
+``None``, floats, bools, 0 or negative).  It must either return or raise an
+``errors.ExpanderLtcError``; any other exception fails the test.
 """
 
 import random
@@ -131,7 +131,12 @@ def test_bad_size_raises(call, bad):
     lambda bad: BipartiteGraph(2, 2, [(1, 1), (bad, 1)]),
     lambda bad: BitVector.from_support(3, [bad]),
     lambda bad: BitMatrix(2, 2, [bad, 0]),
-], ids=["edge-u", "edge-v", "edge-u-repeated", "from_support", "BitMatrix-row"])
+    lambda bad: BitMatrix(2, 2).set(bad, 0, 1),
+    lambda bad: BitMatrix(2, 2).set(0, bad, 1),
+    # 1.0 and True equal 1, and 4 and -1 are odd, yet none is an entry
+    lambda bad: BitMatrix(2, 2).set(0, 0, bad),
+], ids=["edge-u", "edge-v", "edge-u-repeated", "from_support", "BitMatrix-row",
+        "BitMatrix.set-row", "BitMatrix.set-column", "BitMatrix.set-value"])
 def test_bad_vertex_index_or_row_raises(call, bad):
     # 4 lies outside 0..2 and needs more bits than two columns
     with pytest.raises(errors.InvalidParameterError):

@@ -424,8 +424,8 @@ class TestOneDSubgraph:
         n = sub.graph.v0_size
         twin_edges = sub.graph.edges | {(n, b) for a, b in sub.graph.edges if a == 0}
 
-        def graph(edges, v0_size=n):
-            return BipartiteGraph(v0_size, sub.graph.v1_size, edges)
+        def graph(edges, v0_size=n, v1_size=sub.graph.v1_size):
+            return BipartiteGraph(v0_size, v1_size, edges)
 
         return {
             "vertex-in-another-copy": sub._replace(
@@ -440,11 +440,18 @@ class TestOneDSubgraph:
                 graph=graph(twin_edges, n + 1),
                 copy_of_left=(*sub.copy_of_left, sub.copy_of_left[0]),
                 iso_left=(*sub.iso_left, sub.iso_left[0])),
+            # one isolated vertex more on each side, which no map covers
+            "isolated-vertices-added": sub._replace(
+                graph=graph(sub.graph.edges, n + 1, sub.graph.v1_size + 1)),
+            # the maps stop short of the endpoint of a new edge
+            "maps-short-of-an-edge": sub._replace(
+                graph=graph(twin_edges, n + 1)),
         }
 
     @pytest.mark.parametrize("fault", [
         "vertex-in-another-copy", "two-vertices-one-image", "edge-dropped",
         "one-more-copy", "edge-onto-a-non-edge", "left-vertex-twinned",
+        "isolated-vertices-added", "maps-short-of-an-edge",
     ])
     def test_tampered_witness_rejected(self, fault):
         rng = random.Random(8)

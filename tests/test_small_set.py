@@ -286,7 +286,7 @@ def test_mask_kernel_matches_best_flip(name):
         minimal = ss.minimal(p10, p01)
         assert minimal == (analysis._best_flip(bp, o10, o01) is None)
         squares = reference_square_count(bp, C1Vector.from_supports(bp, s10, s01))
-        assert ss.squares(p10, p01) == sum(map(mul, o10, o01)) == squares
+        assert sum(map(mul, o10, o01)) == squares
         seen[minimal] += 1
     assert seen[True] and seen[False]
 
@@ -356,13 +356,28 @@ def test_single_check_rejects_heavy_vector():
         ss.part(1, [0, 1])
 
 
-def test_square_count_error_through_suite(monkeypatch):
+def test_square_count_error_through_suite():
     bp = INSTANCES["Z8"]()
     cert_x, cert_y = _certified(bp)
-    # every d2 column overlap reads 0: the degree count of squares is 0
-    monkeypatch.setattr(analysis, "_overlaps", lambda masks, bits: [0] * len(masks))
-    with pytest.raises(VerificationError, match="disagree"):
-        small_set_suite(bp, cert_x, cert_y)
+    assert small_set_suite(bp, cert_x, cert_y).count == 80
+    # one face dropped, or listed twice: the suite checks the square identity
+    # on every (v10, v01) pair before it scans, so it raises either way
+    for faces in (bp.faces[1:], bp.faces[:1] * 2 + bp.faces[1:]):
+        with pytest.raises(VerificationError, match="square counting methods disagree"):
+            small_set_suite(bp._replace(faces=faces), cert_x, cert_y)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_reference_square_counts_agree(name):
+    # the oracle counts by degrees and by faces, and raises on disagreement,
+    # on c1 of any weight; the full vector meets every face
+    bp = INSTANCES[name]()
+    masks = column_masks(bp)
+    rng = random.Random(3)
+    for _ in range(100):
+        reference_square_count(bp, _random_c1(bp, rng), masks)
+    full = C1Vector.from_supports(bp, range(bp.n10), range(bp.n01))
+    assert reference_square_count(bp, full, masks) == len(bp.faces)
 
 
 def test_column_masks_derived_once_per_complex(monkeypatch):
