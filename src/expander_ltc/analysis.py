@@ -23,6 +23,7 @@ from .errors import (
     PreconditionViolationError,
     VerificationError,
     _at_least,
+    _index,
     _record,
 )
 from .f2 import (
@@ -923,8 +924,7 @@ def sharp_example(bp: BalancedProductComplex, x00: int) -> C1Vector:
         raise PreconditionViolationError(
             f"degrees (w_down={bp.w_down}, w_right={bp.w_right}) must both be even"
         )
-    if not (type(x00) is int and 0 <= x00 < bp.n00):
-        raise InvalidParameterError(f"vertex {x00} outside V00")
+    _index(x00, bp.n00, "V00 vertex")
     n10_all = bp.g_s0.left_neighbors(x00)
     n01_all = bp.g_0s.left_neighbors(x00)
     n10 = n10_all[: bp.w_down // 2]

@@ -45,6 +45,8 @@ from .errors import (
     InvalidParameterError,
     PreconditionViolationError,
     VerificationError,
+    _at_least,
+    _cutoff,
 )
 from .graphs import (
     ExpansionCertificate,
@@ -148,33 +150,13 @@ def _rational(value, key: str) -> Fraction:
     return r
 
 
-def _cutoff(cfg: dict, key: str) -> Fraction:
-    """An expansion cutoff ``c_x``/``c_y`` in (0, 1]; 1/2 when absent."""
-    c = _rational(cfg.get(key, "1/2"), key)
-    if not 0 < c <= 1:
-        raise ConfigError(f"config key {key!r} must lie in (0, 1], got {c}", key)
-    return c
-
-
-def _integer(cfg: dict, key: str, minimum: int, default: int | None = None) -> int | None:
-    """``cfg[key]`` as a JSON integer of at least ``minimum``, or ``default``."""
-    if key not in cfg:
-        return default
-    value = cfg[key]
-    if type(value) is not int or value < minimum:
-        raise ConfigError(
-            f"config key {key!r} must be an integer >= {minimum}, got {value!r}", key
-        )
-    return value
-
-
-def _flag(cfg: dict, key: str, default: bool) -> bool:
-    value = cfg.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(
-            f"config key {key!r} must be true or false, got {value!r}", key
-        )
-    return value
+def _checked(key: str, rule, *args):
+    """``rule(*args)``, the library's check of a value, with its
+    ``InvalidParameterError`` raised as a ``ConfigError`` naming ``key``."""
+    try:
+        return rule(*args)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}", key) from None
 
 
 def _complex_inputs(cfg: dict) -> tuple[FiniteGroup, list[int], list[int]]:
@@ -182,16 +164,14 @@ def _complex_inputs(cfg: dict) -> tuple[FiniteGroup, list[int], list[int]]:
     construction = cfg.get("construction", "left_right_cayley")
     if construction != "left_right_cayley":
         raise ConfigError(
-            f"unknown construction {construction!r}", "construction"
+            f"config key 'construction' must be 'left_right_cayley', got "
+            f"{construction!r}", "construction"
         )
-    group = group_from_spec(cfg["group"])
-    sets = []
-    for key in ("a_set", "b_set"):
-        try:
-            sets.append(_check_generators(group, cfg[key]))
-        except InvalidParameterError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}", key) from None
-    return group, sets[0], sets[1]
+    group = _checked("group", group_from_spec, cfg["group"])
+    a_set, b_set = (
+        _checked(key, _check_generators, group, cfg[key]) for key in ("a_set", "b_set")
+    )
+    return group, a_set, b_set
 
 
 def _build_config(path: str) -> tuple[tuple[FiniteGroup, list[int], list[int]], dict]:
@@ -202,11 +182,20 @@ def _build_config(path: str) -> tuple[tuple[FiniteGroup, list[int], list[int]], 
     """
     cfg = _load_config(path, _BUILD_KEYS, {"group", "a_set", "b_set"})
     settings = {
-        "c_x": _cutoff(cfg, "c_x"),
-        "c_y": _cutoff(cfg, "c_y"),
-        "max_c1_weight": _integer(cfg, "max_c1_weight", 0),
-        "run_small_set": _flag(cfg, "small_set", True),
+        key: _checked(key, _cutoff, _rational(cfg.get(key, "1/2"), key), key)
+        for key in ("c_x", "c_y")
     }
+    settings["max_c1_weight"] = (
+        _checked("max_c1_weight", _at_least, cfg["max_c1_weight"], 0, "max_c1_weight")
+        if "max_c1_weight" in cfg
+        else None
+    )
+    small_set = settings["run_small_set"] = cfg.get("small_set", True)
+    if not isinstance(small_set, bool):
+        raise ConfigError(
+            f"config key 'small_set' must be true or false, got {small_set!r}",
+            "small_set",
+        )
     return _complex_inputs(cfg), settings
 
 
@@ -447,21 +436,17 @@ def cmd_search(args) -> int:
         _SEARCH_KEYS,
         {"group", "w_down", "w_up", "w_right", "w_left"},
     )
-    eps_target = (
-        _rational(cfg["eps_target"], "eps_target") if "eps_target" in cfg else None
-    )
-    spec = search.SearchSpec(
-        group=group_from_spec(cfg["group"]),
-        w_down=_integer(cfg, "w_down", 1),
-        w_up=_integer(cfg, "w_up", 1),
-        w_right=_integer(cfg, "w_right", 1),
-        w_left=_integer(cfg, "w_left", 1),
-        c_x=_cutoff(cfg, "c_x"),
-        c_y=_cutoff(cfg, "c_y"),
-        trials=_integer(cfg, "trials", 1, default=50),
-        seed=args.seed,
-        eps_target=eps_target,
-    )
+    group = _checked("group", group_from_spec, cfg["group"])
+    values = {"c_x": "1/2", "c_y": "1/2", **cfg}
+    fields = {}
+    # SearchSpec checks each field again; checked here, an error names its key
+    for key in search.SearchSpec._fields[1:]:
+        if key in values:
+            value = values[key]
+            if key in ("c_x", "c_y", "eps_target"):
+                value = _rational(value, key)
+            fields[key] = _checked(key, search._check_field, key, value)
+    spec = search.SearchSpec(group=group, seed=args.seed, **fields)
     if args.dry_run:
         print("config ok")
         return EXIT_OK

@@ -1,16 +1,20 @@
-"""Exception taxonomy shared across the library, and its record factory.
+"""Exception taxonomy shared across the library, its scalar rules, and its
+record factory.
 
 Every failure mode carries enough context (witnesses, offending keys) for a
 caller to print a useful diagnostic without re-running the computation.
 
-``_record`` makes the library's record classes.  It lives here because every
-module that defines a record already imports this one.
+``_at_least``, ``_index`` and ``_cutoff`` are the one statement of each
+scalar rule: every library call, and the CLI's config layer, checks a size,
+an index or a cutoff through them.  ``_record`` makes the library's record
+classes.  Both live here because every module already imports this one.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import _tuplegetter
+from fractions import Fraction
 
 # the one default budget of every GF(2) sweep, here so that a search loads no f2
 DEFAULT_ENUM_BUDGET = 1 << 24
@@ -101,6 +105,24 @@ def _at_least(value: int, minimum: int, what: str) -> int:
             f"{what} must be an integer >= {minimum}, got {value!r}"
         )
     return value
+
+
+def _index(i: int, size: int, what: str) -> int:
+    """``i`` if it is an ``int`` (a bool is not one) in ``0..size-1``, else
+    ``InvalidParameterError`` naming ``what``."""
+    if type(i) is not int or not 0 <= i < size:
+        raise InvalidParameterError(f"{what} {i!r} is not an int in 0..{size - 1}")
+    return i
+
+
+def _cutoff(c: int | Fraction, what: str) -> int | Fraction:
+    """``c`` if it is an ``int`` (a bool is not one) or a ``Fraction`` in
+    (0, 1], else ``InvalidParameterError`` naming ``what``."""
+    if not ((type(c) is int or isinstance(c, Fraction)) and 0 < c <= 1):
+        raise InvalidParameterError(
+            f"{what} must be an int or a Fraction in (0, 1], got {c!r}"
+        )
+    return c
 
 
 def _record(name: str, fields: list[str], defaults: tuple = ()) -> type:

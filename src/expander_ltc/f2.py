@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
-    DEFAULT_ENUM_BUDGET, BudgetExceededError, InvalidParameterError, _at_least, _record
+    DEFAULT_ENUM_BUDGET, BudgetExceededError, InvalidParameterError, _at_least, _index,
+    _record,
 )
 
 
@@ -23,23 +24,16 @@ class BitVector(_record("BitVector", [
     __slots__ = ()
 
     def __new__(cls, length: int, bits: int = 0) -> "BitVector":
-        if type(length) is not int or type(bits) is not int:
-            raise InvalidParameterError(
-                f"vector length {length!r} and bits {bits!r} must be ints"
-            )
-        if length < 0:
-            raise InvalidParameterError(f"negative vector length {length}")
-        if bits < 0 or bits >> length:
-            raise InvalidParameterError("bits outside of vector length")
+        _at_least(length, 0, "vector length")
+        if type(bits) is not int or bits < 0 or bits >> length:
+            raise InvalidParameterError(f"bits {bits!r} are no int of {length} bits")
         return super().__new__(cls, length, bits)
 
     @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":
         bits = 0
         for i in support:
-            if type(i) is not int or not 0 <= i < length:
-                raise InvalidParameterError(f"index {i!r} is no int below {length}")
-            bits |= 1 << i
+            bits |= 1 << _index(i, length, "support index")
         return cls(length, bits)
 
     def weight(self) -> int:
@@ -49,7 +43,7 @@ class BitVector(_record("BitVector", [
         return [i for i in range(self.length) if (self.bits >> i) & 1]
 
     def __getitem__(self, i: int) -> int:
-        return (self.bits >> i) & 1
+        return (self.bits >> _index(i, self.length, "index")) & 1
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
@@ -85,12 +79,9 @@ class BitMatrix:
 
     def set(self, i: int, j: int, value: int) -> None:
         """Entry (i, j) := value, for ints i, j in range and value 0 or 1."""
-        for k, size, what in ((i, self.rows, "row"), (j, self.cols, "column")):
-            if type(k) is not int or not 0 <= k < size:
-                raise InvalidParameterError(f"{what} {k!r} is no int below {size}")
-        if type(value) is not int or value not in (0, 1):
-            raise InvalidParameterError(f"entry value {value!r} is not 0 or 1")
-        if value:
+        _index(i, self.rows, "row")
+        _index(j, self.cols, "column")
+        if _index(value, 2, "entry value"):
             self.row_bits[i] |= 1 << j
         else:
             self.row_bits[i] &= ~(1 << j)

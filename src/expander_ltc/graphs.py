@@ -15,12 +15,13 @@ from .errors import (
     InvalidParameterError,
     IrregularGraphError,
     _at_least,
+    _cutoff,
+    _index,
     _record,
 )
 from .groups import (
     FiniteGroup,
     GroupAction,
-    _index,
     block_action,
     check_action_axioms,
     left_regular_action,
@@ -42,9 +43,8 @@ class BipartiteGraph:
         # the neighborhood of each vertex as a bitmask over the other side
         left, right = [0] * v0_size, [0] * v1_size
         for u, v in pairs:
-            if not (type(u) is int and 0 <= u < v0_size
-                    and type(v) is int and 0 <= v < v1_size):
-                raise InvalidParameterError(f"edge {(u, v)!r} is no int pair in range")
+            _index(u, v0_size, "edge left end")
+            _index(v, v1_size, "edge right end")
             left[u] |= 1 << v
             right[v] |= 1 << u
         self.v0_size = v0_size
@@ -363,15 +363,6 @@ def _least_unique(
     if kmax > 0:
         extend(starts, 0, 0, 1)
     return least, least_at, hit
-
-
-def _cutoff(c: Fraction, what: str) -> None:
-    """``InvalidParameterError`` naming ``what`` unless ``c`` is an ``int`` (a
-    bool is not one) or a ``Fraction`` in (0, 1]."""
-    if not ((type(c) is int or isinstance(c, Fraction)) and 0 < c <= 1):
-        raise InvalidParameterError(
-            f"{what} must be an int or a Fraction in (0, 1], got {c!r}"
-        )
 
 
 def certify_expansion(

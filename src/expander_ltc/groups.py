@@ -13,6 +13,7 @@ from .errors import (
     InvalidParameterError,
     SizeLimitError,
     _at_least,
+    _index,
     _record,
 )
 
@@ -22,13 +23,6 @@ MAX_GROUP_ORDER = 4096
 #: Orders up to this bound get a full associativity/identity/inverse audit
 #: at construction time.
 AXIOM_CHECK_ORDER = 256
-
-
-def _index(i: int, size: int, what: str) -> int:
-    """``i`` if it is an ``int`` in ``0..size-1``, else ``InvalidParameterError``."""
-    if type(i) is not int or not 0 <= i < size:
-        raise InvalidParameterError(f"{what} {i!r} is not an int in 0..{size - 1}")
-    return i
 
 
 class FiniteGroup(_record("FiniteGroup", [
@@ -178,6 +172,10 @@ def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return _maybe_check(FiniteGroup(order, table, identity, inverse, name=name))
 
 
+# the keys a group spec of each kind may hold
+_GROUP_SPEC_KEYS = {"cyclic": {"kind", "n"}, "product": {"kind", "factors"}}
+
+
 def group_from_spec(spec: dict) -> FiniteGroup:
     """Build a group from its config-file description.
 
@@ -187,32 +185,25 @@ def group_from_spec(spec: dict) -> FiniteGroup:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidParameterError(f"bad group spec: {spec!r}")
     kind = spec["kind"]
+    keys = _GROUP_SPEC_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise InvalidParameterError(f"unknown group kind: {kind!r}")
+    extra = set(spec) - keys
+    if extra:
+        raise InvalidParameterError(f"unknown group spec keys: {sorted(extra)}")
     if kind == "cyclic":
-        extra = set(spec) - {"kind", "n"}
-        if extra:
-            raise InvalidParameterError(f"unknown group spec keys: {sorted(extra)}")
-        n = spec.get("n")
-        if type(n) is not int:
-            raise InvalidParameterError(
-                f"group spec key 'n' must be an integer, got {n!r}"
-            )
-        return make_cyclic(n)
-    if kind == "product":
-        extra = set(spec) - {"kind", "factors"}
-        if extra:
-            raise InvalidParameterError(f"unknown group spec keys: {sorted(extra)}")
-        if not isinstance(spec.get("factors"), list):
-            raise InvalidParameterError(
-                f"group spec key 'factors' must be a list, got {spec.get('factors')!r}"
-            )
-        factors = [group_from_spec(f) for f in spec["factors"]]
-        if not factors:
-            raise InvalidParameterError("product group needs at least one factor")
-        g = factors[0]
-        for f in factors[1:]:
-            g = make_direct_product(g, f)
-        return g
-    raise InvalidParameterError(f"unknown group kind: {kind!r}")
+        return make_cyclic(_at_least(spec.get("n"), 1, "group spec key 'n'"))
+    if not isinstance(spec.get("factors"), list):
+        raise InvalidParameterError(
+            f"group spec key 'factors' must be a list, got {spec.get('factors')!r}"
+        )
+    factors = [group_from_spec(f) for f in spec["factors"]]
+    if not factors:
+        raise InvalidParameterError("product group needs at least one factor")
+    g = factors[0]
+    for f in factors[1:]:
+        g = make_direct_product(g, f)
+    return g
 
 
 def check_action_axioms(a: GroupAction) -> None:
@@ -257,9 +248,7 @@ def block_action(a: GroupAction, blocks: int) -> GroupAction:
     copy the result is ``a`` itself, so an action shared by both sides of a
     graph is proved once.
     """
-    if type(blocks) is not int or blocks < 1:
-        raise InvalidParameterError(f"need at least one copy, got {blocks!r}")
-    if blocks == 1:
+    if _at_least(blocks, 1, "block count") == 1:
         return a
     n = a.set_size
     table = tuple(

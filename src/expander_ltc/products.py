@@ -17,6 +17,7 @@ from .errors import (
     InvalidWedgeError,
     MultiplicityViolationError,
     SizeLimitError,
+    _index,
     _record,
 )
 from .f2 import BitMatrix
@@ -117,10 +118,8 @@ class BalancedProductComplex(_record("BalancedProductComplex", [
         return (h, i_r, i_s)
 
     def _check_vertex(self, corner: int, index: int) -> None:
-        if not (type(corner) is int and 0 <= corner < 4):
-            raise InvalidParameterError(f"corner {corner!r} is not 0, 1, 2 or 3")
-        if not (type(index) is int and 0 <= index < self.sizes[corner]):
-            raise InvalidParameterError(f"vertex {index!r} outside corner {corner}")
+        size = self.sizes[_index(corner, 4, "corner")]
+        _index(index, size, f"corner {corner} vertex")
 
     def _x_labeling(self, corner: int) -> OrbitLabeling:
         return self.labelings[_sides(corner)[0]]

@@ -15,12 +15,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import InvalidParameterError, _at_least, _record
+from .errors import InvalidParameterError, _at_least, _cutoff, _index, _record
 from .graphs import (
     BipartiteGraph,
     ExpansionCertificate,
     GraphAction,
-    _cutoff,
     certify_expansion,
     layered_cayley,
     maps_onto,
@@ -34,11 +33,24 @@ SUBSET_BUDGET = 2_000_000
 
 def random_generating_set(g: FiniteGroup, size: int, rng: random.Random) -> list[int]:
     """A duplicate-free random subset of group elements of the given size."""
-    if not (type(size) is int and 0 <= size <= g.order):
-        raise InvalidParameterError(
-            f"cannot draw {size} distinct generators from order {g.order}"
-        )
+    _index(size, g.order + 1, "generator count")
     return sorted(rng.sample(range(g.order), size))
+
+
+def _check_field(key: str, value):
+    """``value`` if it lies in the domain of the ``SearchSpec`` field ``key``
+    (any field but ``group``), else ``InvalidParameterError`` naming ``key``."""
+    if key in ("c_x", "c_y"):
+        return _cutoff(value, key)
+    if key == "eps_target":
+        if value is not None and not (isinstance(value, Fraction) and 0 < value < 1):
+            raise InvalidParameterError(f"eps_target must lie in (0, 1), got {value!r}")
+        return value
+    if key == "seed":
+        if type(value) is not int:
+            raise InvalidParameterError(f"seed must be an integer, got {value!r}")
+        return value
+    return _at_least(value, 1, key)
 
 
 class SearchSpec(_record("SearchSpec", [
@@ -61,10 +73,8 @@ class SearchSpec(_record("SearchSpec", [
         self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.group, FiniteGroup):
             raise InvalidParameterError(f"group is not a FiniteGroup: {self.group!r}")
-        for key in ("w_down", "w_up", "w_right", "w_left", "trials"):
-            _at_least(getattr(self, key), 1, key)
-        if type(self.seed) is not int:
-            raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
+        for key, value in zip(self._fields[1:], self[1:]):
+            _check_field(key, value)
         if self.w_up % self.w_down or self.w_left % self.w_right:
             raise InvalidParameterError(
                 "skewed degrees must be integer multiples of the base degrees"
@@ -74,11 +84,6 @@ class SearchSpec(_record("SearchSpec", [
                 raise InvalidParameterError(
                     f"base degree {key}={w} exceeds the group order {self.group.order}"
                 )
-        for key in ("c_x", "c_y"):
-            _cutoff(getattr(self, key), key)
-        eps = self.eps_target
-        if eps is not None and not (isinstance(eps, Fraction) and 0 < eps < 1):
-            raise InvalidParameterError(f"eps_target must lie in (0, 1), got {eps!r}")
         return self
 
 

@@ -892,12 +892,12 @@ class TestSharedBuildConfig:
 class TestDryRunMatchesRun:
     """Each config the real run rejects, --dry-run rejects too."""
 
-    def _both(self, tmp_path, capsys, argv, key):
+    def _both(self, tmp_path, capsys, argv, *keys):
         out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "o")]
         for extra in (["--dry-run"], out):
             code, err = _exit_and_err(capsys, [*argv, *extra])
             assert code == 2
-            assert key in err
+            assert all(key in err for key in keys), err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["build", "verify", "search"])
@@ -907,6 +907,37 @@ class TestDryRunMatchesRun:
         base = SEARCH_CONFIG if command == "search" else BASE_CONFIG
         cfg = write_config(tmp_path, {**base, key: value})
         self._both(tmp_path, capsys, [command, "--config", cfg], repr(key))
+
+    # one bad value for every key of both config kinds; the library's rule
+    # rejects it, and the config layer names the key
+    @pytest.mark.parametrize("command, key, value", [
+        *[(command, key, value) for command in ("build", "verify") for key, value in [
+            ("construction", "tanner"),
+            ("group", {"kind": "cyclic", "n": 0}),
+            ("a_set", [1, 7]),
+            ("b_set", []),
+            ("c_x", "3/2"),
+            ("c_y", "0"),
+            ("max_c1_weight", -1),
+            ("small_set", "yes"),
+        ]],
+        ("search", "group", {"kind": "cyclic", "n": "6"}),
+        ("search", "w_down", 0),
+        ("search", "w_up", True),
+        ("search", "w_right", "2"),
+        ("search", "w_left", 1.5),
+        ("search", "c_x", "0"),
+        ("search", "c_y", "2"),
+        ("search", "trials", 0),
+        ("search", "eps_target", "3/2"),
+    ])
+    def test_every_key(self, tmp_path, capsys, command, key, value):
+        base = SEARCH_CONFIG if command == "search" else BASE_CONFIG
+        cfg = write_config(tmp_path, {**base, key: value})
+        names = [f"config key {key!r}"]
+        if key == "group":  # the group's bad order is named by the spec's key too
+            names.append("group spec key 'n'")
+        self._both(tmp_path, capsys, [command, "--config", cfg], *names)
 
     @pytest.mark.parametrize("key", ["w_down", "w_right"])
     def test_search_base_degree_above_group_order(self, tmp_path, capsys, key):
@@ -1133,7 +1164,9 @@ class TestConfigLimits:
         # the message quotes the value, a 4300-digit integer
         cfg = write_config(tmp_path, {**BASE_CONFIG, "c_x": "1" * 4300})
         assert _exit_and_err(capsys, ["build", "--config", cfg, "--dry-run"]) == (
-            2, f"config error: config key 'c_x' must lie in (0, 1], got {'1' * 4300}\n"
+            2,
+            "config error: config key 'c_x': c_x must be an int or a Fraction in "
+            f"(0, 1], got Fraction({'1' * 4300}, 1)\n",
         )
 
     def test_search_trials_past_the_digit_limit(self, tmp_path, capsys):

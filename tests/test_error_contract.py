@@ -8,8 +8,9 @@ outside (0, 1], group elements and action points that are negative, outside
 the group, floats, bools, text or lists, generator lists with floats, bools,
 negatives, elements outside the group or duplicates, lists of generator sets
 that are empty or hold an empty set or a non-list, selectors that are
-unhashable, ``None`` or unknown strings, vertices, corners and matrix
-entries that are floats, lists, negative or out of range, search trials,
+unhashable, ``None`` or unknown strings, vertices, corners, vector indices
+and matrix entries that are floats, bools, text, lists, negative or out of
+range, search trials,
 seeds and degrees that are text, ``None``, floats, 0 or negative, search
 groups that are not groups, cutoffs outside (0, 1] and eps targets outside
 (0, 1) or of the wrong type, budgets and profile weights that are text,
@@ -41,6 +42,7 @@ from expander_ltc.search import SearchSpec, random_generating_set, search_pair
 CALLS = {
     "BitVector": lambda n, m: BitVector(n, m),
     "BitVector.from_support": lambda n, m: BitVector.from_support(n, [m]),
+    "BitVector[]": lambda n, m: BitVector(max(n, 0), 0)[m],
     "BitMatrix": lambda n, m: BitMatrix(n, m),
     "BipartiteGraph": lambda n, m: BipartiteGraph(n, m, [(0, 0)]),
     "block_action": lambda n, _: block_action(left_regular_action(make_cyclic(3)), n),
@@ -123,8 +125,11 @@ def test_bad_size_raises(call, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None, -1, 4])
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", "x", None, -1, 4, 10])
 @pytest.mark.parametrize("call", [
+    # BitVector(3, 5) is 1, 0, 1: unchecked, True would read entry 1, 4 and 10
+    # would read 0, -1 would raise ValueError and a float TypeError
+    lambda bad: BitVector(3, 5)[bad],
     lambda bad: BipartiteGraph(2, 2, [(bad, 1)]),
     lambda bad: BipartiteGraph(2, 2, [(0, bad)]),
     # 1.0 and True would be equal to the edge before them
@@ -135,10 +140,11 @@ def test_bad_size_raises(call, bad):
     lambda bad: BitMatrix(2, 2).set(0, bad, 1),
     # 1.0 and True equal 1, and 4 and -1 are odd, yet none is an entry
     lambda bad: BitMatrix(2, 2).set(0, 0, bad),
-], ids=["edge-u", "edge-v", "edge-u-repeated", "from_support", "BitMatrix-row",
-        "BitMatrix.set-row", "BitMatrix.set-column", "BitMatrix.set-value"])
+], ids=["BitVector[]", "edge-u", "edge-v", "edge-u-repeated", "from_support",
+        "BitMatrix-row", "BitMatrix.set-row", "BitMatrix.set-column",
+        "BitMatrix.set-value"])
 def test_bad_vertex_index_or_row_raises(call, bad):
-    # 4 lies outside 0..2 and needs more bits than two columns
+    # 4 and 10 lie outside 0..2 and need more bits than two columns
     with pytest.raises(errors.InvalidParameterError):
         call(bad)
 

@@ -52,7 +52,8 @@ class TestBitVector:
         ids=["init", "from_support"],
     )
     def test_negative_length_rejected(self, make):
-        with pytest.raises(InvalidParameterError, match="negative vector length"):
+        message = "vector length must be an integer >= 0, got -1"
+        with pytest.raises(InvalidParameterError, match=message):
             make()
 
     @pytest.mark.parametrize("bits", [8, -1])

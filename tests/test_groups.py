@@ -128,9 +128,23 @@ class TestGroupFromSpec:
         with pytest.raises(InvalidParameterError):
             group_from_spec({"kind": "dihedral", "n": 5})
 
+    @pytest.mark.parametrize("kind", [["cyclic"], None, 1, {}])
+    def test_rejects_a_kind_that_is_no_name(self, kind):
+        with pytest.raises(InvalidParameterError, match="unknown group kind"):
+            group_from_spec({"kind": kind, "n": 5})
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(InvalidParameterError):
             group_from_spec({"kind": "cyclic", "n": 5, "extra": 1})
+
+    @pytest.mark.parametrize("spec, extra", [
+        ({"kind": "cyclic", "n": 5, "factors": [], "x": 1}, ["factors", "x"]),
+        ({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}], "n": 2}, ["n"]),
+    ])
+    def test_unknown_keys_are_named_for_each_kind(self, spec, extra):
+        with pytest.raises(InvalidParameterError) as exc:
+            group_from_spec(spec)
+        assert str(exc.value) == f"unknown group spec keys: {extra}"
 
     def test_rejects_empty_product(self):
         with pytest.raises(InvalidParameterError):
@@ -167,7 +181,8 @@ class TestActions:
 
     @pytest.mark.parametrize("blocks", [0, -2])
     def test_block_action_needs_a_copy(self, blocks):
-        with pytest.raises(InvalidParameterError, match="at least one copy"):
+        message = f"block count must be an integer >= 1, got {blocks}"
+        with pytest.raises(InvalidParameterError, match=message):
             block_action(left_regular_action(make_cyclic(5)), blocks)
 
 

@@ -83,7 +83,8 @@ class TestRandomCayley:
 
     @pytest.mark.parametrize("size", [-1, -5])
     def test_negative_size_rejected(self, size):
-        with pytest.raises(InvalidParameterError, match=f"cannot draw {size} "):
+        message = rf"generator count {size} is not an int in 0\.\.5"
+        with pytest.raises(InvalidParameterError, match=message):
             search.random_generating_set(make_cyclic(5), size, random.Random(0))
 
 
