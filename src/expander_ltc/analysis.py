@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
@@ -66,24 +65,15 @@ class CodeInstance(_record("CodeInstance", [
 
 
 def code_from_complex(bp: BalancedProductComplex) -> CodeInstance:
-    """Assemble ``C(H = d2)``: bits on V00, checks on V10 and V01.
-
-    Checks the structural rate bound ``k/n >= 1 - w_down/w_up -
-    w_right/w_left`` and that every check row touches at most
-    ``max(w_up, w_left)`` bits.
+    """Assemble ``C(H = d2)``: bits on V00, checks on V10 and V01, of weight
+    ``w_up`` and ``w_left`` (``balanced_product`` checked them).  Checks the
+    structural rate bound ``k/n >= 1 - w_down/w_up - w_right/w_left``.
     """
     h = bp.d2
     n = bp.n00
     m = bp.n10 + bp.n01
     k = n - rank(h)
     locality = max(bp.w_up, bp.w_left)
-    for i in range(h.rows):
-        w = h.row_bits[i].bit_count()
-        expected = bp.w_up if i < bp.n10 else bp.w_left
-        if w != expected:
-            raise InvalidParameterError(
-                f"check row {i} has weight {w}, expected {expected}"
-            )
     rate_bound = 1 - Fraction(bp.w_down, bp.w_up) - Fraction(bp.w_right, bp.w_left)
     if Fraction(k, n) < rate_bound:
         raise VerificationError(f"rate {k}/{n} is below the bound {rate_bound}")
@@ -572,18 +562,19 @@ class _Part(_record("_Part", [
     __slots__ = ()
 
 
-def _flip_levels(w_down: int, w_right: int, top10: int, top01: int) -> list[tuple[int, int]]:
+def _flip_levels(w_down: int, w_right: int) -> list[tuple[int, int]]:
     """The level pairs of the flip test on level masks.
 
     A bit of C2 whose boundary meets ``v10`` in ``a`` and ``v01`` in ``b``
     vertices improves ``c1`` iff ``w_right·a + w_down·b > w_down·w_right``
     (``_best_flip``).  Levels only shrink as ``a`` or ``b`` grows, so it is
     enough to pair each ``a`` with its least such ``b``, and to drop a pair
-    whose ``b`` an earlier (smaller) ``a`` already reaches.
+    whose ``b`` an earlier (smaller) ``a`` already reaches.  A d2 column
+    has ``w_down`` bits in V10 and ``w_right`` in V01, so ``a`` and ``b`` stop there.
     """
     pairs: list[tuple[int, int]] = []
-    for a in range(top10 + 1):
-        for b in range(top01 + 1):
+    for a in range(w_down + 1):
+        for b in range(w_right + 1):
             if w_right * a + w_down * b > w_down * w_right:
                 if not pairs or b < pairs[-1][1]:
                     pairs.append((a, b))
@@ -592,16 +583,7 @@ def _flip_levels(w_down: int, w_right: int, top10: int, top01: int) -> list[tupl
 
 
 class _SmallSet:
-    """Everything the small-set inequality reads that does not depend on c1.
-
-    Building one checks the square identity of the complex once: each V10
-    vertex and each V01 vertex share as many faces as common V00 neighbours,
-    else ``VerificationError``.  A c1's squares, counted by degrees
-    (``sum_j o10[j]·o01[j]`` over the d2 columns) or by faces, are sums of
-    these two numbers over its (v10, v01) pairs, bilinear in the pair; so
-    one pass over all pairs proves the two counts equal for every c1, not
-    only for those the suite scans.
-    """
+    """Everything the small-set inequality reads that does not depend on c1."""
 
     def __init__(
         self,
@@ -620,26 +602,8 @@ class _SmallSet:
         # d1 column
         self.d2_masks = (bp.g_s0.left_masks, bp.g_0s.left_masks)
         self.d1_columns = (bp.g_1s.left_masks, bp.g_s1.left_masks)
-        self.tops = tuple(
-            max((m.bit_count() for m in masks), default=0) for masks in self.d2_masks
-        )
-        self.flip_levels = _flip_levels(bp.w_down, bp.w_right, *self.tops)
-        # the square identity, pair by pair (see the class docstring)
-        shared = Counter((i10, i01) for (_, i10, i01, _) in bp.faces)
-        for i10, m10 in enumerate(bp.g_s0.right_masks):
-            for i01, m01 in enumerate(bp.g_0s.right_masks):
-                by_degrees = (m10 & m01).bit_count()
-                by_faces = shared.pop((i10, i01), 0)
-                if by_degrees != by_faces:
-                    raise VerificationError(
-                        f"square counting methods disagree at (v10 {i10}, v01 "
-                        f"{i01}): {by_degrees} by degrees, {by_faces} by faces"
-                    )
-        if shared:
-            raise VerificationError(
-                f"square counting methods disagree: faces at {sorted(shared)} "
-                "outside V10 x V01"
-            )
+        self.tops = (bp.w_down, bp.w_right)
+        self.flip_levels = _flip_levels(*self.tops)
 
     def part(self, corner: int, support: Sequence[int]) -> _Part:
         """Corner 0 is ``v10``, corner 1 is ``v01``; its weight must lie
@@ -819,9 +783,8 @@ def _small_set_orbits(
     orbits come in the order of their representatives.  Each ``v10`` and each
     ``v01`` part is evaluated once, with its weight bound, and every pair only
     combines the two.  Local minimality is checked on every representative;
-    the zero vector is left out.  The square identity is checked once, for
-    every c1 at once, when ``_SmallSet`` is built.  The orbit and stabiliser
-    tests compare image bitmasks (see ``_fixing``).
+    the zero vector is left out.  The orbit and stabiliser tests compare
+    image bitmasks (see ``_fixing``).
 
     Every mask a part reads is a left mask of a subgraph the complex stores:
     ``g_s0`` and ``g_0s`` give the ``d2`` columns of the flip test, ``g_1s``

@@ -44,6 +44,7 @@ from .errors import (
     ExpanderLtcError,
     InvalidParameterError,
     PreconditionViolationError,
+    SizeLimitError,
     VerificationError,
     _at_least,
     _cutoff,
@@ -90,25 +91,25 @@ def _load_config(path: str, allowed: set[str], required: set[str]) -> dict:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}", path)
+        raise ConfigError(f"cannot read config: {exc}")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"config is not valid UTF-8: {exc}", path)
+        raise ConfigError(f"config is not valid UTF-8: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}", path)
+        raise ConfigError(f"config is not valid JSON: {exc}")
     except ValueError as exc:  # an integer beyond Python's digit limit
-        raise ConfigError(f"config has a number too long to read: {exc}", path)
+        raise ConfigError(f"config has a number too long to read: {exc}")
     except RecursionError:
-        raise ConfigError("config nests too deeply", path)
+        raise ConfigError("config nests too deeply")
     if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object", path)
+        raise ConfigError("config must be a JSON object")
     unknown = set(cfg) - allowed
     if unknown:
         key = sorted(unknown)[0]
-        raise ConfigError(f"unknown config key {key!r}", key)
+        raise ConfigError(f"unknown config key {key!r}")
     missing = required - set(cfg)
     if missing:
         key = sorted(missing)[0]
-        raise ConfigError(f"missing required config key {key!r}", key)
+        raise ConfigError(f"missing required config key {key!r}")
     return cfg
 
 
@@ -124,9 +125,7 @@ _MAX_DIGITS = 4300
 def _rational(value, key: str) -> Fraction:
     text = str(value)
     if len(text) > _MAX_DIGITS:
-        raise ConfigError(
-            f"config key {key!r} is longer than {_MAX_DIGITS} characters", key
-        )
+        raise ConfigError(f"config key {key!r} is longer than {_MAX_DIGITS} characters")
     _, e, exponent = text.lower().rpartition("e")
     exponent = exponent.strip()
     digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
@@ -134,29 +133,29 @@ def _rational(value, key: str) -> Fraction:
     # more than four digits is past 1000 (and may be past int()'s digit limit)
     if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > _MAX_EXPONENT):
         raise ConfigError(
-            f"config key {key!r} has a decimal exponent beyond ±{_MAX_EXPONENT}", key
+            f"config key {key!r} has a decimal exponent beyond ±{_MAX_EXPONENT}"
         )
     try:
         r = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"config key {key!r} is not a rational number", key)
+        raise ConfigError(f"config key {key!r} is not a rational number")
     # "0.<4000 digits>e-1000" passes both checks above, but its denominator
     # has 5001 digits
     if max(abs(r.numerator), r.denominator) >= 10**_MAX_DIGITS:
         raise ConfigError(
             f"config key {key!r} has a numerator or denominator of more than "
-            f"{_MAX_DIGITS} digits", key
+            f"{_MAX_DIGITS} digits"
         )
     return r
 
 
 def _checked(key: str, rule, *args):
     """``rule(*args)``, the library's check of a value, with its
-    ``InvalidParameterError`` raised as a ``ConfigError`` naming ``key``."""
+    ``InvalidParameterError`` or ``SizeLimitError`` as a ``ConfigError``."""
     try:
         return rule(*args)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"config key {key!r}: {exc}", key) from None
+    except (InvalidParameterError, SizeLimitError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
 def _complex_inputs(cfg: dict) -> tuple[FiniteGroup, list[int], list[int]]:
@@ -165,7 +164,7 @@ def _complex_inputs(cfg: dict) -> tuple[FiniteGroup, list[int], list[int]]:
     if construction != "left_right_cayley":
         raise ConfigError(
             f"config key 'construction' must be 'left_right_cayley', got "
-            f"{construction!r}", "construction"
+            f"{construction!r}"
         )
     group = _checked("group", group_from_spec, cfg["group"])
     a_set, b_set = (
@@ -193,8 +192,7 @@ def _build_config(path: str) -> tuple[tuple[FiniteGroup, list[int], list[int]], 
     small_set = settings["run_small_set"] = cfg.get("small_set", True)
     if not isinstance(small_set, bool):
         raise ConfigError(
-            f"config key 'small_set' must be true or false, got {small_set!r}",
-            "small_set",
+            f"config key 'small_set' must be true or false, got {small_set!r}"
         )
     return _complex_inputs(cfg), settings
 
@@ -346,7 +344,7 @@ def _writing_outputs(out: str):
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"cannot write outputs to --out {out!r}: {exc}", "--out")
+        raise ConfigError(f"cannot write outputs to --out {out!r}: {exc}")
 
 
 def cmd_build(args) -> int:
@@ -436,17 +434,16 @@ def cmd_search(args) -> int:
         _SEARCH_KEYS,
         {"group", "w_down", "w_up", "w_right", "w_left"},
     )
-    group = _checked("group", group_from_spec, cfg["group"])
     values = {"c_x": "1/2", "c_y": "1/2", **cfg}
-    fields = {}
+    fields = {"group": _checked("group", group_from_spec, cfg["group"])}
     # SearchSpec checks each field again; checked here, an error names its key
     for key in search.SearchSpec._fields[1:]:
         if key in values:
             value = values[key]
             if key in ("c_x", "c_y", "eps_target"):
                 value = _rational(value, key)
-            fields[key] = _checked(key, search._check_field, key, value)
-    spec = search.SearchSpec(group=group, seed=args.seed, **fields)
+            fields[key] = _checked(key, search._check_field, key, value, fields)
+    spec = search.SearchSpec(seed=args.seed, **fields)
     if args.dry_run:
         print("config ok")
         return EXIT_OK
@@ -494,13 +491,12 @@ def cmd_demo_sharp(args) -> int:
 
 
 def _positive_int(text: str) -> int:
+    """``text`` read as an ``int`` and held to ``_at_least``'s rule; the usage
+    error quotes ``text`` as given."""
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"must be an integer >= 1, got {text!r}")
-    return value
+        return _at_least(int(text), 1, "--budget")
+    except (ValueError, InvalidParameterError):
+        raise ValueError(f"must be an integer >= 1, got {text!r}") from None
 
 
 _PROG = "expander-ltc"

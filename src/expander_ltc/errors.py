@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the library, its scalar rules, and its
 record factory.
 
-Every failure mode carries enough context (witnesses, offending keys) for a
-caller to print a useful diagnostic without re-running the computation.
+Every message names the offending key, side or vertex, so a caller can print
+a useful diagnostic without re-running the computation.  Only a budget error
+(its figures) and a freeness error (its witness) carry a payload.
 
 ``_at_least``, ``_index`` and ``_cutoff`` are the one statement of each
 scalar rule: every library call, and the CLI's config layer, checks a size,
@@ -46,11 +47,6 @@ class FreenessViolationError(ExpanderLtcError):
 class IrregularGraphError(ExpanderLtcError):
     """A graph expected to be biregular has a vertex of deviant degree."""
 
-    def __init__(self, message: str, side: int, vertex: int):
-        super().__init__(message)
-        self.side = side
-        self.vertex = vertex
-
 
 class BudgetExceededError(ExpanderLtcError):
     """An exhaustive enumeration would exceed its evaluation budget."""
@@ -83,10 +79,6 @@ class DegenerateCodeError(ExpanderLtcError):
 
 class ConfigError(ExpanderLtcError):
     """A pipeline configuration failed schema validation."""
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key
 
 
 class VerificationError(ExpanderLtcError):

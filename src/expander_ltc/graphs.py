@@ -200,13 +200,13 @@ def check_regularity(x: BipartiteGraph) -> Regularity:
     for u in range(x.v0_size):
         if x.left_degree(u) != w0:
             raise IrregularGraphError(
-                f"left vertex {u} has degree {x.left_degree(u)} != {w0}", 0, u
+                f"left vertex {u} has degree {x.left_degree(u)} != {w0}"
             )
     w1 = x.right_degree(0)
     for v in range(x.v1_size):
         if x.right_degree(v) != w1:
             raise IrregularGraphError(
-                f"right vertex {v} has degree {x.right_degree(v)} != {w1}", 1, v
+                f"right vertex {v} has degree {x.right_degree(v)} != {w1}"
             )
     return Regularity(w0, w1)
 

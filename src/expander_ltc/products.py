@@ -4,19 +4,23 @@ The balanced product quotients the Cartesian (hypergraph) product of two
 graphs by the diagonal action of a common group that acts freely on both.
 Every quotient vertex carries a canonical ``(h, r, s)`` label, and the two
 boundary maps of the induced 3-term GF(2) chain complex are materialized as
-bit matrices, with ``d1 @ d2 == 0`` asserted at construction time.
+bit matrices.  Every complex is checked once, where it is built: ``d1 @ d2 ==
+0``, the degrees of its four subgraphs and its square identity.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import (
     InvalidParameterError,
     InvalidWedgeError,
+    IrregularGraphError,
     MultiplicityViolationError,
     SizeLimitError,
+    VerificationError,
     _index,
     _record,
 )
@@ -150,7 +154,8 @@ def balanced_product(
     Both actions must be free and leave their graph invariant, so each orbit
     of the diagonal action holds one pair whose first-factor vertex is labeled
     ``(identity, i)``; only those pairs are walked.  A doubled incidence, or a
-    subgraph with the wrong edge count, is rejected (it would cancel in GF(2)).
+    subgraph with the wrong edge count, is rejected (it would cancel in GF(2));
+    then ``_check_structure`` checks the complex.
     """
     g = ax.group
     if ay.group.order != g.order or ay.group.table != g.table:
@@ -242,7 +247,7 @@ def balanced_product(
             f"chain condition d1 d2 = 0 violated at entry {bad}"
         )
 
-    return BalancedProductComplex(
+    bp = BalancedProductComplex(
         group=g,
         x=x,
         y=y,
@@ -261,6 +266,43 @@ def balanced_product(
         d1=d1,
         wedge_to_face=wedge_to_face,
     )
+    _check_structure(bp)
+    return bp
+
+
+def _check_structure(bp: BalancedProductComplex) -> None:
+    """``VerificationError`` unless each subgraph has its factor's degrees
+    (``g_s0``, ``g_s1`` those of x, ``g_0s``, ``g_1s`` those of y), which fixes
+    the weight of every row and column of ``d2`` and ``d1``, and each V10 and
+    V01 vertex share as many faces as common V00 neighbours.  A c1's squares,
+    counted by degrees or by faces, are sums of these numbers over its (v10,
+    v01) pairs, so one pass proves the two counts equal for every c1.
+    """
+    for which, (name, _, _, factor) in _SUBGRAPH_CORNERS.items():
+        expected = bp.reg_x if factor == "x" else bp.reg_y
+        try:
+            degrees = check_regularity(getattr(bp, name))
+        except IrregularGraphError as exc:
+            raise VerificationError(f"E{which}: {exc}") from None
+        if degrees != expected:
+            raise VerificationError(
+                f"E{which} has degrees {tuple(degrees)}, its factor {tuple(expected)}"
+            )
+    shared = Counter((i10, i01) for (_, i10, i01, _) in bp.faces)
+    for i10, m10 in enumerate(bp.g_s0.right_masks):
+        for i01, m01 in enumerate(bp.g_0s.right_masks):
+            by_degrees = (m10 & m01).bit_count()
+            by_faces = shared.pop((i10, i01), 0)
+            if by_degrees != by_faces:
+                raise VerificationError(
+                    f"square counting methods disagree at (v10 {i10}, v01 "
+                    f"{i01}): {by_degrees} by degrees, {by_faces} by faces"
+                )
+    if shared:
+        raise VerificationError(
+            f"square counting methods disagree: faces at {sorted(shared)} "
+            "outside V10 x V01"
+        )
 
 
 def complex_manifest(bp: BalancedProductComplex) -> dict:

@@ -37,9 +37,11 @@ def random_generating_set(g: FiniteGroup, size: int, rng: random.Random) -> list
     return sorted(rng.sample(range(g.order), size))
 
 
-def _check_field(key: str, value):
+def _check_field(key: str, value, spec: dict):
     """``value`` if it lies in the domain of the ``SearchSpec`` field ``key``
-    (any field but ``group``), else ``InvalidParameterError`` naming ``key``."""
+    (any field but ``group``) given the fields before it in ``spec``, else
+    ``InvalidParameterError``: a base degree is at most the group's order, and
+    a skewed degree is a multiple of its base degree."""
     if key in ("c_x", "c_y"):
         return _cutoff(value, key)
     if key == "eps_target":
@@ -50,7 +52,18 @@ def _check_field(key: str, value):
         if type(value) is not int:
             raise InvalidParameterError(f"seed must be an integer, got {value!r}")
         return value
-    return _at_least(value, 1, key)
+    value = _at_least(value, 1, key)
+    order = spec["group"].order
+    if key in ("w_down", "w_right") and value > order:
+        raise InvalidParameterError(
+            f"base degree {key}={value} exceeds the group order {order}"
+        )
+    base = {"w_up": "w_down", "w_left": "w_right"}.get(key)
+    if base and value % spec[base]:
+        raise InvalidParameterError(
+            "skewed degrees must be integer multiples of the base degrees"
+        )
+    return value
 
 
 class SearchSpec(_record("SearchSpec", [
@@ -73,17 +86,9 @@ class SearchSpec(_record("SearchSpec", [
         self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.group, FiniteGroup):
             raise InvalidParameterError(f"group is not a FiniteGroup: {self.group!r}")
-        for key, value in zip(self._fields[1:], self[1:]):
-            _check_field(key, value)
-        if self.w_up % self.w_down or self.w_left % self.w_right:
-            raise InvalidParameterError(
-                "skewed degrees must be integer multiples of the base degrees"
-            )
-        for key, w in (("w_down", self.w_down), ("w_right", self.w_right)):
-            if w > self.group.order:
-                raise InvalidParameterError(
-                    f"base degree {key}={w} exceeds the group order {self.group.order}"
-                )
+        fields = dict(zip(self._fields, self))
+        for key in self._fields[1:]:
+            _check_field(key, fields[key], fields)
         return self
 
 

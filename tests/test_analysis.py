@@ -23,7 +23,7 @@ from expander_ltc.analysis import (
     soundness_from_lt,
     weighted_norm,
 )
-from expander_ltc import analysis
+from expander_ltc import analysis, products
 from expander_ltc.cli import build_report
 from expander_ltc.errors import (
     DegenerateCodeError,
@@ -441,17 +441,16 @@ class TestVerificationErrors:
 
     def test_square_count_agreement(self):
         # one face dropped, one listed twice, one off the V10 side: the
-        # identity check of the small-set tables sees each
+        # square identity, checked where the complex is built, sees each
         bp = left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
-        certs = [certify_expansion(f, Fraction(1, 2)) for f in (bp.x, bp.y)]
-        analysis._SmallSet(bp, *certs)
+        products._check_structure(bp)
         for faces, message in (
             (bp.faces[1:], "1 by degrees, 0 by faces"),
             (bp.faces[:1] * 2 + bp.faces[1:], "1 by degrees, 2 by faces"),
             (bp.faces + ((0, bp.n10, 0, 0),), r"faces at \[\(8, 0\)\] outside"),
         ):
             with pytest.raises(VerificationError, match=message):
-                analysis._SmallSet(bp._replace(faces=faces), *certs)
+                products._check_structure(bp._replace(faces=faces))
 
     def _sharp_instance(self):
         return left_right_cayley(make_cyclic(8), [1, 2], [1, 3])

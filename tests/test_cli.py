@@ -249,6 +249,24 @@ class TestBuild:
         assert calls == [1]
         assert "[PASS] small-set inequality on" in capsys.readouterr().out
 
+    def test_vacuous_build_checks_the_square_identity(self, tmp_path, monkeypatch):
+        # the suite is settled by its sign and reads no face, but the complex
+        # is checked where it is built
+        check = products._check_structure
+        checked = []
+        monkeypatch.setattr(
+            products, "_check_structure", lambda bp: checked.append(bp.sizes) or check(bp)
+        )
+        cfg = write_config(tmp_path, {
+            "group": {"kind": "cyclic", "n": 12}, "a_set": [1, 2], "b_set": [1, 3],
+            "c_x": "1/2", "c_y": "1/2",
+        })
+        out = tmp_path / "out"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "report.json").read_text())["small_set_checks"]
+        assert (summary["by"], summary["vacuous"]) == ("sign", True)
+        assert checked == [(12, 12, 12, 12)]
+
     def test_deterministic_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         outs = []
@@ -945,18 +963,35 @@ class TestDryRunMatchesRun:
             **SEARCH_CONFIG, "group": {"kind": "cyclic", "n": 4},
             "w_down": 1, "w_up": 5, "w_right": 1, "w_left": 5, key: 5,
         })
-        self._both(tmp_path, capsys, ["search", "--config", cfg], key)
+        self._both(
+            tmp_path, capsys, ["search", "--config", cfg],
+            f"config error: config key {key!r}: base degree {key}=5 exceeds the "
+            "group order 4",
+        )
+
+    @pytest.mark.parametrize("key", ["w_up", "w_left"])
+    def test_search_skewed_degree_not_a_multiple(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, {
+            **SEARCH_CONFIG, "w_down": 2, "w_up": 4, "w_right": 2, "w_left": 4, key: 3,
+        })
+        self._both(
+            tmp_path, capsys, ["search", "--config", cfg],
+            f"config error: config key {key!r}: skewed degrees must be integer "
+            "multiples of the base degrees",
+        )
 
     @pytest.mark.parametrize("command, base", [
-        ("build", BASE_CONFIG), ("search", SEARCH_CONFIG),
+        ("build", BASE_CONFIG), ("search", SEARCH_CONFIG), ("verify", BASE_CONFIG),
     ])
     def test_cyclic_order_cap(self, tmp_path, capsys, command, base):
         cfg = write_config(
             tmp_path, {**base, "group": {"kind": "cyclic", "n": MAX_GROUP_ORDER + 1}}
         )
-        code, err = _exit_and_err(capsys, [command, "--config", cfg, "--dry-run"])
-        assert code == 2
-        assert str(MAX_GROUP_ORDER) in err
+        self._both(
+            tmp_path, capsys, [command, "--config", cfg],
+            f"config error: config key 'group': cyclic group order "
+            f"{MAX_GROUP_ORDER + 1} exceeds cap {MAX_GROUP_ORDER}",
+        )
 
 
 class TestParser:

@@ -10,16 +10,25 @@ The exports themselves are read from the package's lazy namespace.
 
 The members of the exported classes are their record fields, slots, methods
 and properties: the public names each class defines.  A member counts as
-read when an ``Attribute`` node names it outside a ``def`` of that name.
+read when an ``Attribute`` node names it outside a ``def`` of that name, and
+not as the target of an assignment.
 Matching is by name alone, so a member that shares its name with another
 read attribute (``weight``, ``table``) counts as read.  A member named like
 an attribute of a builtin type (``count``, as ``list.count``) would count as
 read wherever the library uses that builtin attribute, so each such member is
 listed with a library line that reads it.
+
+The attributes an exported exception sets in its ``__init__`` are members
+too, so one that no library code reads fails the member ratchet.  Each is
+also listed below with what reads it, since a payload named like another
+record's field (``witness``) counts as read by name alone; a new payload
+fails until it is listed.
 """
 
 import ast
+import inspect
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -75,6 +84,13 @@ TEST_ONLY_MEMBERS = frozenset({
     "GroupAction.act",
 })
 
+# the attributes exported exceptions set in ``__init__`` -> what reads each
+EXCEPTION_PAYLOADS = {
+    "BudgetExceededError.required": "cli._stage and distance_certificate",
+    "BudgetExceededError.budget": "cli._stage and distance_certificate",
+    "FreenessViolationError.witness": "the tests, which check that it reproduces",
+}
+
 # builtin types whose attribute names a member may share
 BUILTIN_TYPES = (dict, list, set, frozenset, str, int, tuple)
 
@@ -91,13 +107,33 @@ def _exports() -> list[str]:
     return list(expander_ltc.__all__)
 
 
+def _payloads(cls: type) -> set[str]:
+    """The attributes ``cls.__init__`` sets on ``self``, if ``cls`` defines one."""
+    init = vars(cls).get("__init__")
+    if init is None:
+        return set()
+    tree = ast.parse(textwrap.dedent(inspect.getsource(init)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+
+
 def _members() -> dict[str, set[str]]:
-    """Each public member name of the exported classes -> its "Class.member"s."""
+    """Each public member name of the exported classes -> its "Class.member"s,
+    with the payloads of the exported exceptions."""
     members: dict[str, set[str]] = {}
     for name in _exports():
         obj = getattr(expander_ltc, name)
         if isinstance(obj, type):
-            for member in {*getattr(obj, "_fields", ()), *vars(obj)}:
+            own = {*getattr(obj, "_fields", ()), *vars(obj)}
+            if issubclass(obj, BaseException):
+                own |= _payloads(obj)
+            for member in own:
                 if not member.startswith("_"):
                     members.setdefault(member, set()).add(f"{name}.{member}")
     return members
@@ -110,7 +146,11 @@ def _references(node: ast.AST, names: set[str], attributes_only: bool) -> set[st
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Name) and child.id in names and not attributes_only:
             found.add(child.id)
-        elif isinstance(child, ast.Attribute) and child.attr in names:
+        elif (
+            isinstance(child, ast.Attribute)
+            and child.attr in names
+            and not isinstance(child.ctx, ast.Store)
+        ):
             found.add(child.attr)
         inner = names
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -140,6 +180,17 @@ def test_test_only_members_are_frozen():
     assert TEST_ONLY_MEMBERS <= set().union(*members.values())
     unused = _unused(list(members), attributes_only=True)
     assert set().union(*(members[m] for m in unused)) == TEST_ONLY_MEMBERS
+
+
+def test_exception_payloads_are_listed():
+    payloads = {
+        f"{name}.{attr}"
+        for name in _exports()
+        if isinstance(obj := getattr(expander_ltc, name), type)
+        and issubclass(obj, BaseException)
+        for attr in _payloads(obj)
+    }
+    assert payloads == set(EXCEPTION_PAYLOADS)
 
 
 def test_members_named_like_builtin_attributes_are_read_where_listed():

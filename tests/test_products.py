@@ -1,6 +1,7 @@
 """Tests for hypergraph/balanced products, square completion, subgraphs."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,15 @@ from expander_ltc.errors import (
     InvalidParameterError,
     InvalidWedgeError,
     MultiplicityViolationError,
+    VerificationError,
 )
 from expander_ltc.f2 import BitMatrix
-from expander_ltc.graphs import BipartiteGraph, certify_expansion, layered_cayley
+from expander_ltc.graphs import (
+    BipartiteGraph,
+    Regularity,
+    certify_expansion,
+    layered_cayley,
+)
 from expander_ltc.groups import group_from_spec, make_cyclic, make_direct_product
 from expander_ltc.products import (
     GraphAction,
@@ -187,6 +194,25 @@ class TestBalancedProduct:
         assert witness is not None
         i, j = witness
         assert d1.matmul(bp.d2).row_bits[i] >> j & 1 == 1
+
+    @pytest.mark.parametrize("which", ["*0", "*1", "0*", "1*"])
+    def test_subgraph_degree_fault_injection(self, which):
+        # one edge of the subgraph moved onto another left vertex
+        bp = left_right_cayley(make_cyclic(6), [1, 2], [1, 5])
+        name = products._SUBGRAPH_CORNERS[which][0]
+        graph = getattr(bp, name)
+        (u, v), *rest = sorted(graph.edges)
+        w = next(w for w in range(graph.v0_size) if (w, v) not in graph.edges)
+        moved = BipartiteGraph(graph.v0_size, graph.v1_size, {(w, v), *rest})
+        with pytest.raises(VerificationError, match=re.escape(f"E{which}: left vertex")):
+            products._check_structure(bp._replace(**{name: moved}))
+
+    def test_subgraph_degrees_must_be_the_factors(self):
+        bp = left_right_cayley(make_cyclic(6), [1, 2], [1, 5])
+        products._check_structure(bp)
+        message = "E*0 has degrees (2, 2), its factor (3, 3)"
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            products._check_structure(bp._replace(reg_x=Regularity(3, 3)))
 
     def test_wrong_orbit_label_rejected(self, monkeypatch):
         # left vertex 0 of the first factor takes vertex 1's label, so no

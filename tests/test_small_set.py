@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from expander_ltc import analysis
+from expander_ltc import analysis, products
 from expander_ltc.analysis import (
     C1Vector,
     greedy_flip,
@@ -356,15 +356,16 @@ def test_single_check_rejects_heavy_vector():
         ss.part(1, [0, 1])
 
 
-def test_square_count_error_through_suite():
+def test_square_count_error_at_construction():
     bp = INSTANCES["Z8"]()
     cert_x, cert_y = _certified(bp)
     assert small_set_suite(bp, cert_x, cert_y).count == 80
-    # one face dropped, or listed twice: the suite checks the square identity
-    # on every (v10, v01) pair before it scans, so it raises either way
+    # one face dropped, or listed twice: the complex's structure check, run
+    # once where every complex is built, tests the square identity on every
+    # (v10, v01) pair, so the suite never meets a complex that breaks it
     for faces in (bp.faces[1:], bp.faces[:1] * 2 + bp.faces[1:]):
         with pytest.raises(VerificationError, match="square counting methods disagree"):
-            small_set_suite(bp._replace(faces=faces), cert_x, cert_y)
+            products._check_structure(bp._replace(faces=faces))
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
