@@ -46,7 +46,6 @@ _EXPORTS = {
         "InvalidParameterError",
         "InvalidWedgeError",
         "IrregularGraphError",
-        "MultiplicityViolationError",
         "PreconditionViolationError",
         "SizeLimitError",
         "VerificationError",

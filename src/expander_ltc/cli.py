@@ -419,8 +419,13 @@ def cmd_verify(args) -> int:
         from . import analysis
 
         summary = analysis.small_set_suite(bp, cert_x, cert_y)
+        meaning = ""  # a pass that holds whatever the vectors are says so
+        if analysis.small_set_vacuous(summary.epsilon):
+            meaning = f" (vacuous: 1/2 - 8 eps <= 0 at eps = {summary.epsilon})"
+        elif summary.count == 0:
+            meaning = " (empty: no vector to check)"
         check(
-            f"small-set inequality on {summary.count} locally minimal vectors",
+            f"small-set inequality on {summary.count} locally minimal vectors{meaning}",
             summary.all_hold,
         )
     return EXIT_OK if failed == 0 else EXIT_ANALYSIS

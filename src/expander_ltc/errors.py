@@ -57,14 +57,6 @@ class BudgetExceededError(ExpanderLtcError):
         self.budget = budget
 
 
-class MultiplicityViolationError(ExpanderLtcError):
-    """Quotienting or merging created a doubled incidence.
-
-    Doubled incidences would silently cancel in GF(2) adjacency matrices, so
-    they are rejected with a diagnostic instead.
-    """
-
-
 class InvalidWedgeError(ExpanderLtcError):
     """The three vertices passed to square completion do not form a wedge."""
 

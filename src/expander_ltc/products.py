@@ -4,8 +4,9 @@ The balanced product quotients the Cartesian (hypergraph) product of two
 graphs by the diagonal action of a common group that acts freely on both.
 Every quotient vertex carries a canonical ``(h, r, s)`` label, and the two
 boundary maps of the induced 3-term GF(2) chain complex are materialized as
-bit matrices.  Every complex is checked once, where it is built: ``d1 @ d2 ==
-0``, the degrees of its four subgraphs and its square identity.
+bit matrices.  Every complex is checked once, where it is built, by one
+function: the degrees of its four subgraphs, its square identity and ``d1 @ d2
+== 0``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import (
     InvalidParameterError,
     InvalidWedgeError,
     IrregularGraphError,
-    MultiplicityViolationError,
     SizeLimitError,
     VerificationError,
     _index,
@@ -153,9 +153,8 @@ def balanced_product(
 
     Both actions must be free and leave their graph invariant, so each orbit
     of the diagonal action holds one pair whose first-factor vertex is labeled
-    ``(identity, i)``; only those pairs are walked.  A doubled incidence, or a
-    subgraph with the wrong edge count, is rejected (it would cancel in GF(2));
-    then ``_check_structure`` checks the complex.
+    ``(identity, i)``; only those pairs are walked.  The inputs are checked
+    here; the complex, once built, by ``_check_structure``.
     """
     g = ax.group
     if ay.group.order != g.order or ay.group.table != g.table:
@@ -182,21 +181,6 @@ def balanced_product(
         gy, i_s = labelings[2 + b].label[y_vertex]
         return (j * n_s[b] + i_s) * g.order + table[inverse[gx]][gy]
 
-    def quotient_edges(
-        pairs: Iterable[tuple[int, int]], which: SubgraphName, expected: int
-    ) -> BipartiteGraph:
-        _, corner_a, corner_b, _ = _SUBGRAPH_CORNERS[which]
-        edges: set = set()
-        for pair in pairs:
-            if pair in edges:
-                raise MultiplicityViolationError(f"E{which}: edge {pair} met twice")
-            edges.add(pair)
-        if len(edges) != expected:
-            raise MultiplicityViolationError(
-                f"E{which}: got {len(edges)} edge orbits, expected {expected}"
-            )
-        return BipartiteGraph(sizes[corner_a], sizes[corner_b], edges)
-
     # per side the x-vertices labeled (identity, i), and the x-edges from them
     e = g.identity
     reps = [[i for h, i in lab.label if h == e] for lab in (lab_x0, lab_x1)]
@@ -205,29 +189,27 @@ def balanced_product(
         for (x0, x1) in x.edges
         if lab_x0.label[x0][0] == e
     ]
+    # corner (a, b) is index a + 2b (see ``_sides``)
     g_s0, g_s1 = (
-        quotient_edges(
-            ((orbit(b, e, i, v), orbit(b, gx, j, v))
-             for i, (gx, j) in rep_edges for v in range(y_size)),
-            f"*{b}", len(x.edges) * y_size // g.order,
-        )
+        BipartiteGraph(sizes[2 * b], sizes[2 * b + 1], [
+            (orbit(b, e, i, v), orbit(b, gx, j, v))
+            for i, (gx, j) in rep_edges for v in range(y_size)
+        ])
         for b, y_size in enumerate((y.v0_size, y.v1_size))
     )
     g_0s, g_1s = (
-        quotient_edges(
-            ((orbit(0, e, i, y0), orbit(1, e, i, y1))
-             for i in reps[a] for (y0, y1) in y.edges),
-            f"{a}*", x_size * len(y.edges) // g.order,
-        )
-        for a, x_size in enumerate((x.v0_size, x.v1_size))
+        BipartiteGraph(sizes[a], sizes[a + 2], [
+            (orbit(0, e, i, y0), orbit(1, e, i, y1))
+            for i in reps[a] for (y0, y1) in y.edges
+        ])
+        for a in range(2)
     )
-    wedge_to_face: dict = {}
-    for i, (gx, j) in rep_edges:
-        for (y0, y1) in y.edges:
-            key = (orbit(0, e, i, y0), orbit(0, gx, j, y0), orbit(1, e, i, y1))
-            if key in wedge_to_face:
-                raise MultiplicityViolationError(f"wedge {key} completed by two faces")
-            wedge_to_face[key] = orbit(1, gx, j, y1)
+    wedge_to_face = {
+        (orbit(0, e, i, y0), orbit(0, gx, j, y0), orbit(1, e, i, y1)):
+            orbit(1, gx, j, y1)
+        for i, (gx, j) in rep_edges
+        for (y0, y1) in y.edges
+    }
     faces = tuple(sorted(key + (i11,) for key, i11 in wedge_to_face.items()))
 
     reg_x = check_regularity(x)
@@ -241,12 +223,6 @@ def balanced_product(
         sizes[1] + sizes[2],
         [a | b << sizes[1] for a, b in zip(g_1s.right_masks, g_s1.right_masks)],
     )
-    ok, bad = verify_chain_identity(d1, d2)
-    if not ok:
-        raise MultiplicityViolationError(
-            f"chain condition d1 d2 = 0 violated at entry {bad}"
-        )
-
     bp = BalancedProductComplex(
         group=g,
         x=x,
@@ -271,12 +247,22 @@ def balanced_product(
 
 
 def _check_structure(bp: BalancedProductComplex) -> None:
-    """``VerificationError`` unless each subgraph has its factor's degrees
-    (``g_s0``, ``g_s1`` those of x, ``g_0s``, ``g_1s`` those of y), which fixes
-    the weight of every row and column of ``d2`` and ``d1``, and each V10 and
-    V01 vertex share as many faces as common V00 neighbours.  A c1's squares,
-    counted by degrees or by faces, are sums of these numbers over its (v10,
-    v01) pairs, so one pass proves the two counts equal for every c1.
+    """``VerificationError`` unless the complex is what its factors promise.
+
+    - Each subgraph has its factor's degrees (``g_s0``, ``g_s1`` those of x,
+      ``g_0s``, ``g_1s`` those of y), which fixes the weight of every row and
+      column of ``d2`` and ``d1``.  The degrees fix each subgraph's edge
+      count, so a doubled or a missing edge orbit leaves some vertex with the
+      wrong degree.
+    - Each V10 and V01 vertex share as many faces as common V00 neighbours.
+      A c1's squares, counted by degrees or by faces, are sums of these
+      numbers over its (v10, v01) pairs, so one pass proves the two counts
+      equal for every c1.  ``balanced_product``'s wedge loop runs
+      ``n00·w_down·w_right`` times, once per x-edge from a representative and
+      y-edge; once the degrees hold, that is the sum over all (V10, V01)
+      pairs of their common V00 neighbours.  So a wedge met twice leaves
+      some pair one face short.
+    - ``d1 @ d2 == 0``, which the two checks above do not imply.
     """
     for which, (name, _, _, factor) in _SUBGRAPH_CORNERS.items():
         expected = bp.reg_x if factor == "x" else bp.reg_y
@@ -303,6 +289,9 @@ def _check_structure(bp: BalancedProductComplex) -> None:
             f"square counting methods disagree: faces at {sorted(shared)} "
             "outside V10 x V01"
         )
+    ok, bad = verify_chain_identity(bp.d1, bp.d2)
+    if not ok:
+        raise VerificationError(f"chain condition d1 d2 = 0 violated at entry {bad}")
 
 
 def complex_manifest(bp: BalancedProductComplex) -> dict:

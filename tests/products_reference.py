@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 from expander_ltc.errors import (
     InvalidParameterError,
-    MultiplicityViolationError,
     SizeLimitError,
+    VerificationError,
 )
 from expander_ltc.f2 import BitMatrix
 from expander_ltc.graphs import (
@@ -124,7 +124,7 @@ def reference_balanced_product(
         counts = Counter(cells)
         for cell, cnt in counts.items():
             if cnt != g.order:
-                raise MultiplicityViolationError(
+                raise VerificationError(
                     f"{what} {cell} has multiplicity {cnt}/{g.order}"
                 )
         return counts
@@ -132,7 +132,7 @@ def reference_balanced_product(
     def quotient_edges(pairs, corner_a, corner_b, expected, what) -> BipartiteGraph:
         counts = counted(pairs, f"{what}: incidence")
         if len(counts) != expected:
-            raise MultiplicityViolationError(
+            raise VerificationError(
                 f"{what}: got {len(counts)} edge orbits, expected {expected}"
             )
         return BipartiteGraph(sizes[corner_a], sizes[corner_b], counts)
@@ -165,7 +165,7 @@ def reference_balanced_product(
     for (i00, i10, i01, i11) in faces:
         key = (i00, i10, i01)
         if key in wedge_to_face:
-            raise MultiplicityViolationError(f"wedge {key} completed by two faces")
+            raise VerificationError(f"wedge {key} completed by two faces")
         wedge_to_face[key] = i11
     reg_x, reg_y = check_regularity(x), check_regularity(y)
 
@@ -179,7 +179,7 @@ def reference_balanced_product(
     )
     ok, bad = verify_chain_identity(d1, d2)
     if not ok:
-        raise MultiplicityViolationError(
+        raise VerificationError(
             f"chain condition d1 d2 = 0 violated at entry {bad}"
         )
     return BalancedProductComplex(

@@ -17,7 +17,6 @@ import random
 from collections.abc import Sequence
 
 from expander_ltc.analysis import small_set_epsilon
-from expander_ltc.errors import MultiplicityViolationError
 from expander_ltc.graphs import (
     BipartiteGraph,
     GraphAction,
@@ -69,17 +68,11 @@ def reference_search_pair(spec: SearchSpec) -> SearchResult:
         trial_seed = spec.seed * 1_000_003 + trial
         rng = random.Random(trial_seed)
         entry: dict = {"trial": trial, "seed": trial_seed}
-        try:
-            x, ax, gens_x = draw_layered(g, layers_x, spec.w_down, rng)
-            y, ay, gens_y = draw_layered(g, layers_y, spec.w_right, rng)
-            bp = balanced_product(x, y, ax, ay)
-            cert_x = certify_expansion(x, spec.c_x, max_evals=SUBSET_BUDGET, action=ax)
-            cert_y = certify_expansion(y, spec.c_y, max_evals=SUBSET_BUDGET, action=ay)
-        except MultiplicityViolationError as exc:
-            entry["status"] = "degenerate"
-            entry["detail"] = str(exc)
-            log.append(entry)
-            continue
+        x, ax, gens_x = draw_layered(g, layers_x, spec.w_down, rng)
+        y, ay, gens_y = draw_layered(g, layers_y, spec.w_right, rng)
+        bp = balanced_product(x, y, ax, ay)
+        cert_x = certify_expansion(x, spec.c_x, max_evals=SUBSET_BUDGET, action=ax)
+        cert_y = certify_expansion(y, spec.c_y, max_evals=SUBSET_BUDGET, action=ay)
         eps = small_set_epsilon(bp.w_up, cert_x, cert_y)
         entry.update(
             status="certified",

@@ -192,7 +192,8 @@ class TestBuild:
         }
         assert main(["verify", "--config", cfg, "--suites", "small-set"]) == 0
         assert re.search(
-            r"\n\[PASS\] small-set inequality on [1-9]\d* locally minimal vectors\n\Z",
+            r"\n\[PASS\] small-set inequality on [1-9]\d* locally minimal vectors"
+            r" \(vacuous: 1/2 - 8 eps <= 0 at eps = 1/3\)\n\Z",
             capsys.readouterr().out,
         )
 
@@ -221,8 +222,9 @@ class TestBuild:
         else:
             assert summary["least_margin"] is None
         assert main(["verify", "--config", cfg, "--suites", "small-set"]) == 0
+        meaning = "" if count else " (empty: no vector to check)"
         assert capsys.readouterr().out.endswith(
-            f"[PASS] small-set inequality on {count} locally minimal vectors\n"
+            f"[PASS] small-set inequality on {count} locally minimal vectors{meaning}\n"
         )
 
     def test_vacuous_build_enumerates_nothing(self, tmp_path, monkeypatch, capsys):

@@ -1,20 +1,24 @@
 """Tests for hypergraph/balanced products, square completion, subgraphs."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expander_ltc
 import products_reference
 from expander_ltc import products
 from expander_ltc.errors import (
     FreenessViolationError,
     InvalidParameterError,
     InvalidWedgeError,
-    MultiplicityViolationError,
     VerificationError,
 )
 from expander_ltc.f2 import BitMatrix
@@ -195,6 +199,41 @@ class TestBalancedProduct:
         i, j = witness
         assert d1.matmul(bp.d2).row_bits[i] >> j & 1 == 1
 
+    # d1 of Z8 [1,2]/[1,3] with rows 0 and 1 of its g_1s block swapped: every
+    # row and column keeps its weight, and the subgraphs are untouched, so
+    # only the chain identity sees it
+    CHAIN_TAMPER = (
+        "from expander_ltc import products\n"
+        "from expander_ltc.f2 import BitMatrix\n"
+        "from expander_ltc.groups import make_cyclic\n"
+        "bp = products.left_right_cayley(make_cyclic(8), [1, 2], [1, 3])\n"
+        "rows, low = list(bp.d1.row_bits), (1 << bp.n10) - 1\n"
+        "rows[0], rows[1] = (rows[0] & ~low | rows[1] & low,\n"
+        "                    rows[1] & ~low | rows[0] & low)\n"
+        "tampered = bp._replace(d1=BitMatrix(bp.d1.rows, bp.d1.cols, rows))\n"
+    )
+
+    def test_chain_identity_is_checked_with_the_structure(self):
+        namespace: dict = {}
+        exec(self.CHAIN_TAMPER, namespace)
+        message = "chain condition d1 d2 = 0 violated at entry (0, 3)"
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            products._check_structure(namespace["tampered"])
+        # a real error, so the check also runs under python -O
+        src = str(Path(expander_ltc.__file__).resolve().parent.parent)
+        script = self.CHAIN_TAMPER + (
+            "from expander_ltc.errors import VerificationError\n"
+            "try:\n"
+            "    products._check_structure(tampered)\n"
+            "except VerificationError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, message + "\n", "")
+
     @pytest.mark.parametrize("which", ["*0", "*1", "0*", "1*"])
     def test_subgraph_degree_fault_injection(self, which):
         # one edge of the subgraph moved onto another left vertex
@@ -230,9 +269,8 @@ class TestBalancedProduct:
             return lab
 
         monkeypatch.setattr(products, "orbit_labeling", mislabel)
-        with pytest.raises(
-            MultiplicityViolationError, match="E\\*0: got 0 edge orbits, expected 16"
-        ):
+        message = "E*0 has degrees (0, 0), its factor (2, 2)"
+        with pytest.raises(VerificationError, match=re.escape(message)):
             left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
         assert len(labelings) == 4
 
@@ -320,16 +358,30 @@ class TestOnePairPerOrbit:
             balanced_product(*factors), reference_balanced_product(*factors)
         )
 
+    # side -> what balanced_product's structure check and the oracle's
+    # multiplicity count each report
+    REPEATED_LABEL_MESSAGES = {
+        0: ("E*0 has degrees (0, 0), its factor (2, 2)",
+            "E*0: incidence (6, 7) has multiplicity 7/8"),
+        1: ("E1* has degrees (0, 0), its factor (2, 2)",
+            "E*0: incidence (5, 7) has multiplicity 7/8"),
+        2: ("E*0: left vertex 1 has degree 2 != 0",
+            "E0*: incidence (1, 1) has multiplicity 1/8"),
+        3: ("E*1: left vertex 1 has degree 2 != 0",
+            "E0*: incidence (0, 1) has multiplicity 7/8"),
+    }
+
     @pytest.mark.parametrize("side", range(4))
     def test_a_repeated_label_on_any_side_is_rejected(self, monkeypatch, side):
         bp = left_right_cayley(make_cyclic(8), [1, 2], [1, 3])
-        for module, build in (
-            (products, balanced_product),
-            (products_reference, reference_balanced_product),
+        for module, build, message in zip(
+            (products, products_reference),
+            (balanced_product, reference_balanced_product),
+            self.REPEATED_LABEL_MESSAGES[side],
         ):
             mislabel = _mislabeling(module.orbit_labeling, side)
             monkeypatch.setattr(module, "orbit_labeling", mislabel)
-            with pytest.raises(MultiplicityViolationError):
+            with pytest.raises(VerificationError, match=re.escape(message)):
                 build(bp.x, bp.y, bp.ax, bp.ay)
 
 
