@@ -23,6 +23,7 @@ from .errors import (
     VerificationError,
     _at_least,
     _index,
+    _mask_to_list,
     _record,
 )
 from .f2 import (
@@ -35,7 +36,6 @@ from .f2 import (
 )
 from .graphs import (
     ExpansionCertificate,
-    _mask_to_list,
     _preserves,
     _strict_floor,
     small_set_epsilon,
@@ -550,40 +550,22 @@ def small_set_smallness_bounds(
 class _Part(_record("_Part", [
     "bits",  # int
     "weight",  # int
-    # list[int]: levels[a] holds the d2 columns whose part in this corner
-    # meets ``bits`` in at least ``a`` vertices, for a = 0 .. the largest
-    # column part
-    "levels",
+    # list[int]: _overlaps of this corner's d2 column parts with ``bits``
+    "overlaps",
     "syndrome",  # int: d1 of this part
 ])):
-    """One corner's part of a c1 (``v10`` or ``v01``): its level masks for
-    the flip test and its syndrome for the margin."""
+    """One corner's part of a c1 (``v10`` or ``v01``): its overlaps with the
+    ``d2`` columns for the flip test and its syndrome for the margin."""
 
     __slots__ = ()
 
 
-def _flip_levels(w_down: int, w_right: int) -> list[tuple[int, int]]:
-    """The level pairs of the flip test on level masks.
-
-    A bit of C2 whose boundary meets ``v10`` in ``a`` and ``v01`` in ``b``
-    vertices improves ``c1`` iff ``w_right·a + w_down·b > w_down·w_right``
-    (``_best_flip``).  Levels only shrink as ``a`` or ``b`` grows, so it is
-    enough to pair each ``a`` with its least such ``b``, and to drop a pair
-    whose ``b`` an earlier (smaller) ``a`` already reaches.  A d2 column
-    has ``w_down`` bits in V10 and ``w_right`` in V01, so ``a`` and ``b`` stop there.
-    """
-    pairs: list[tuple[int, int]] = []
-    for a in range(w_down + 1):
-        for b in range(w_right + 1):
-            if w_right * a + w_down * b > w_down * w_right:
-                if not pairs or b < pairs[-1][1]:
-                    pairs.append((a, b))
-                break
-    return pairs
-
-
 class _SmallSet:
-    """Everything the small-set inequality reads that does not depend on c1."""
+    """Everything the small-set inequality reads that does not depend on c1.
+
+    Local minimality is ``_best_flip``'s test on the two parts' overlaps, the
+    one flip test of ``is_locally_minimal``, ``greedy_flip`` and d_lm.
+    """
 
     def __init__(
         self,
@@ -591,6 +573,7 @@ class _SmallSet:
         cert_x: ExpansionCertificate,
         cert_y: ExpansionCertificate,
     ):
+        self.bp = bp  # its degrees weigh the flip test
         self.bounds = small_set_smallness_bounds(bp, cert_x, cert_y)
         self.max_weights = tuple(_strict_floor(b) for b in self.bounds)
         # the margin's integer coefficients, for factor = 1/2 - 8 eps = p/q
@@ -602,8 +585,6 @@ class _SmallSet:
         # d1 column
         self.d2_masks = (bp.g_s0.left_masks, bp.g_0s.left_masks)
         self.d1_columns = (bp.g_1s.left_masks, bp.g_s1.left_masks)
-        self.tops = (bp.w_down, bp.w_right)
-        self.flip_levels = _flip_levels(*self.tops)
 
     def part(self, corner: int, support: Sequence[int]) -> _Part:
         """Corner 0 is ``v10``, corner 1 is ``v01``; its weight must lie
@@ -619,22 +600,12 @@ class _SmallSet:
         for i in support:
             bits |= 1 << i
             syndrome ^= columns[i]
-        levels = [0] * (self.tops[corner] + 1)
-        for j, o in enumerate(_overlaps(self.d2_masks[corner], bits)):
-            levels[o] |= 1 << j
-        for a in range(len(levels) - 2, -1, -1):
-            levels[a] |= levels[a + 1]
-        return _Part(bits=bits, weight=weight, levels=levels, syndrome=syndrome)
+        overlaps = _overlaps(self.d2_masks[corner], bits)
+        return _Part(bits=bits, weight=weight, overlaps=overlaps, syndrome=syndrome)
 
     def minimal(self, p10: _Part, p01: _Part) -> bool:
-        """Exact weighted local minimality: no bit of C2 lies in
-        ``levels[a]`` of ``v10`` and ``levels[b]`` of ``v01`` for an
-        improving pair ``(a, b)``; equal to ``_best_flip(...) is None``."""
-        l10, l01 = p10.levels, p01.levels
-        for a, b in self.flip_levels:
-            if l10[a] & l01[b]:
-                return False
-        return True
+        """Exact weighted local minimality (``_best_flip``)."""
+        return _best_flip(self.bp, p10.overlaps, p01.overlaps) is None
 
     def margin(self, p10: _Part, p01: _Part) -> int:
         """The inequality's margin for the locally minimal ``c1 = (p10,

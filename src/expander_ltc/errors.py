@@ -8,7 +8,8 @@ a useful diagnostic without re-running the computation.  Only a budget error
 ``_at_least``, ``_index`` and ``_cutoff`` are the one statement of each
 scalar rule: every library call, and the CLI's config layer, checks a size,
 an index or a cutoff through them.  ``_record`` makes the library's record
-classes.  Both live here because every module already imports this one.
+classes, and ``_mask_to_list`` is the one loop over the set bits of a mask.
+They live here because every module already imports this one.
 """
 
 from __future__ import annotations
@@ -107,6 +108,15 @@ def _cutoff(c: int | Fraction, what: str) -> int | Fraction:
             f"{what} must be an int or a Fraction in (0, 1], got {c!r}"
         )
     return c
+
+
+def _mask_to_list(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def _record(name: str, fields: list[str], defaults: tuple = ()) -> type:

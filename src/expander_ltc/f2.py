@@ -11,7 +11,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     DEFAULT_ENUM_BUDGET, BudgetExceededError, InvalidParameterError, _at_least, _index,
-    _record,
+    _mask_to_list, _record,
 )
 
 
@@ -40,7 +40,7 @@ class BitVector(_record("BitVector", [
         return self.bits.bit_count()
 
     def support(self) -> list[int]:
-        return [i for i in range(self.length) if (self.bits >> i) & 1]
+        return _mask_to_list(self.bits)
 
     def __getitem__(self, i: int) -> int:
         return (self.bits >> _index(i, self.length, "index")) & 1
@@ -106,36 +106,23 @@ class BitMatrix:
         out = []
         for r in self.row_bits:
             acc = 0
-            rr = r
-            while rr:
-                j = (rr & -rr).bit_length() - 1
+            for j in _mask_to_list(r):
                 acc ^= other.row_bits[j]
-                rr &= rr - 1
             out.append(acc)
         return BitMatrix(self.rows, other.cols, out)
 
     def transpose(self) -> "BitMatrix":
         out = [0] * self.cols
         for i, r in enumerate(self.row_bits):
-            rr = r
-            while rr:
-                j = (rr & -rr).bit_length() - 1
+            for j in _mask_to_list(r):
                 out[j] |= 1 << i
-                rr &= rr - 1
         return BitMatrix(self.cols, self.rows, out)
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)
 
     def nonzero_entries(self) -> list[tuple[int, int]]:
-        out = []
-        for i, r in enumerate(self.row_bits):
-            rr = r
-            while rr:
-                j = (rr & -rr).bit_length() - 1
-                out.append((i, j))
-                rr &= rr - 1
-        return out
+        return [(i, j) for i, r in enumerate(self.row_bits) for j in _mask_to_list(r)]
 
     def __eq__(self, other) -> bool:
         return (

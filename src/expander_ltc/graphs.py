@@ -17,6 +17,7 @@ from .errors import (
     _at_least,
     _cutoff,
     _index,
+    _mask_to_list,
     _record,
 )
 from .groups import (
@@ -72,14 +73,6 @@ class BipartiteGraph:
 
     def __repr__(self) -> str:
         return f"BipartiteGraph({self.v0_size}+{self.v1_size}, {len(self.edges)} edges)"
-
-
-def _mask_to_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 class GraphAction(_record("GraphAction", [

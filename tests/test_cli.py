@@ -623,6 +623,22 @@ class TestVerificationFailure:
             "[FAIL] small-set inequality on 2765 locally minimal vectors\n"
         )
 
+    def test_chain_violation_stops_verify_before_any_suite(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the chain suite reports the check made at construction: a complex
+        # with d1 d2 != 0 fails there, before any suite line prints
+        monkeypatch.setattr(
+            products, "verify_chain_identity", lambda d1, d2: (False, (0, 3))
+        )
+        cfg = write_config(tmp_path, self._Z10)
+        assert main(["verify", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "analysis failure: chain condition d1 d2 = 0 violated at entry (0, 3)\n"
+        )
+
     def test_failed_small_set_check_fails_build(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(analysis, "small_set_epsilon", lambda *args: Fraction(0))
         cfg = write_config(tmp_path, self._Z10)

@@ -29,6 +29,11 @@ assignment at the top of a submodule, not starting with ``_``) are held to
 the same rule: the unused ones are frozen below, each with its reason.
 ``cli``'s ``cmd_*`` functions count as used, since ``main`` looks them up by
 name.
+
+The private module-level functions (a top-level ``def`` of a submodule whose
+name starts with ``_`` but not ``__``) are held to it too, so a helper that
+loses its last library caller fails: the unused ones are frozen below, each
+with its reason.
 """
 
 import ast
@@ -88,6 +93,9 @@ TEST_ONLY_MODULE_NAMES = {
         "once the tracer no longer wraps library names"
     ),
 }
+
+# private module-level functions that no library code calls -> why each stays
+TEST_ONLY_PRIVATE_FUNCTIONS: dict[str, str] = {}
 
 # members that no library code reads, each with the reason it stays
 TEST_ONLY_MEMBERS = frozenset({
@@ -220,6 +228,32 @@ def test_test_only_module_names_are_frozen():
     assert commands  # main's dispatch table
     unused = _unused(sorted(set(names) - commands))
     assert {names[name] for name in unused} == set(TEST_ONLY_MODULE_NAMES)
+
+
+def _private_functions() -> dict[str, str]:
+    """Each private module-level function of the submodules -> its
+    "module.name"."""
+    package = Path(expander_ltc.__file__).resolve().parent
+    names = {}
+    for p in sorted(package.glob("*.py")):
+        if p.name == "__init__.py":
+            continue
+        for node in ast.parse(p.read_text(encoding="utf-8")).body:
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                assert node.name not in names, f"{node.name} defined twice"
+                names[node.name] = f"{p.stem}.{node.name}"
+    return names
+
+
+def test_test_only_private_functions_are_frozen():
+    names = _private_functions()
+    assert set(TEST_ONLY_PRIVATE_FUNCTIONS) <= set(names.values())
+    unused = _unused(sorted(names))
+    assert {names[name] for name in unused} == set(TEST_ONLY_PRIVATE_FUNCTIONS)
 
 
 def test_test_only_members_are_frozen():

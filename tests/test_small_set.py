@@ -260,7 +260,7 @@ def test_fallback_gives_the_same_summary(name, monkeypatch):
     assert {**full, "orbits": None} == {**reduced, "orbits": None}
 
 
-# the flip test's pair table on degree 2 and 3, square and skewed degrees
+# the parts' overlaps on degree 2 and 3, square and skewed degrees
 KERNEL_INSTANCES = {
     "Z8": INSTANCES["Z8"],
     "Z10-degree-3": lambda: _cayley(10, [1, 2, 5], [1, 3, 7]),
@@ -270,24 +270,19 @@ KERNEL_INSTANCES = {
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
-def test_mask_kernel_matches_best_flip(name):
+def test_part_overlaps_count_squares(name):
     bp = KERNEL_INSTANCES[name]()
     ss = analysis._SmallSet(bp, *_certified(bp))
-    ss.max_weights = (bp.n10, bp.n01)  # the kernel holds for any support
-    lo, hi = ss.d2_masks
+    ss.max_weights = (bp.n10, bp.n01)  # the parts hold for any support
     rng = random.Random(5)
     seen = Counter()
     for _ in range(400):
         s10 = sorted(rng.sample(range(bp.n10), rng.randint(0, bp.n10 // 2)))
         s01 = sorted(rng.sample(range(bp.n01), rng.randint(0, bp.n01 // 2)))
         p10, p01 = ss.part(0, s10), ss.part(1, s01)
-        o10 = analysis._overlaps(lo, p10.bits)
-        o01 = analysis._overlaps(hi, p01.bits)
-        minimal = ss.minimal(p10, p01)
-        assert minimal == (analysis._best_flip(bp, o10, o01) is None)
         squares = reference_square_count(bp, C1Vector.from_supports(bp, s10, s01))
-        assert sum(map(mul, o10, o01)) == squares
-        seen[minimal] += 1
+        assert sum(map(mul, p10.overlaps, p01.overlaps)) == squares
+        seen[ss.minimal(p10, p01)] += 1
     assert seen[True] and seen[False]
 
 
