@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
@@ -132,30 +133,29 @@ def boundary_1(bp: BalancedProductComplex, c1: C1Vector) -> BitVector:
     return bp.d1.mul_vec(c1.stacked())
 
 
-def _overlaps(masks: Sequence[int], bits: int) -> list[int]:
-    """``|masks[j] & bits|`` for every bit ``j`` of C2.
+def _flip_row(masks: Sequence[int], bits: int, w: int, w_other: int) -> list[int]:
+    """One corner's share of the flip test: for every bit ``j`` of C2,
+    ``w_other·(w − 2·|masks[j] & bits|)``.
 
-    With ``bp.g_s0.left_masks`` or ``bp.g_0s.left_masks`` as ``masks`` these
-    are the overlaps of each ``d2`` column's V10 or V01 part with ``bits``.
-    """
-    return [(m & bits).bit_count() for m in masks]
-
-
-def _best_flip(
-    bp: BalancedProductComplex, o10: Sequence[int], o01: Sequence[int]
-) -> int | None:
-    """The exact flip test: the bit of C2 whose boundary lowers ``|c1|_w`` most.
-
-    Adding the boundary of bit ``j`` changes ``|c1|_w`` by
-    ``(w_down - 2 o10) / w_down + (w_right - 2 o01) / w_right``, where ``o10``
+    Adding the boundary of bit ``j`` to ``c1`` changes ``|c1|_w`` by
+    ``(w_down − 2·o10) / w_down + (w_right − 2·o01) / w_right``, where ``o10``
     and ``o01`` are the overlaps of that boundary with ``v10`` and ``v01``.
-    Times ``w_down * w_right`` this is the integer compared below, so bit
-    ``j`` improves ``c1`` iff it is negative.  Ties go to the lowest bit;
-    ``None`` means ``c1`` is weighted locally minimal.
+    Times ``w_down·w_right`` it is the sum of two rows: this one with
+    ``bp.g_s0.left_masks``, ``v10``, ``w_down`` and ``w_right`` (the V10 parts
+    of the ``d2`` columns), and this one with ``bp.g_0s.left_masks``, ``v01``,
+    ``w_right`` and ``w_down``.
     """
-    wd, wr = bp.w_down, bp.w_right
-    changes = [wr * (wd - 2 * a) + wd * (wr - 2 * b) for a, b in zip(o10, o01)]
-    best = min(changes, default=0)
+    return [w_other * (w - 2 * (m & bits).bit_count()) for m in masks]
+
+
+def _best_flip(row10: Sequence[int], row01: Sequence[int]) -> int | None:
+    """The exact flip test: the bit of C2 whose boundary lowers ``|c1|_w``
+    most, from the two corners' ``_flip_row``.  Bit ``j`` improves ``c1`` iff
+    the rows' sum at ``j`` is negative.  Ties go to the lowest bit; ``None``
+    means ``c1`` is weighted locally minimal.
+    """
+    changes = list(map(operator.add, row10, row01))
+    best = min(changes)  # C2 has a bit: V00 holds a vertex per group element
     return changes.index(best) if best < 0 else None
 
 
@@ -163,8 +163,11 @@ def is_locally_minimal(
     c1: C1Vector, bp: BalancedProductComplex
 ) -> tuple[bool, int | None]:
     """Weighted local minimality; if not, also the bit ``greedy_flip`` would flip."""
-    lo, hi = bp.g_s0.left_masks, bp.g_0s.left_masks
-    j = _best_flip(bp, _overlaps(lo, c1.v10.bits), _overlaps(hi, c1.v01.bits))
+    wd, wr = bp.w_down, bp.w_right
+    j = _best_flip(
+        _flip_row(bp.g_s0.left_masks, c1.v10.bits, wd, wr),
+        _flip_row(bp.g_0s.left_masks, c1.v01.bits, wr, wd),
+    )
     return j is None, j
 
 
@@ -183,10 +186,13 @@ def greedy_flip(c1: C1Vector, bp: BalancedProductComplex) -> FlipResult:
     ``d1 c1`` is invariant throughout.
     """
     lo, hi = bp.g_s0.left_masks, bp.g_0s.left_masks
+    wd, wr = bp.w_down, bp.w_right
     v10, v01 = c1.v10.bits, c1.v01.bits
     flips = 0
     steps = 0
-    while (j := _best_flip(bp, _overlaps(lo, v10), _overlaps(hi, v01))) is not None:
+    while (j := _best_flip(
+        _flip_row(lo, v10, wd, wr), _flip_row(hi, v01, wr, wd)
+    )) is not None:
         v10 ^= lo[j]
         v01 ^= hi[j]
         flips ^= 1 << j
@@ -206,6 +212,13 @@ class SoundnessReport(_record("SoundnessReport", [
     """Exact minimum of ``(|Hx| / m) * (n / d(x, C))`` over non-codewords ``x``."""
 
     __slots__ = ()
+
+
+def _d2_columns(bp: BalancedProductComplex) -> list[int]:
+    """The columns of ``d2``, stacked as ``v10 | v01 << n10``: column ``j``
+    joins the left masks ``g_s0.left_masks[j]`` (its V10 part) and
+    ``g_0s.left_masks[j]`` (its V01 part)."""
+    return [a | b << bp.n10 for a, b in zip(bp.g_s0.left_masks, bp.g_0s.left_masks)]
 
 
 def _by_weight(
@@ -231,8 +244,7 @@ def _preimage_profile(
     """Per image weight ``iw`` of ``d2``: the worst least-preimage weight, the
     smallest image of weight ``iw`` that has it, and that image's least preimage.
 
-    Column ``j`` of ``d2`` joins the left masks ``g_s0.left_masks[j]`` (its
-    V10 part) and ``g_0s.left_masks[j]`` (its V01 part).  Each kernel vector
+    The columns of ``d2`` are ``_d2_columns``.  Each kernel vector
     of ``kernel_basis(bp.d2)`` is the only one that is 1 at its free column,
     so the other ``rank`` (pivot) columns are independent, and each image is
     indexed by the pivot columns that sum to it: index bit ``t`` is pivot
@@ -255,7 +267,7 @@ def _preimage_profile(
     if (1 << n) > budget:
         raise BudgetExceededError(f"2^{n} preimages exceed budget", 1 << n, budget)
     m = bp.n10 + bp.n01
-    columns = [a | b << bp.n10 for a, b in zip(bp.g_s0.left_masks, bp.g_0s.left_masks)]
+    columns = _d2_columns(bp)
     kernel = [v.bits for v in kernel_basis(bp.d2)]
     free = 0
     for z in kernel:
@@ -437,9 +449,11 @@ def _least_minimal(
     ``candidates``, or ``None`` if there is none.
 
     The middle term is the weighted norm times ``w_down * w_right``.  Only a
-    candidate below the least so far is tested.
+    candidate below the least so far is tested, by ``_best_flip`` on its two
+    parts; the record and its witness are built once, at the end.
     """
     n10, wd, wr = bp.n10, bp.w_down, bp.w_right
+    lo, hi = bp.g_s0.left_masks, bp.g_0s.left_masks
     length, mask10 = n10 + bp.n01, (1 << n10) - 1
     best = None
     bound = length  # the weight of best, once there is one
@@ -447,10 +461,11 @@ def _least_minimal(
         w = cur.bit_count()
         if w > bound:
             continue
-        key = (w, (cur & mask10).bit_count() * wr + (cur >> n10).bit_count() * wd, cur)
+        v10, v01 = cur & mask10, cur >> n10
+        key = (w, v10.bit_count() * wr + v01.bit_count() * wd, cur)
         if best is not None and key > best:
             continue
-        if is_locally_minimal(C1Vector.from_stacked(bp, BitVector(length, cur)), bp)[0]:
+        if _best_flip(_flip_row(lo, v10, wd, wr), _flip_row(hi, v01, wr, wd)) is None:
             best, bound = key, w
     if best is not None:
         witness = C1Vector.from_stacked(bp, BitVector(length, best[2]))
@@ -545,77 +560,6 @@ def small_set_smallness_bounds(
     bound10 = min(c_down * v0x / bp.w_up, Fraction(c_right * v0y))
     bound01 = min(c_right * v0y / bp.w_left, Fraction(c_down * v0x))
     return bound10, bound01
-
-
-class _Part(_record("_Part", [
-    "bits",  # int
-    "weight",  # int
-    # list[int]: _overlaps of this corner's d2 column parts with ``bits``
-    "overlaps",
-    "syndrome",  # int: d1 of this part
-])):
-    """One corner's part of a c1 (``v10`` or ``v01``): its overlaps with the
-    ``d2`` columns for the flip test and its syndrome for the margin."""
-
-    __slots__ = ()
-
-
-class _SmallSet:
-    """Everything the small-set inequality reads that does not depend on c1.
-
-    Local minimality is ``_best_flip``'s test on the two parts' overlaps, the
-    one flip test of ``is_locally_minimal``, ``greedy_flip`` and d_lm.
-    """
-
-    def __init__(
-        self,
-        bp: BalancedProductComplex,
-        cert_x: ExpansionCertificate,
-        cert_y: ExpansionCertificate,
-    ):
-        self.bp = bp  # its degrees weigh the flip test
-        self.bounds = small_set_smallness_bounds(bp, cert_x, cert_y)
-        self.max_weights = tuple(_strict_floor(b) for b in self.bounds)
-        # the margin's integer coefficients, for factor = 1/2 - 8 eps = p/q
-        factor = Fraction(1, 2) - 8 * small_set_epsilon(bp.w_up, cert_x, cert_y)
-        self.q = factor.denominator
-        self.p_right = factor.numerator * bp.w_right
-        self.p_down = factor.numerator * bp.w_down
-        # by corner (v10, v01): each vertex's part of the d2 columns, and its
-        # d1 column
-        self.d2_masks = (bp.g_s0.left_masks, bp.g_0s.left_masks)
-        self.d1_columns = (bp.g_1s.left_masks, bp.g_s1.left_masks)
-
-    def part(self, corner: int, support: Sequence[int]) -> _Part:
-        """Corner 0 is ``v10``, corner 1 is ``v01``; its weight must lie
-        strictly below the corner's bound."""
-        weight = len(support)
-        if weight > self.max_weights[corner]:
-            raise PreconditionViolationError(
-                f"|{('v10', 'v01')[corner]}|={weight} not below bound "
-                f"{self.bounds[corner]}"
-            )
-        columns = self.d1_columns[corner]
-        bits = syndrome = 0
-        for i in support:
-            bits |= 1 << i
-            syndrome ^= columns[i]
-        overlaps = _overlaps(self.d2_masks[corner], bits)
-        return _Part(bits=bits, weight=weight, overlaps=overlaps, syndrome=syndrome)
-
-    def minimal(self, p10: _Part, p01: _Part) -> bool:
-        """Exact weighted local minimality (``_best_flip``)."""
-        return _best_flip(self.bp, p10.overlaps, p01.overlaps) is None
-
-    def margin(self, p10: _Part, p01: _Part) -> int:
-        """The inequality's margin for the locally minimal ``c1 = (p10,
-        p01)``, times ``q·w_down·w_right`` for ``factor = p/q``: the integer
-        ``q·|d1 c1| − p·w_right·|v10| − p·w_down·|v01|``."""
-        return (
-            self.q * (p10.syndrome ^ p01.syndrome).bit_count()
-            - self.p_right * p10.weight
-            - self.p_down * p01.weight
-        )
 
 
 def enumerate_small_c1(
@@ -739,11 +683,12 @@ def _small_set_orbits(
     bp: BalancedProductComplex,
     cert_x: ExpansionCertificate,
     cert_y: ExpansionCertificate,
-) -> Iterator[tuple[int, int, _Part, _Part]]:
-    """``(margin, size, v10 part, v01 part)`` per translation orbit of
-    locally minimal small c1: every vector of the orbit has the integer
-    ``margin`` of ``_SmallSet.margin``, and ``size`` is ``|G| / |stabiliser
-    of the (v10, v01) pair|``.
+) -> Iterator[tuple[int, int, int, int]]:
+    """``(margin, size, v10_bits, v01_bits)`` per translation orbit of locally
+    minimal small c1, ``size`` being ``|G| / |stabiliser of the (v10, v01)
+    pair|``.  Every vector of the orbit has the integer ``margin``, the
+    inequality's margin times ``q·w_down·w_right`` for ``1/2 − 8 eps = p/q``:
+    ``q·|d1 c1| − p·w_right·|v10| − p·w_down·|v01|``.
 
     The translations ``h -> h t`` are used only if ``_translations`` proves
     each to be an automorphism of this complex; otherwise every orbit is a
@@ -751,37 +696,56 @@ def _small_set_orbits(
     the order of ``enumerate_small_c1``, and a ``v01`` when it is the first
     of its orbit under the stabiliser of that ``v10``.  So each
     representative is the first vector of its orbit in that order, and the
-    orbits come in the order of their representatives.  Each ``v10`` and each
-    ``v01`` part is evaluated once, with its weight bound, and every pair only
-    combines the two.  Local minimality is checked on every representative;
-    the zero vector is left out.  The orbit and stabiliser tests compare
-    image bitmasks (see ``_fixing``).
+    orbits come in the order of their representatives.  The orbit and
+    stabiliser tests compare image bitmasks (see ``_fixing``).
 
-    Every mask a part reads is a left mask of a subgraph the complex stores:
-    ``g_s0`` and ``g_0s`` give the ``d2`` columns of the flip test, ``g_1s``
-    and ``g_s1`` the ``d1`` columns the syndromes read.
+    Each ``v10`` and each ``v01`` part of weight below its bound is scored
+    once: its bits, its ``_flip_row`` and its ``d1`` syndrome.  A pair only
+    combines the two: ``_best_flip`` of the rows is the flip test, run on
+    every representative, and the xor of the syndromes is ``d1 c1``.  The
+    zero vector is left out.  Every mask a part reads is a left mask of a
+    subgraph the complex stores: ``g_s0`` and ``g_0s`` give the ``d2``
+    columns, ``g_1s`` and ``g_s1`` the ``d1`` columns.
     """
-    ss = _SmallSet(bp, cert_x, cert_y)
-    max10, max01 = ss.max_weights
+    bound10, bound01 = small_set_smallness_bounds(bp, cert_x, cert_y)
+    factor = Fraction(1, 2) - 8 * small_set_epsilon(bp.w_up, cert_x, cert_y)
+    p, q = factor.numerator, factor.denominator
+    wd, wr = bp.w_down, bp.w_right
     maps = _translations(bp)
     identity = tuple(range(max(bp.sizes)))
     # the maps that may move a support, as image bits; the rest fix every one
     moving = [[1 << v for v in tau] for tau in maps if tau != identity]
     fixed = len(maps) - len(moving)
-    parts01 = [(s, ss.part(1, s)) for s in _small_supports(bp.n01, max01)]
-    minimal, margin = ss.minimal, ss.margin
-    for s10 in _small_supports(bp.n10, max10):
+
+    def part(support, d2_masks, d1_columns, w, w_other):
+        """A corner's bits, flip row, syndrome and share ``p·w_other·|part|``
+        of the margin."""
+        bits = syndrome = 0
+        for i in support:
+            bits |= 1 << i
+            syndrome ^= d1_columns[i]
+        row = _flip_row(d2_masks, bits, w, w_other)
+        return bits, row, syndrome, p * w_other * len(support)
+
+    parts01 = [
+        (s, *part(s, bp.g_0s.left_masks, bp.g_s1.left_masks, wr, wd))
+        for s in _small_supports(bp.n01, _strict_floor(bound01))
+    ]
+    for s10 in _small_supports(bp.n10, _strict_floor(bound10)):
         fixing10 = _fixing(s10, moving)
         if fixing10 is None:
             continue
-        p10 = ss.part(0, s10)
-        for s01, p01 in parts01:
-            if not (p10.bits or p01.bits) or not minimal(p10, p01):
+        bits10, row10, syndrome10, cost10 = part(
+            s10, bp.g_s0.left_masks, bp.g_1s.left_masks, wd, wr
+        )
+        for s01, bits01, row01, syndrome01, cost01 in parts01:
+            if not (bits10 or bits01) or _best_flip(row10, row01) is not None:
                 continue
             fixing = _fixing(s01, fixing10) if fixing10 else []
             if fixing is None:
                 continue
-            yield margin(p10, p01), len(maps) // (fixed + len(fixing)), p10, p01
+            margin = q * (syndrome10 ^ syndrome01).bit_count() - cost10 - cost01
+            yield margin, len(maps) // (fixed + len(fixing)), bits10, bits01
 
 
 def small_set_suite(
@@ -795,21 +759,20 @@ def small_set_suite(
     at the end, holds exactly when every orbit's does."""
     epsilon = small_set_epsilon(bp.w_up, cert_x, cert_y)
     count = orbits = 0
-    least_margin = least_parts = None
-    for margin, size, p10, p01 in _small_set_orbits(bp, cert_x, cert_y):
+    least_margin = least_bits = None
+    for margin, size, v10, v01 in _small_set_orbits(bp, cert_x, cert_y):
         count += size
         orbits += 1
-        if least_parts is None or margin < least_margin:
-            least_margin, least_parts = margin, (p10, p01)
+        if least_bits is None or margin < least_margin:
+            least_margin, least_bits = margin, (v10, v01)
     least = witness = None
-    if least_parts is not None:
-        p10, p01 = least_parts
-        witness = C1Vector(BitVector(bp.n10, p10.bits), BitVector(bp.n01, p01.bits))
+    if least_bits is not None:
+        v10, v01 = least_bits
+        witness = C1Vector(BitVector(bp.n10, v10), BitVector(bp.n01, v01))
         lhs = (Fraction(1, 2) - 8 * epsilon) * weighted_norm(witness, bp)
         rhs = c0_weighted_norm(boundary_1(bp, witness), bp)
-        least = SmallSetCheck(
-            lhs=lhs, rhs=rhs, holds=lhs <= rhs, c1_weight=p10.weight + p01.weight
-        )
+        weight = v10.bit_count() + v01.bit_count()
+        least = SmallSetCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs, c1_weight=weight)
     return SmallSetSummary(
         count=count,
         orbits=orbits,
@@ -940,7 +903,7 @@ def distance_certificate(
             f"subgraph epsilon {subgraph_cert.epsilon} >= 1/2: the unique-neighbor "
             f"bound d >= c*|V00| needs epsilon < 1/2"
         )
-    columns = [a | b << bp.n10 for a, b in zip(bp.g_s0.left_masks, bp.g_0s.left_masks)]
+    columns = _d2_columns(bp)
     basis = [v.bits for v in kernel_basis(code.h)]
     try:
         found = _weight_first(

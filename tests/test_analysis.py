@@ -342,19 +342,31 @@ class TestSmallSetCheck:
         return bp, cert_x, cert_y
 
     def test_zero_vector(self):
+        # the zero vector is locally minimal, and the suite leaves it out
         bp, cx, cy = self._instance()
-        ss = analysis._SmallSet(bp, cx, cy)
-        assert ss.margin(ss.part(0, []), ss.part(1, [])) == 0
+        assert is_locally_minimal(C1Vector.from_supports(bp, [], []), bp) == (True, None)
+        orbits = analysis._small_set_orbits(bp, cx, cy)
+        assert all(v10 or v01 for _, _, v10, v01 in orbits)
 
-    def test_requires_local_minimality(self):
-        # the boundary of one bit is removed by flipping that bit: the suite's
-        # minimality test rejects it, as the flip test does
+    def test_requires_local_minimality(self, monkeypatch):
+        # with the weight bounds lifted and no translations, the suite scans
+        # every nonzero c1 and keeps exactly the locally minimal ones; the
+        # boundary of one bit is removed by flipping that bit, so it is not
         bp, cx, cy = self._instance()
+        lifted = (Fraction(bp.n10 + 1), Fraction(bp.n01 + 1))
+        monkeypatch.setattr(analysis, "small_set_smallness_bounds", lambda *args: lifted)
+        monkeypatch.setattr(analysis, "_translations", lambda bp: [tuple(range(max(bp.sizes)))])
+        scanned = {(v10, v01) for _, _, v10, v01 in analysis._small_set_orbits(bp, cx, cy)}
+        expected = set()
+        for v10 in range(1 << bp.n10):
+            for v01 in range(1 << bp.n01):
+                c1 = C1Vector(BitVector(bp.n10, v10), BitVector(bp.n01, v01))
+                if (v10 or v01) and is_locally_minimal(c1, bp)[0]:
+                    expected.add((v10, v01))
+        assert scanned == expected
         c1 = C1Vector.from_stacked(bp, _column(bp.d2, 0))
-        ss = analysis._SmallSet(bp, cx, cy)
-        ss.max_weights = (bp.n10, bp.n01)  # |v10| = 2 is above the bound
-        assert not ss.minimal(ss.part(0, c1.v10.support()), ss.part(1, c1.v01.support()))
         assert is_locally_minimal(c1, bp) == (False, 0)
+        assert (c1.v10.bits, c1.v01.bits) not in scanned
 
     def test_suite_all_hold(self):
         bp, cx, cy = self._instance()

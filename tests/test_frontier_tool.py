@@ -1,4 +1,5 @@
-"""The stage column of ``tools/frontier.py``, read from real refusals.
+"""``tools/frontier.py``: its stage column, read from real refusals, and its
+walk over each family.
 
 ``BENCH_frontier.json`` records, for each build that did not exit 0, the
 stage its first stderr line names.  The tool is loaded by path; it puts
@@ -68,3 +69,35 @@ def test_load_writes_nothing_under_perfbench(monkeypatch):
     before = sorted(perfbench.rglob("*"))
     _load(monkeypatch)
     assert sorted(perfbench.rglob("*")) == before
+
+
+def test_plane_sets_are_perfect_difference_sets(frontier):
+    for q, elements in frontier.PLANES.items():
+        n = q * q + q + 1
+        differences = sorted((a - b) % n for a in elements for b in elements if a != b)
+        assert differences == list(range(1, n)), q
+
+
+@pytest.mark.parametrize("refused, frontier_q, miss", [
+    (21, 3, {"q": 4, "n": 21, "exit": 3}),
+    (None, 5, None),
+])
+def test_walk_stops_at_the_first_miss(frontier, monkeypatch, refused, frontier_q, miss):
+    # the planes in q order, each built once, none after the first miss
+    built = []
+
+    def build(config, work):
+        n = config["group"]["n"]
+        built.append(n)
+        assert config["a_set"] == config["b_set"] and config["c_x"] == "1/4"
+        return {"exit": 3 if n == refused else 0}
+
+    monkeypatch.setattr(frontier, "_build", build)
+    monkeypatch.setattr(frontier, "reference_s", lambda: 0.0)
+    result = frontier.walk(frontier._planes(), "q")
+    assert built == [7, 13, 21, 31][: 3 if refused else 4]
+    assert result["frontier"] == frontier_q
+    assert result["first_miss"] == (None if miss is None else {
+        **miss, "reference_s_before": 0.0, "reference_s_after": 0.0,
+    })
+    assert [row["q"] for row in result["rows"]] == [2, 3, 4, 5][: len(built)]

@@ -1,10 +1,12 @@
 """The integer flip test and the small-set suite against the ``Fraction`` references."""
 
+import json
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ from expander_ltc.analysis import (
     locally_minimal_distance,
     small_set_suite,
 )
-from expander_ltc.errors import PreconditionViolationError, VerificationError
+from expander_ltc.errors import VerificationError
 from expander_ltc.f2 import BitVector
 from expander_ltc.graphs import certify_expansion, small_set_epsilon
 from expander_ltc.groups import group_from_spec, make_cyclic
@@ -97,21 +99,21 @@ def _random_c1(bp, rng):
 
 
 def _scale(bp, cert_x, cert_y):
-    """What ``_SmallSet.margin`` multiplies a check's margin by."""
+    """What ``_small_set_orbits`` multiplies a check's margin by."""
     factor = Fraction(1, 2) - 8 * small_set_epsilon(bp.w_up, cert_x, cert_y)
     return factor.denominator * bp.w_down * bp.w_right
 
 
 def _keys(orbits):
     """The c1 weight and integer margin of each orbit."""
-    return [(p10.weight + p01.weight, margin) for margin, _, p10, p01 in orbits]
+    return [(v10.bit_count() + v01.bit_count(), margin) for margin, _, v10, v01 in orbits]
 
 
 def _expanded(orbits):
     """The multiset of keys the orbits stand for, each counted by its size."""
     counts = Counter()
-    for margin, size, p10, p01 in orbits:
-        counts[p10.weight + p01.weight, margin] += size
+    for margin, size, v10, v01 in orbits:
+        counts[v10.bit_count() + v01.bit_count(), margin] += size
     return counts
 
 
@@ -179,10 +181,12 @@ def test_each_representative_matches_its_reference_check(name):
     bp = INSTANCES[name]()
     cert_x, cert_y = _certified(bp)
     scale = _scale(bp, cert_x, cert_y)
-    for margin, size, p10, p01 in analysis._small_set_orbits(bp, cert_x, cert_y):
-        c1 = C1Vector(BitVector(bp.n10, p10.bits), BitVector(bp.n01, p01.bits))
+    for margin, size, v10, v01 in analysis._small_set_orbits(bp, cert_x, cert_y):
+        c1 = C1Vector(BitVector(bp.n10, v10), BitVector(bp.n01, v01))
         check = reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
-        assert (p10.weight + p01.weight, margin) == (check.c1_weight, check.margin * scale)
+        assert (c1.v10.weight() + c1.v01.weight(), margin) == (
+            check.c1_weight, check.margin * scale
+        )
         assert bp.group.order % size == 0
 
 
@@ -260,9 +264,11 @@ def test_fallback_gives_the_same_summary(name, monkeypatch):
     assert {**full, "orbits": None} == {**reduced, "orbits": None}
 
 
-# the parts' overlaps on degree 2 and 3, square and skewed degrees
+# the flip rows on degree 2 and 3, square and skewed degrees, and with
+# w_down != w_right, where the two rows weigh their overlaps apart
 KERNEL_INSTANCES = {
     "Z8": INSTANCES["Z8"],
+    "Z8-3x2": INSTANCES["Z8-3x2"],
     "Z10-degree-3": lambda: _cayley(10, [1, 2, 5], [1, 3, 7]),
     "Z6-layered": INSTANCES["Z6-layered"],
     "Z5-layered-both": INSTANCES["Z5-layered-both"],
@@ -271,18 +277,27 @@ KERNEL_INSTANCES = {
 
 @pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
 def test_part_overlaps_count_squares(name):
+    # each corner's flip row carries its part's overlaps with the d2 columns:
+    # the two rows sum to the reference flip change times w_down·w_right, and
+    # the overlaps read back from them count the squares
     bp = KERNEL_INSTANCES[name]()
-    ss = analysis._SmallSet(bp, *_certified(bp))
-    ss.max_weights = (bp.n10, bp.n01)  # the parts hold for any support
+    wd, wr = bp.w_down, bp.w_right
+    lo, hi = column_masks(bp)
     rng = random.Random(5)
     seen = Counter()
     for _ in range(400):
         s10 = sorted(rng.sample(range(bp.n10), rng.randint(0, bp.n10 // 2)))
         s01 = sorted(rng.sample(range(bp.n01), rng.randint(0, bp.n01 // 2)))
-        p10, p01 = ss.part(0, s10), ss.part(1, s01)
-        squares = reference_square_count(bp, C1Vector.from_supports(bp, s10, s01))
-        assert sum(map(mul, p10.overlaps, p01.overlaps)) == squares
-        seen[ss.minimal(p10, p01)] += 1
+        c1 = C1Vector.from_supports(bp, s10, s01)
+        row10 = analysis._flip_row(bp.g_s0.left_masks, c1.v10.bits, wd, wr)
+        row01 = analysis._flip_row(bp.g_0s.left_masks, c1.v01.bits, wr, wd)
+        assert [a + b for a, b in zip(row10, row01)] == [
+            flip_delta(bp, c1, lo[j], hi[j]) * wd * wr for j in range(bp.n00)
+        ]
+        o10 = [(wd - r // wr) // 2 for r in row10]
+        o01 = [(wr - r // wd) // 2 for r in row01]
+        assert sum(map(mul, o10, o01)) == reference_square_count(bp, c1)
+        seen[analysis._best_flip(row10, row01) is None] += 1
     assert seen[True] and seen[False]
 
 
@@ -322,33 +337,40 @@ def test_reported_bit_is_the_greedy_choice():
     assert seen
 
 
-def test_single_check_matches_reference():
+def _scanned(bp, cert_x, cert_y, monkeypatch):
+    """``{(v10, v01): margin}`` over every vector the suite checks: with no
+    translations each orbit is one vector."""
+    monkeypatch.setattr(analysis, "_translations", _no_translations)
+    orbits = analysis._small_set_orbits(bp, cert_x, cert_y)
+    return {(v10, v01): margin for margin, _, v10, v01 in orbits}
+
+
+def test_single_check_matches_reference(monkeypatch):
     bp = INSTANCES["Z8"]()
     cert_x, cert_y = _certified(bp)
-    ss = analysis._SmallSet(bp, cert_x, cert_y)
+    scanned = _scanned(bp, cert_x, cert_y, monkeypatch)
+    assert (0, 0) not in scanned  # the zero vector is left out
     for c1 in (
-        C1Vector.from_supports(bp, [], []),
         C1Vector.from_supports(bp, [0], []),
         C1Vector.from_supports(bp, [], [5]),
         C1Vector.from_supports(bp, [3], [1]),
     ):
-        p10, p01 = ss.part(0, c1.v10.support()), ss.part(1, c1.v01.support())
-        assert ss.minimal(p10, p01)
         check = reference_small_set_ltc_check(bp, cert_x, cert_y, c1)
-        assert ss.margin(p10, p01) == check.margin * _scale(bp, cert_x, cert_y)
+        margin = scanned[c1.v10.bits, c1.v01.bits]
+        assert margin == check.margin * _scale(bp, cert_x, cert_y)
 
 
-def test_single_check_rejects_heavy_vector():
-    # the suite's weight guard: a part at or above its corner's bound
+def test_single_check_rejects_heavy_vector(monkeypatch):
+    # the suite's weight bound: a locally minimal part at its corner's bound
+    # is never scanned
     bp = INSTANCES["Z8"]()
-    ss = analysis._SmallSet(bp, *_certified(bp))
-    assert ss.bounds == (2, 2)
+    cert_x, cert_y = _certified(bp)
+    assert analysis.small_set_smallness_bounds(bp, cert_x, cert_y) == (2, 2)
     c1 = C1Vector.from_supports(bp, [0, 1], [])  # |v10| = 2, bound is 2
     assert is_locally_minimal(c1, bp)[0]
-    with pytest.raises(PreconditionViolationError, match=r"\|v10\|=2 not below bound 2"):
-        ss.part(0, [0, 1])
-    with pytest.raises(PreconditionViolationError, match=r"\|v01\|=2 not below bound 2"):
-        ss.part(1, [0, 1])
+    scanned = _scanned(bp, cert_x, cert_y, monkeypatch)
+    assert max(v10.bit_count() for v10, _ in scanned) == 1
+    assert max(v01.bit_count() for _, v01 in scanned) == 1
 
 
 def test_square_count_error_at_construction():
@@ -394,3 +416,31 @@ def test_column_masks_derived_once_per_complex(monkeypatch):
     greedy_flip(c1, bp)
     locally_minimal_distance(bp)
     assert calls == []
+
+
+def _committed_instances():
+    """The two Singer configs and Z6–Z16 ``[1,2]/[1,3]`` at c = 1/4 and 1/2."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name in ("singer_z7.json", "singer_z21.json"):
+        yield name, json.loads((configs / name).read_text(encoding="utf-8"))
+    for n in range(6, 17, 2):
+        for c in ("1/4", "1/2"):
+            yield f"Z{n}-c{c}", {
+                "group": {"kind": "cyclic", "n": n}, "a_set": [1, 2], "b_set": [1, 3],
+                "c_x": c, "c_y": c,
+            }
+
+
+@pytest.mark.parametrize("name, cfg", list(_committed_instances()))
+def test_suite_is_vacuous_or_empty_on_cayley_factors(name, cfg):
+    # README's derivation: a c1 with v10 != 0 needs bound10 > 1, and then x's
+    # certificate scans the w_up left neighbours of a right vertex, so
+    # eps_x >= (w_up - 1) / (w_down w_up), too large for 1/2 - 8 eps > 0
+    bp = left_right_cayley(group_from_spec(cfg["group"]), cfg["a_set"], cfg["b_set"])
+    cert_x = certify_expansion(bp.x, Fraction(cfg["c_x"]), action=bp.ax)
+    cert_y = certify_expansion(bp.y, Fraction(cfg["c_y"]), action=bp.ay)
+    summary = analysis.settle_small_set(bp, cert_x, cert_y)
+    assert summary.by == "sign" or summary.count == 0
+    bound10, _ = analysis.small_set_smallness_bounds(bp, cert_x, cert_y)
+    if bound10 > 1:
+        assert cert_x.epsilon >= Fraction(bp.w_up - 1, bp.w_down * bp.w_up)
